@@ -21,7 +21,7 @@ from .estimation import (
     build_c_hat,
     build_e_hat,
     empirical_sym_moment,
-    moment_from_tally,
+    moment,
 )
 from .experiments import (
     BaselineReport,
@@ -132,7 +132,7 @@ __all__ = [
     "li_recover_4",
     "make_mixture",
     "matched_l1_error",
-    "moment_from_tally",
+    "moment",
     "multinomial_mixture_equal",
     "multinomial_pmf",
     "numerical_rank",

@@ -10,6 +10,9 @@ position tuples, and a tally path that reads off, for each per-group
 category tally, how many ordered tuples hit each multi-index (a product
 of falling factorials).  The tally path costs O(#distinct tallies x d^r)
 and is the only practical one at 10^7 groups.
+
+moment() is the one source every recovery stage reads: it gives the
+exact population moment for a MixtureSpec and the estimate otherwise.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiagonalMap
+from .model import DiagonalMap, MixtureSpec, population_moment
 from .sampling import GroupedDataset, GroupTallyHistogram, num_compositions, tally
 from .tensors import outer_power, unfold
 
@@ -68,10 +71,6 @@ class MomentEstimate:
         return cls(tensor, order, int(obj["n_groups"]), transform)
 
 
-def _scale_by_diag(tensor: np.ndarray, diag: np.ndarray, r: int) -> np.ndarray:
-    return tensor * outer_power(diag, r)
-
-
 def _raw_counts(ds: GroupedDataset, r: int) -> np.ndarray:
     """Sum over groups and ordered distinct-position r-tuples of one-hot
     outer products; integer-valued, accumulated exactly in float64."""
@@ -107,6 +106,10 @@ def _tally_counts(h: GroupTallyHistogram, r: int) -> np.ndarray:
     return counts.reshape((d,) * r)
 
 
+def _tally_pays(ds: GroupedDataset) -> bool:
+    return ds.n_groups > TALLY_FACTOR * num_compositions(ds.group_size, ds.d)
+
+
 def empirical_sym_moment(
     data: GroupedDataset | GroupTallyHistogram,
     r: int,
@@ -116,41 +119,73 @@ def empirical_sym_moment(
     """Order-r symmetrized moment estimate from a dataset or histogram.
 
     method: "auto" tallies large datasets first, "raw" forces the
-    position-tuple sum, "tally" forces histogram evaluation.  All paths
-    agree bit-for-bit because both sum the same integers.
+    position-tuple sum, "tally" forces histogram evaluation; a histogram
+    is always read by the tally path.  All paths agree bit-for-bit
+    because both sum the same integers.
     """
-    if isinstance(data, GroupTallyHistogram):
-        return moment_from_tally(data, r, b)
     k, n = data.group_size, data.n_groups
     if not 1 <= r <= k:
         raise ValueError(f"moment order {r} not in [1, {k}]")
-    if method == "auto":
-        method = "tally" if n > TALLY_FACTOR * num_compositions(k, data.d) else "raw"
-    if method == "tally":
-        return moment_from_tally(tally(data), r, b)
-    if method != "raw":
-        raise ValueError(f"unknown method {method!r}")
-    tensor = _raw_counts(data, r) / (n * math.perm(k, r))
+    if isinstance(data, GroupedDataset):
+        if method == "auto":
+            method = "tally" if _tally_pays(data) else "raw"
+        if method == "tally":
+            data = tally(data)
+        elif method != "raw":
+            raise ValueError(f"unknown method {method!r}")
+    count = _raw_counts if isinstance(data, GroupedDataset) else _tally_counts
+    tensor = count(data, r) / (n * math.perm(k, r))
     if b is not None:
-        tensor = _scale_by_diag(tensor, b.diag, r)
+        tensor = tensor * outer_power(b.diag, r)
     return MomentEstimate(tensor, r, n, b)
 
 
-def moment_from_tally(
-    h: GroupTallyHistogram, r: int, b: DiagonalMap | None = None
-) -> MomentEstimate:
-    """Order-r moment from a tally histogram; identical to the raw path."""
-    k, n = h.group_size, h.n_groups
-    if not 1 <= r <= k:
-        raise ValueError(f"moment order {r} not in [1, {k}]")
-    tensor = _tally_counts(h, r) / (n * math.perm(k, r))
-    if b is not None:
-        tensor = _scale_by_diag(tensor, b.diag, r)
-    return MomentEstimate(tensor, r, n, b)
+def moment(
+    source: MixtureSpec | GroupedDataset | GroupTallyHistogram | MomentEstimate | np.ndarray,
+    r: int,
+    b: DiagonalMap | None = None,
+) -> np.ndarray:
+    """Order-r moment tensor under b, from any moment source.
+
+    A MixtureSpec gives the exact population moment, a dataset or
+    histogram the empirical estimate.  A precomputed MomentEstimate or
+    tensor is taken as already transformed and only checked for order.
+    """
+    if isinstance(source, MixtureSpec):
+        tensor = population_moment(source, r)
+        return tensor if b is None else tensor * outer_power(b.diag, r)
+    if isinstance(source, MomentEstimate):
+        if source.order != r:
+            raise ValueError(f"expected an order-{r} moment, got order {source.order}")
+        return source.tensor
+    if isinstance(source, np.ndarray):
+        if source.ndim != r:
+            raise ValueError(f"expected an order-{r} tensor, got order {source.ndim}")
+        return source
+    return empirical_sym_moment(source, r, b).tensor
+
+
+def moment_source(data, max_order: int):
+    """Check that data can supply moments up to max_order and return the
+    form later moment passes should read.
+
+    A dataset whose groups outnumber its possible tallies TALLY_FACTOR-fold
+    is tallied once, so every pass shares one histogram; a MixtureSpec
+    supplies every order.
+    """
+    if isinstance(data, MixtureSpec):
+        return data
+    if not isinstance(data, (GroupedDataset, GroupTallyHistogram)):
+        raise TypeError(f"unsupported data type {type(data).__name__}")
+    if data.group_size < max_order:
+        raise ValueError(f"group size {data.group_size} < required {max_order}")
+    if isinstance(data, GroupedDataset) and _tally_pays(data):
+        return tally(data)
+    return data
 
 
 def build_c_hat(
-    data: GroupedDataset | GroupTallyHistogram | MomentEstimate | np.ndarray,
+    data: MixtureSpec | GroupedDataset | GroupTallyHistogram | MomentEstimate | np.ndarray,
     m: int,
     b: DiagonalMap,
 ) -> np.ndarray:
@@ -159,14 +194,13 @@ def build_c_hat(
     The order-(2m-2) moment under b, unfolded at split m-1 to a
     d^{m-1} x d^{m-1} matrix and symmetrized; its expectation is the
     Gram-weighted sum of (B p_i)^{(x)(m-1)} projectors, the operator the
-    whitening step inverts.  A precomputed moment (estimate or tensor,
-    already transformed) is accepted for population work.
+    whitening step inverts.  data is any source that moment() reads.
     """
     if m < 1:
         raise ValueError(f"component count must be >= 1, got {m}")
     if m == 1:
         return np.ones((1, 1))
-    tensor = _resolve_moment(data, 2 * m - 2, b)
+    tensor = moment(data, 2 * m - 2, b)
     mat = unfold(tensor, m - 1)
     return 0.5 * (mat + mat.T)
 
@@ -177,14 +211,3 @@ def build_e_hat(data: GroupedDataset | GroupTallyHistogram, m: int) -> MomentEst
         raise ValueError(f"component count must be >= 2, got {m}")
     return empirical_sym_moment(data, m - 1, None)
 
-
-def _resolve_moment(data, r: int, b: DiagonalMap | None) -> np.ndarray:
-    if isinstance(data, MomentEstimate):
-        if data.order != r:
-            raise ValueError(f"expected an order-{r} moment, got order {data.order}")
-        return data.tensor
-    if isinstance(data, np.ndarray):
-        if data.ndim != r:
-            raise ValueError(f"expected an order-{r} tensor, got order {data.ndim}")
-        return data
-    return empirical_sym_moment(data, r, b).tensor

@@ -21,13 +21,14 @@ rank-based estimator of the number of components are included.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import rng
-from .estimation import MomentEstimate, build_c_hat, build_e_hat, empirical_sym_moment
+from .estimation import MomentEstimate, build_c_hat, moment, moment_source
 from .model import (
     DiagonalMap,
     DominatingMeasure,
@@ -35,11 +36,18 @@ from .model import (
     b_map,
     check_distinct_norms,
     dominating_measure,
-    population_moment,
     random_dominating_measure,
 )
-from .sampling import GroupedDataset, GroupTallyHistogram, num_compositions, tally
-from .tensors import blockwise_apply, numerical_rank, outer_power, sym_eig, psd_sqrt_pinv, unfold
+from .sampling import GroupedDataset, GroupTallyHistogram
+from .tensors import (
+    blockwise_apply,
+    eig_sqrt_pinv,
+    numerical_rank,
+    outer_power,
+    psd_sqrt_pinv,
+    sym_eig,
+    unfold,
+)
 
 PROBE_NORM_TOL = 1e-10
 MAX_PROBE_RETRIES = 16
@@ -283,26 +291,88 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _population_moment_b(mix: MixtureSpec, r: int, b: DiagonalMap | None) -> np.ndarray:
-    t = population_moment(mix, r)
-    if b is not None:
-        t = t * outer_power(b.diag, r)
-    return t
+@contextmanager
+def _stage(name: str):
+    """Turn any failure inside the block into a RecoveryError naming the stage."""
+    try:
+        yield
+    except RecoveryError:
+        raise
+    except Exception as exc:
+        raise RecoveryError(f"stage {name!r} failed: {exc}") from exc
 
 
-def _prepare_data(data, min_group_size: int):
-    """Tally large raw datasets once so later moment passes reuse it."""
-    if isinstance(data, GroupedDataset):
-        if data.group_size < min_group_size:
-            raise ValueError(f"group size {data.group_size} < required {min_group_size}")
-        if data.n_groups > 10 * num_compositions(data.group_size, data.d):
-            return tally(data)
-        return data
-    if isinstance(data, GroupTallyHistogram):
-        if data.group_size < min_group_size:
-            raise ValueError(f"group size {data.group_size} < required {min_group_size}")
-        return data
-    raise TypeError(f"unsupported data type {type(data).__name__}")
+def _odd_operator(data, m: int, b: DiagonalMap | None, w: np.ndarray) -> np.ndarray:
+    """T T^T for T from the order-(2m-1) moment under b."""
+    t_hat = build_t_hat(moment(data, 2 * m - 1, b), w)
+    return t_hat @ t_hat.T
+
+
+def _fourth_operator(data, m: int, b: DiagonalMap | None, w: np.ndarray) -> np.ndarray:
+    """I (x) W (x) I (x) W on the order-4 moment, flattened at split 2."""
+    d = data.d
+    a = blockwise_apply(moment(data, 4, b), [(1, None), (1, w), (1, None), (1, w)])
+    s = a.reshape(d**2, d**2)
+    return 0.5 * (s + s.T)
+
+
+def _run_stages(
+    data,
+    m: int,
+    seed: int,
+    *,
+    b: DiagonalMap | None,
+    c_order: int,
+    operator: tuple,
+    weight_order: int,
+    solver: str,
+    probe: str,
+    clip_negatives: bool,
+    eig_floor: float,
+    extra: dict,
+) -> RecoveryResult:
+    """The staged pipeline behind recover_full and li_recover_4.
+
+    data is a moment source already checked by moment_source.  C is
+    build_c_hat(data, c_order, b); operator is a (stage name, builder)
+    pair whose builder returns the PSD matrix whose top m eigenvectors
+    are contracted to components.  extra is appended to the diagnostics.
+    """
+    if m == 1:
+        with _stage("mean"):
+            mean = moment(data, 1)
+            comps = np.atleast_2d(np.maximum(mean, 0.0))
+            comps /= comps.sum()
+        fit = WeightSolution(np.array([1.0]), 0.0, 1.0)
+        tt_eigenvalues, spectrum = [float(np.dot(mean, mean))], [1.0]
+    else:
+        with _stage("second-moment form"):
+            c_dec = sym_eig(build_c_hat(data, c_order, b))
+        with _stage("whitening"):
+            w = eig_sqrt_pinv(c_dec, m, eig_floor)
+        stage_name, build_operator = operator
+        with _stage(stage_name):
+            op = build_operator(data, m, b, w)
+        with _stage("component extraction"):
+            dec = sym_eig(op)
+            comps = _finalize_components(
+                dec.eigenvectors[:, :m], data.d, b, probe, seed, clip_negatives
+            )
+        with _stage("weight estimation"):
+            fit = recover_weights(moment(data, weight_order), comps, solver)
+        tt_eigenvalues, spectrum = dec.eigenvalues.tolist(), c_dec.eigenvalues.tolist()
+    return RecoveryResult(
+        comps,
+        fit.weights,
+        {
+            "tt_eigenvalues": tt_eigenvalues,
+            "whitening_spectrum": spectrum,
+            "weight_residual": fit.residual,
+            "gram_condition": fit.gram_condition,
+            "seed": seed,
+            **extra,
+        },
+    )
 
 
 def recover_full(
@@ -317,94 +387,28 @@ def recover_full(
     must have groups of at least 2m-1 draws.
     """
     m = config.m
-    population = isinstance(data, MixtureSpec)
-    stage = "setup"
-    try:
-        if population:
-            d = data.d
-        else:
-            data = _prepare_data(data, max(2 * m - 1, 1))
-            d = data.d
-        xi = resolve_dominating(config.dominating, d, seed)
+    with _stage("setup"):
+        data = moment_source(data, max(2 * m - 1, 1))
+        xi = resolve_dominating(config.dominating, data.d, seed)
         b = None if xi is None else b_map(xi)
-
-        if m == 1:
-            stage = "mean"
-            mean = (
-                population_moment(data, 1)
-                if population
-                else empirical_sym_moment(data, 1).tensor
-            )
-            comps = np.atleast_2d(np.maximum(mean, 0.0))
-            comps /= comps.sum()
-            return RecoveryResult(
-                comps,
-                np.array([1.0]),
-                {
-                    "tt_eigenvalues": [float(np.dot(mean, mean))],
-                    "whitening_spectrum": [1.0],
-                    "weight_residual": 0.0,
-                    "gram_condition": 1.0,
-                    "seed": seed,
-                    "config": config.echo(),
-                },
-            )
-
-        stage = "dominating-measure check"
-        if population and xi is not None:
+    if m > 1 and xi is not None and isinstance(data, MixtureSpec):
+        with _stage("dominating-measure check"):
             sep = check_distinct_norms(data, xi)
             if not sep.distinct:
-                raise RecoveryError(
-                    f"rescaled component norms separate by only {sep.min_gap:.3g}"
-                )
-
-        stage = "second-moment form"
-        if population:
-            c_hat = build_c_hat(_population_moment_b(data, 2 * m - 2, b), m, b)
-        else:
-            c_hat = build_c_hat(data, m, b)
-        whitening_spectrum = sym_eig(c_hat).eigenvalues
-
-        stage = "whitening"
-        w = whiten(c_hat, m, config.eig_floor)
-
-        stage = "odd-moment operator"
-        q = (
-            _population_moment_b(data, 2 * m - 1, b)
-            if population
-            else empirical_sym_moment(data, 2 * m - 1, b).tensor
-        )
-        t_hat = build_t_hat(q, w)
-
-        stage = "component extraction"
-        dec = sym_eig(t_hat @ t_hat.T)
-        comps = _finalize_components(
-            dec.eigenvectors[:, :m], d, b, config.probe, seed, config.clip_negatives
-        )
-
-        stage = "weight estimation"
-        e = (
-            population_moment(data, m - 1)
-            if population
-            else build_e_hat(data, m).tensor
-        )
-        weights, residual, cond = recover_weights(e, comps, config.weight_solver)
-    except RecoveryError:
-        raise
-    except Exception as exc:
-        raise RecoveryError(f"stage {stage!r} failed: {exc}") from exc
-
-    return RecoveryResult(
-        comps,
-        weights,
-        {
-            "tt_eigenvalues": dec.eigenvalues.tolist(),
-            "whitening_spectrum": whitening_spectrum.tolist(),
-            "weight_residual": residual,
-            "gram_condition": cond,
-            "seed": seed,
-            "config": config.echo(),
-        },
+                raise RecoveryError(f"rescaled component norms separate by only {sep.min_gap:.3g}")
+    return _run_stages(
+        data,
+        m,
+        seed,
+        b=b,
+        c_order=m,
+        operator=("odd-moment operator", _odd_operator),
+        weight_order=m - 1,
+        solver=config.weight_solver,
+        probe=config.probe,
+        clip_negatives=config.clip_negatives,
+        eig_floor=config.eig_floor,
+        extra={"config": config.echo()},
     )
 
 
@@ -426,78 +430,28 @@ def li_recover_4(
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    population = isinstance(data, MixtureSpec)
-    stage = "setup"
-    try:
-        if population:
-            d = data.d
-            if not force and m > 1:
-                sep = check_distinct_norms(data, dominating_measure(np.ones(d)))
-                if not sep.distinct:
-                    raise RecoveryError(
-                        f"component norms separate by only {sep.min_gap:.3g}; "
-                        "pass force=True to proceed anyway"
-                    )
-        else:
-            data = _prepare_data(data, 4 if m > 1 else 1)
-            d = data.d
-
-        if m == 1:
-            stage = "mean"
-            mean = (
-                population_moment(data, 1)
-                if population
-                else empirical_sym_moment(data, 1).tensor
-            )
-            comps = np.atleast_2d(np.maximum(mean, 0.0))
-            comps /= comps.sum()
-            return RecoveryResult(
-                comps,
-                np.array([1.0]),
-                {"tt_eigenvalues": [], "whitening_spectrum": [], "seed": seed},
-            )
-
-        stage = "second-moment form"
-        m2 = population_moment(data, 2) if population else empirical_sym_moment(data, 2).tensor
-        c = 0.5 * (unfold(m2, 1) + unfold(m2, 1).T)
-        whitening_spectrum = sym_eig(c).eigenvalues
-
-        stage = "whitening"
-        w = psd_sqrt_pinv(c, m)
-
-        stage = "fourth-moment operator"
-        m4 = population_moment(data, 4) if population else empirical_sym_moment(data, 4).tensor
-        a = blockwise_apply(m4, [(1, None), (1, w), (1, None), (1, w)])
-        s = a.reshape(d**2, d**2)
-        s = 0.5 * (s + s.T)
-
-        stage = "component extraction"
-        dec = sym_eig(s)
-        comps = _finalize_components(dec.eigenvectors[:, :m], d, None, probe, seed, True)
-
-        stage = "weight estimation"
-        r = min(m - 1, 2)
-        e = (
-            population_moment(data, r)
-            if population
-            else empirical_sym_moment(data, r).tensor
-        )
-        weights, residual, cond = recover_weights(e, comps)
-    except RecoveryError:
-        raise
-    except Exception as exc:
-        raise RecoveryError(f"stage {stage!r} failed: {exc}") from exc
-
-    return RecoveryResult(
-        comps,
-        weights,
-        {
-            "tt_eigenvalues": dec.eigenvalues.tolist(),
-            "whitening_spectrum": whitening_spectrum.tolist(),
-            "weight_residual": residual,
-            "gram_condition": cond,
-            "seed": seed,
-        },
+    with _stage("setup"):
+        if m > 1 and not force and isinstance(data, MixtureSpec):
+            sep = check_distinct_norms(data, dominating_measure(np.ones(data.d)))
+            if not sep.distinct:
+                raise RecoveryError(
+                    f"component norms separate by only {sep.min_gap:.3g}; "
+                    "pass force=True to proceed anyway"
+                )
+        data = moment_source(data, 4 if m > 1 else 1)
+    return _run_stages(
+        data,
+        m,
+        seed,
+        b=None,
+        c_order=2,
+        operator=("fourth-moment operator", _fourth_operator),
+        weight_order=min(m - 1, 2),
+        solver="clip-renormalize",
+        probe=probe,
+        clip_negatives=True,
+        eig_floor=1e-8,
+        extra={},
     )
 
 
@@ -515,9 +469,5 @@ def estimate_num_components(
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
-    if isinstance(data, MixtureSpec):
-        t = population_moment(data, 2 * n)
-    else:
-        t = empirical_sym_moment(data, 2 * n).tensor
-    rank = numerical_rank(unfold(t, n), rel_tol)
+    rank = numerical_rank(unfold(moment(data, 2 * n), n), rel_tol)
     return rank if max_m is None else min(rank, max_m)

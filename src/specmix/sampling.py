@@ -83,12 +83,13 @@ class GroupTallyHistogram:
         return cls(d, k, counts)
 
 
-def _check_dataset(d: int, groups: np.ndarray) -> GroupedDataset:
+def _check_dataset(d: int, groups: np.ndarray, dtype=None) -> GroupedDataset:
+    """Range-check the indices, then store them (cast to dtype if given)."""
     if groups.ndim != 2 or groups.size == 0:
         raise ValueError("expected a nonempty n x k index array")
     if groups.min() < 0 or groups.max() >= d:
         raise ValueError(f"category index out of range [0, {d})")
-    g = np.ascontiguousarray(groups)
+    g = np.ascontiguousarray(groups, dtype=dtype)
     g.flags.writeable = False
     return GroupedDataset(d, g)
 
@@ -160,4 +161,4 @@ def read_groups(fh: IO[str], d: int | None = None) -> GroupedDataset:
     groups = rows - 1
     if d is None:
         d = int(groups.max()) + 1
-    return _check_dataset(d, groups.astype(np.uint8 if d <= 255 else np.int64))
+    return _check_dataset(d, groups, np.uint8 if d <= 255 else np.int64)

@@ -160,7 +160,12 @@ def psd_sqrt_pinv(m: np.ndarray, keep: int, floor_tol: float = 1e-8) -> np.ndarr
     """
     if keep < 1:
         raise ValueError(f"keep must be >= 1, got {keep}")
-    dec = sym_eig(m)
+    return eig_sqrt_pinv(sym_eig(m), keep, floor_tol)
+
+
+def eig_sqrt_pinv(dec: EigenDecomposition, keep: int, floor_tol: float = 1e-8) -> np.ndarray:
+    """psd_sqrt_pinv from the matrix's eigendecomposition, for callers that
+    also need its spectrum."""
     lam_max = dec.eigenvalues[0]
     if lam_max <= 0.0:
         raise RankDeficiencyError("matrix has no positive eigenvalue")

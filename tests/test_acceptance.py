@@ -11,11 +11,11 @@ import numpy as np
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
+from specmix.estimation import moment
 from specmix.experiments import ExperimentConfig, run_experiment
 from specmix.multinomial import MultinomialSpec, verify_lemma_mult
 from specmix.recovery import (
     RecoveryConfig,
-    _population_moment_b,
     build_t_hat,
     extract_components,
     whiten,
@@ -135,8 +135,8 @@ def test_criterion_6_operator_estimate_converges_with_sample_size():
     # along n = 5e3, 5e4, 5e5.
     mix = blend()
     b = sp.b_map(sp.dominating_measure(FIXED_Y))
-    c_pop = sp.build_c_hat(_population_moment_b(mix, 4, b), 3, b)
-    t_pop = build_t_hat(_population_moment_b(mix, 5, b), whiten(c_pop, 3))
+    c_pop = sp.build_c_hat(moment(mix, 4, b), 3, b)
+    t_pop = build_t_hat(moment(mix, 5, b), whiten(c_pop, 3))
     target = t_pop @ t_pop.T
 
     medians = []
@@ -182,7 +182,7 @@ def test_criterion_8_structural_property_bundle():
 
     mix = blend()
     b = sp.b_map(sp.dominating_measure(FIXED_Y))
-    c = sp.build_c_hat(_population_moment_b(mix, 4, b), 3, b)
+    c = sp.build_c_hat(moment(mix, 4, b), 3, b)
     w = whiten(c, 3)
     bp = mix.components * b.diag
     family = np.stack([np.sqrt(wt) * np.kron(v, v) for wt, v in zip(mix.weights, bp)])
@@ -213,8 +213,8 @@ def test_criterion_8_structural_property_bundle():
         gram = (h_rows @ h_rows.T) ** 2
         assert np.linalg.matrix_rank(gram) == d + 1
 
-    c2 = sp.build_c_hat(_population_moment_b(mix, 4, b), 3, b)
-    t_hat = build_t_hat(_population_moment_b(mix, 5, b), whiten(c2, 3))
+    c2 = sp.build_c_hat(moment(mix, 4, b), 3, b)
+    t_hat = build_t_hat(moment(mix, 5, b), whiten(c2, 3))
     a = extract_components(t_hat, 3, b, probe="gaussian", seed=1)
     bb = extract_components(t_hat, 3, b, probe="gaussian", seed=2)
     assert np.abs(a - bb).max() < 1e-6

@@ -3,11 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
-from specmix.estimation import MomentEstimate, moment_from_tally
-from specmix.recovery import _population_moment_b
+from specmix.estimation import MomentEstimate, moment
 
 
 def dataset(rows, d):
@@ -66,7 +68,7 @@ class TestPathEquivalence:
             h = sp.tally(ds)
             for r in range(1, k + 1):
                 raw = sp.empirical_sym_moment(ds, r, method="raw").tensor
-                via_tally = moment_from_tally(h, r).tensor
+                via_tally = sp.empirical_sym_moment(h, r).tensor
                 assert_array_equal(raw, via_tally)
 
     def test_auto_dispatch_matches(self, blend_mix):
@@ -90,6 +92,69 @@ class TestPathEquivalence:
             sp.empirical_sym_moment(ds, 2, method="bogus")
 
 
+@st.composite
+def small_datasets(draw):
+    """Random grouped datasets with d <= 4 and k <= 5, large enough that
+    auto dispatch sometimes tallies, plus an optional diagonal map."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 150))
+    rows = draw(arrays(np.uint8, (n, k), elements=st.integers(0, d - 1)))
+    diag = draw(st.none() | arrays(np.float64, d, elements=st.floats(0.25, 4.0)))
+    return dataset(rows, d), None if diag is None else sp.DiagonalMap(diag)
+
+
+class TestMomentSourceProperties:
+    """The contract every recovery stage reads through moment()."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_datasets())
+    def test_raw_tally_auto_bit_identical(self, case):
+        ds, b = case
+        h = sp.tally(ds)
+        for r in range(1, ds.group_size + 1):
+            raw = sp.empirical_sym_moment(ds, r, b, method="raw").tensor
+            for other in (
+                sp.empirical_sym_moment(ds, r, b, method="tally").tensor,
+                sp.empirical_sym_moment(ds, r, b, method="auto").tensor,
+                sp.empirical_sym_moment(h, r, b).tensor,
+                moment(ds, r, b),
+                moment(h, r, b),
+            ):
+                assert_array_equal(other, raw)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_datasets(), st.integers(0, 2**32 - 1))
+    def test_invariant_to_within_group_order(self, case, seed):
+        ds, b = case
+        shuffled = dataset(np.random.default_rng(seed).permuted(ds.groups, axis=1), ds.d)
+        for r in range(1, ds.group_size + 1):
+            for method in ("raw", "tally", "auto"):
+                assert_array_equal(
+                    sp.empirical_sym_moment(shuffled, r, b, method=method).tensor,
+                    sp.empirical_sym_moment(ds, r, b, method=method).tensor,
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_population_source_is_exact(self, d, m, r, seed, scaled):
+        rng = np.random.default_rng(seed)
+        mix = sp.make_mixture(rng.dirichlet(np.full(m, 5.0)), rng.dirichlet(np.ones(d), size=m))
+        if not scaled:
+            assert_array_equal(moment(mix, r), sp.population_moment(mix, r))
+            return
+        b = sp.DiagonalMap(rng.uniform(0.25, 4.0, size=d))
+        assert_array_equal(
+            moment(mix, r, b), sp.population_moment(mix, r) * sp.outer_power(b.diag, r)
+        )
+
+
 class TestStatisticalBehaviour:
     def test_unbiased_over_seeds(self, blend_mix):
         n_seeds = 200
@@ -97,7 +162,7 @@ class TestStatisticalBehaviour:
         for s in range(n_seeds):
             h = sp.tally(sp.draw_groups(blend_mix, 5, 2000, seed=1000 + s))
             for r in per:
-                per[r].append(moment_from_tally(h, r).tensor)
+                per[r].append(sp.empirical_sym_moment(h, r).tensor)
         for r, tensors in per.items():
             stack = np.stack(tensors)
             se = stack.std(axis=0, ddof=1) / np.sqrt(n_seeds)
@@ -137,7 +202,7 @@ class TestBuildCHat:
         # nonzero spectrum of the population operator equals the spectrum of
         # G_ij = sqrt(w_i w_j) <B p_i, B p_j>^2
         b = sp.b_map(fixed_xi)
-        c = sp.build_c_hat(_population_moment_b(blend_mix, 4, b), 3, b)
+        c = sp.build_c_hat(moment(blend_mix, 4, b), 3, b)
         lam = np.sort(np.linalg.eigvalsh(c))[::-1]
         bp = blend_mix.components * b.diag
         w = blend_mix.weights
@@ -152,7 +217,7 @@ class TestBuildCHat:
     def test_rejects_wrong_precomputed_order(self, blend_mix, fixed_xi):
         b = sp.b_map(fixed_xi)
         with pytest.raises(ValueError, match="order"):
-            sp.build_c_hat(_population_moment_b(blend_mix, 3, b), 3, b)
+            sp.build_c_hat(moment(blend_mix, 3, b), 3, b)
 
 
 class TestBuildEHat:

@@ -6,12 +6,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
+from specmix.estimation import moment
 from specmix.recovery import (
     RecoveryConfig,
     RecoveryError,
     RecoveryResult,
     _finalize_components,
-    _population_moment_b,
     _project_simplex,
     build_t_hat,
     extract_components,
@@ -91,7 +91,7 @@ class TestWhiten:
     def test_orthonormalizes_weighted_powers(self, blend_mix, fixed_xi):
         # W applied to sqrt(w_i) (B p_i)^{(x)2} yields an orthonormal family
         b = sp.b_map(fixed_xi)
-        c = sp.build_c_hat(_population_moment_b(blend_mix, 4, b), 3, b)
+        c = sp.build_c_hat(moment(blend_mix, 4, b), 3, b)
         w = whiten(c, 3)
         bp = blend_mix.components * b.diag
         family = np.stack(
@@ -103,8 +103,8 @@ class TestWhiten:
 
 class TestBuildTHat:
     def test_two_component_spectrum(self, two_mix):
-        c = sp.build_c_hat(_population_moment_b(two_mix, 2, None), 2, None)
-        t = build_t_hat(_population_moment_b(two_mix, 3, None), whiten(c, 2))
+        c = sp.build_c_hat(moment(two_mix, 2, None), 2, None)
+        t = build_t_hat(moment(two_mix, 3, None), whiten(c, 2))
         lam = np.sort(np.linalg.eigvalsh(t @ t.T))[::-1]
         # eigenvalues are the squared component norms 1 and 0.5
         assert_allclose(lam[:2], [1.0, 0.5], atol=1e-10)
@@ -112,14 +112,14 @@ class TestBuildTHat:
 
     def test_spectrum_equals_rescaled_norms(self, blend_mix, fixed_xi):
         b = sp.b_map(fixed_xi)
-        c = sp.build_c_hat(_population_moment_b(blend_mix, 4, b), 3, b)
-        t = build_t_hat(_population_moment_b(blend_mix, 5, b), whiten(c, 3))
+        c = sp.build_c_hat(moment(blend_mix, 4, b), 3, b)
+        t = build_t_hat(moment(blend_mix, 5, b), whiten(c, 3))
         lam = np.sort(np.linalg.eigvalsh(t @ t.T))[::-1]
         norms = np.sort(sp.check_distinct_norms(blend_mix, fixed_xi).norms)[::-1]
         assert_allclose(lam[:3], norms, atol=1e-10)
 
     def test_zero_whitener(self, two_mix):
-        t = build_t_hat(_population_moment_b(two_mix, 3, None), np.zeros((2, 2)))
+        t = build_t_hat(moment(two_mix, 3, None), np.zeros((2, 2)))
         assert_array_equal(t, np.zeros((4, 2)))
 
     def test_order_one(self):
@@ -138,8 +138,8 @@ class TestBuildTHat:
 class TestExtractComponents:
     @staticmethod
     def _t_hat(mix):
-        c = sp.build_c_hat(_population_moment_b(mix, 2, None), 2, None)
-        return build_t_hat(_population_moment_b(mix, 3, None), whiten(c, 2))
+        c = sp.build_c_hat(moment(mix, 2, None), 2, None)
+        return build_t_hat(moment(mix, 3, None), whiten(c, 2))
 
     def test_population_exact(self, two_mix):
         comps = extract_components(self._t_hat(two_mix), 2, None, seed=0)

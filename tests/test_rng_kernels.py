@@ -146,18 +146,31 @@ class TestBackends:
 
         # The child must import the package under test, not another copy, so
         # the directory holding this process's specmix goes first on its path.
+        # A stub compiled module makes the compiled backend importable in the
+        # child, so "numpy" can only come from SPECMIX_FORCE_NUMPY, not from
+        # the fallback for a missing extension.
         root = str(Path(specmix.__file__).resolve().parents[1])
-        env = dict(os.environ, SPECMIX_FORCE_NUMPY="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-        code = "import specmix; print(specmix.BACKEND)"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
+        code = (
+            "import sys, types\n"
+            "stub = types.ModuleType('specmix._kernels')\n"
+            "stub.sample_groups = stub.group_keys = None\n"
+            "sys.modules['specmix._kernels'] = stub\n"
+            "import specmix\n"
+            "print(specmix.BACKEND)\n"
         )
-        assert out.stdout.strip() == "numpy"
+        for force, expected in (("1", "numpy"), (None, "compiled")):
+            env = {k: v for k, v in os.environ.items() if k != "SPECMIX_FORCE_NUMPY"}
+            if force:
+                env["SPECMIX_FORCE_NUMPY"] = force
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            assert out.stdout.strip() == expected
 
     def test_active_backend_exposed(self):
         import specmix

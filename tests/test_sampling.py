@@ -151,6 +151,9 @@ class TestTextFormat:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
             sp.read_groups(io.StringIO("1 4\n"), d=2)
+        # 258 would wrap to 2 if narrowed to uint8 before the check
+        with pytest.raises(ValueError, match="range"):
+            sp.read_groups(io.StringIO("1 258\n"), d=3)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
