@@ -16,7 +16,7 @@ from .counterexamples import build_pair
 from .experiments import ExperimentConfig, random_baseline, run_experiment
 from .model import MixtureSpec
 from .multinomial import MultinomialSpec, multinomial_mixture_equal
-from .recovery import RecoveryConfig, estimate_num_components, recover_full
+from .recovery import RecoveryConfig, RecoveryError, estimate_num_components, recover_full
 from .sampling import read_groups
 
 
@@ -36,13 +36,16 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _cmd_recover(args) -> int:
-    data = _read_dataset(args.data)
-    if args.group_size is not None and data.group_size != args.group_size:
-        raise SystemExit(
-            f"dataset has groups of {data.group_size}, --group-size says {args.group_size}"
-        )
-    config = RecoveryConfig(m=args.m, dominating=args.dominating, probe=args.probe)
-    result = recover_full(data, config, seed=args.seed)
+    try:
+        data = _read_dataset(args.data)
+        if args.group_size is not None and data.group_size != args.group_size:
+            raise SystemExit(
+                f"dataset has groups of {data.group_size}, --group-size says {args.group_size}"
+            )
+        config = RecoveryConfig(m=args.m, dominating=args.dominating, probe=args.probe)
+        result = recover_full(data, config, seed=args.seed)
+    except (OSError, RecoveryError, ValueError) as exc:
+        raise SystemExit(f"specmix recover: {exc}") from exc
     _write_out(result.to_json(), args.out)
     return 0
 
@@ -93,8 +96,11 @@ def _cmd_multinomial_check(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    data = _read_dataset(args.data)
-    print(estimate_num_components(data, args.power, rel_tol=args.tol))
+    try:
+        rank = estimate_num_components(_read_dataset(args.data), args.power, rel_tol=args.tol)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"specmix rank: {exc}") from exc
+    print(rank)
     return 0
 
 

@@ -8,14 +8,16 @@ wise by a diagonal map).  Its expectation is sum_i w_i (B p_i)^{(x) r}.
 Two evaluation paths produce bit-identical tensors: a direct sum over
 position tuples, and a tally path that reads off, for each per-group
 category tally, how many ordered tuples hit each multi-index (a product
-of falling factorials).  The tally path costs O(#distinct tallies x d^r)
-and is the only practical one at 10^7 groups.
+of falling factorials).  The tally path forms that product once per
+multiset of r categories, #distinct tallies x C(d+r-1, r) x d lookups,
+plus a d^r read-out; it is the only practical path at 10^7 groups.
 
 moment() is the one source every recovery stage reads: it gives the
 exact population moment for a MixtureSpec and the estimate otherwise.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -30,6 +32,10 @@ from .tensors import outer_power, unfold
 # Auto-dispatch: tallying wins once groups outnumber possible tallies by
 # this factor (the histogram is then dense and amortized).
 TALLY_FACTOR = 10
+
+# Falling-factorial lookups per block of tallies in _tally_counts (at
+# 8 bytes each, a 32 MB temporary).
+_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -84,26 +90,60 @@ def _raw_counts(ds: GroupedDataset, r: int) -> np.ndarray:
     return counts.reshape((d,) * r)
 
 
+def _multisets(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size-r multisets of [d], ranked.
+
+    Returns their count vectors, a (C(d+r-1, r), d) array in rank order,
+    and the rank of every multi-index in [d]^r, a (d,)*r int64 array.  A
+    multiset with partial counts S_c = b_0 + ... + b_c has its
+    stars-and-bars separators at S_c + c, c < d-1; its rank is the
+    combinadic rank of those positions, sum_c C(S_c + c, c + 1), which
+    numbers the multisets 0 .. C(d+r-1, r) - 1 and so cannot overflow.
+    """
+    # sep_rank[s, c] = C(s + c, c + 1) <= C(d+r-1, r), so no entry overflows.
+    sep_rank = np.array(
+        [[math.comb(s + c, c + 1) for c in range(d - 1)] for s in range(r + 1)], dtype=np.int64
+    )
+    rank = np.zeros((d,) * r, dtype=np.int64)
+    for c in range(d - 1):
+        # S_c of every multi-index: how many of its r entries are <= c
+        below = (np.arange(d) <= c).astype(np.int64)
+        rank += sep_rank[functools.reduce(np.add.outer, [below] * r), c]
+    # every nondecreasing (S_0, ..., S_{d-2}) in [0, r] is one multiset
+    sums = np.array(
+        list(itertools.combinations_with_replacement(range(r + 1), d - 1)), dtype=np.int64
+    )
+    ranked = np.empty((len(sums), d), dtype=np.int64)
+    ranked[sep_rank[sums, np.arange(d - 1)].sum(axis=1)] = np.diff(
+        sums, axis=1, prepend=0, append=r
+    )
+    return ranked, rank
+
+
 def _tally_counts(h: GroupTallyHistogram, r: int) -> np.ndarray:
     """Tally-path equivalent of _raw_counts.
 
     A group with tally a contributes prod_c falling(a_c, b_c) ordered
-    tuples at every multi-index whose own tally is b; falling factorials
-    are read from a small precomputed table.
+    tuples at every multi-index whose own tally is b.  That product is
+    formed once per multiset b, #tallies x C(d+r-1, r) x d lookups in
+    blocks of tallies, and weighted by the group counts in float64, which
+    is exact while the counts stay below 2^53, as on the raw path; the
+    d^r read-out goes through each multi-index's multiset rank.
     """
     d, k = h.d, h.group_size
     ff = np.zeros((k + 1, r + 1), dtype=np.int64)
     for a in range(k + 1):
         for b in range(min(a, r) + 1):
             ff[a, b] = math.perm(a, b)
-    idx = np.indices((d,) * r).reshape(r, -1)
-    index_tally = np.stack([(idx == c).sum(axis=0) for c in range(d)], axis=1)
-    counts = np.zeros(d**r)
-    for key, n in h.counts.items():
-        a = np.array(key, dtype=np.int64)
-        per_index = ff[a[None, :], index_tally].prod(axis=1)
-        counts += float(n) * per_index
-    return counts.reshape((d,) * r)
+    multisets, rank = _multisets(d, r)
+    tallies = np.array(list(h.counts), dtype=np.int64).reshape(-1, d)
+    groups = np.array(list(h.counts.values()), dtype=np.float64)
+    per_multiset = np.zeros(len(multisets))
+    step = max(1, _BLOCK_CELLS // multisets.size)
+    for lo in range(0, len(tallies), step):
+        table = ff[tallies[lo : lo + step, None, :], multisets].prod(axis=2)
+        per_multiset += groups[lo : lo + step] @ table
+    return per_multiset[rank]
 
 
 def _tally_pays(ds: GroupedDataset) -> bool:
@@ -126,13 +166,13 @@ def empirical_sym_moment(
     k, n = data.group_size, data.n_groups
     if not 1 <= r <= k:
         raise ValueError(f"moment order {r} not in [1, {k}]")
+    if method not in ("auto", "raw", "tally"):
+        raise ValueError(f"unknown method {method!r}")
     if isinstance(data, GroupedDataset):
         if method == "auto":
             method = "tally" if _tally_pays(data) else "raw"
         if method == "tally":
             data = tally(data)
-        elif method != "raw":
-            raise ValueError(f"unknown method {method!r}")
     count = _raw_counts if isinstance(data, GroupedDataset) else _tally_counts
     tensor = count(data, r) / (n * math.perm(k, r))
     if b is not None:

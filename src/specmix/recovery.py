@@ -53,6 +53,9 @@ PROBE_NORM_TOL = 1e-10
 MAX_PROBE_RETRIES = 16
 
 
+_PROBES = ("gaussian", "singular")
+
+
 class RecoveryError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
@@ -79,7 +82,7 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.probe not in ("gaussian", "singular"):
+        if self.probe not in _PROBES:
             raise ValueError(f"unknown probe {self.probe!r}")
         if self.weight_solver not in ("clip-renormalize", "simplex-projection"):
             raise ValueError(f"unknown weight solver {self.weight_solver!r}")
@@ -430,6 +433,8 @@ def li_recover_4(
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if probe not in _PROBES:
+        raise ValueError(f"unknown probe {probe!r}")
     with _stage("setup"):
         if m > 1 and not force and isinstance(data, MixtureSpec):
             sep = check_distinct_norms(data, dominating_measure(np.ones(data.d)))
@@ -469,5 +474,5 @@ def estimate_num_components(
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
-    rank = numerical_rank(unfold(moment(data, 2 * n), n), rel_tol)
+    rank = numerical_rank(unfold(moment(moment_source(data, 2 * n), 2 * n), n), rel_tol)
     return rank if max_m is None else min(rank, max_m)

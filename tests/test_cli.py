@@ -49,6 +49,12 @@ class TestRecoverCommand:
     def test_group_size_match_passes(self, data_file):
         assert run_cli(["recover", "--data", data_file, "--m", "2", "--group-size", "5"]) == 0
 
+    def test_library_error_exits_with_one_line(self, data_file):
+        with pytest.raises(SystemExit, match="group size 5 < required 7"):
+            run_cli(["recover", "--data", data_file, "--m", "4"])
+        with pytest.raises(SystemExit, match="descriptor"):
+            run_cli(["recover", "--data", data_file, "--m", "2", "--dominating", "bogus"])
+
     def test_stdin(self, blend_mix, capsys, monkeypatch):
         ds = sp.draw_groups(blend_mix, 5, 500, seed=1)
         buf = io.StringIO()
@@ -155,6 +161,11 @@ class TestRankCommand:
     def test_prints_rank(self, data_file, capsys):
         assert run_cli(["rank", "--data", data_file, "--power", "1", "--tol", "0.01"]) == 0
         assert capsys.readouterr().out.strip() == "2"
+
+    def test_names_group_size_when_power_too_high(self, data_file, capsys):
+        with pytest.raises(SystemExit, match="group size 5 < required 6"):
+            run_cli(["rank", "--data", data_file, "--power", "3"])
+        assert capsys.readouterr().out == ""
 
 
 class TestBaselineCommand:

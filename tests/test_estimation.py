@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
-from specmix.estimation import MomentEstimate, moment
+from specmix.estimation import MomentEstimate, _raw_counts, _tally_counts, moment
 
 
 def dataset(rows, d):
@@ -90,6 +90,16 @@ class TestPathEquivalence:
         ds = sp.draw_groups(blend_mix, 3, 10, seed=0)
         with pytest.raises(ValueError, match="method"):
             sp.empirical_sym_moment(ds, 2, method="bogus")
+        with pytest.raises(ValueError, match="method"):
+            sp.empirical_sym_moment(sp.tally(ds), 2, method="bogus")
+
+    def test_tally_matches_raw_bitwise_at_full_order(self):
+        # d=5, k=7 reaches r = k and 5^7-entry tensors, past the property tests' range
+        rng = np.random.default_rng(11)
+        ds = dataset(rng.integers(0, 5, size=(40, 7)), 5)
+        h = sp.tally(ds)
+        for r in range(1, 8):
+            assert_array_equal(_tally_counts(h, r), _raw_counts(ds, r))
 
 
 @st.composite
@@ -134,6 +144,20 @@ class TestMomentSourceProperties:
                     sp.empirical_sym_moment(shuffled, r, b, method=method).tensor,
                     sp.empirical_sym_moment(ds, r, b, method=method).tensor,
                 )
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_datasets())
+    def test_lower_order_counts_are_marginals(self, case):
+        # each ordered (r-1)-tuple of distinct positions extends in k-r+1 ways
+        ds, _ = case
+        h = sp.tally(ds)
+        k = ds.group_size
+        lower = _tally_counts(h, 1)
+        assert_array_equal(lower.sum(), ds.n_groups * k)
+        for r in range(2, k + 1):
+            counts = _tally_counts(h, r)
+            assert_array_equal(counts.sum(axis=-1), (k - r + 1) * lower)
+            lower = counts
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -310,6 +310,10 @@ class TestLiRecover4:
         with pytest.raises(ValueError):
             sp.li_recover_4(indep_mix, 0)
 
+    def test_rejects_unknown_probe(self, indep_mix):
+        with pytest.raises(ValueError, match="probe"):
+            sp.li_recover_4(indep_mix, 3, probe="bogus")
+
 
 class TestEstimateNumComponents:
     def test_population_ranks(self, blend_mix):
