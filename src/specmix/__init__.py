@@ -61,7 +61,6 @@ from .recovery import (
     WeightSolution,
     build_t_hat,
     estimate_num_components,
-    extract_components,
     li_recover_4,
     recover_full,
     recover_weights,
@@ -84,7 +83,6 @@ from .tensors import (
     fold,
     numerical_rank,
     outer_power,
-    psd_sqrt_pinv,
     sym_eig,
     symmetrize,
     unfold,
@@ -126,7 +124,6 @@ __all__ = [
     "empirical_sym_moment",
     "enumerate_compositions",
     "estimate_num_components",
-    "extract_components",
     "f_nq",
     "fold",
     "li_recover_4",
@@ -139,7 +136,6 @@ __all__ = [
     "outer_power",
     "population_moment",
     "probability_vector",
-    "psd_sqrt_pinv",
     "random_baseline",
     "random_dominating_measure",
     "num_compositions",

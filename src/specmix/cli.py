@@ -36,16 +36,13 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _cmd_recover(args) -> int:
-    try:
-        data = _read_dataset(args.data)
-        if args.group_size is not None and data.group_size != args.group_size:
-            raise SystemExit(
-                f"dataset has groups of {data.group_size}, --group-size says {args.group_size}"
-            )
-        config = RecoveryConfig(m=args.m, dominating=args.dominating, probe=args.probe)
-        result = recover_full(data, config, seed=args.seed)
-    except (OSError, RecoveryError, ValueError) as exc:
-        raise SystemExit(f"specmix recover: {exc}") from exc
+    data = _read_dataset(args.data)
+    if args.group_size is not None and data.group_size != args.group_size:
+        raise SystemExit(
+            f"dataset has groups of {data.group_size}, --group-size says {args.group_size}"
+        )
+    config = RecoveryConfig(m=args.m, dominating=args.dominating, probe=args.probe)
+    result = recover_full(data, config, seed=args.seed)
     _write_out(result.to_json(), args.out)
     return 0
 
@@ -96,11 +93,7 @@ def _cmd_multinomial_check(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    try:
-        rank = estimate_num_components(_read_dataset(args.data), args.power, rel_tol=args.tol)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"specmix rank: {exc}") from exc
-    print(rank)
+    print(estimate_num_components(_read_dataset(args.data), args.power, rel_tol=args.tol))
     return 0
 
 
@@ -169,8 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a library error ends it with a one-line message."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, RecoveryError, ValueError) as exc:
+        raise SystemExit(f"specmix {args.command}: {exc}") from exc
 
 
 if __name__ == "__main__":

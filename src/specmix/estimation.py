@@ -17,7 +17,6 @@ exact population moment for a MixtureSpec and the estimate otherwise.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -27,7 +26,7 @@ import numpy as np
 
 from .model import DiagonalMap, MixtureSpec, population_moment
 from .sampling import GroupedDataset, GroupTallyHistogram, num_compositions, tally
-from .tensors import outer_power, unfold
+from .tensors import _multisets, outer_power, unfold
 
 # Auto-dispatch: tallying wins once groups outnumber possible tallies by
 # this factor (the histogram is then dense and amortized).
@@ -88,36 +87,6 @@ def _raw_counts(ds: GroupedDataset, r: int) -> np.ndarray:
         flat = groups[:, pos] @ place
         counts += np.bincount(flat, minlength=d**r)
     return counts.reshape((d,) * r)
-
-
-def _multisets(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The size-r multisets of [d], ranked.
-
-    Returns their count vectors, a (C(d+r-1, r), d) array in rank order,
-    and the rank of every multi-index in [d]^r, a (d,)*r int64 array.  A
-    multiset with partial counts S_c = b_0 + ... + b_c has its
-    stars-and-bars separators at S_c + c, c < d-1; its rank is the
-    combinadic rank of those positions, sum_c C(S_c + c, c + 1), which
-    numbers the multisets 0 .. C(d+r-1, r) - 1 and so cannot overflow.
-    """
-    # sep_rank[s, c] = C(s + c, c + 1) <= C(d+r-1, r), so no entry overflows.
-    sep_rank = np.array(
-        [[math.comb(s + c, c + 1) for c in range(d - 1)] for s in range(r + 1)], dtype=np.int64
-    )
-    rank = np.zeros((d,) * r, dtype=np.int64)
-    for c in range(d - 1):
-        # S_c of every multi-index: how many of its r entries are <= c
-        below = (np.arange(d) <= c).astype(np.int64)
-        rank += sep_rank[functools.reduce(np.add.outer, [below] * r), c]
-    # every nondecreasing (S_0, ..., S_{d-2}) in [0, r] is one multiset
-    sums = np.array(
-        list(itertools.combinations_with_replacement(range(r + 1), d - 1)), dtype=np.int64
-    )
-    ranked = np.empty((len(sums), d), dtype=np.int64)
-    ranked[sep_rank[sums, np.arange(d - 1)].sum(axis=1)] = np.diff(
-        sums, axis=1, prepend=0, append=r
-    )
-    return ranked, rank
 
 
 def _tally_counts(h: GroupTallyHistogram, r: int) -> np.ndarray:

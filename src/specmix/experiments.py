@@ -104,6 +104,11 @@ class ExperimentConfig:
         rec = dict(obj.get("recovery", {}))
         if "m" not in rec:
             raise ValueError('config needs recovery.m (e.g. "recovery": {"m": 3})')
+        if "dominating" in rec:
+            # run_experiment overrides recovery.dominating with the top-level key
+            raise ValueError(
+                'recovery.dominating is not read; set the top-level "dominating" key instead'
+            )
         return cls(
             mixture=make_mixture(mix["weights"], mix["components"]),
             group_size=int(obj["group_size"]),

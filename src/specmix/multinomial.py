@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .model import probability_vector
-from .tensors import outer_power
+from .tensors import _multisets, outer_power
 
 Composition = Tuple[int, ...]
 SignedCompositionMeasure = Dict[Composition, float]
@@ -78,29 +78,19 @@ def f_nq(x: Sequence[int]) -> Composition:
     return tuple(word)
 
 
-def _arrangements(counts: List[int]) -> Iterator[Tuple[int, ...]]:
-    """Distinct orderings of the multiset with the given category counts."""
-    if sum(counts) == 0:
-        yield ()
-        return
-    for c, left in enumerate(counts):
-        if left:
-            counts[c] -= 1
-            for rest in _arrangements(counts):
-                yield (c,) + rest
-            counts[c] += 1
-
-
 def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     """Spread a signed measure on count vectors over ordered outcomes.
 
     Each unit of mass at composition x becomes mass (prod x_i!)/n! on
     every distinct arrangement of its canonical word; the output is a
-    symmetric order-n tensor over R^q with the same total mass.
+    symmetric order-n tensor over R^q with the same total mass.  The
+    arrangements of a word are the multi-indices of its multiset, so the
+    share is added once at that multiset's rank and read out through it.
     """
     if n < 1 or q < 1:
         raise ValueError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
-    out = np.zeros((q,) * n)
+    multisets, rank = _multisets(q, n)
+    per_multiset = np.zeros(len(multisets))
     for x, c in measure.items():
         x = tuple(int(v) for v in x)
         if len(x) != q or any(v < 0 for v in x) or sum(x) != n:
@@ -109,9 +99,8 @@ def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
         for v in x:
             share *= math.factorial(v)
         share /= math.factorial(n)
-        for word in _arrangements(list(x)):
-            out[word] += share
-    return out
+        per_multiset[rank[tuple(np.subtract(f_nq(x), 1))]] += share
+    return per_multiset[rank]
 
 
 def verify_lemma_mult(spec: MultinomialSpec) -> float:

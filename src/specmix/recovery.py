@@ -44,7 +44,6 @@ from .tensors import (
     eig_sqrt_pinv,
     numerical_rank,
     outer_power,
-    psd_sqrt_pinv,
     sym_eig,
     unfold,
 )
@@ -149,7 +148,9 @@ def resolve_dominating(
 
 def whiten(c_hat: np.ndarray, m: int, eig_floor: float = 1e-8) -> np.ndarray:
     """Inverse square root of the moment form on its top-m eigenspace."""
-    return psd_sqrt_pinv(c_hat, m, eig_floor)
+    if m < 1:
+        raise ValueError(f"keep must be >= 1, got {m}")
+    return eig_sqrt_pinv(sym_eig(c_hat), m, eig_floor)
 
 
 def build_t_hat(q_hat: MomentEstimate | np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -202,6 +203,8 @@ def _finalize_components(
     seed: int,
     clip_negatives: bool,
 ) -> np.ndarray:
+    """Contract eigenvectors to component rows; sign-then-normalize makes
+    the output invariant to eigenvector sign flips."""
     probe_seed = rng.derive_seed(seed, rng.TAG_PROBE)
     binv = None if b is None else b.inverse()
     rows = []
@@ -218,27 +221,6 @@ def _finalize_components(
             raise RecoveryError(f"component {i} vanished after sign correction and clipping")
         rows.append(u / total)
     return np.vstack(rows)
-
-
-def extract_components(
-    t_hat: np.ndarray,
-    m: int,
-    b: DiagonalMap | None,
-    probe: str = "gaussian",
-    seed: int = 0,
-) -> np.ndarray:
-    """Top-m eigenvectors of T T^T, contracted down to component rows.
-
-    Output is invariant to eigenvector sign flips: the probe contraction
-    carries any flip into an overall scalar, and the sign-then-normalize
-    step removes it.
-    """
-    t_hat = np.asarray(t_hat, dtype=np.float64)
-    d = int(round(t_hat.shape[0] ** (1.0 / m))) if m > 1 else t_hat.shape[0]
-    if d**m != t_hat.shape[0]:
-        raise ValueError(f"t_hat row count {t_hat.shape[0]} is not a perfect m-th power")
-    dec = sym_eig(t_hat @ t_hat.T)
-    return _finalize_components(dec.eigenvectors[:, :m], d, b, probe, seed, True)
 
 
 def recover_weights(

@@ -8,9 +8,17 @@ first s axes to the remaining k - s axes: the result has shape
 (d**(k-s), d**s) and sends the coordinate vector of a simple tensor
 x_1 (x) .. (x) x_s to the coordinates of the last k - s slots.  ``fold``
 is the exact inverse.  Operators are plain 2-D arrays.
+
+Symmetric tensors live in the multiset basis: one value per size-r
+multiset of [d] (a count vector summing to r), C(d+r-1, r) in all.
+``_multisets`` ranks them and gives the rank of every multi-index;
+symmetrization, the moment tally kernel and the spread map share it.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -46,26 +54,53 @@ def outer_power(v: np.ndarray, k: int) -> np.ndarray:
     return t
 
 
+def _multisets(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size-r multisets of [d], ranked.
+
+    Returns their count vectors, a (C(d+r-1, r), d) array in rank order,
+    and the rank of every multi-index in [d]^r, a (d,)*r int64 array.  A
+    multiset with partial counts S_c = b_0 + ... + b_c has its
+    stars-and-bars separators at S_c + c, c < d-1; its rank is the
+    combinadic rank of those positions, sum_c C(S_c + c, c + 1), which
+    numbers the multisets 0 .. C(d+r-1, r) - 1 and so cannot overflow.
+    """
+    # sep_rank[s, c] = C(s + c, c + 1) <= C(d+r-1, r), so no entry overflows.
+    sep_rank = np.array(
+        [[math.comb(s + c, c + 1) for c in range(d - 1)] for s in range(r + 1)], dtype=np.int64
+    )
+    rank = np.zeros((d,) * r, dtype=np.int64)
+    for c in range(d - 1):
+        # S_c of every multi-index: how many of its r entries are <= c
+        below = (np.arange(d) <= c).astype(np.int64)
+        rank += sep_rank[functools.reduce(np.add.outer, [below] * r), c]
+    # every nondecreasing (S_0, ..., S_{d-2}) in [0, r] is one multiset
+    sums = np.array(
+        list(itertools.combinations_with_replacement(range(r + 1), d - 1)), dtype=np.int64
+    )
+    ranked = np.empty((len(sums), d), dtype=np.int64)
+    ranked[sep_rank[sums, np.arange(d - 1)].sum(axis=1)] = np.diff(
+        sums, axis=1, prepend=0, append=r
+    )
+    return ranked, rank
+
+
 def symmetrize(t: np.ndarray) -> np.ndarray:
     """Average each entry over all permutations of its multi-index.
 
-    Computed by grouping indices into multiset orbits rather than
-    materializing k! permutations; the result is identical.
+    The permutations of a multi-index are exactly the multi-indices of
+    the same multiset, so this averages over each multiset rank instead
+    of materializing k! permutations; the result is identical.
     """
     t = np.asarray(t, dtype=np.float64)
     k = t.ndim
-    if k <= 1:
-        return t.copy()
-    d = t.shape[0]
+    d = t.shape[0] if k else 0
     if t.shape != (d,) * k:
         raise ValueError(f"expected cubical shape, got {t.shape}")
-    idx = np.indices(t.shape).reshape(k, -1)
-    orbit = np.sort(idx, axis=0)
-    _, inverse = np.unique(orbit.T, axis=0, return_inverse=True)
-    flat = t.ravel()
-    sums = np.bincount(inverse, weights=flat)
-    counts = np.bincount(inverse)
-    return (sums / counts)[inverse].reshape(t.shape)
+    if k <= 1 or d == 0:
+        return t.copy()
+    rank = _multisets(d, k)[1].ravel()
+    sums = np.bincount(rank, weights=t.ravel())
+    return (sums / np.bincount(rank))[rank].reshape(t.shape)
 
 
 def unfold(t: np.ndarray, split: int) -> np.ndarray:
@@ -150,22 +185,15 @@ def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def psd_sqrt_pinv(m: np.ndarray, keep: int, floor_tol: float = 1e-8) -> np.ndarray:
-    """Inverse square root of a PSD matrix restricted to its top eigenspace.
+def eig_sqrt_pinv(dec: EigenDecomposition, keep: int, floor_tol: float = 1e-8) -> np.ndarray:
+    """Inverse square root of a PSD matrix restricted to its top eigenspace,
+    from the matrix's eigendecomposition.
 
     Returns sum of lam_i**-0.5 v_i v_i^T over the top ``keep`` eigenpairs.
     Eigenvalues below floor_tol times the largest are unusable; if fewer
     than ``keep`` usable eigenvalues remain a RankDeficiencyError is
     raised, signalling that the requested rank exceeds the operator's.
     """
-    if keep < 1:
-        raise ValueError(f"keep must be >= 1, got {keep}")
-    return eig_sqrt_pinv(sym_eig(m), keep, floor_tol)
-
-
-def eig_sqrt_pinv(dec: EigenDecomposition, keep: int, floor_tol: float = 1e-8) -> np.ndarray:
-    """psd_sqrt_pinv from the matrix's eigendecomposition, for callers that
-    also need its spectrum."""
     lam_max = dec.eigenvalues[0]
     if lam_max <= 0.0:
         raise RankDeficiencyError("matrix has no positive eigenvalue")

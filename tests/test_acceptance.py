@@ -14,12 +14,7 @@ import specmix as sp
 from specmix.estimation import moment
 from specmix.experiments import ExperimentConfig, run_experiment
 from specmix.multinomial import MultinomialSpec, verify_lemma_mult
-from specmix.recovery import (
-    RecoveryConfig,
-    build_t_hat,
-    extract_components,
-    whiten,
-)
+from specmix.recovery import RecoveryConfig, build_t_hat, whiten
 
 BLEND_WEIGHTS = [0.5, 0.3, 0.2]
 BLEND_COMPONENTS = [
@@ -213,8 +208,7 @@ def test_criterion_8_structural_property_bundle():
         gram = (h_rows @ h_rows.T) ** 2
         assert np.linalg.matrix_rank(gram) == d + 1
 
-    c2 = sp.build_c_hat(moment(mix, 4, b), 3, b)
-    t_hat = build_t_hat(moment(mix, 5, b), whiten(c2, 3))
-    a = extract_components(t_hat, 3, b, probe="gaussian", seed=1)
-    bb = extract_components(t_hat, 3, b, probe="gaussian", seed=2)
+    config = RecoveryConfig(m=3, dominating=sp.dominating_measure(FIXED_Y))
+    a = sp.recover_full(mix, config, seed=1).components
+    bb = sp.recover_full(mix, config, seed=2).components
     assert np.abs(a - bb).max() < 1e-6

@@ -101,6 +101,11 @@ class TestExperimentCommand:
         assert captured.out == ""
         assert out.read_text().startswith("scheme,")
 
+    def test_missing_config_exits_with_one_line(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit, match="^specmix experiment: .*missing.json"):
+            run_cli(["experiment", "--config", missing])
+
 
 class TestCounterexampleCommand:
     def test_identifiability(self, capsys):
@@ -125,6 +130,11 @@ class TestCounterexampleCommand:
         assert code == 0 and capsys.readouterr().out == ""
         obj = json.loads(out.read_text())
         assert_allclose(obj["epsilons"], [0.05, 0.35, 0.6, 0.92])
+
+    def test_zero_components_exits_with_one_line(self, capsys):
+        with pytest.raises(SystemExit, match="^specmix counterexample: need at least 3"):
+            run_cli(["counterexample", "--m", "0", "--kind", "identifiability"])
+        assert capsys.readouterr().out == ""
 
 
 class TestMultinomialCheckCommand:
@@ -156,6 +166,13 @@ class TestMultinomialCheckCommand:
         assert run_cli(["multinomial-check", "--a", str(a), "--b", str(b)]) == 1
         assert capsys.readouterr().out.strip() == "different"
 
+    def test_missing_file_exits_with_one_line(self, tmp_path):
+        a = tmp_path / "a.json"
+        self._write_mix(a, 2, [(1.0, [0.5, 0.5])])
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit, match="^specmix multinomial-check: .*missing.json"):
+            run_cli(["multinomial-check", "--a", str(a), "--b", missing])
+
 
 class TestRankCommand:
     def test_prints_rank(self, data_file, capsys):
@@ -185,6 +202,11 @@ class TestBaselineCommand:
         truth.write_text(blend_mix.to_json())
         with pytest.raises(SystemExit, match="truth"):
             run_cli(["baseline", "--d", "2", "--m", "3", "--trials", "5", "--truth", str(truth)])
+
+    def test_missing_truth_exits_with_one_line(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit, match="^specmix baseline: .*missing.json"):
+            run_cli(["baseline", "--d", "3", "--m", "3", "--trials", "5", "--truth", missing])
 
 
 class TestParser:

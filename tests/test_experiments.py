@@ -209,3 +209,16 @@ class TestConfigFromJson:
         )
         with pytest.raises(ValueError, match="recovery.m"):
             ExperimentConfig.from_json(text)
+
+    def test_rejects_dominating_inside_recovery(self):
+        text = json.dumps(
+            {
+                "mixture": {"weights": [0.5, 0.5], "components": [[0.9, 0.1], [0.2, 0.8]]},
+                "group_size": 5,
+                "n_groups": 10,
+                "reps": 1,
+                "recovery": {"m": 2, "dominating": "fixed:9,4"},
+            }
+        )
+        with pytest.raises(ValueError, match='top-level "dominating"'):
+            ExperimentConfig.from_json(text)

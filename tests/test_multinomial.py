@@ -109,13 +109,14 @@ class TestSpreadTransform:
     def test_entries_match_tally_formula(self):
         # entry at word w equals measure(tally(w)) * prod(tally!) / n!
         rng = np.random.default_rng(4)
-        comps = enumerate_compositions(3, 2)
-        measure = {x: float(c) for x, c in zip(comps, rng.standard_normal(len(comps)))}
-        out = t_nq_apply(measure, 3, 2)
-        for word in itertools.product(range(2), repeat=3):
-            x = tuple(np.bincount(word, minlength=2))
-            share = measure[x] * math.prod(math.factorial(v) for v in x) / math.factorial(3)
-            assert_allclose(out[word], share, atol=1e-14)
+        for n, q in [(3, 2), (3, 1), (1, 3), (2, 2), (4, 3), (3, 4), (5, 2)]:
+            comps = enumerate_compositions(n, q)
+            measure = {x: float(c) for x, c in zip(comps, rng.standard_normal(len(comps)))}
+            out = t_nq_apply(measure, n, q)
+            for word in itertools.product(range(q), repeat=n):
+                x = tuple(np.bincount(word, minlength=q))
+                share = measure[x] * math.prod(math.factorial(v) for v in x) / math.factorial(n)
+                assert_allclose(out[word], share, atol=1e-14)
 
     def test_rejects_bad_key(self):
         with pytest.raises(ValueError):

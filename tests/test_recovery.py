@@ -14,7 +14,7 @@ from specmix.recovery import (
     _finalize_components,
     _project_simplex,
     build_t_hat,
-    extract_components,
+    recover_full,
     recover_weights,
     resolve_dominating,
     whiten,
@@ -142,7 +142,7 @@ class TestExtractComponents:
         return build_t_hat(moment(mix, 3, None), whiten(c, 2))
 
     def test_population_exact(self, two_mix):
-        comps = extract_components(self._t_hat(two_mix), 2, None, seed=0)
+        comps = recover_full(two_mix, RecoveryConfig(2), seed=0).components
         err = sp.matched_l1_error(two_mix.components, comps)
         assert err < 1e-8
 
@@ -155,25 +155,19 @@ class TestExtractComponents:
         assert_array_equal(a, flipped)
 
     def test_probe_seed_invariant(self, two_mix):
-        t = self._t_hat(two_mix)
-        a = extract_components(t, 2, None, probe="gaussian", seed=1)
-        b = extract_components(t, 2, None, probe="gaussian", seed=2)
+        a = recover_full(two_mix, RecoveryConfig(2, probe="gaussian"), seed=1).components
+        b = recover_full(two_mix, RecoveryConfig(2, probe="gaussian"), seed=2).components
         assert np.abs(a - b).max() < 1e-6
 
     def test_probes_agree_on_population(self, two_mix):
-        t = self._t_hat(two_mix)
-        g = extract_components(t, 2, None, probe="gaussian", seed=0)
-        s = extract_components(t, 2, None, probe="singular", seed=0)
+        g = recover_full(two_mix, RecoveryConfig(2, probe="gaussian"), seed=0).components
+        s = recover_full(two_mix, RecoveryConfig(2, probe="singular"), seed=0).components
         assert_allclose(np.sort(g, axis=0), np.sort(s, axis=0), atol=1e-8)
 
     def test_degenerate_eigenvector_exhausts_probes(self):
         v = np.full((4, 1), 1e-15)
         with pytest.raises(RecoveryError, match="probe"):
             _finalize_components(v, 2, None, "gaussian", 0, True)
-
-    def test_rejects_bad_row_count(self):
-        with pytest.raises(ValueError, match="power"):
-            extract_components(np.zeros((6, 2)), 2, None)
 
 
 class TestRecoverWeights:

@@ -55,11 +55,12 @@ class TestSymmetrize:
         import math
 
         rng = np.random.default_rng(2)
-        t = rng.standard_normal((3, 3, 3, 3))
-        acc = np.zeros_like(t)
-        for perm in itertools.permutations(range(4)):
-            acc += np.transpose(t, perm)
-        assert_allclose(sp.symmetrize(t), acc / math.factorial(4), atol=1e-13)
+        for d, k in [(3, 4), (1, 3), (2, 2), (4, 3), (2, 5), (3, 5)]:
+            t = rng.standard_normal((d,) * k)
+            acc = np.zeros_like(t)
+            for perm in itertools.permutations(range(k)):
+                acc += np.transpose(t, perm)
+            assert_allclose(sp.symmetrize(t), acc / math.factorial(k), atol=1e-13)
 
     def test_linear(self):
         rng = np.random.default_rng(3)
@@ -146,7 +147,7 @@ class TestBlockwiseApply:
         mix = random_mixture(rng, 2, 3)
         m2 = sp.population_moment(mix, 2)
         c = sp.unfold(m2, 1)
-        w = sp.psd_sqrt_pinv(0.5 * (c + c.T), 2)
+        w = sp.whiten(0.5 * (c + c.T), 2)
         a = sp.blockwise_apply(sp.population_moment(mix, 3), [(1, None), (1, w), (1, w)])
         assert sp.numerical_rank(sp.unfold(a, 2), 1e-8) == 2
 
@@ -204,23 +205,25 @@ class TestSymEig:
 
 
 class TestPsdSqrtPinv:
+    """sp.whiten: the PSD inverse square root on the top eigenspace."""
+
     def test_identity(self):
-        assert_allclose(sp.psd_sqrt_pinv(np.eye(2), 2), np.eye(2), atol=1e-14)
+        assert_allclose(sp.whiten(np.eye(2), 2), np.eye(2), atol=1e-14)
 
     def test_diagonal(self):
-        w = sp.psd_sqrt_pinv(np.diag([4.0, 1.0, 0.0]), 2)
+        w = sp.whiten(np.diag([4.0, 1.0, 0.0]), 2)
         assert_allclose(w, np.diag([0.5, 1.0, 0.0]), atol=1e-14)
 
     def test_rank_deficiency_raises(self):
         with pytest.raises(RankDeficiencyError):
-            sp.psd_sqrt_pinv(np.diag([1.0, 0.0]), 2)
+            sp.whiten(np.diag([1.0, 0.0]), 2)
 
     def test_whitens_to_projector(self):
         rng = np.random.default_rng(12)
         for r in (1, 2, 3):
             f = rng.standard_normal((5, r))
             m = f @ f.T
-            w = sp.psd_sqrt_pinv(m, r)
+            w = sp.whiten(m, r)
             dec = sp.sym_eig(m)
             proj = dec.eigenvectors[:, :r] @ dec.eigenvectors[:, :r].T
             assert_allclose(w @ m @ w, proj, atol=1e-8)
