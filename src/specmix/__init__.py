@@ -10,8 +10,6 @@ force the fallback).
 """
 
 from .counterexamples import (
-    CounterexamplePair,
-    MomentComparison,
     build_pair,
     dependence_coefficients,
     verify_moment_equality,
@@ -24,7 +22,6 @@ from .estimation import (
     moment,
 )
 from .experiments import (
-    BaselineReport,
     ExperimentConfig,
     ExperimentReport,
     matched_l1_error,
@@ -34,7 +31,6 @@ from .experiments import (
 from .kernels import BACKEND
 from .model import (
     DiagonalMap,
-    DistinctNorms,
     DominatingMeasure,
     MixtureSpec,
     b_map,
@@ -58,7 +54,6 @@ from .recovery import (
     RecoveryConfig,
     RecoveryError,
     RecoveryResult,
-    WeightSolution,
     build_t_hat,
     estimate_num_components,
     li_recover_4,
@@ -77,7 +72,6 @@ from .sampling import (
     write_groups,
 )
 from .tensors import (
-    EigenDecomposition,
     RankDeficiencyError,
     blockwise_apply,
     fold,
@@ -92,25 +86,19 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BACKEND",
-    "BaselineReport",
-    "CounterexamplePair",
     "DiagonalMap",
-    "DistinctNorms",
     "DominatingMeasure",
-    "EigenDecomposition",
     "ExperimentConfig",
     "ExperimentReport",
     "GroupTallyHistogram",
     "GroupedDataset",
     "MixtureSpec",
-    "MomentComparison",
     "MomentEstimate",
     "MultinomialSpec",
     "RankDeficiencyError",
     "RecoveryConfig",
     "RecoveryError",
     "RecoveryResult",
-    "WeightSolution",
     "b_map",
     "blockwise_apply",
     "build_c_hat",

@@ -5,19 +5,18 @@ ordered r-tuples of distinct within-group positions, of the outer
 product of the selected one-hot draws (optionally rescaled coordinate-
 wise by a diagonal map).  Its expectation is sum_i w_i (B p_i)^{(x) r}.
 
-Two evaluation paths produce bit-identical tensors: a direct sum over
-position tuples, and a tally path that reads off, for each per-group
-category tally, how many ordered tuples hit each multi-index (a product
-of falling factorials).  The tally path forms that product once per
-multiset of r categories, #distinct tallies x C(d+r-1, r) x d lookups,
-plus a d^r read-out; it is the only practical path at 10^7 groups.
+The estimator is symmetric in within-group order, so a group's tally
+(its category counts) carries everything it sees: a dataset is tallied
+once and every moment is counted from the tally histogram by one kernel.
+That kernel walks each distinct tally's sub-multisets of size up to r,
+so its work is the number of (tally, sub-multiset) pairs it visits plus
+a d^r read-out, whatever the group size.
 
 moment() is the one source every recovery stage reads: it gives the
 exact population moment for a MixtureSpec and the estimate otherwise.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,16 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiagonalMap, MixtureSpec, population_moment
-from .sampling import GroupedDataset, GroupTallyHistogram, num_compositions, tally
+from .sampling import GroupedDataset, GroupTallyHistogram, _tally_table, tally
 from .tensors import _multisets, outer_power, unfold
 
-# Auto-dispatch: tallying wins once groups outnumber possible tallies by
-# this factor (the histogram is then dense and amortized).
+# Nothing in the library reads this.  perfbench/workloads.py imports it to
+# label each workload with the moment path it took before every dataset
+# was tallied; it goes when the benchmark is next revised.
 TALLY_FACTOR = 10
-
-# Falling-factorial lookups per block of tallies in _tally_counts (at
-# 8 bytes each, a 32 MB temporary).
-_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -76,74 +72,63 @@ class MomentEstimate:
         return cls(tensor, order, int(obj["n_groups"]), transform)
 
 
-def _raw_counts(ds: GroupedDataset, r: int) -> np.ndarray:
-    """Sum over groups and ordered distinct-position r-tuples of one-hot
-    outer products; integer-valued, accumulated exactly in float64."""
-    d, k = ds.d, ds.group_size
-    groups = ds.groups.astype(np.int64)
-    place = d ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    counts = np.zeros(d**r)
-    for pos in itertools.permutations(range(k), r):
-        flat = groups[:, pos] @ place
-        counts += np.bincount(flat, minlength=d**r)
-    return counts.reshape((d,) * r)
-
-
 def _tally_counts(h: GroupTallyHistogram, r: int) -> np.ndarray:
-    """Tally-path equivalent of _raw_counts.
+    """Sum over groups and ordered distinct-position r-tuples of one-hot
+    outer products, a (d,)*r float64 array of integer counts.
 
-    A group with tally a contributes prod_c falling(a_c, b_c) ordered
-    tuples at every multi-index whose own tally is b.  That product is
-    formed once per multiset b, #tallies x C(d+r-1, r) x d lookups in
-    blocks of tallies, and weighted by the group counts in float64, which
-    is exact while the counts stay below 2^53, as on the raw path; the
-    d^r read-out goes through each multi-index's multiset rank.
+    A group with tally a puts prod_c falling(a_c, b_c) tuples at every
+    multi-index whose tally is b, for each size-r sub-multiset b of a.
+    The sub-multisets are grown one draw at a time in nondecreasing
+    category order over each tally's held categories; a state carries
+    the table entry of its last category, the draws of it left, the flat
+    index of the prefix and an int64 weight.  Taking a category
+    multiplies the weight by its draws left, so after r steps the weight
+    is that product exactly.  Weighted by the group counts in float64,
+    the sums are exact while they stay below 2^53; the d^r read-out goes
+    through each multi-index's multiset rank.
     """
     d, k = h.d, h.group_size
-    ff = np.zeros((k + 1, r + 1), dtype=np.int64)
-    for a in range(k + 1):
-        for b in range(min(a, r) + 1):
-            ff[a, b] = math.perm(a, b)
-    multisets, rank = _multisets(d, r)
-    tallies = np.array(list(h.counts), dtype=np.int64).reshape(-1, d)
-    groups = np.array(list(h.counts.values()), dtype=np.float64)
-    per_multiset = np.zeros(len(multisets))
-    step = max(1, _BLOCK_CELLS // multisets.size)
-    for lo in range(0, len(tallies), step):
-        table = ff[tallies[lo : lo + step, None, :], multisets].prod(axis=2)
-        per_multiset += groups[lo : lo + step] @ table
+    if math.perm(k, r) >= 2**63:
+        raise OverflowError(f"ordered {r}-tuples of {k} draws overflow 64 bits")
+    table = _tally_table(h)
+    cats, draws = table.cats, table.draws
+    last_entry = np.repeat(np.cumsum(table.held) - 1, table.held)
+    entry, left, flat, weight = np.arange(len(cats)), draws - 1, cats, draws
+    for _ in range(r - 1):
+        # take the last category again while draws of it are left, or a later one
+        fan = (left > 0) + last_entry[entry] - entry
+        parent = np.repeat(np.arange(len(entry)), fan)
+        jump = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+        entry, left = entry[parent], left[parent]
+        nxt = entry + jump + (left == 0)
+        take = np.where(nxt == entry, left, draws[nxt])
+        flat = flat[parent] * d + cats[nxt]
+        weight = weight[parent] * take
+        entry, left = nxt, take - 1
+    groups = np.repeat(table.groups.astype(np.float64), table.held)
+    rank = _multisets(d, r)
+    per_multiset = np.bincount(
+        rank.ravel()[flat], weights=groups[entry] * weight, minlength=math.comb(d + r - 1, r)
+    )
     return per_multiset[rank]
-
-
-def _tally_pays(ds: GroupedDataset) -> bool:
-    return ds.n_groups > TALLY_FACTOR * num_compositions(ds.group_size, ds.d)
 
 
 def empirical_sym_moment(
     data: GroupedDataset | GroupTallyHistogram,
     r: int,
     b: DiagonalMap | None = None,
-    method: str = "auto",
 ) -> MomentEstimate:
     """Order-r symmetrized moment estimate from a dataset or histogram.
 
-    method: "auto" tallies large datasets first, "raw" forces the
-    position-tuple sum, "tally" forces histogram evaluation; a histogram
-    is always read by the tally path.  All paths agree bit-for-bit
-    because both sum the same integers.
+    A dataset is tallied first; the tally loses nothing the estimate
+    sees, so both inputs give the same bits.
     """
     k, n = data.group_size, data.n_groups
     if not 1 <= r <= k:
         raise ValueError(f"moment order {r} not in [1, {k}]")
-    if method not in ("auto", "raw", "tally"):
-        raise ValueError(f"unknown method {method!r}")
     if isinstance(data, GroupedDataset):
-        if method == "auto":
-            method = "tally" if _tally_pays(data) else "raw"
-        if method == "tally":
-            data = tally(data)
-    count = _raw_counts if isinstance(data, GroupedDataset) else _tally_counts
-    tensor = count(data, r) / (n * math.perm(k, r))
+        data = tally(data)
+    tensor = _tally_counts(data, r) / (n * math.perm(k, r))
     if b is not None:
         tensor = tensor * outer_power(b.diag, r)
     return MomentEstimate(tensor, r, n, b)
@@ -178,9 +163,8 @@ def moment_source(data, max_order: int):
     """Check that data can supply moments up to max_order and return the
     form later moment passes should read.
 
-    A dataset whose groups outnumber its possible tallies TALLY_FACTOR-fold
-    is tallied once, so every pass shares one histogram; a MixtureSpec
-    supplies every order.
+    A dataset is tallied once, so every pass reads one histogram; a
+    histogram is returned as it is, and a MixtureSpec supplies every order.
     """
     if isinstance(data, MixtureSpec):
         return data
@@ -188,9 +172,7 @@ def moment_source(data, max_order: int):
         raise TypeError(f"unsupported data type {type(data).__name__}")
     if data.group_size < max_order:
         raise ValueError(f"group size {data.group_size} < required {max_order}")
-    if isinstance(data, GroupedDataset) and _tally_pays(data):
-        return tally(data)
-    return data
+    return tally(data) if isinstance(data, GroupedDataset) else data
 
 
 def build_c_hat(

@@ -11,6 +11,7 @@ samples.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -45,15 +46,17 @@ def enumerate_compositions(n: int, q: int) -> List[Composition]:
     """All length-q nonnegative integer vectors summing to n.
 
     Fixed order: first coordinate descending, recursively within.  The
-    order is part of the serialization contract.
+    order is part of the serialization contract.  A composition is read
+    off its q-1 stars-and-bars separators among n+q-1 slots; separators
+    in increasing lexicographic order give the reverse of this order.
     """
     if n < 0 or q < 1:
         raise ValueError(f"need n >= 0 and q >= 1, got n={n}, q={q}")
-    if q == 1:
-        return [(n,)]
     out: List[Composition] = []
-    for first in range(n, -1, -1):
-        out.extend((first,) + rest for rest in enumerate_compositions(n - first, q - 1))
+    for bars in itertools.combinations(range(n + q - 1), q - 1):
+        edges = (-1,) + bars + (n + q - 1,)
+        out.append(tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:])))
+    out.reverse()
     return out
 
 
@@ -89,8 +92,8 @@ def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     """
     if n < 1 or q < 1:
         raise ValueError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
-    multisets, rank = _multisets(q, n)
-    per_multiset = np.zeros(len(multisets))
+    rank = _multisets(q, n)
+    per_multiset = np.zeros(math.comb(q + n - 1, n))
     for x, c in measure.items():
         x = tuple(int(v) for v in x)
         if len(x) != q or any(v < 0 for v in x) or sum(x) != n:

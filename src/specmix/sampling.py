@@ -10,9 +10,11 @@ Category indices are 0-based in memory; the text format on disk is
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import IO, Dict, Tuple
 
@@ -46,12 +48,13 @@ class GroupTallyHistogram:
 
     Keys are length-d compositions (category occurrence counts summing to
     group_size); values are group counts.  Total count equals the number
-    of groups in the source dataset.
+    of groups in the source dataset.  tally() fills counts with a
+    read-only mapping backed by arrays.
     """
 
     d: int
     group_size: int
-    counts: Dict[Composition, int]
+    counts: Mapping[Composition, int]
 
     @property
     def n_groups(self) -> int:
@@ -117,26 +120,95 @@ def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> 
     return _check_dataset(mix.d, groups)
 
 
+class _TallyTable(Mapping):
+    """A tally histogram as sparse arrays, read as a composition -> count map.
+
+    Tally i is held[i] consecutive entries of cats and draws: the
+    categories its groups hold, in increasing order, and how often each
+    is drawn; groups[i] groups have it.  The dict with length-d keys is
+    built only when keys are read, so the moment passes, which read the
+    arrays, and n_groups, which reads values(), never build it.
+    """
+
+    def __init__(self, d: int, cats: np.ndarray, draws: np.ndarray, held: np.ndarray, groups: np.ndarray):
+        self.d, self.cats, self.draws, self.held, self.groups = d, cats, draws, held, groups
+
+    @classmethod
+    def from_compositions(cls, comps: np.ndarray, groups: np.ndarray) -> "_TallyTable":
+        """From a (#tallies, d) array of category counts."""
+        row, cats = np.nonzero(comps)
+        return cls(comps.shape[1], cats, comps[row, cats], np.bincount(row, minlength=len(comps)), groups)
+
+    @functools.cached_property
+    def _dict(self) -> Dict[Composition, int]:
+        comps = np.zeros((len(self.held), self.d), dtype=np.int64)
+        comps[np.repeat(np.arange(len(self.held)), self.held), self.cats] = self.draws
+        return dict(zip(map(tuple, comps.tolist()), self.groups.tolist()))
+
+    def __getitem__(self, key: Composition) -> int:
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self.groups)
+
+    def values(self):
+        return self.groups.tolist()
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
+
+
 def tally(ds: GroupedDataset) -> GroupTallyHistogram:
     """Compress a dataset to its per-group tally histogram.
 
     Invariant under within-group reordering; together with the moment
-    estimators' symmetry this loses no statistical information.
+    estimators' symmetry this loses no statistical information.  Groups
+    are keyed by one base-(k+1) integer while (k+1)^d fits in 63 bits,
+    and by their sorted rows otherwise.
     """
     k, d = ds.group_size, ds.d
-    if (k + 1) ** d >= 2**63:
-        raise ValueError(f"tally keys overflow 63 bits for d={d}, k={k}")
-    keys = kernels.group_keys(ds.groups, d)
-    uniq, counts = np.unique(keys, return_counts=True)
-    out: Dict[Composition, int] = {}
-    base = k + 1
-    for key, n in zip(uniq.tolist(), counts.tolist()):
-        comp = []
-        for _ in range(d):
-            key, rem = divmod(key, base)
-            comp.append(rem)
-        out[tuple(comp)] = int(n)
-    return GroupTallyHistogram(d, k, out)
+    distinct = _tally_by_keys if (k + 1) ** d < 2**63 else _tally_by_sorting
+    return GroupTallyHistogram(d, k, distinct(ds))
+
+
+def _tally_by_keys(ds: GroupedDataset) -> _TallyTable:
+    """Distinct tallies in increasing order of the base-(k+1) group key."""
+    base = ds.group_size + 1
+    keys, groups = np.unique(kernels.group_keys(ds.groups, ds.d), return_counts=True)
+    comps = keys[:, None] // base ** np.arange(ds.d, dtype=np.int64) % base
+    return _TallyTable.from_compositions(comps, groups)
+
+
+def _tally_by_sorting(ds: GroupedDataset) -> _TallyTable:
+    """Distinct tallies in lexicographic order of the sorted rows: equal
+    tallies are equal sorted rows, and each run of equal draws in a
+    sorted row is one held category."""
+    rows = np.sort(ds.groups, axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    rows = rows[starts]
+    new = np.ones(rows.shape, dtype=bool)
+    new[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    first = np.flatnonzero(new)
+    return _TallyTable(
+        ds.d,
+        rows.ravel()[first].astype(np.int64),
+        np.diff(first, append=rows.size),
+        new.sum(axis=1),
+        np.diff(starts, append=len(ds.groups)),
+    )
+
+
+def _tally_table(h: GroupTallyHistogram) -> _TallyTable:
+    """The sparse array form of h, in key order."""
+    if isinstance(h.counts, _TallyTable):
+        return h.counts
+    comps = np.array(list(h.counts), dtype=np.int64).reshape(-1, h.d)
+    # object keeps group counts past 2^63, as from_json allows, exact
+    return _TallyTable.from_compositions(comps, np.array(list(h.counts.values()), dtype=object))
 
 
 def num_compositions(k: int, d: int) -> int:

@@ -11,13 +11,12 @@ is the exact inverse.  Operators are plain 2-D arrays.
 
 Symmetric tensors live in the multiset basis: one value per size-r
 multiset of [d] (a count vector summing to r), C(d+r-1, r) in all.
-``_multisets`` ranks them and gives the rank of every multi-index;
+``_multisets`` gives the multiset rank of every multi-index;
 symmetrization, the moment tally kernel and the spread map share it.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -54,15 +53,14 @@ def outer_power(v: np.ndarray, k: int) -> np.ndarray:
     return t
 
 
-def _multisets(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The size-r multisets of [d], ranked.
+def _multisets(d: int, r: int) -> np.ndarray:
+    """The multiset rank of every multi-index in [d]^r, a (d,)*r int64 array.
 
-    Returns their count vectors, a (C(d+r-1, r), d) array in rank order,
-    and the rank of every multi-index in [d]^r, a (d,)*r int64 array.  A
-    multiset with partial counts S_c = b_0 + ... + b_c has its
+    A multiset with partial counts S_c = b_0 + ... + b_c has its
     stars-and-bars separators at S_c + c, c < d-1; its rank is the
     combinadic rank of those positions, sum_c C(S_c + c, c + 1), which
-    numbers the multisets 0 .. C(d+r-1, r) - 1 and so cannot overflow.
+    numbers the size-r multisets 0 .. C(d+r-1, r) - 1 and so cannot
+    overflow.
     """
     # sep_rank[s, c] = C(s + c, c + 1) <= C(d+r-1, r), so no entry overflows.
     sep_rank = np.array(
@@ -73,15 +71,7 @@ def _multisets(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         # S_c of every multi-index: how many of its r entries are <= c
         below = (np.arange(d) <= c).astype(np.int64)
         rank += sep_rank[functools.reduce(np.add.outer, [below] * r), c]
-    # every nondecreasing (S_0, ..., S_{d-2}) in [0, r] is one multiset
-    sums = np.array(
-        list(itertools.combinations_with_replacement(range(r + 1), d - 1)), dtype=np.int64
-    )
-    ranked = np.empty((len(sums), d), dtype=np.int64)
-    ranked[sep_rank[sums, np.arange(d - 1)].sum(axis=1)] = np.diff(
-        sums, axis=1, prepend=0, append=r
-    )
-    return ranked, rank
+    return rank
 
 
 def symmetrize(t: np.ndarray) -> np.ndarray:
@@ -98,7 +88,7 @@ def symmetrize(t: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected cubical shape, got {t.shape}")
     if k <= 1 or d == 0:
         return t.copy()
-    rank = _multisets(d, k)[1].ravel()
+    rank = _multisets(d, k).ravel()
     sums = np.bincount(rank, weights=t.ravel())
     return (sums / np.bincount(rank))[rank].reshape(t.shape)
 

@@ -1,4 +1,8 @@
-"""Shared fixtures: reference mixtures used across the suite."""
+"""Shared fixtures: reference mixtures used across the suite, and the
+position-tuple moment oracle the estimator is checked against."""
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -36,3 +40,23 @@ def random_mixture(rng: np.random.Generator, m: int, d: int) -> sp.MixtureSpec:
     w = rng.dirichlet(np.full(m, 5.0))
     comps = rng.dirichlet(np.ones(d), size=m)
     return sp.make_mixture(w, comps)
+
+
+def raw_counts(ds: sp.GroupedDataset, r: int) -> np.ndarray:
+    """Reference oracle: the sum over groups and ordered r-tuples of
+    distinct within-group positions of the one-hot outer products,
+    integer-valued and accumulated exactly in float64."""
+    d, k = ds.d, ds.group_size
+    groups = ds.groups.astype(np.int64)
+    place = d ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    counts = np.zeros(d**r)
+    for pos in itertools.permutations(range(k), r):
+        counts += np.bincount(groups[:, pos] @ place, minlength=d**r)
+    return counts.reshape((d,) * r)
+
+
+def raw_moment(ds: sp.GroupedDataset, r: int, b: sp.DiagonalMap | None = None) -> np.ndarray:
+    """The order-r estimate from raw_counts, normalized and rescaled as
+    the estimator does it, so the two agree bit for bit."""
+    tensor = raw_counts(ds, r) / (ds.n_groups * math.perm(ds.group_size, r))
+    return tensor if b is None else tensor * sp.outer_power(b.diag, r)

@@ -1,5 +1,7 @@
-"""Moment estimators: exact small cases, path equivalence, statistics."""
+"""Moment estimators: exact small cases, the position-tuple oracle, statistics."""
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
-from specmix.estimation import MomentEstimate, _raw_counts, _tally_counts, moment
+from conftest import raw_counts, raw_moment
+from specmix.estimation import MomentEstimate, _tally_counts, moment
+from specmix.sampling import _tally_by_keys, _tally_by_sorting
 
 
 def dataset(rows, d):
@@ -57,6 +61,8 @@ class TestExactSmallCases:
 
 
 class TestPathEquivalence:
+    """The tally kernel against the position-tuple oracle in conftest."""
+
     def test_tally_matches_raw_bitwise(self, blend_mix):
         rng = np.random.default_rng(0)
         for trial in range(12):
@@ -67,31 +73,20 @@ class TestPathEquivalence:
             ds = dataset(rows, d)
             h = sp.tally(ds)
             for r in range(1, k + 1):
-                raw = sp.empirical_sym_moment(ds, r, method="raw").tensor
-                via_tally = sp.empirical_sym_moment(h, r).tensor
-                assert_array_equal(raw, via_tally)
+                assert_array_equal(sp.empirical_sym_moment(h, r).tensor, raw_moment(ds, r))
 
-    def test_auto_dispatch_matches(self, blend_mix):
+    def test_large_dataset_matches_oracle(self, blend_mix):
+        # n=2000 groups share 10 possible tallies
         ds = sp.draw_groups(blend_mix, 3, 2000, seed=7)
-        # n=2000 > 10 * C(5,2)=100, so auto tallies; force raw to compare
-        auto = sp.empirical_sym_moment(ds, 2, method="auto").tensor
-        raw = sp.empirical_sym_moment(ds, 2, method="raw").tensor
-        assert_array_equal(auto, raw)
+        assert_array_equal(sp.empirical_sym_moment(ds, 2).tensor, raw_moment(ds, 2))
 
     def test_histogram_input(self, blend_mix):
         ds = sp.draw_groups(blend_mix, 3, 150, seed=9)
         h = sp.tally(ds)
-        assert_array_equal(
-            sp.empirical_sym_moment(h, 2).tensor,
-            sp.empirical_sym_moment(ds, 2, method="raw").tensor,
-        )
-
-    def test_unknown_method(self, blend_mix):
-        ds = sp.draw_groups(blend_mix, 3, 10, seed=0)
-        with pytest.raises(ValueError, match="method"):
-            sp.empirical_sym_moment(ds, 2, method="bogus")
-        with pytest.raises(ValueError, match="method"):
-            sp.empirical_sym_moment(sp.tally(ds), 2, method="bogus")
+        assert_array_equal(sp.empirical_sym_moment(h, 2).tensor, raw_moment(ds, 2))
+        # the same histogram as a plain dict, as from_json builds it
+        plain = sp.GroupTallyHistogram(h.d, h.group_size, dict(h.counts))
+        assert_array_equal(sp.empirical_sym_moment(plain, 2).tensor, raw_moment(ds, 2))
 
     def test_tally_matches_raw_bitwise_at_full_order(self):
         # d=5, k=7 reaches r = k and 5^7-entry tensors, past the property tests' range
@@ -99,13 +94,53 @@ class TestPathEquivalence:
         ds = dataset(rng.integers(0, 5, size=(40, 7)), 5)
         h = sp.tally(ds)
         for r in range(1, 8):
-            assert_array_equal(_tally_counts(h, r), _raw_counts(ds, r))
+            assert_array_equal(_tally_counts(h, r), raw_counts(ds, r))
+
+    def test_wide_text_dataset(self):
+        # d=300 needs int64 codes and (k+1)^d overflows a 63-bit tally key
+        rng = np.random.default_rng(5)
+        rows = rng.integers(1, 301, size=(60, 3))
+        rows[0, 0] = 300
+        ds = sp.read_groups(io.StringIO("\n".join(" ".join(map(str, row)) for row in rows)))
+        assert ds.d == 300 and ds.groups.dtype == np.int64
+        for r in (1, 2):
+            assert_array_equal(sp.empirical_sym_moment(ds, r).tensor, raw_moment(ds, r))
+
+    def test_many_categories(self):
+        # d=30, k=5: 6^30 overflows a 63-bit tally key
+        rng = np.random.default_rng(6)
+        ds = dataset(rng.integers(0, 30, size=(300, 5)), 30)
+        for r in range(1, 5):
+            assert_array_equal(sp.empirical_sym_moment(ds, r).tensor, raw_moment(ds, r))
+
+    def test_counts_past_2_53_stay_within_rounding(self):
+        # k=20, d=2 with up to 1e9 groups per tally: counts reach ~1e27.  A
+        # count sums at most 21 products, each rounded twice, so it is off
+        # by at most 22 half-ulps of the exact integer
+        rng = np.random.default_rng(8)
+        counts = {(a, 20 - a): int(n) for a, n in zip(range(21), rng.integers(1e5, 1e9, size=21))}
+        h = sp.GroupTallyHistogram(2, 20, counts)
+        for r in range(1, 21):
+            got = _tally_counts(h, r)
+            for b0 in range(r + 1):
+                exact = sum(
+                    n * math.perm(a0, b0) * math.perm(a1, r - b0) for (a0, a1), n in counts.items()
+                )
+                value = got[(0,) * b0 + (1,) * (r - b0)]
+                assert abs(int(value) - exact) <= 22 * np.finfo(float).eps * exact
+
+    def test_tuple_count_overflow_is_refused(self):
+        # 21 draws have 21! > 2^63 ordered 21-tuples, but 21!/6! < 2^63 ordered 15-tuples
+        ds = dataset(np.zeros((1, 21)), 1)
+        with pytest.raises(OverflowError, match="64 bits"):
+            sp.empirical_sym_moment(ds, 21)
+        assert_array_equal(sp.empirical_sym_moment(ds, 15).tensor, np.ones((1,) * 15))
 
 
 @st.composite
 def small_datasets(draw):
-    """Random grouped datasets with d <= 4 and k <= 5, large enough that
-    auto dispatch sometimes tallies, plus an optional diagonal map."""
+    """Random grouped datasets with d <= 4 and k <= 5, some with many
+    groups per tally, plus an optional diagonal map."""
     d = draw(st.integers(1, 4))
     k = draw(st.integers(1, 5))
     n = draw(st.integers(1, 150))
@@ -119,14 +154,13 @@ class TestMomentSourceProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(small_datasets())
-    def test_raw_tally_auto_bit_identical(self, case):
+    def test_dataset_histogram_and_oracle_bit_identical(self, case):
         ds, b = case
         h = sp.tally(ds)
         for r in range(1, ds.group_size + 1):
-            raw = sp.empirical_sym_moment(ds, r, b, method="raw").tensor
+            raw = raw_moment(ds, r, b)
             for other in (
-                sp.empirical_sym_moment(ds, r, b, method="tally").tensor,
-                sp.empirical_sym_moment(ds, r, b, method="auto").tensor,
+                sp.empirical_sym_moment(ds, r, b).tensor,
                 sp.empirical_sym_moment(h, r, b).tensor,
                 moment(ds, r, b),
                 moment(h, r, b),
@@ -138,12 +172,22 @@ class TestMomentSourceProperties:
     def test_invariant_to_within_group_order(self, case, seed):
         ds, b = case
         shuffled = dataset(np.random.default_rng(seed).permuted(ds.groups, axis=1), ds.d)
+        assert sp.tally(shuffled) == sp.tally(ds)
         for r in range(1, ds.group_size + 1):
-            for method in ("raw", "tally", "auto"):
-                assert_array_equal(
-                    sp.empirical_sym_moment(shuffled, r, b, method=method).tensor,
-                    sp.empirical_sym_moment(ds, r, b, method=method).tensor,
-                )
+            assert_array_equal(
+                sp.empirical_sym_moment(shuffled, r, b).tensor,
+                sp.empirical_sym_moment(ds, r, b).tensor,
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_datasets())
+    def test_sorted_rows_and_group_keys_tally_alike(self, case):
+        ds, _ = case
+        by_keys = sp.GroupTallyHistogram(ds.d, ds.group_size, _tally_by_keys(ds))
+        by_sorting = sp.GroupTallyHistogram(ds.d, ds.group_size, _tally_by_sorting(ds))
+        assert dict(by_sorting.counts) == dict(by_keys.counts)
+        for r in range(1, ds.group_size + 1):
+            assert_array_equal(_tally_counts(by_sorting, r), _tally_counts(by_keys, r))
 
     @settings(max_examples=60, deadline=None)
     @given(small_datasets())

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
+from conftest import raw_moment
 from specmix.multinomial import (
     MultinomialSpec,
     composition_measure_from_json,
@@ -38,6 +39,22 @@ class TestEnumerateCompositions:
         comps = enumerate_compositions(4, 3)
         assert len(set(comps)) == len(comps)
         assert all(sum(x) == 4 and min(x) >= 0 for x in comps)
+
+    def test_order_is_first_coordinate_descending_recursively(self):
+        def reference(n, q):
+            if q == 1:
+                return [(n,)]
+            return [(a,) + rest for a in range(n, -1, -1) for rest in reference(n - a, q - 1)]
+
+        for n in range(7):
+            for q in range(1, 7):
+                assert enumerate_compositions(n, q) == reference(n, q)
+
+    def test_many_cells(self):
+        # one frame per cell would pass Python's recursion limit here
+        comps = enumerate_compositions(1, 1000)
+        assert len(comps) == 1000
+        assert comps[0] == (1,) + (0,) * 999 and comps[-1] == (0,) * 999 + (1,)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -180,7 +197,7 @@ class TestBridgeToGroupedData:
         h = sp.tally(ds)
         measure = {x: c / h.n_groups for x, c in h.counts.items()}
         spread = t_nq_apply(measure, ds.group_size, ds.d)
-        direct = sp.empirical_sym_moment(ds, ds.group_size, method="raw").tensor
+        direct = raw_moment(ds, ds.group_size)
         assert_allclose(spread, direct, atol=1e-12)
 
 
