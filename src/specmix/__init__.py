@@ -73,7 +73,6 @@ from .sampling import (
 )
 from .tensors import (
     RankDeficiencyError,
-    blockwise_apply,
     fold,
     numerical_rank,
     outer_power,
@@ -100,7 +99,6 @@ __all__ = [
     "RecoveryError",
     "RecoveryResult",
     "b_map",
-    "blockwise_apply",
     "build_c_hat",
     "build_e_hat",
     "build_pair",

@@ -9,12 +9,13 @@ multinomial mixtures), rank (component-count estimate), baseline
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .counterexamples import build_pair
 from .experiments import ExperimentConfig, random_baseline, run_experiment
-from .model import MixtureSpec
+from .model import MixtureSpec, json_fields
 from .multinomial import MultinomialSpec, multinomial_mixture_equal
 from .recovery import RecoveryConfig, RecoveryError, estimate_num_components, recover_full
 from .sampling import read_groups
@@ -51,7 +52,7 @@ def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
     if args.out is not None:
-        cfg = type(cfg)(**{**cfg.__dict__, "out": args.out})
+        cfg = dataclasses.replace(cfg, out=args.out)
     report = run_experiment(cfg)
     if cfg.out is None:
         print(report.to_json())
@@ -76,12 +77,13 @@ def _cmd_counterexample(args) -> int:
 
 def _read_multinomial_mixture(path: str):
     with open(path) as fh:
-        obj = json.load(fh)
-    n, q = int(obj["n"]), int(obj["q"])
-    return [
-        (float(rec["weight"]), MultinomialSpec(n, q, rec["p"]))
-        for rec in obj["components"]
-    ]
+        n, q, components = json_fields(json.load(fh), path, "n", "q", "components")
+    n, q = int(n), int(q)
+    mixture = []
+    for rec in components:
+        weight, p = json_fields(rec, f"a component in {path}", "weight", "p")
+        mixture.append((float(weight), MultinomialSpec(n, q, p)))
+    return mixture
 
 
 def _cmd_multinomial_check(args) -> int:

@@ -12,13 +12,13 @@ import csv
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
 from . import rng
-from .model import DominatingMeasure, MixtureSpec, make_mixture
+from .model import DominatingMeasure, MixtureSpec, json_fields, make_mixture
 from .recovery import (
     RecoveryConfig,
     RecoveryError,
@@ -100,7 +100,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = json.loads(text)
-        mix = obj["mixture"]
+        mix, group_size, n_groups, reps = json_fields(
+            obj, "experiment config", "mixture", "group_size", "n_groups", "reps"
+        )
         rec = dict(obj.get("recovery", {}))
         if "m" not in rec:
             raise ValueError('config needs recovery.m (e.g. "recovery": {"m": 3})')
@@ -109,11 +111,14 @@ class ExperimentConfig:
             raise ValueError(
                 'recovery.dominating is not read; set the top-level "dominating" key instead'
             )
+        unknown = sorted(set(rec) - {f.name for f in fields(RecoveryConfig)})
+        if unknown:
+            raise ValueError(f"unknown recovery key {unknown[0]!r}")
         return cls(
-            mixture=make_mixture(mix["weights"], mix["components"]),
-            group_size=int(obj["group_size"]),
-            n_groups=int(obj["n_groups"]),
-            reps=int(obj["reps"]),
+            mixture=make_mixture(*json_fields(mix, "mixture", "weights", "components")),
+            group_size=int(group_size),
+            n_groups=int(n_groups),
+            reps=int(reps),
             dominating=obj.get("dominating", "none"),
             recovery=RecoveryConfig(**rec),
             seed=int(obj.get("seed", 0)),

@@ -69,8 +69,15 @@ class MixtureSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "MixtureSpec":
-        obj = json.loads(text)
-        return make_mixture(obj["weights"], obj["components"])
+        return make_mixture(*json_fields(json.loads(text), "mixture", "weights", "components"))
+
+
+def json_fields(obj: dict, what: str, *keys: str) -> list:
+    """obj[key] for each key; a missing key is a ValueError naming it."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r} key")
+    return [obj[key] for key in keys]
 
 
 @dataclass(frozen=True)

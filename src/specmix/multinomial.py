@@ -93,17 +93,41 @@ def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     if n < 1 or q < 1:
         raise ValueError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
     rank = _multisets(q, n)
+    counts = _composition_rows(measure, n, q)
+    # shares c * x_1! * .. * x_q! / n!, multiplied left to right as in that formula
+    fact = np.array([float(math.factorial(v)) for v in range(n + 1)])
+    shares = np.array(list(measure.values()), dtype=np.float64)
+    for col in counts.T:
+        shares *= fact[col]
+    shares /= fact[n]
+    # the canonical word of each key, 0-based, indexes its multiset rank
+    words = np.repeat(np.tile(np.arange(q), len(counts)), counts.ravel()).reshape(-1, n)
     per_multiset = np.zeros(math.comb(q + n - 1, n))
-    for x, c in measure.items():
-        x = tuple(int(v) for v in x)
-        if len(x) != q or any(v < 0 for v in x) or sum(x) != n:
-            raise ValueError(f"key {x} is not a composition of {n} into {q} cells")
-        share = c
-        for v in x:
-            share *= math.factorial(v)
-        share /= math.factorial(n)
-        per_multiset[rank[tuple(np.subtract(f_nq(x), 1))]] += share
+    np.add.at(per_multiset, rank[tuple(words.T)], shares)
     return per_multiset[rank]
+
+
+def _composition_rows(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
+    """The keys of measure as a (len, q) int64 array of compositions of n.
+
+    Keys that are not all integer tuples go through int() entry by entry.
+    If any key is not a composition, the keys are checked one at a time in
+    order, so the first offending key is the one reported.
+    """
+    try:
+        counts = np.array(list(measure))
+        if counts.dtype.kind != "i" or counts.ndim != 2:
+            counts = np.array([tuple(map(int, x)) for x in measure], dtype=np.int64)
+        counts = counts.reshape(len(measure), q)
+    except (TypeError, ValueError, OverflowError):
+        counts = None
+    # entries in [0, n] keep the row sums far from int64 overflow
+    if counts is None or ((counts < 0) | (counts > n)).any() or (counts.sum(axis=1) != n).any():
+        for x in measure:
+            x = tuple(int(v) for v in x)
+            if len(x) != q or any(v < 0 for v in x) or sum(x) != n:
+                raise ValueError(f"key {x} is not a composition of {n} into {q} cells")
+    return counts
 
 
 def verify_lemma_mult(spec: MultinomialSpec) -> float:

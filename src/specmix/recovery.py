@@ -39,20 +39,10 @@ from .model import (
     random_dominating_measure,
 )
 from .sampling import GroupedDataset, GroupTallyHistogram
-from .tensors import (
-    blockwise_apply,
-    eig_sqrt_pinv,
-    numerical_rank,
-    outer_power,
-    sym_eig,
-    unfold,
-)
+from .tensors import eig_sqrt_pinv, numerical_rank, outer_power, sym_eig, unfold
 
 PROBE_NORM_TOL = 1e-10
 MAX_PROBE_RETRIES = 16
-
-
-_PROBES = ("gaussian", "singular")
 
 
 class RecoveryError(RuntimeError):
@@ -81,7 +71,7 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.probe not in _PROBES:
+        if self.probe not in ("gaussian", "singular"):
             raise ValueError(f"unknown probe {self.probe!r}")
         if self.weight_solver not in ("clip-renormalize", "simplex-projection"):
             raise ValueError(f"unknown weight solver {self.weight_solver!r}")
@@ -170,7 +160,9 @@ def build_t_hat(q_hat: MomentEstimate | np.ndarray, w: np.ndarray) -> np.ndarray
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (d ** (m - 1), d ** (m - 1)):
         raise ValueError(f"whitener shape {w.shape} does not match d={d}, m={m}")
-    a = blockwise_apply(q, [(1, None), (m - 1, w), (m - 1, w)])
+    a = q.reshape(d, d ** (m - 1), d ** (m - 1))
+    a = np.moveaxis(np.tensordot(w, a, axes=(1, 1)), 0, 1)
+    a = np.moveaxis(np.tensordot(w, a, axes=(1, 2)), 0, 2)
     return a.reshape(d**m, d ** (m - 1))
 
 
@@ -296,24 +288,21 @@ def _odd_operator(data, m: int, b: DiagonalMap | None, w: np.ndarray) -> np.ndar
 def _fourth_operator(data, m: int, b: DiagonalMap | None, w: np.ndarray) -> np.ndarray:
     """I (x) W (x) I (x) W on the order-4 moment, flattened at split 2."""
     d = data.d
-    a = blockwise_apply(moment(data, 4, b), [(1, None), (1, w), (1, None), (1, w)])
+    a = np.moveaxis(np.tensordot(w, moment(data, 4, b), axes=(1, 1)), 0, 1)
+    a = np.moveaxis(np.tensordot(w, a, axes=(1, 3)), 0, 3)
     s = a.reshape(d**2, d**2)
     return 0.5 * (s + s.T)
 
 
 def _run_stages(
     data,
-    m: int,
     seed: int,
+    config: RecoveryConfig,
     *,
     b: DiagonalMap | None,
     c_order: int,
     operator: tuple,
     weight_order: int,
-    solver: str,
-    probe: str,
-    clip_negatives: bool,
-    eig_floor: float,
     extra: dict,
 ) -> RecoveryResult:
     """The staged pipeline behind recover_full and li_recover_4.
@@ -321,8 +310,11 @@ def _run_stages(
     data is a moment source already checked by moment_source.  C is
     build_c_hat(data, c_order, b); operator is a (stage name, builder)
     pair whose builder returns the PSD matrix whose top m eigenvectors
-    are contracted to components.  extra is appended to the diagnostics.
+    are contracted to components.  m, the probe, clipping, the whitening
+    floor and the weight solver come from config; extra is appended to
+    the diagnostics.
     """
+    m = config.m
     if m == 1:
         with _stage("mean"):
             mean = moment(data, 1)
@@ -334,17 +326,17 @@ def _run_stages(
         with _stage("second-moment form"):
             c_dec = sym_eig(build_c_hat(data, c_order, b))
         with _stage("whitening"):
-            w = eig_sqrt_pinv(c_dec, m, eig_floor)
+            w = eig_sqrt_pinv(c_dec, m, config.eig_floor)
         stage_name, build_operator = operator
         with _stage(stage_name):
             op = build_operator(data, m, b, w)
         with _stage("component extraction"):
             dec = sym_eig(op)
             comps = _finalize_components(
-                dec.eigenvectors[:, :m], data.d, b, probe, seed, clip_negatives
+                dec.eigenvectors[:, :m], data.d, b, config.probe, seed, config.clip_negatives
             )
         with _stage("weight estimation"):
-            fit = recover_weights(moment(data, weight_order), comps, solver)
+            fit = recover_weights(moment(data, weight_order), comps, config.weight_solver)
         tt_eigenvalues, spectrum = dec.eigenvalues.tolist(), c_dec.eigenvalues.tolist()
     return RecoveryResult(
         comps,
@@ -375,6 +367,8 @@ def recover_full(
     with _stage("setup"):
         data = moment_source(data, max(2 * m - 1, 1))
         xi = resolve_dominating(config.dominating, data.d, seed)
+        if xi is not None and xi.d != data.d:
+            raise ValueError(f"reference measure has {xi.d} categories, the data has {data.d}")
         b = None if xi is None else b_map(xi)
     if m > 1 and xi is not None and isinstance(data, MixtureSpec):
         with _stage("dominating-measure check"):
@@ -383,16 +377,12 @@ def recover_full(
                 raise RecoveryError(f"rescaled component norms separate by only {sep.min_gap:.3g}")
     return _run_stages(
         data,
-        m,
         seed,
+        config,
         b=b,
         c_order=m,
         operator=("odd-moment operator", _odd_operator),
         weight_order=m - 1,
-        solver=config.weight_solver,
-        probe=config.probe,
-        clip_negatives=config.clip_negatives,
-        eig_floor=config.eig_floor,
         extra={"config": config.echo()},
     )
 
@@ -413,10 +403,7 @@ def li_recover_4(
     Requires pairwise distinct component norms; in population mode this
     is checked and violations raise unless force=True.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if probe not in _PROBES:
-        raise ValueError(f"unknown probe {probe!r}")
+    config = RecoveryConfig(m, probe=probe)
     with _stage("setup"):
         if m > 1 and not force and isinstance(data, MixtureSpec):
             sep = check_distinct_norms(data, dominating_measure(np.ones(data.d)))
@@ -428,16 +415,12 @@ def li_recover_4(
         data = moment_source(data, 4 if m > 1 else 1)
     return _run_stages(
         data,
-        m,
         seed,
+        config,
         b=None,
         c_order=2,
         operator=("fourth-moment operator", _fourth_operator),
         weight_order=min(m - 1, 2),
-        solver="clip-renormalize",
-        probe=probe,
-        clip_negatives=True,
-        eig_floor=1e-8,
         extra={},
     )
 

@@ -22,8 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-SYM_TOL = 1e-10
-
 
 class RankDeficiencyError(RuntimeError):
     """Fewer usable eigenvalues than requested; operator rank is below target."""
@@ -113,36 +111,6 @@ def fold(m: np.ndarray, dim: int, order: int, split: int) -> np.ndarray:
     if m.shape != (rows, cols):
         raise ValueError(f"expected shape {(rows, cols)}, got {m.shape}")
     return np.ascontiguousarray(m.T).reshape((dim,) * order)
-
-
-def blockwise_apply(t: np.ndarray, maps) -> np.ndarray:
-    """Apply one operator per contiguous axis block.
-
-    ``maps`` is a sequence of (block_length, operator) pairs whose block
-    lengths partition the tensor's axes in order; ``None`` stands for the
-    identity.  Each operator must be square of size d**block_length, so
-    the output shape equals the input shape.  On a simple tensor this is
-    the usual tensor product of the operators.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    d = t.shape[0]
-    if t.shape != (d,) * t.ndim:
-        raise ValueError(f"expected cubical shape, got {t.shape}")
-    lengths = [int(length) for length, _ in maps]
-    if any(length < 1 for length in lengths) or sum(lengths) != t.ndim:
-        raise ValueError(f"blocks {lengths} do not partition {t.ndim} axes")
-    shaped = t.reshape([d**length for length in lengths])
-    for axis, (length, op) in enumerate(maps):
-        if op is None:
-            continue
-        op = np.asarray(op, dtype=np.float64)
-        if op.shape != (d**length, d**length):
-            raise ValueError(
-                f"block {axis} expects a {d**length}x{d**length} operator, "
-                f"got {op.shape}"
-            )
-        shaped = np.moveaxis(np.tensordot(op, shaped, axes=(1, axis)), 0, axis)
-    return shaped.reshape(t.shape)
 
 
 def sym_eig(m: np.ndarray) -> EigenDecomposition:

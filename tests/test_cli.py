@@ -106,6 +106,26 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit, match="^specmix experiment: .*missing.json"):
             run_cli(["experiment", "--config", missing])
 
+    @staticmethod
+    def _edit(config_file, **changes):
+        cfg = json.loads(Path(config_file).read_text())
+        for key, value in changes.items():
+            if value is None:
+                del cfg[key]
+            else:
+                cfg[key] = value
+        Path(config_file).write_text(json.dumps(cfg))
+
+    def test_missing_key_exits_with_one_line(self, config_file):
+        self._edit(config_file, group_size=None)
+        with pytest.raises(SystemExit, match="^specmix experiment: .* no 'group_size' key"):
+            run_cli(["experiment", "--config", config_file])
+
+    def test_unknown_recovery_key_exits_with_one_line(self, config_file):
+        self._edit(config_file, recovery={"m": 1, "bogus": 2})
+        with pytest.raises(SystemExit, match="^specmix experiment: unknown recovery key 'bogus'"):
+            run_cli(["experiment", "--config", config_file])
+
 
 class TestCounterexampleCommand:
     def test_identifiability(self, capsys):
@@ -173,6 +193,16 @@ class TestMultinomialCheckCommand:
         with pytest.raises(SystemExit, match="^specmix multinomial-check: .*missing.json"):
             run_cli(["multinomial-check", "--a", str(a), "--b", missing])
 
+    def test_missing_key_exits_with_one_line(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write_mix(a, 2, [(1.0, [0.5, 0.5])])
+        b.write_text(json.dumps({"n": 2, "components": [{"weight": 1.0, "p": [0.5, 0.5]}]}))
+        with pytest.raises(SystemExit, match="^specmix multinomial-check: .*b.json has no 'q' key"):
+            run_cli(["multinomial-check", "--a", str(a), "--b", str(b)])
+        b.write_text(json.dumps({"n": 2, "q": 2, "components": [{"p": [0.5, 0.5]}]}))
+        with pytest.raises(SystemExit, match="no 'weight' key"):
+            run_cli(["multinomial-check", "--a", str(a), "--b", str(b)])
+
 
 class TestRankCommand:
     def test_prints_rank(self, data_file, capsys):
@@ -207,6 +237,12 @@ class TestBaselineCommand:
         missing = str(tmp_path / "missing.json")
         with pytest.raises(SystemExit, match="^specmix baseline: .*missing.json"):
             run_cli(["baseline", "--d", "3", "--m", "3", "--trials", "5", "--truth", missing])
+
+    def test_truth_without_components_exits_with_one_line(self, tmp_path):
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"weights": [0.5, 0.5]}))
+        with pytest.raises(SystemExit, match="^specmix baseline: mixture has no 'components' key"):
+            run_cli(["baseline", "--d", "3", "--m", "2", "--trials", "5", "--truth", str(truth)])
 
 
 class TestParser:

@@ -1,6 +1,7 @@
 """Count-vector laws and their spread onto symmetric tensors."""
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from specmix.multinomial import (
     t_nq_apply,
     verify_lemma_mult,
 )
+from specmix.tensors import _multisets
 
 
 class TestEnumerateCompositions:
@@ -138,6 +140,44 @@ class TestSpreadTransform:
     def test_rejects_bad_key(self):
         with pytest.raises(ValueError):
             t_nq_apply({(1, 0): 1.0}, 2, 2)
+
+    def test_equals_per_key_loop(self):
+        # reference: each key's share added one at a time at its word's rank
+        rng = np.random.default_rng(6)
+        for n, q in itertools.product(range(1, 6), range(1, 6)):
+            comps = enumerate_compositions(n, q)
+            keep = rng.permutation(len(comps))[: max(1, len(comps) // 2)]
+            measure = {comps[i]: float(c) for i, c in zip(keep, rng.standard_normal(keep.size))}
+            rank = _multisets(q, n)
+            per_multiset = np.zeros(math.comb(q + n - 1, n))
+            for x, c in measure.items():
+                share = c
+                for v in x:
+                    share *= math.factorial(v)
+                share /= math.factorial(n)
+                per_multiset[rank[tuple(np.subtract(f_nq(x), 1))]] += share
+            assert_array_equal(t_nq_apply(measure, n, q), per_multiset[rank])
+
+    def test_reports_first_offending_key(self):
+        for measure, first in [
+            ({(1, 1): 1.0, (3, -1): 1.0, (2,): 1.0}, "(3, -1)"),
+            ({(1, 1): 1.0, (2,): 1.0, (3, -1): 1.0}, "(2,)"),
+            ({(1.5, 0.5): 1.0, (1, 1, 0): 1.0}, "(1, 0)"),
+        ]:
+            with pytest.raises(ValueError, match=rf"^key {re.escape(first)} is not a composition"):
+                t_nq_apply(measure, 2, 2)
+
+    def test_keys_convert_with_int(self):
+        expected = t_nq_apply({(1, 1): 0.25, (2, 0): 0.75}, 2, 2)
+        assert_array_equal(t_nq_apply({(1.0, 1.0): 0.25, ("2", "0"): 0.75}, 2, 2), expected)
+
+    def test_many_cells(self):
+        rng = np.random.default_rng(5)
+        comps = enumerate_compositions(1, 900)
+        values = rng.standard_normal(900)
+        out = t_nq_apply(dict(zip(comps, values)), 1, 900)
+        # compositions of 1 come in descending order: the unit vector of cell 0 first
+        assert_array_equal(out, values)
 
 
 class TestLawRecovery:

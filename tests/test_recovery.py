@@ -1,11 +1,15 @@
 """Pipeline stages and end-to-end recovery, population and empirical."""
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
+from conftest import random_mixture
 from specmix.estimation import moment
 from specmix.recovery import (
     RecoveryConfig,
@@ -253,6 +257,36 @@ class TestRecoverFull:
         mix = sp.make_mixture([0.5, 0.5], [[0.6, 0.4], [0.4, 0.6]])
         with pytest.raises(RecoveryError, match="separate"):
             sp.recover_full(mix, RecoveryConfig(m=2, dominating=sp.dominating_measure([1.0, 1.0])))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_reference_measure_must_match_categories(self, blend_mix, m):
+        ds = sp.draw_groups(blend_mix, 3, 200, seed=0)
+        for data in (blend_mix, ds):
+            for dominating in ("fixed:1,2,3,4", sp.dominating_measure([1.0, 2.0])):
+                with pytest.raises(RecoveryError, match=r"'setup'.* has \d categories, the data has 3"):
+                    sp.recover_full(data, RecoveryConfig(m=m, dominating=dominating))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_population_recovery_of_random_mixtures(self, m, d, seed):
+        mix = random_mixture(np.random.default_rng(seed), m, d)
+        # Near-coincident components are ill-conditioned: their error grows
+        # as the separation shrinks, past 1e-8 below about 0.02.
+        gaps = [np.abs(p - q).max() for p, q in itertools.combinations(mix.components, 2)]
+        assume(min(gaps) >= 0.05)
+        try:
+            res = recover_full(mix, RecoveryConfig(m=m, dominating="uniform"), seed=seed)
+        except RecoveryError as exc:
+            assume("rescaled component norms separate by only" not in str(exc))
+            raise
+        err = min(
+            max(
+                np.abs(res.components[list(perm)] - mix.components).max(),
+                np.abs(res.weights[list(perm)] - mix.weights).max(),
+            )
+            for perm in itertools.permutations(range(m))
+        )
+        assert err < 1e-8
 
     def test_histogram_input_equivalent(self, blend_mix, fixed_xi):
         ds = sp.draw_groups(blend_mix, 5, 2000, seed=11)

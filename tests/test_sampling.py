@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
@@ -133,6 +136,22 @@ class TestTextFormat:
         assert again.d == 3
         assert_array_equal(again.groups, ds.groups)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        d = data.draw(st.integers(1, 300))
+        shape = (data.draw(st.integers(1, 20)), data.draw(st.integers(1, 8)))
+        groups = data.draw(arrays(np.int64, shape, elements=st.integers(0, d - 1)))
+        ds = sp.GroupedDataset(d, groups.astype(np.uint8 if d <= 255 else np.int64))
+        buf = io.StringIO()
+        sp.write_groups(ds, buf)
+        for given_d, want_d in [(d, d), (None, int(groups.max()) + 1)]:
+            buf.seek(0)
+            again = sp.read_groups(buf, given_d)
+            assert again.d == want_d
+            assert again.groups.dtype == (np.uint8 if want_d <= 255 else np.int64)
+            assert_array_equal(again.groups, groups)
+
     def test_one_based_on_disk(self):
         ds = sp.GroupedDataset(2, np.array([[0, 1], [1, 1]], dtype=np.uint8))
         buf = io.StringIO()
@@ -162,3 +181,8 @@ class TestTextFormat:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sp.read_groups(io.StringIO(""))
+
+    @pytest.mark.parametrize("text", ["1 2\n3\n", "1 x\n", "1.5 2\n"])
+    def test_rejects_malformed_lines(self, text):
+        with pytest.raises(ValueError):
+            sp.read_groups(io.StringIO(text))

@@ -1,4 +1,4 @@
-"""Tensor algebra: outer powers, symmetrization, fold/unfold, operators."""
+"""Tensor algebra: outer powers, symmetrization, fold/unfold, whitened operators."""
 import itertools
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
+from specmix.recovery import _fourth_operator
 from specmix.tensors import RankDeficiencyError
 
 
@@ -113,31 +114,39 @@ class TestUnfoldFold:
             sp.fold(np.zeros((3, 2)), 2, 3, 1)
 
 
-class TestBlockwiseApply:
-    def test_identity_blocks(self):
-        rng = np.random.default_rng(7)
-        t = rng.standard_normal((2, 2, 2))
-        assert_array_equal(sp.blockwise_apply(t, [(1, None), (1, None), (1, None)]), t)
+class TestWhitenedOperators:
+    """The whitened operators of the recovery pipeline against Kronecker
+    products acting on the flattened moment."""
 
-    def test_scalar_blocks_scale(self):
+    def test_identity_whitener(self):
+        t = np.random.default_rng(7).standard_normal((2, 2, 2))
+        assert_array_equal(sp.build_t_hat(t, np.eye(2)), t.reshape(4, 2))
+
+    def test_scalar_whitener_scales(self):
         t = sp.outer_power([0.4, 0.6], 5)
         c = 1.7
-        out = sp.blockwise_apply(t, [(1, None), (2, c * np.eye(4)), (2, c * np.eye(4))])
-        assert_allclose(out, c * c * t, atol=1e-13)
+        out = sp.build_t_hat(t, c * np.eye(4))
+        assert_allclose(out, c * c * t.reshape(8, 4), atol=1e-13)
 
-    def test_matches_kronecker_expansion(self):
+    def test_odd_operator_matches_kronecker(self):
         rng = np.random.default_rng(8)
-        d = 2
-        for blocks in [(1, 1, 1), (1, 2), (2, 1), (1, 1, 1, 1), (2, 2), (1, 3)]:
-            order = sum(blocks)
-            t = rng.standard_normal((d,) * order)
-            maps = [(ln, rng.standard_normal((d**ln, d**ln))) for ln in blocks]
-            out = sp.blockwise_apply(t, maps)
-            # reference: big Kronecker product acting on the flattened tensor
-            big = maps[0][1]
-            for _, op in maps[1:]:
-                big = np.kron(big, op)
-            assert_allclose(out.ravel(), big @ t.ravel(), atol=1e-12)
+        for d, m in [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)]:
+            q = rng.standard_normal((d,) * (2 * m - 1))
+            w = rng.standard_normal((d ** (m - 1),) * 2)
+            big = np.kron(np.eye(d), np.kron(w, w))
+            assert_allclose(sp.build_t_hat(q, w).ravel(), big @ q.ravel(), atol=1e-12)
+
+    def test_fourth_operator_matches_kronecker(self, indep_mix):
+        rng = np.random.default_rng(10)
+        d = indep_mix.d
+        b = sp.b_map(sp.dominating_measure([2.0, 1.0, 0.5]))
+        for scale in (None, b):
+            w = rng.standard_normal((d, d))
+            m4 = sp.moment(indep_mix, 4, scale)
+            big = np.kron(np.kron(np.eye(d), w), np.kron(np.eye(d), w))
+            s = (big @ m4.ravel()).reshape(d**2, d**2)
+            out = _fourth_operator(indep_mix, 3, scale, w)
+            assert_allclose(out, 0.5 * (s + s.T), atol=1e-12)
 
     def test_whitened_odd_moment_has_rank_m(self):
         # the whitened population moment collapses to an m-dimensional family
@@ -148,15 +157,8 @@ class TestBlockwiseApply:
         m2 = sp.population_moment(mix, 2)
         c = sp.unfold(m2, 1)
         w = sp.whiten(0.5 * (c + c.T), 2)
-        a = sp.blockwise_apply(sp.population_moment(mix, 3), [(1, None), (1, w), (1, w)])
-        assert sp.numerical_rank(sp.unfold(a, 2), 1e-8) == 2
-
-    def test_shape_mismatch(self):
-        t = np.zeros((2, 2, 2))
-        with pytest.raises(ValueError, match="partition"):
-            sp.blockwise_apply(t, [(1, None), (1, None)])
-        with pytest.raises(ValueError, match="operator"):
-            sp.blockwise_apply(t, [(1, None), (2, np.eye(3))])
+        t_hat = sp.build_t_hat(sp.population_moment(mix, 3), w)
+        assert sp.numerical_rank(t_hat, 1e-8) == 2
 
 
 class TestSymEig:
