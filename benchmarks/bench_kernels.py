@@ -2,7 +2,9 @@
 
 Times sample_groups (counter-based categorical draws) and group_keys
 (per-group tally encoding) on identical inputs, checks the outputs are
-bit-identical, and reports per-backend throughput.
+bit-identical, and reports per-backend throughput.  It also checks the
+block contract each backend must keep for sampling.draw_tally: drawing
+the groups in two start= blocks gives the same rows as one call.
 
 Usage:
     python3 benchmarks/bench_kernels.py --n-groups 500000 --group-size 5 --d 3
@@ -70,6 +72,14 @@ def main(argv=None) -> int:
               f"({draws / t_sample / 1e6:6.1f} M draws/s)   "
               f"group_keys {t_keys * 1e3:7.1f} ms "
               f"({args.n_groups / t_keys / 1e6:6.1f} M groups/s)")
+        cut = args.n_groups // 3
+        blocks = np.concatenate([
+            impl.sample_groups(args.seed, cut, args.group_size, cum_w, cum_c),
+            impl.sample_groups(args.seed, args.n_groups - cut, args.group_size, cum_w, cum_c, start=cut),
+        ])
+        if not np.array_equal(blocks, groups):
+            print(f"MISMATCH: {name} rows drawn in two blocks differ from one call")
+            return 1
 
     if len(backends) == 2:
         if not (np.array_equal(sample_out["compiled"], sample_out["numpy"])
@@ -77,6 +87,7 @@ def main(argv=None) -> int:
             print("MISMATCH: backends disagree")
             return 1
         print("outputs bit-identical across backends")
+    print("every backend draws the same rows in two blocks as in one call")
     return 0
 
 

@@ -44,15 +44,15 @@ def sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start
     comp = np.searchsorted(cum_weights, u, side="right")
     np.minimum(comp, n_comp - 1, out=comp)
 
+    # A group keeps its component for all its draws, so split once.
+    members = [np.flatnonzero(comp == c) for c in range(n_comp)]
     out = np.empty((n_groups, group_size), dtype=np.uint8)
     for j in range(group_size):
         w = _mix64_array(bases ^ _U64(((j + 1) * COUNTER_MULT) & MASK))
         u = to_unit(w)
         cats = np.empty(n_groups, dtype=np.int64)
-        for c in range(n_comp):
-            mask = comp == c
-            if mask.any():
-                cats[mask] = np.searchsorted(cum_components[c], u[mask], side="right")
+        for c, idx in enumerate(members):
+            cats[idx] = np.searchsorted(cum_components[c], u[idx], side="right")
         np.minimum(cats, d - 1, out=cats)
         out[:, j] = cats
     return out

@@ -25,7 +25,7 @@ from .recovery import (
     recover_full,
     resolve_dominating,
 )
-from .sampling import draw_groups
+from .sampling import draw_tally
 
 MAX_MATCH_SIZE = 8
 
@@ -100,6 +100,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = json.loads(text)
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown experiment config key {unknown[0]!r}")
         mix, group_size, n_groups, reps = json_fields(
             obj, "experiment config", "mixture", "group_size", "n_groups", "reps"
         )
@@ -214,7 +217,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         t_rep = time.perf_counter()
         try:
             xi = resolve_dominating(cfg.dominating, cfg.mixture.d, rep_seed)
-            data = draw_groups(cfg.mixture, cfg.group_size, cfg.n_groups, rep_seed)
+            data = draw_tally(cfg.mixture, cfg.group_size, cfg.n_groups, rep_seed)
             result = recover_full(data, replace(cfg.recovery, dominating=xi), seed=rep_seed)
             err = matched_l1_error(cfg.mixture.components, result.components)
             errors.append(err)

@@ -126,6 +126,11 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit, match="^specmix experiment: unknown recovery key 'bogus'"):
             run_cli(["experiment", "--config", config_file])
 
+    def test_unknown_key_exits_with_one_line(self, config_file):
+        self._edit(config_file, n_group=5)
+        with pytest.raises(SystemExit, match="^specmix experiment: unknown experiment config key 'n_group'$"):
+            run_cli(["experiment", "--config", config_file])
+
 
 class TestCounterexampleCommand:
     def test_identifiability(self, capsys):

@@ -2,6 +2,8 @@
 import csv
 import io
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scipy.optimize import linear_sum_assignment
 import specmix as sp
 from specmix.experiments import ExperimentConfig, ExperimentReport, run_experiment
 from specmix.recovery import RecoveryConfig
+from specmix.sampling import DRAW_BLOCK
 
 
 class TestMatchedL1Error:
@@ -143,6 +146,38 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="reps"):
             small_config(blend_mix, fixed_xi, reps=0)
 
+    # 5 groups: replicate 0 of seed 0 fails whitening, the others succeed.
+    # DRAW_BLOCK + 1 groups: two draw blocks.
+    @pytest.mark.parametrize("n_groups, reps", [(5, 4), (DRAW_BLOCK + 1, 2)])
+    def test_equals_drawing_every_group(self, blend_mix, fixed_xi, n_groups, reps):
+        cfg = small_config(blend_mix, fixed_xi, n_groups=n_groups, reps=reps)
+        errors, failures = [], []
+        for rep in range(reps):
+            seed = cfg.seed + rep
+            try:
+                data = sp.draw_groups(cfg.mixture, cfg.group_size, cfg.n_groups, seed)
+                result = sp.recover_full(data, replace(cfg.recovery, dominating=fixed_xi), seed=seed)
+                errors.append(sp.matched_l1_error(cfg.mixture.components, result.components))
+            except sp.RecoveryError as exc:
+                errors.append(None)
+                failures.append({"rep": rep, "tag": str(exc)})
+        report = run_experiment(cfg)
+        assert report.errors == errors and report.failures == failures
+        assert len(failures) == (n_groups == 5)
+
+    def test_memory_does_not_grow_with_groups(self, blend_mix, fixed_xi):
+        # 10^6 groups of 5 draws are 5 MB of category codes and 8 MB of
+        # int64 tally keys; drawn a block at a time, neither is ever whole.
+        cfg = small_config(blend_mix, fixed_xi, n_groups=10**6, reps=1)
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.excluded == 0
+        assert peak < 16 * 2**20
+
 
 class TestReportSerialization:
     def test_json_fields(self, blend_mix, fixed_xi):
@@ -221,4 +256,19 @@ class TestConfigFromJson:
             }
         )
         with pytest.raises(ValueError, match='top-level "dominating"'):
+            ExperimentConfig.from_json(text)
+
+    def test_rejects_unknown_key(self):
+        # a misspelt setting is an error, not silently the default
+        text = json.dumps(
+            {
+                "mixture": {"weights": [1.0], "components": [[0.5, 0.5]]},
+                "group_size": 2,
+                "n_groups": 10,
+                "reps": 1,
+                "recovery": {"m": 1},
+                "sed": 7,
+            }
+        )
+        with pytest.raises(ValueError, match="unknown experiment config key 'sed'"):
             ExperimentConfig.from_json(text)

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from specmix import kernels, rng
+from specmix import _kernels_np, kernels, rng
 
 
 class TestMix64:
@@ -96,6 +98,55 @@ class TestExponentials:
         e = rng.exponentials(3, 0, 100_000)
         assert np.all(e >= 0.0)
         assert abs(e.mean() - 1.0) < 0.02
+
+
+def reference_sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start=0):
+    """The numpy sampler written draw by draw: each of the group_size
+    draws masks every component's groups afresh.  Same counter scheme and
+    inverse-CDF search as the kernels, with none of their bookkeeping."""
+    n_comp, d = cum_components.shape
+    streams = np.arange(start, start + n_groups, dtype=np.uint64)
+    seed_mixed = np.uint64(rng.mix64((int(seed) + rng.GOLD) & rng.MASK))
+    bases = rng._mix64_array(seed_mixed ^ (streams * np.uint64(rng.STREAM_MULT)))
+    comp = np.searchsorted(cum_weights, rng.to_unit(rng._mix64_array(bases)), side="right")
+    np.minimum(comp, n_comp - 1, out=comp)
+    out = np.empty((n_groups, group_size), dtype=np.uint8)
+    for j in range(group_size):
+        u = rng.to_unit(rng._mix64_array(bases ^ np.uint64(((j + 1) * rng.COUNTER_MULT) & rng.MASK)))
+        cats = np.empty(n_groups, dtype=np.int64)
+        for c in range(n_comp):
+            mask = comp == c
+            if mask.any():
+                cats[mask] = np.searchsorted(cum_components[c], u[mask], side="right")
+        np.minimum(cats, d - 1, out=cats)
+        out[:, j] = cats
+    return out
+
+
+class TestNumpySampler:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        d=st.integers(1, 60),
+        k=st.integers(1, 8),
+        n=st.integers(1, 3000),
+        start=st.integers(0, 2**40),
+        seed=st.integers(0, 2**64 - 1),
+        zero_weight=st.booleans(),
+        mix_seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=3, d=4, k=5, n=2000, start=2**40, seed=1, zero_weight=True, mix_seed=0)
+    def test_matches_reference(self, m, d, k, n, start, seed, zero_weight, mix_seed):
+        rs = np.random.default_rng(mix_seed)
+        w = rs.dirichlet(np.ones(m))
+        if zero_weight and m > 1:
+            w[rs.integers(m)] = 0.0
+            w /= w.sum()
+        cw, cc = np.cumsum(w), np.cumsum(rs.dirichlet(np.full(d, 0.5), size=m), axis=1)
+        got = _kernels_np.sample_groups(seed, n, k, cw, cc, start=start)
+        want = reference_sample_groups(seed, n, k, cw, cc, start=start)
+        assert got.dtype == want.dtype == np.uint8
+        assert_array_equal(got, want)
 
 
 class TestBackends:

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
+from specmix import sampling
 
 
 class TestDrawGroups:
@@ -83,6 +84,46 @@ class TestTally:
         h = sp.tally(sp.GroupedDataset(40, rows))
         assert h.counts == {(100,) + (0,) * 39: 1, (70,) + (0,) * 38 + (30,): 2}
         assert h.n_groups == 3 and len(h.counts) == 2
+
+
+B = sampling.DRAW_BLOCK
+
+
+class TestDrawTally:
+    # Block edges: one group, a block short of full, full, one over, and a
+    # ragged last block.
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 17])
+    @pytest.mark.parametrize(
+        "weights, d, k",
+        [
+            ([0.5, 0.3, 0.2], 3, 5),  # keyed by base-6 integers
+            ([0.6, 0.4], 30, 5),  # 6^30 overflows a key: sorted rows
+            ([1.0], 4, 3),  # one component
+        ],
+    )
+    def test_equals_tally_of_draw_groups(self, n, weights, d, k):
+        comps = np.random.default_rng(d).dirichlet(np.ones(d), size=len(weights))
+        mix = sp.make_mixture(weights, comps)
+        got = sampling.draw_tally(mix, k, n, seed=n)
+        groups = sp.draw_groups(mix, k, n, seed=n).groups
+        want = sp.tally(sp.GroupedDataset(d, groups))
+        assert (got.d, got.group_size) == (want.d, want.group_size)
+        for name in ("cats", "draws", "held", "groups"):
+            a, b = getattr(got.counts, name), getattr(want.counts, name)
+            assert a.dtype == b.dtype, name
+            assert_array_equal(a, b, err_msg=name)
+        # and both hold the tallies of the drawn rows, counted without blocks
+        comps = np.zeros((n, d), dtype=np.uint8)
+        np.add.at(comps, (np.arange(n)[:, None], groups), 1)
+        rows, counts = np.unique(comps, axis=0, return_counts=True)
+        assert dict(got.counts) == dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+
+    def test_validates_like_draw_groups(self, blend_mix):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            sampling.draw_tally(blend_mix, 3, 0, seed=0)
+        wide = sp.make_mixture([1.0], np.full((1, 256), 1 / 256))
+        with pytest.raises(ValueError, match="255 categories"):
+            sampling.draw_tally(wide, 3, 10, seed=0)
 
 
 class TestNumCompositions:
