@@ -15,7 +15,6 @@ from .counterexamples import (
     verify_moment_equality,
 )
 from .estimation import (
-    MomentEstimate,
     build_c_hat,
     build_e_hat,
     empirical_sym_moment,
@@ -30,7 +29,6 @@ from .experiments import (
 )
 from .kernels import BACKEND
 from .model import (
-    DiagonalMap,
     DominatingMeasure,
     MixtureSpec,
     b_map,
@@ -85,14 +83,12 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BACKEND",
-    "DiagonalMap",
     "DominatingMeasure",
     "ExperimentConfig",
     "ExperimentReport",
     "GroupTallyHistogram",
     "GroupedDataset",
     "MixtureSpec",
-    "MomentEstimate",
     "MultinomialSpec",
     "RankDeficiencyError",
     "RecoveryConfig",

@@ -2,8 +2,9 @@
 
 The order-r estimator is the plain average, over groups and over all
 ordered r-tuples of distinct within-group positions, of the outer
-product of the selected one-hot draws (optionally rescaled coordinate-
-wise by a diagonal map).  Its expectation is sum_i w_i (B p_i)^{(x) r}.
+product of the selected one-hot draws, each optionally multiplied
+entrywise by a scale vector b.  It is a plain (d,)*r array whose
+expectation is sum_i w_i (B p_i)^{(x) r} for B = diag(b).
 
 The estimator is symmetric in within-group order, so a group's tally
 (its category counts) carries everything it sees: a dataset is tallied
@@ -17,59 +18,18 @@ exact population moment for a MixtureSpec and the estimate otherwise.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiagonalMap, MixtureSpec, population_moment
-from .sampling import GroupedDataset, GroupTallyHistogram, _tally_table, tally
+from .model import MixtureSpec, population_moment
+from .sampling import GroupedDataset, GroupTallyHistogram, tally
 from .tensors import _multisets, outer_power, unfold
 
 # Nothing in the library reads this.  perfbench/workloads.py imports it to
 # label each workload with the moment path it took before every dataset
 # was tallied; it goes when the benchmark is next revised.
 TALLY_FACTOR = 10
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """Symmetric order-r moment tensor plus provenance.
-
-    transform is the diagonal map applied to each draw (None means
-    identity); with identity transform the entries are nonnegative and
-    sum to 1 up to float division.
-    """
-
-    tensor: np.ndarray
-    order: int
-    n_groups: int
-    transform: DiagonalMap | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.tensor.shape[0]
-
-    def to_json(self) -> str:
-        diag = None if self.transform is None else self.transform.diag.tolist()
-        return json.dumps(
-            {
-                "order": self.order,
-                "dim": self.dim,
-                "n_groups": self.n_groups,
-                "transform": diag,
-                "entries": self.tensor.ravel().tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MomentEstimate":
-        obj = json.loads(text)
-        order, dim = int(obj["order"]), int(obj["dim"])
-        tensor = np.array(obj["entries"], dtype=np.float64).reshape((dim,) * order)
-        transform = None if obj["transform"] is None else DiagonalMap(np.array(obj["transform"]))
-        return cls(tensor, order, int(obj["n_groups"]), transform)
 
 
 def _tally_counts(h: GroupTallyHistogram, r: int) -> np.ndarray:
@@ -90,7 +50,7 @@ def _tally_counts(h: GroupTallyHistogram, r: int) -> np.ndarray:
     d, k = h.d, h.group_size
     if math.perm(k, r) >= 2**63:
         raise OverflowError(f"ordered {r}-tuples of {k} draws overflow 64 bits")
-    table = _tally_table(h)
+    table = h.counts
     cats, draws = table.cats, table.draws
     last_entry = np.repeat(np.cumsum(table.held) - 1, table.held)
     entry, left, flat, weight = np.arange(len(cats)), draws - 1, cats, draws
@@ -116,9 +76,10 @@ def _tally_counts(h: GroupTallyHistogram, r: int) -> np.ndarray:
 def empirical_sym_moment(
     data: GroupedDataset | GroupTallyHistogram,
     r: int,
-    b: DiagonalMap | None = None,
-) -> MomentEstimate:
-    """Order-r symmetrized moment estimate from a dataset or histogram.
+    b: np.ndarray | None = None,
+) -> np.ndarray:
+    """Order-r symmetrized moment estimate, a (d,)*r array, from a
+    dataset or histogram, each draw scaled by the vector b if given.
 
     A dataset is tallied first; the tally loses nothing the estimate
     sees, so both inputs give the same bits.
@@ -129,34 +90,29 @@ def empirical_sym_moment(
     if isinstance(data, GroupedDataset):
         data = tally(data)
     tensor = _tally_counts(data, r) / (n * math.perm(k, r))
-    if b is not None:
-        tensor = tensor * outer_power(b.diag, r)
-    return MomentEstimate(tensor, r, n, b)
+    return tensor if b is None else tensor * outer_power(b, r)
 
 
 def moment(
-    source: MixtureSpec | GroupedDataset | GroupTallyHistogram | MomentEstimate | np.ndarray,
+    source: MixtureSpec | GroupedDataset | GroupTallyHistogram | np.ndarray,
     r: int,
-    b: DiagonalMap | None = None,
+    b: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Order-r moment tensor under b, from any moment source.
+    """Order-r moment tensor, with every draw scaled by the vector b,
+    from any moment source.
 
     A MixtureSpec gives the exact population moment, a dataset or
-    histogram the empirical estimate.  A precomputed MomentEstimate or
-    tensor is taken as already transformed and only checked for order.
+    histogram the empirical estimate.  A precomputed tensor is taken as
+    already scaled and only checked for order.
     """
     if isinstance(source, MixtureSpec):
         tensor = population_moment(source, r)
-        return tensor if b is None else tensor * outer_power(b.diag, r)
-    if isinstance(source, MomentEstimate):
-        if source.order != r:
-            raise ValueError(f"expected an order-{r} moment, got order {source.order}")
-        return source.tensor
+        return tensor if b is None else tensor * outer_power(b, r)
     if isinstance(source, np.ndarray):
         if source.ndim != r:
             raise ValueError(f"expected an order-{r} tensor, got order {source.ndim}")
         return source
-    return empirical_sym_moment(source, r, b).tensor
+    return empirical_sym_moment(source, r, b)
 
 
 def moment_source(data, max_order: int):
@@ -176,9 +132,9 @@ def moment_source(data, max_order: int):
 
 
 def build_c_hat(
-    data: MixtureSpec | GroupedDataset | GroupTallyHistogram | MomentEstimate | np.ndarray,
+    data: MixtureSpec | GroupedDataset | GroupTallyHistogram | np.ndarray,
     m: int,
-    b: DiagonalMap,
+    b: np.ndarray | None,
 ) -> np.ndarray:
     """Second-moment operator of the transformed (m-1)-fold draws.
 
@@ -196,7 +152,7 @@ def build_c_hat(
     return 0.5 * (mat + mat.T)
 
 
-def build_e_hat(data: GroupedDataset | GroupTallyHistogram, m: int) -> MomentEstimate:
+def build_e_hat(data: GroupedDataset | GroupTallyHistogram, m: int) -> np.ndarray:
     """Order-(m-1) moment in the original space, for the weight solve."""
     if m < 2:
         raise ValueError(f"component count must be >= 2, got {m}")

@@ -2,9 +2,8 @@
 
 Imports the compiled extension when present, otherwise the pure numpy
 fallback.  Set the environment variable SPECMIX_FORCE_NUMPY=1 before
-import to force the fallback (used by the benchmark and the backend
-equivalence test).  Both backends are bit-identical, so the choice only
-affects speed.
+import to force the fallback (the forced-backend test does).  Both
+backends are bit-identical, so the choice only affects speed.
 """
 from __future__ import annotations
 

@@ -3,7 +3,9 @@
 A mixture is a finite collection of probability vectors on d categories
 together with strictly positive weights summing to one.  The order-n
 population moment is the symmetric tensor sum_i w_i p_i^{(x) n}, i.e. the
-joint law of n exchangeable draws that share a latent component.
+joint law of n exchangeable draws that share a latent component, held as a
+plain (d,)*n array.  A reference measure y enters the pipeline only as the
+scale vector b = 1/sqrt(y) of the rescaling B = diag(b).
 """
 from __future__ import annotations
 
@@ -82,9 +84,23 @@ def json_fields(obj: dict, what: str, *keys: str) -> list:
 
 @dataclass(frozen=True)
 class DominatingMeasure:
-    """Strictly positive mass per category (not necessarily normalized)."""
+    """Finite, strictly positive mass per category (not necessarily
+    normalized).  y may be any 1-D sequence; it is checked and stored as
+    a read-only float64 copy, so every measure gives a finite, positive
+    scale vector b_map."""
 
     y: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.y, dtype=np.float64)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("dominating measure must be a nonempty 1-D array")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"dominating measure entry {bad[0]} is {arr[bad[0]]}, not finite")
+        if np.any(arr <= 0.0):
+            raise ValueError(f"dominating measure entries must be > 0, got min {arr.min():.3g}")
+        object.__setattr__(self, "y", _readonly(arr))
 
     @property
     def d(self) -> int:
@@ -95,25 +111,7 @@ class DominatingMeasure:
 
     @classmethod
     def from_json(cls, text: str) -> "DominatingMeasure":
-        return dominating_measure(json.loads(text)["y"])
-
-
-@dataclass(frozen=True)
-class DiagonalMap:
-    """The linear map x -> (diag_1 x_1, ..., diag_d x_d)."""
-
-    diag: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.diag * np.asarray(x, dtype=np.float64)
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diag)
-
-    def inverse(self) -> "DiagonalMap":
-        if np.any(self.diag == 0.0):
-            raise ValueError("diagonal map with a zero entry has no inverse")
-        return DiagonalMap(_readonly(1.0 / self.diag))
+        return cls(json.loads(text)["y"])
 
 
 class DistinctNorms(NamedTuple):
@@ -131,13 +129,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def dominating_measure(y: Sequence[float]) -> DominatingMeasure:
-    """Validate a strictly positive category-mass vector."""
-    arr = np.array(y, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("dominating measure must be a nonempty 1-D array")
-    if np.any(arr <= 0.0):
-        raise ValueError(f"dominating measure entries must be > 0, got min {arr.min():.3g}")
-    return DominatingMeasure(_readonly(arr))
+    """Validate a finite, strictly positive category-mass vector."""
+    return DominatingMeasure(y)
 
 
 def make_mixture(weights: Sequence[float], components: Sequence[Sequence[float]]) -> MixtureSpec:
@@ -186,23 +179,16 @@ def random_dominating_measure(
     scheme: str = "uniform",
     seed: int = 0,
     sigma: float = 1.0,
-    values: Sequence[float] | None = None,
 ) -> DominatingMeasure:
     """Draw a strictly positive reference measure on d categories.
 
     Schemes: "uniform" draws each mass iid uniform on [1, 2];
     "sqgauss" squares iid centered normals of standard deviation sigma
-    (floored at 1e-12 so the result stays strictly positive);
-    "fixed" validates the supplied vector.  Deterministic given seed.
+    (floored at 1e-12 so the result stays strictly positive).
+    Deterministic given seed; dominating_measure validates a given vector.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if scheme == "fixed":
-        if values is None:
-            raise ValueError("fixed scheme requires explicit values")
-        if len(values) != d:
-            raise ValueError(f"fixed measure has {len(values)} entries, expected {d}")
-        return dominating_measure(values)
     stream_seed = rng.derive_seed(seed, rng.TAG_DOMINATING)
     if scheme == "uniform":
         y = 1.0 + rng.uniforms(stream_seed, 0, d)
@@ -213,16 +199,18 @@ def random_dominating_measure(
         y = np.maximum((sigma * z) ** 2, SQGAUSS_FLOOR)
     else:
         raise ValueError(f"unknown dominating-measure scheme {scheme!r}")
-    return DominatingMeasure(_readonly(y))
+    return DominatingMeasure(y)
 
 
-def b_map(xi: DominatingMeasure) -> DiagonalMap:
-    """Diagonal map with entries 1/sqrt(y_i).
+def b_map(xi: DominatingMeasure) -> np.ndarray:
+    """The read-only scale vector 1/sqrt(y) of B = diag(1/sqrt(y)).
 
-    Rescales category coordinates so the Euclidean inner product matches
-    the xi-weighted L2 inner product of the corresponding step functions.
+    Multiplying category coordinates by it makes the Euclidean inner
+    product match the xi-weighted L2 inner product of the corresponding
+    step functions.  Its entries are finite and positive, because every
+    DominatingMeasure is.
     """
-    return DiagonalMap(_readonly(1.0 / np.sqrt(xi.y)))
+    return _readonly(1.0 / np.sqrt(xi.y))
 
 
 def check_distinct_norms(

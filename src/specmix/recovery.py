@@ -2,8 +2,9 @@
 
 Pipeline for a target component count m:
 
-1. Rescale coordinates by B = diag(1/sqrt(y)) for a reference measure y
-   chosen so the rescaled components have distinct Euclidean norms.
+1. Rescale coordinates by B = diag(b), b = 1/sqrt(y) the scale vector of
+   a reference measure y chosen so the rescaled components have distinct
+   Euclidean norms.  Moments are plain (d,)*r arrays of scaled draws.
 2. Whiten: from the order-(2m-2) moment form C, build W = C^{-1/2} on
    its top-m eigenspace; W maps the weighted component powers to an
    orthonormal family.
@@ -11,7 +12,7 @@ Pipeline for a target component count m:
    d^m x d^{m-1} matrix T; the top m eigenvectors of T T^T are, up to
    sign, the rescaled components tensored with their whitened powers.
 4. Contract each eigenvector (folded to a d x d^{m-1} map) against a
-   probe vector, undo B, fix sign, clip stray negatives, normalize.
+   probe vector, divide by b, fix sign, clip stray negatives, normalize.
 5. Fit weights by least squares against the order-(m-1) moment in the
    original coordinates, then map the solution onto the simplex.
 
@@ -28,9 +29,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .estimation import MomentEstimate, build_c_hat, moment, moment_source
+from .estimation import build_c_hat, moment, moment_source
 from .model import (
-    DiagonalMap,
     DominatingMeasure,
     MixtureSpec,
     b_map,
@@ -143,14 +143,14 @@ def whiten(c_hat: np.ndarray, m: int, eig_floor: float = 1e-8) -> np.ndarray:
     return eig_sqrt_pinv(sym_eig(c_hat), m, eig_floor)
 
 
-def build_t_hat(q_hat: MomentEstimate | np.ndarray, w: np.ndarray) -> np.ndarray:
+def build_t_hat(q_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Flatten (I (x) W (x) W) q_hat to a d^m x d^{m-1} matrix.
 
     Rows index the leading m tensor axes, columns the trailing m-1; the
     population version of T T^T has the scaled rescaled components as
     its top m eigenvectors.
     """
-    q = q_hat.tensor if isinstance(q_hat, MomentEstimate) else np.asarray(q_hat, dtype=np.float64)
+    q = np.asarray(q_hat, dtype=np.float64)
     if q.ndim % 2 != 1:
         raise ValueError(f"expected an odd-order tensor, got order {q.ndim}")
     m = (q.ndim + 1) // 2
@@ -190,7 +190,7 @@ def _contract_eigenvector(
 def _finalize_components(
     eigenvectors: np.ndarray,
     d: int,
-    b: DiagonalMap | None,
+    b: np.ndarray | None,
     probe: str,
     seed: int,
     clip_negatives: bool,
@@ -198,12 +198,11 @@ def _finalize_components(
     """Contract eigenvectors to component rows; sign-then-normalize makes
     the output invariant to eigenvector sign flips."""
     probe_seed = rng.derive_seed(seed, rng.TAG_PROBE)
-    binv = None if b is None else b.inverse()
     rows = []
     for i in range(eigenvectors.shape[1]):
         u = _contract_eigenvector(eigenvectors[:, i], d, probe, probe_seed, i)
-        if binv is not None:
-            u = binv.apply(u)
+        if b is not None:
+            u = (1.0 / b) * u
         if u.sum() < 0.0:
             u = -u
         if clip_negatives:
@@ -216,7 +215,7 @@ def _finalize_components(
 
 
 def recover_weights(
-    e_hat: MomentEstimate | np.ndarray,
+    e_hat: np.ndarray,
     components: Sequence[np.ndarray] | np.ndarray,
     solver: str = "clip-renormalize",
 ) -> WeightSolution:
@@ -227,7 +226,7 @@ def recover_weights(
     then maps the raw solution onto the simplex per the chosen solver.
     The residual is the Frobenius misfit of the returned weights.
     """
-    e = e_hat.tensor if isinstance(e_hat, MomentEstimate) else np.asarray(e_hat, dtype=np.float64)
+    e = np.asarray(e_hat, dtype=np.float64)
     comp = np.atleast_2d(np.asarray(components, dtype=np.float64))
     m = comp.shape[0]
     r = e.ndim
@@ -279,13 +278,13 @@ def _stage(name: str):
         raise RecoveryError(f"stage {name!r} failed: {exc}") from exc
 
 
-def _odd_operator(data, m: int, b: DiagonalMap | None, w: np.ndarray) -> np.ndarray:
+def _odd_operator(data, m: int, b: np.ndarray | None, w: np.ndarray) -> np.ndarray:
     """T T^T for T from the order-(2m-1) moment under b."""
     t_hat = build_t_hat(moment(data, 2 * m - 1, b), w)
     return t_hat @ t_hat.T
 
 
-def _fourth_operator(data, m: int, b: DiagonalMap | None, w: np.ndarray) -> np.ndarray:
+def _fourth_operator(data, m: int, b: np.ndarray | None, w: np.ndarray) -> np.ndarray:
     """I (x) W (x) I (x) W on the order-4 moment, flattened at split 2."""
     d = data.d
     a = np.moveaxis(np.tensordot(w, moment(data, 4, b), axes=(1, 1)), 0, 1)
@@ -299,7 +298,7 @@ def _run_stages(
     seed: int,
     config: RecoveryConfig,
     *,
-    b: DiagonalMap | None,
+    b: np.ndarray | None,
     c_order: int,
     operator: tuple,
     weight_order: int,

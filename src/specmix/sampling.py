@@ -18,7 +18,7 @@ import math
 import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import IO, Dict, Tuple
+from typing import IO, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -50,13 +50,30 @@ class GroupTallyHistogram:
 
     Keys are length-d compositions (category occurrence counts summing to
     group_size); values are group counts.  Total count equals the number
-    of groups in the source dataset.  tally() fills counts with a
-    read-only mapping backed by arrays.
+    of groups in the source dataset.  counts is always the read-only,
+    array-backed mapping tally() builds: any other mapping is checked
+    once here and converted, keeping its key order.
     """
 
     d: int
     group_size: int
     counts: Mapping[Composition, int]
+
+    def __post_init__(self):
+        if isinstance(self.counts, _TallyTable):
+            return
+        d, k = self.d, self.group_size
+        if not self.counts:
+            raise ValueError("a tally histogram needs at least one group")
+        for key, n in self.counts.items():
+            if len(key) != d or sum(key) != k:
+                raise ValueError(f"tally key {key} does not sum to {k} over {d} categories")
+            if n <= 0 or min(key) < 0 or any(v % 1 for v in (n, *key)):
+                raise ValueError(f"invalid tally record {key}: {n} groups")
+        comps = np.array(list(self.counts), dtype=np.int64).reshape(-1, d)
+        # object keeps group counts past 2^63, as from_json allows, exact
+        groups = np.array(list(self.counts.values()), dtype=object)
+        object.__setattr__(self, "counts", _TallyTable.from_compositions(comps, groups))
 
     @property
     def n_groups(self) -> int:
@@ -78,13 +95,10 @@ class GroupTallyHistogram:
         k, d = int(obj["k"]), int(obj["d"])
         counts: Dict[Composition, int] = {}
         for rec in obj["counts"]:
-            key = tuple(int(v) for v in rec["key"])
-            n = int(rec["n"])
-            if len(key) != d or sum(key) != k:
-                raise ValueError(f"tally key {key} does not sum to {k} over {d} categories")
-            if n <= 0 or any(v < 0 for v in key):
-                raise ValueError(f"invalid tally record {rec}")
-            counts[key] = counts.get(key, 0) + n
+            key, n = tuple(int(v) for v in rec["key"]), int(rec["n"])
+            old = counts.get(key)
+            # a record of no groups keeps its key invalid through the merge
+            counts[key] = n if old is None else old + n if min(old, n) > 0 else min(old, n)
         return cls(d, k, counts)
 
 
@@ -106,13 +120,22 @@ def _check_dataset(d: int, groups: np.ndarray, dtype=None) -> GroupedDataset:
 DRAW_BLOCK = 65_536
 
 
-def _sampler_inputs(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> tuple:
-    """The sub-seed and cumulative arrays kernels.sample_groups reads."""
+def _draw_blocks(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> Iterator[np.ndarray]:
+    """The groups in DRAW_BLOCK-row blocks.  Group g draws from its own
+    counter-derived stream in any block, so the blocks stacked are the
+    rows of one kernels.sample_groups call; small blocks stay in cache."""
     if group_size < 1 or n_groups < 1:
         raise ValueError("group_size and n_groups must be >= 1")
     if mix.d > 255:
         raise ValueError("more than 255 categories not supported by the sampler")
-    return rng.derive_seed(seed, rng.TAG_GROUPS), np.cumsum(mix.weights), np.cumsum(mix.components, axis=1)
+    sub_seed = rng.derive_seed(seed, rng.TAG_GROUPS)
+    cum_weights, cum_components = np.cumsum(mix.weights), np.cumsum(mix.components, axis=1)
+    return (
+        kernels.sample_groups(
+            sub_seed, min(DRAW_BLOCK, n_groups - lo), group_size, cum_weights, cum_components, start=lo
+        )
+        for lo in range(0, n_groups, DRAW_BLOCK)
+    )
 
 
 def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> GroupedDataset:
@@ -122,24 +145,18 @@ def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> 
     g consumes its own counter-derived random stream, so any contiguous
     slice of groups can be regenerated in isolation.
     """
-    sub_seed, cum_weights, cum_components = _sampler_inputs(mix, group_size, n_groups, seed)
-    groups = kernels.sample_groups(sub_seed, n_groups, group_size, cum_weights, cum_components)
+    blocks = _draw_blocks(mix, group_size, n_groups, seed)
+    groups = np.empty((n_groups, group_size), dtype=np.uint8)
+    for lo, block in zip(range(0, n_groups, DRAW_BLOCK), blocks):
+        groups[lo : lo + len(block)] = block
     return _check_dataset(mix.d, groups)
 
 
 def draw_tally(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> GroupTallyHistogram:
     """tally(draw_groups(mix, group_size, n_groups, seed)), without the
     n_groups x group_size array: DRAW_BLOCK groups are drawn and tallied
-    at a time.  Group g draws from stream g in any block, so the
-    histogram is the same, array for array."""
-    sub_seed, cum_weights, cum_components = _sampler_inputs(mix, group_size, n_groups, seed)
-    blocks = (
-        kernels.sample_groups(
-            sub_seed, min(DRAW_BLOCK, n_groups - lo), group_size, cum_weights, cum_components, start=lo
-        )
-        for lo in range(0, n_groups, DRAW_BLOCK)
-    )
-    return _tally_blocks(mix.d, group_size, blocks)
+    at a time, so the histogram is the same, array for array."""
+    return _tally_blocks(mix.d, group_size, _draw_blocks(mix, group_size, n_groups, seed))
 
 
 class _TallyTable(Mapping):
@@ -247,15 +264,6 @@ def _distinct(ids: np.ndarray, counts: np.ndarray | None = None) -> tuple:
     change = ids[1:] != ids[:-1]
     starts = np.flatnonzero(np.r_[True, change if ids.ndim == 1 else change.any(axis=1)])
     return ids[starts], np.add.reduceat(counts[order], starts)
-
-
-def _tally_table(h: GroupTallyHistogram) -> _TallyTable:
-    """The sparse array form of h, in key order."""
-    if isinstance(h.counts, _TallyTable):
-        return h.counts
-    comps = np.array(list(h.counts), dtype=np.int64).reshape(-1, h.d)
-    # object keeps group counts past 2^63, as from_json allows, exact
-    return _TallyTable.from_compositions(comps, np.array(list(h.counts.values()), dtype=object))
 
 
 def num_compositions(k: int, d: int) -> int:

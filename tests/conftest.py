@@ -55,8 +55,8 @@ def raw_counts(ds: sp.GroupedDataset, r: int) -> np.ndarray:
     return counts.reshape((d,) * r)
 
 
-def raw_moment(ds: sp.GroupedDataset, r: int, b: sp.DiagonalMap | None = None) -> np.ndarray:
+def raw_moment(ds: sp.GroupedDataset, r: int, b: np.ndarray | None = None) -> np.ndarray:
     """The order-r estimate from raw_counts, normalized and rescaled as
     the estimator does it, so the two agree bit for bit."""
     tensor = raw_counts(ds, r) / (ds.n_groups * math.perm(ds.group_size, r))
-    return tensor if b is None else tensor * sp.outer_power(b.diag, r)
+    return tensor if b is None else tensor * sp.outer_power(b, r)

@@ -1,6 +1,5 @@
 """Moment estimators: exact small cases, the position-tuple oracle, statistics."""
 import io
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
 from conftest import raw_counts, raw_moment
-from specmix.estimation import MomentEstimate, _tally_counts, moment
+from specmix.estimation import _tally_counts, moment
 from specmix.sampling import _tally_by_keys, _tally_by_sorting
 
 
@@ -24,34 +23,33 @@ class TestExactSmallCases:
     def test_single_group_pairs(self):
         # ordered distinct pairs of (0,0,1): (0,0) twice, (0,1) twice, (1,0) twice
         est = sp.empirical_sym_moment(dataset([[0, 0, 1]], 2), 2)
-        assert_allclose(est.tensor, [[1 / 3, 1 / 3], [1 / 3, 0.0]], atol=1e-15)
+        assert_allclose(est, [[1 / 3, 1 / 3], [1 / 3, 0.0]], atol=1e-15)
 
     def test_order_one_is_frequency(self):
         est = sp.empirical_sym_moment(dataset([[0, 0, 1]], 2), 1)
-        assert_allclose(est.tensor, [2 / 3, 1 / 3], atol=1e-15)
+        assert_allclose(est, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_constant_group(self):
         est = sp.empirical_sym_moment(dataset([[1, 1, 1]], 3), 3)
-        assert_array_equal(est.tensor, sp.outer_power([0.0, 1.0, 0.0], 3))
+        assert_array_equal(est, sp.outer_power([0.0, 1.0, 0.0], 3))
 
     def test_five_draw_group(self):
         est = sp.empirical_sym_moment(dataset([[0, 0, 1, 1, 1]], 2), 2)
-        assert_allclose(est.tensor, [[0.1, 0.3], [0.3, 0.3]], atol=1e-15)
+        assert_allclose(est, [[0.1, 0.3], [0.3, 0.3]], atol=1e-15)
 
     def test_mass_one_and_symmetry(self, blend_mix):
         ds = sp.draw_groups(blend_mix, 4, 200, seed=4)
         for r in (1, 2, 3, 4):
-            t = sp.empirical_sym_moment(ds, r).tensor
+            t = sp.empirical_sym_moment(ds, r)
             assert abs(t.sum() - 1.0) < 1e-12
             assert np.all(t >= 0)
             assert_allclose(sp.symmetrize(t), t, atol=1e-14)
 
     def test_diagonal_transform(self):
-        b = sp.DiagonalMap(np.array([2.0, 10.0]))
+        b = np.array([2.0, 10.0])
         plain = sp.empirical_sym_moment(dataset([[0, 0, 1]], 2), 2)
         scaled = sp.empirical_sym_moment(dataset([[0, 0, 1]], 2), 2, b=b)
-        assert_allclose(scaled.tensor, plain.tensor * np.outer([2, 10], [2, 10]), atol=1e-14)
-        assert scaled.transform is b
+        assert_allclose(scaled, plain * np.outer([2, 10], [2, 10]), atol=1e-14)
 
     def test_order_out_of_range(self):
         with pytest.raises(ValueError, match="order"):
@@ -73,20 +71,20 @@ class TestPathEquivalence:
             ds = dataset(rows, d)
             h = sp.tally(ds)
             for r in range(1, k + 1):
-                assert_array_equal(sp.empirical_sym_moment(h, r).tensor, raw_moment(ds, r))
+                assert_array_equal(sp.empirical_sym_moment(h, r), raw_moment(ds, r))
 
     def test_large_dataset_matches_oracle(self, blend_mix):
         # n=2000 groups share 10 possible tallies
         ds = sp.draw_groups(blend_mix, 3, 2000, seed=7)
-        assert_array_equal(sp.empirical_sym_moment(ds, 2).tensor, raw_moment(ds, 2))
+        assert_array_equal(sp.empirical_sym_moment(ds, 2), raw_moment(ds, 2))
 
     def test_histogram_input(self, blend_mix):
         ds = sp.draw_groups(blend_mix, 3, 150, seed=9)
         h = sp.tally(ds)
-        assert_array_equal(sp.empirical_sym_moment(h, 2).tensor, raw_moment(ds, 2))
+        assert_array_equal(sp.empirical_sym_moment(h, 2), raw_moment(ds, 2))
         # the same histogram as a plain dict, as from_json builds it
         plain = sp.GroupTallyHistogram(h.d, h.group_size, dict(h.counts))
-        assert_array_equal(sp.empirical_sym_moment(plain, 2).tensor, raw_moment(ds, 2))
+        assert_array_equal(sp.empirical_sym_moment(plain, 2), raw_moment(ds, 2))
 
     def test_tally_matches_raw_bitwise_at_full_order(self):
         # d=5, k=7 reaches r = k and 5^7-entry tensors, past the property tests' range
@@ -104,14 +102,14 @@ class TestPathEquivalence:
         ds = sp.read_groups(io.StringIO("\n".join(" ".join(map(str, row)) for row in rows)))
         assert ds.d == 300 and ds.groups.dtype == np.int64
         for r in (1, 2):
-            assert_array_equal(sp.empirical_sym_moment(ds, r).tensor, raw_moment(ds, r))
+            assert_array_equal(sp.empirical_sym_moment(ds, r), raw_moment(ds, r))
 
     def test_many_categories(self):
         # d=30, k=5: 6^30 overflows a 63-bit tally key
         rng = np.random.default_rng(6)
         ds = dataset(rng.integers(0, 30, size=(300, 5)), 30)
         for r in range(1, 5):
-            assert_array_equal(sp.empirical_sym_moment(ds, r).tensor, raw_moment(ds, r))
+            assert_array_equal(sp.empirical_sym_moment(ds, r), raw_moment(ds, r))
 
     def test_counts_past_2_53_stay_within_rounding(self):
         # k=20, d=2 with up to 1e9 groups per tally: counts reach ~1e27.  A
@@ -134,19 +132,19 @@ class TestPathEquivalence:
         ds = dataset(np.zeros((1, 21)), 1)
         with pytest.raises(OverflowError, match="64 bits"):
             sp.empirical_sym_moment(ds, 21)
-        assert_array_equal(sp.empirical_sym_moment(ds, 15).tensor, np.ones((1,) * 15))
+        assert_array_equal(sp.empirical_sym_moment(ds, 15), np.ones((1,) * 15))
 
 
 @st.composite
 def small_datasets(draw):
     """Random grouped datasets with d <= 4 and k <= 5, some with many
-    groups per tally, plus an optional diagonal map."""
+    groups per tally, plus an optional scale vector."""
     d = draw(st.integers(1, 4))
     k = draw(st.integers(1, 5))
     n = draw(st.integers(1, 150))
     rows = draw(arrays(np.uint8, (n, k), elements=st.integers(0, d - 1)))
     diag = draw(st.none() | arrays(np.float64, d, elements=st.floats(0.25, 4.0)))
-    return dataset(rows, d), None if diag is None else sp.DiagonalMap(diag)
+    return dataset(rows, d), diag
 
 
 class TestMomentSourceProperties:
@@ -160,12 +158,21 @@ class TestMomentSourceProperties:
         for r in range(1, ds.group_size + 1):
             raw = raw_moment(ds, r, b)
             for other in (
-                sp.empirical_sym_moment(ds, r, b).tensor,
-                sp.empirical_sym_moment(h, r, b).tensor,
+                sp.empirical_sym_moment(ds, r, b),
+                sp.empirical_sym_moment(h, r, b),
                 moment(ds, r, b),
                 moment(h, r, b),
             ):
                 assert_array_equal(other, raw)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_datasets())
+    def test_histogram_from_a_dict_bit_identical(self, case):
+        ds, b = case
+        h = sp.tally(ds)
+        plain = sp.GroupTallyHistogram(h.d, h.group_size, dict(h.counts))
+        for r in range(1, ds.group_size + 1):
+            assert_array_equal(sp.empirical_sym_moment(plain, r, b), sp.empirical_sym_moment(h, r, b))
 
     @settings(max_examples=60, deadline=None)
     @given(small_datasets(), st.integers(0, 2**32 - 1))
@@ -175,8 +182,8 @@ class TestMomentSourceProperties:
         assert sp.tally(shuffled) == sp.tally(ds)
         for r in range(1, ds.group_size + 1):
             assert_array_equal(
-                sp.empirical_sym_moment(shuffled, r, b).tensor,
-                sp.empirical_sym_moment(ds, r, b).tensor,
+                sp.empirical_sym_moment(shuffled, r, b),
+                sp.empirical_sym_moment(ds, r, b),
             )
 
     @settings(max_examples=60, deadline=None)
@@ -219,9 +226,9 @@ class TestMomentSourceProperties:
         if not scaled:
             assert_array_equal(moment(mix, r), sp.population_moment(mix, r))
             return
-        b = sp.DiagonalMap(rng.uniform(0.25, 4.0, size=d))
+        b = rng.uniform(0.25, 4.0, size=d)
         assert_array_equal(
-            moment(mix, r, b), sp.population_moment(mix, r) * sp.outer_power(b.diag, r)
+            moment(mix, r, b), sp.population_moment(mix, r) * sp.outer_power(b, r)
         )
 
 
@@ -232,7 +239,7 @@ class TestStatisticalBehaviour:
         for s in range(n_seeds):
             h = sp.tally(sp.draw_groups(blend_mix, 5, 2000, seed=1000 + s))
             for r in per:
-                per[r].append(sp.empirical_sym_moment(h, r).tensor)
+                per[r].append(sp.empirical_sym_moment(h, r))
         for r, tensors in per.items():
             stack = np.stack(tensors)
             se = stack.std(axis=0, ddof=1) / np.sqrt(n_seeds)
@@ -247,7 +254,7 @@ class TestStatisticalBehaviour:
         for n in ns:
             runs = [
                 np.linalg.norm(
-                    sp.empirical_sym_moment(sp.draw_groups(single, 2, n, seed=300 + s), 2).tensor
+                    sp.empirical_sym_moment(sp.draw_groups(single, 2, n, seed=300 + s), 2)
                     - pop
                 )
                 for s in range(20)
@@ -274,7 +281,7 @@ class TestBuildCHat:
         b = sp.b_map(fixed_xi)
         c = sp.build_c_hat(moment(blend_mix, 4, b), 3, b)
         lam = np.sort(np.linalg.eigvalsh(c))[::-1]
-        bp = blend_mix.components * b.diag
+        bp = blend_mix.components * b
         w = blend_mix.weights
         gram = np.sqrt(np.outer(w, w)) * (bp @ bp.T) ** 2
         assert_allclose(lam[:3], np.sort(np.linalg.eigvalsh(gram))[::-1], atol=1e-12)
@@ -294,7 +301,7 @@ class TestBuildEHat:
     def test_population_value(self, blend_mix):
         # expectation of the order-2 estimate is the order-2 population moment
         per = [
-            sp.build_e_hat(sp.draw_groups(blend_mix, 4, 2000, seed=50 + s), 3).tensor
+            sp.build_e_hat(sp.draw_groups(blend_mix, 4, 2000, seed=50 + s), 3)
             for s in range(100)
         ]
         stack = np.stack(per)
@@ -305,32 +312,10 @@ class TestBuildEHat:
     def test_m_two_is_mean(self, blend_mix):
         ds = sp.draw_groups(blend_mix, 3, 400, seed=6)
         assert_array_equal(
-            sp.build_e_hat(ds, 2).tensor, sp.empirical_sym_moment(ds, 1).tensor
+            sp.build_e_hat(ds, 2), sp.empirical_sym_moment(ds, 1)
         )
 
     def test_rejects_small_m(self, blend_mix):
         ds = sp.draw_groups(blend_mix, 3, 10, seed=0)
         with pytest.raises(ValueError):
             sp.build_e_hat(ds, 1)
-
-
-class TestMomentEstimateJson:
-    def test_round_trip(self, blend_mix, fixed_xi):
-        ds = sp.draw_groups(blend_mix, 3, 50, seed=1)
-        est = sp.empirical_sym_moment(ds, 2, b=sp.b_map(fixed_xi))
-        again = MomentEstimate.from_json(est.to_json())
-        assert_array_equal(again.tensor, est.tensor)
-        assert again.order == 2 and again.n_groups == 50
-        assert_allclose(again.transform.diag, est.transform.diag)
-
-    def test_round_trip_no_transform(self, blend_mix):
-        est = sp.empirical_sym_moment(sp.draw_groups(blend_mix, 3, 20, seed=1), 1)
-        again = MomentEstimate.from_json(est.to_json())
-        assert again.transform is None
-        assert_array_equal(again.tensor, est.tensor)
-
-    def test_schema(self, blend_mix):
-        est = sp.empirical_sym_moment(sp.draw_groups(blend_mix, 3, 20, seed=1), 2)
-        obj = json.loads(est.to_json())
-        assert set(obj) == {"order", "dim", "n_groups", "transform", "entries"}
-        assert len(obj["entries"]) == 9

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
-from specmix import sampling
+from specmix import kernels, rng, sampling
 
 
 class TestDrawGroups:
@@ -106,6 +106,11 @@ class TestDrawTally:
         mix = sp.make_mixture(weights, comps)
         got = sampling.draw_tally(mix, k, n, seed=n)
         groups = sp.draw_groups(mix, k, n, seed=n).groups
+        # draw_groups fills its rows block by block, as one kernel call would
+        cum = np.cumsum(mix.weights), np.cumsum(mix.components, axis=1)
+        unblocked = kernels.sample_groups(rng.derive_seed(n, rng.TAG_GROUPS), n, k, *cum)
+        assert groups.dtype == unblocked.dtype
+        assert_array_equal(groups, unblocked)
         want = sp.tally(sp.GroupedDataset(d, groups))
         assert (got.d, got.group_size) == (want.d, want.group_size)
         for name in ("cats", "draws", "held", "groups"):
@@ -159,6 +164,30 @@ class TestHistogramJson:
         bad = json.dumps({"k": 2, "d": 2, "counts": [{"key": [1, 1], "n": 0}]})
         with pytest.raises(ValueError, match="invalid"):
             sp.GroupTallyHistogram.from_json(bad)
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            ({(2, 1): 4, (3,): 1}, "does not sum"),  # key of the wrong length
+            ({(2, 2): 5, (3, 0): 5}, "does not sum"),
+            ({(4, -1): 2}, "invalid"),  # negative entry
+            ({(2, 1): 0}, "invalid"),
+            ({(2, 1): 3, (1, 2): -1}, "invalid"),
+            ({(1.5, 1.5): 4}, "invalid"),  # fractional entry
+            ({(2, 1): 2.5}, "invalid"),
+            ({}, "at least one group"),
+        ],
+    )
+    def test_rejects_malformed_mapping(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            sp.GroupTallyHistogram(2, 3, counts)
+
+    def test_rejects_a_duplicate_of_no_groups(self):
+        text = json.dumps(
+            {"k": 2, "d": 2, "counts": [{"key": [1, 1], "n": 0}, {"key": [1, 1], "n": 3}]}
+        )
+        with pytest.raises(ValueError, match="invalid"):
+            sp.GroupTallyHistogram.from_json(text)
 
     def test_merges_duplicate_keys(self):
         text = json.dumps(
