@@ -4,9 +4,9 @@ Recovers the components and weights of a finite mixture of categorical
 distributions from grouped samples (several iid draws per latent
 component) by whitening and eigendecomposition of symmetrized moment
 tensors, and constructs mixture pairs showing the required group sizes
-are tight.  Hot sampling kernels run through a compiled extension when
-available, with a pure numpy fallback (set SPECMIX_FORCE_NUMPY=1 to
-force the fallback).
+are tight.  Hot sampling kernels run through plain C compiled with
+``cc`` on first import and loaded with ctypes, with a pure numpy
+fallback when that fails (set SPECMIX_FORCE_NUMPY=1 to force it).
 """
 
 from .counterexamples import (

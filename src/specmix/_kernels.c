@@ -1,0 +1,65 @@
+/* Compiled sampling and tally-key kernels, loaded by _kernels.py with ctypes.
+ *
+ * Scalar implementation of the contract in _kernels_np.py; the two
+ * backends must stay bit-identical.  Words follow the counter scheme in
+ * rng.py, a uniform keeps a word's top 53 bits times an exact power of
+ * two, and an inverse-CDF pick counts the first n-1 cumulative masses at
+ * or below u.  On nondecreasing rows that count is searchsorted(side=
+ * "right") clipped to n-1, so no float path differs from the fallback.
+ * Unsigned 64-bit arithmetic wraps modulo 2**64 as numpy's uint64 does.
+ */
+#include <stdint.h>
+
+#define GOLD 0x9E3779B97F4A7C15ULL
+#define MIX_A 0xBF58476D1CE4E5B9ULL
+#define MIX_B 0x94D049BB133111EBULL
+#define STREAM_MULT 0xD1342543DE82EF95ULL
+#define COUNTER_MULT 0xDABA0B6EB09322E3ULL
+
+static inline uint64_t mix64(uint64_t z) {
+    z = (z ^ (z >> 30)) * MIX_A;
+    z = (z ^ (z >> 27)) * MIX_B;
+    return z ^ (z >> 31);
+}
+
+static inline double to_unit(uint64_t w) { return (double)(w >> 11) * 0x1p-53; }
+
+/* Number of the first n entries of cum at or below u, without branches. */
+static inline int64_t count_le(const double *cum, int64_t n, double u) {
+    int64_t count = 0;
+    for (int64_t i = 0; i < n; i++) count += u >= cum[i];
+    return count;
+}
+
+/* Group g (0-based in out) uses stream start + g: counter 0 picks its
+ * component among the first n_weights + 1 rows of the (n_comp, d)
+ * cum_components, counters 1..group_size its categories. */
+void sample_groups(uint64_t seed, int64_t n_groups, int64_t group_size, const double *cum_weights,
+                   int64_t n_weights, const double *cum_components, int64_t d, uint64_t start,
+                   uint8_t *out) {
+    const uint64_t seed_mixed = mix64(seed + GOLD);
+    for (int64_t g = 0; g < n_groups; g++) {
+        const uint64_t base = mix64(seed_mixed ^ ((start + (uint64_t)g) * STREAM_MULT));
+        const double *row = cum_components + count_le(cum_weights, n_weights, to_unit(mix64(base))) * d;
+        for (int64_t j = 0; j < group_size; j++) {
+            const double u = to_unit(mix64(base ^ ((uint64_t)(j + 1) * COUNTER_MULT)));
+            *out++ = (uint8_t)count_le(row, d - 1, u);
+        }
+    }
+}
+
+/* keys[i] = sum of pows[c] over the draws c of row i of the (n, k) groups.
+ * Returns 0, or -1 (keys unfinished) if a category is d or more. */
+int64_t group_keys(const uint8_t *groups, int64_t n, int64_t k, const int64_t *pows, int64_t d,
+                   int64_t *keys) {
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t acc = 0;
+        for (int64_t j = 0; j < k; j++) {
+            const uint8_t c = *groups++;
+            if (c >= d) return -1;
+            acc += (uint64_t)pows[c];
+        }
+        keys[i] = (int64_t)acc;
+    }
+    return 0;
+}

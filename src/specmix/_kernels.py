@@ -1,0 +1,125 @@
+"""Compiled sampling and tally-key kernels: _kernels.c loaded with ctypes.
+
+The C source is compiled once, with the system C compiler, into
+``__pycache__/_kernels-<key>.so`` next to it, where the key hashes the
+source and the compiler flags, so an edited source gets a new file.  The
+library is built into a temporary file and renamed into place, so
+processes importing at the same time never load a partial file.  Any
+failure (no ``cc``, a read-only directory, a compile error or a timeout)
+raises ImportError, and kernels.py falls back to the numpy kernels.
+
+The functions below keep the signatures and contract of _kernels_np.py,
+bit for bit.
+"""
+from __future__ import annotations
+
+import ctypes
+import os
+import tempfile
+import zlib
+from pathlib import Path
+
+import numpy as np
+from numpy.ctypeslib import ndpointer
+
+from .rng import MASK
+
+SOURCE = Path(__file__).with_name("_kernels.c")
+# No -ffast-math and no -march=native: the floats must compare as numpy's
+# do, and the library may be shared by machines of one architecture.
+CFLAGS = ("-O2", "-shared", "-fPIC")
+CC_TIMEOUT_S = 60
+
+
+def _build(source: Path, cache_dir: Path) -> Path:
+    """The shared library compiled from source, built into cache_dir
+    unless it is already there."""
+    try:
+        code = source.read_bytes()
+        # zlib is already imported by numpy; the key only tells versions
+        # of one file apart, it is no signature.
+        key = zlib.crc32(code + " ".join(CFLAGS).encode())
+        lib = cache_dir / f"{source.stem}-{key:08x}.so"
+        if not lib.exists():
+            cache_dir.mkdir(exist_ok=True)
+            _compile(code, lib)
+        return lib
+    except OSError as exc:
+        raise ImportError(f"cannot build {source}: {exc}") from exc
+
+
+def _compile(code: bytes, lib: Path) -> None:
+    """Compile C code into lib through a temporary file in its directory."""
+    import subprocess  # only a build needs it
+
+    fd, tmp = tempfile.mkstemp(prefix=f".{lib.stem}-", suffix=".so", dir=lib.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            ["cc", *CFLAGS, "-x", "c", "-", "-o", tmp],
+            input=code,
+            capture_output=True,
+            timeout=CC_TIMEOUT_S,
+            check=True,
+        )
+        os.replace(tmp, lib)
+    except subprocess.CalledProcessError as exc:
+        raise ImportError(f"cc failed:\n{exc.stderr.decode(errors='replace')}") from exc
+    except subprocess.TimeoutExpired as exc:
+        raise ImportError(f"cc took over {CC_TIMEOUT_S} s") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+try:
+    _lib = ctypes.CDLL(str(_build(SOURCE, SOURCE.parent / "__pycache__")))
+except OSError as exc:
+    raise ImportError(f"cannot load the library built from {SOURCE}: {exc}") from exc
+
+_f64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
+_lib.sample_groups.argtypes = [
+    ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, _f64, ctypes.c_int64, _f64, ctypes.c_int64,
+    ctypes.c_uint64, ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE"),
+]
+_lib.sample_groups.restype = None
+_lib.group_keys.argtypes = [
+    ndpointer(np.uint8, flags="C_CONTIGUOUS"), ctypes.c_int64, ctypes.c_int64,
+    ndpointer(np.int64, flags="C_CONTIGUOUS"), ctypes.c_int64,
+    ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE"),
+]
+_lib.group_keys.restype = ctypes.c_int64
+
+
+def sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start=0):
+    """See _kernels_np.sample_groups."""
+    cum_weights = np.ascontiguousarray(cum_weights, dtype=np.float64)
+    cum_components = np.ascontiguousarray(cum_components, dtype=np.float64)
+    if cum_weights.ndim != 1 or cum_components.ndim != 2 or 0 in cum_components.shape:
+        raise ValueError("expected (m,) cumulative weights and nonempty (m, d) cumulative components")
+    n_comp, d = cum_components.shape
+    out = np.empty((n_groups, group_size), dtype=np.uint8)
+    # searchsorted(cum_weights) clipped to n_comp - 1 counts at most that many weights
+    n_weights = min(len(cum_weights), n_comp - 1)
+    _lib.sample_groups(
+        int(seed) & MASK, int(n_groups), int(group_size), cum_weights, n_weights, cum_components, d,
+        int(start) & MASK, out,
+    )
+    return out
+
+
+def group_keys(groups, d):
+    """See _kernels_np.group_keys.  Raises ValueError for a category
+    index outside [0, d)."""
+    groups = np.asarray(groups)
+    n, k = groups.shape
+    if groups.dtype != np.uint8:
+        if groups.size and (groups.min() < 0 or groups.max() >= d):
+            raise ValueError(f"category index out of range [0, {d})")
+        groups = groups.astype(np.uint8)
+    groups = np.ascontiguousarray(groups)
+    pows = (k + 1) ** np.arange(d, dtype=np.int64)
+    keys = np.empty(n, dtype=np.int64)
+    if _lib.group_keys(groups, n, k, pows, int(d), keys):
+        raise ValueError(f"category index out of range [0, {d})")
+    return keys

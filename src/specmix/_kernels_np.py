@@ -1,9 +1,9 @@
 """Pure numpy sampling and tally-key kernels.
 
-Fallback used when the compiled extension is unavailable.  Both backends
-implement the same contract: the counter scheme documented in rng.py and
-inverse-CDF search on caller-provided cumulative arrays, producing
-bit-identical output.
+Fallback used when the compiled kernels of _kernels.py cannot be built
+or loaded.  Both backends implement the same contract: the counter
+scheme documented in rng.py and inverse-CDF search on caller-provided
+cumulative arrays, producing bit-identical output.
 """
 from __future__ import annotations
 

@@ -1,9 +1,10 @@
 """Backend selection for the sampling hot path.
 
-Imports the compiled extension when present, otherwise the pure numpy
-fallback.  Set the environment variable SPECMIX_FORCE_NUMPY=1 before
-import to force the fallback (the forced-backend test does).  Both
-backends are bit-identical, so the choice only affects speed.
+Uses the compiled kernels of _kernels.py (plain C, built with ``cc`` on
+first import and loaded with ctypes) when they load, otherwise the pure
+numpy fallback.  Set the environment variable SPECMIX_FORCE_NUMPY=1
+before import to force the fallback (the forced-backend test does).
+Both backends are bit-identical, so the choice only affects speed.
 """
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ Uniform doubles on [0, 1) keep the top 53 bits of a word.  Standard
 normals come in pairs from two words via the Box-Muller transform applied
 to ``1 - u`` so the logarithm argument stays in (0, 1].
 
-The compiled kernels in ``_kernels.pyx`` re-implement ``word`` with native
+The compiled kernels in ``_kernels.c`` re-implement ``word`` with native
 64-bit arithmetic; they must stay bit-identical to this module.
 """
 from __future__ import annotations

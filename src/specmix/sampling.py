@@ -30,10 +30,22 @@ Composition = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class GroupedDataset:
-    """n_groups x group_size array of category indices in [0, d)."""
+    """n_groups x group_size array of category indices in [0, d).
+
+    The indices are checked once, here: the tally keys index a table of
+    d entries with them, so an index outside [0, d) would be read as
+    another category (or, by the compiled kernel, past the table).
+    """
 
     d: int
     groups: np.ndarray
+
+    def __post_init__(self):
+        g = self.groups
+        if not isinstance(g, np.ndarray) or g.dtype.kind not in "iu" or g.ndim != 2 or g.size == 0:
+            raise ValueError("expected a nonempty n x k integer index array")
+        if g.min() < 0 or g.max() >= self.d:
+            raise ValueError(f"category index out of range [0, {self.d})")
 
     @property
     def n_groups(self) -> int:
@@ -102,17 +114,6 @@ class GroupTallyHistogram:
         return cls(d, k, counts)
 
 
-def _check_dataset(d: int, groups: np.ndarray, dtype=None) -> GroupedDataset:
-    """Range-check the indices, then store them (cast to dtype if given)."""
-    if groups.ndim != 2 or groups.size == 0:
-        raise ValueError("expected a nonempty n x k index array")
-    if groups.min() < 0 or groups.max() >= d:
-        raise ValueError(f"category index out of range [0, {d})")
-    g = np.ascontiguousarray(groups, dtype=dtype)
-    g.flags.writeable = False
-    return GroupedDataset(d, g)
-
-
 # Groups drawn or tallied at a time.  Blocks of 16k-65k groups drew and
 # tallied within about 25% of each other (numpy kernels, 2 cores); larger
 # ones were slower and raise the peak memory, which grows with the block,
@@ -149,7 +150,8 @@ def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> 
     groups = np.empty((n_groups, group_size), dtype=np.uint8)
     for lo, block in zip(range(0, n_groups, DRAW_BLOCK), blocks):
         groups[lo : lo + len(block)] = block
-    return _check_dataset(mix.d, groups)
+    groups.flags.writeable = False
+    return GroupedDataset(mix.d, groups)
 
 
 def draw_tally(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> GroupTallyHistogram:
@@ -288,4 +290,7 @@ def read_groups(fh: IO[str], d: int | None = None) -> GroupedDataset:
     groups = rows - 1
     if d is None:
         d = int(groups.max()) + 1
-    return _check_dataset(d, groups, np.uint8 if d <= 255 else np.int64)
+    GroupedDataset(d, groups)  # checks the indices before uint8 could wrap them
+    groups = groups.astype(np.uint8 if d <= 255 else np.int64, copy=False)
+    groups.flags.writeable = False
+    return GroupedDataset(d, groups)

@@ -123,30 +123,57 @@ def reference_sample_groups(seed, n_groups, group_size, cum_weights, cum_compone
     return out
 
 
+# (m, d, k, n, start, seed) cases for the sampler, with zero weights.
+sampler_cases = given(
+    m=st.integers(1, 5),
+    d=st.integers(1, 60),
+    k=st.integers(1, 8),
+    n=st.integers(1, 3000),
+    start=st.integers(0, 2**40),
+    seed=st.integers(0, 2**64 - 1),
+    zero_weight=st.booleans(),
+    mix_seed=st.integers(0, 2**32 - 1),
+)
+
+
+def cumulative_mixture(m, d, zero_weight, mix_seed):
+    """Cumulative weights and component rows of a random mixture."""
+    rs = np.random.default_rng(mix_seed)
+    w = rs.dirichlet(np.ones(m))
+    if zero_weight and m > 1:
+        w[rs.integers(m)] = 0.0
+        w /= w.sum()
+    return np.cumsum(w), np.cumsum(rs.dirichlet(np.full(d, 0.5), size=m), axis=1)
+
+
 class TestNumpySampler:
     @settings(max_examples=60, deadline=None)
-    @given(
-        m=st.integers(1, 5),
-        d=st.integers(1, 60),
-        k=st.integers(1, 8),
-        n=st.integers(1, 3000),
-        start=st.integers(0, 2**40),
-        seed=st.integers(0, 2**64 - 1),
-        zero_weight=st.booleans(),
-        mix_seed=st.integers(0, 2**32 - 1),
-    )
+    @sampler_cases
     @example(m=3, d=4, k=5, n=2000, start=2**40, seed=1, zero_weight=True, mix_seed=0)
     def test_matches_reference(self, m, d, k, n, start, seed, zero_weight, mix_seed):
-        rs = np.random.default_rng(mix_seed)
-        w = rs.dirichlet(np.ones(m))
-        if zero_weight and m > 1:
-            w[rs.integers(m)] = 0.0
-            w /= w.sum()
-        cw, cc = np.cumsum(w), np.cumsum(rs.dirichlet(np.full(d, 0.5), size=m), axis=1)
+        cw, cc = cumulative_mixture(m, d, zero_weight, mix_seed)
         got = _kernels_np.sample_groups(seed, n, k, cw, cc, start=start)
         want = reference_sample_groups(seed, n, k, cw, cc, start=start)
         assert got.dtype == want.dtype == np.uint8
         assert_array_equal(got, want)
+
+
+class TestCompiledSampler:
+    @settings(max_examples=60, deadline=None)
+    @sampler_cases
+    @example(m=3, d=4, k=5, n=2000, start=2**40, seed=1, zero_weight=True, mix_seed=0)
+    @example(m=2, d=1, k=3, n=500, start=0, seed=2**64 - 1, zero_weight=False, mix_seed=1)
+    @example(m=4, d=255, k=8, n=2000, start=7, seed=3, zero_weight=True, mix_seed=2)
+    @example(m=1, d=6, k=5, n=1000, start=2**40, seed=0, zero_weight=False, mix_seed=3)
+    def test_matches_reference(self, m, d, k, n, start, seed, zero_weight, mix_seed):
+        compiled = pytest.importorskip("specmix._kernels")
+        cw, cc = cumulative_mixture(m, d, zero_weight, mix_seed)
+        got = compiled.sample_groups(seed, n, k, cw, cc, start=start)
+        want = reference_sample_groups(seed, n, k, cw, cc, start=start)
+        assert got.dtype == want.dtype == np.uint8
+        assert_array_equal(got, want)
+        # past 2**63 both wrap the same way; the tally never asks for such keys
+        assert_array_equal(compiled.group_keys(got, d), _kernels_np.group_keys(want, d))
 
 
 class TestBackends:
@@ -170,6 +197,8 @@ class TestBackends:
             assert a.dtype == np.uint8
             assert_array_equal(a, b)
             assert_array_equal(compiled.group_keys(a, d), fallback.group_keys(b, d))
+            # a dataset may hold int64 indices; the compiled wrapper narrows them
+            assert_array_equal(compiled.group_keys(a.astype(np.int64), d), fallback.group_keys(b, d))
 
     def test_start_offset_parity(self):
         compiled, fallback = self._both()
@@ -178,6 +207,17 @@ class TestBackends:
         full = compiled.sample_groups(5, 10, 3, cw, cc)
         assert_array_equal(compiled.sample_groups(5, 4, 3, cw, cc, start=6), full[6:])
         assert_array_equal(fallback.sample_groups(5, 4, 3, cw, cc, start=6), full[6:])
+
+    def test_ties_go_right(self):
+        # A uniform equal to a cumulative mass picks the next entry, as
+        # searchsorted(side="right") does.  Random rows almost never tie,
+        # so the thresholds here are group 0's own uniforms: counter 0
+        # picks the component, counter 1 the category.
+        u_comp, u_cat = rng.uniforms(9, 0, 2)
+        cw = np.array([u_comp, 1.0])
+        cc = np.array([[1.0, 1.0, 1.0], [u_cat, 1.0, 1.0]])
+        for impl in self._both():
+            assert impl.sample_groups(9, 1, 1, cw, cc).tolist() == [[1]]
 
     def test_group_keys_encoding(self):
         _, fallback = self._both()
@@ -228,3 +268,67 @@ class TestBackends:
 
         assert specmix.BACKEND in ("compiled", "numpy")
         assert kernels.BACKEND == specmix.BACKEND
+
+    def test_compiled_group_keys_rejects_out_of_range(self):
+        compiled, _ = self._both()
+        with pytest.raises(ValueError, match="range"):
+            compiled.group_keys(np.array([[0, 3]], dtype=np.uint8), 3)
+        with pytest.raises(ValueError, match="range"):
+            compiled.group_keys(np.array([[0, -1]]), 3)
+
+
+class TestCompiledLoader:
+    """_kernels._build against a cache directory of the test's own."""
+
+    @pytest.fixture
+    def compiled(self):
+        return pytest.importorskip("specmix._kernels")
+
+    def test_second_load_reuses_library(self, compiled, tmp_path):
+        lib = compiled._build(compiled.SOURCE, tmp_path)
+        mtime = lib.stat().st_mtime_ns
+        assert compiled._build(compiled.SOURCE, tmp_path) == lib
+        assert lib.stat().st_mtime_ns == mtime
+        assert [p.name for p in tmp_path.iterdir()] == [lib.name]  # no temporary file left
+
+    def test_edited_source_gets_new_file(self, compiled, tmp_path):
+        edited = tmp_path / compiled.SOURCE.name
+        edited.write_bytes(compiled.SOURCE.read_bytes() + b"/* edited */\n")
+        cache = tmp_path / "cache"
+        old, new = compiled._build(compiled.SOURCE, cache), compiled._build(edited, cache)
+        assert old != new and old.exists() and new.exists()
+
+    def test_no_compiler_raises_import_error(self, compiled, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path / "no-such-dir"))
+        with pytest.raises(ImportError):
+            compiled._build(compiled.SOURCE, tmp_path)
+
+    def test_compile_error_raises_import_error(self, compiled, tmp_path):
+        broken = tmp_path / "broken.c"
+        broken.write_text("int f(void) { return }\n")
+        with pytest.raises(ImportError, match="cc failed"):
+            compiled._build(broken, tmp_path / "cache")
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_concurrent_first_builds_agree(self, compiled, tmp_path):
+        # four builders (more than a 2-core machine has cores) on one empty
+        # cache: each renames a whole library into place, so every one
+        # returns the same loadable file and no temporary file is left
+        root = str(Path(compiled.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import ctypes, sys\n"
+            "from pathlib import Path\n"
+            "from specmix import _kernels\n"
+            "lib = _kernels._build(_kernels.SOURCE, Path(sys.argv[1]))\n"
+            "ctypes.CDLL(str(lib))\n"
+            "print(lib)\n"
+        )
+        procs = [
+            subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], stdout=subprocess.PIPE, text=True, env=env)
+            for _ in range(4)
+        ]
+        outs = [p.communicate(timeout=120)[0].strip() for p in procs]
+        assert all(p.returncode == 0 for p in procs)
+        assert len(set(outs)) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [Path(outs[0]).name]

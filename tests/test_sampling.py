@@ -48,6 +48,24 @@ class TestDrawGroups:
             sp.draw_groups(blend_mix, 3, 0, seed=0)
 
 
+class TestGroupedDataset:
+    def test_rejects_negative_index(self):
+        # -1 used to be read as the last category: this moment was [1/3, 1/3, 1/3]
+        with pytest.raises(ValueError, match="range"):
+            sp.empirical_sym_moment(sp.GroupedDataset(3, np.array([[-1, 0, 1]])), 1)
+
+    def test_rejects_index_past_d(self):
+        with pytest.raises(ValueError, match="range"):
+            sp.GroupedDataset(3, np.array([[0, 5, 1]], dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "groups", [np.zeros((0, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8), np.zeros((2, 3)), [[0, 1]]]
+    )
+    def test_rejects_malformed_arrays(self, groups):
+        with pytest.raises(ValueError, match="nonempty n x k integer"):
+            sp.GroupedDataset(3, groups)
+
+
 class TestTally:
     def test_single_group(self):
         ds = sp.GroupedDataset(2, np.array([[0, 0, 1]], dtype=np.uint8))
