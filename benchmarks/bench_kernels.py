@@ -1,10 +1,12 @@
 """Benchmark the compiled sampling kernels against the numpy fallback.
 
-Times sample_groups (counter-based categorical draws) and group_keys
-(per-group tally encoding) on identical inputs, checks the outputs are
-bit-identical, and reports per-backend throughput.  It also checks the
-block contract each backend must keep for sampling.draw_tally: drawing
-the groups in two start= blocks gives the same rows as one call.
+Times sample_groups (counter-based categorical draws), group_keys
+(per-group tally encoding) and sample_keys (both in one pass, counting
+the keys in a (k+1)^d table) on identical inputs, checks the outputs are
+bit-identical, and reports per-backend throughput.  sample_keys must
+equal the bincount of group_keys(sample_groups(...)).  It also checks
+the block contract each backend must keep for sampling.draw_tally: two
+start= blocks give the same rows and table as one call.
 
 Usage:
     python3 benchmarks/bench_kernels.py --n-groups 500000 --group-size 5 --d 3
@@ -15,6 +17,7 @@ import time
 import numpy as np
 
 from specmix import _kernels_np
+from specmix.sampling import DRAW_BLOCK
 
 try:
     from specmix import _kernels
@@ -56,15 +59,22 @@ def main(argv=None) -> int:
     else:
         print("compiled extension not importable; timing the fallback only")
 
+    cells = (args.group_size + 1) ** args.d
+    # draw_tally counts in a table only up to DRAW_BLOCK cells
+    use_table = cells <= DRAW_BLOCK
+    if not use_table:
+        print(f"(k+1)^d = {cells} cells is over {DRAW_BLOCK}: sample_keys not timed")
+
+    def count_keys(impl, *call, start=0):
+        return impl.sample_keys(*call, np.zeros(cells, dtype=np.int64), start=start)
+
     sample_out = {}
     key_out = {}
     print(f"{args.n_groups} groups x {args.group_size} draws, d={args.d}, "
           f"best of {args.repeats}")
     for name, impl in backends:
-        t_sample, groups = best_of(
-            args.repeats, impl.sample_groups,
-            args.seed, args.n_groups, args.group_size, cum_w, cum_c,
-        )
+        call = (args.seed, args.n_groups, args.group_size, cum_w, cum_c)
+        t_sample, groups = best_of(args.repeats, impl.sample_groups, *call)
         t_keys, keys = best_of(args.repeats, impl.group_keys, groups, args.d)
         sample_out[name] = groups
         key_out[name] = keys
@@ -72,13 +82,24 @@ def main(argv=None) -> int:
               f"({draws / t_sample / 1e6:6.1f} M draws/s)   "
               f"group_keys {t_keys * 1e3:7.1f} ms "
               f"({args.n_groups / t_keys / 1e6:6.1f} M groups/s)")
+        if use_table:
+            t_table, table = best_of(args.repeats, count_keys, impl, *call)
+            print(f"  {name:9s} sample_keys   {t_table * 1e3:8.1f} ms "
+                  f"({args.n_groups / t_table / 1e6:6.1f} M groups/s)")
+            if not np.array_equal(table, np.bincount(keys, minlength=cells)):
+                print(f"MISMATCH: {name} sample_keys differs from the bincount of group_keys(sample_groups(...))")
+                return 1
+
         cut = args.n_groups // 3
-        blocks = np.concatenate([
-            impl.sample_groups(args.seed, cut, args.group_size, cum_w, cum_c),
-            impl.sample_groups(args.seed, args.n_groups - cut, args.group_size, cum_w, cum_c, start=cut),
-        ])
-        if not np.array_equal(blocks, groups):
-            print(f"MISMATCH: {name} rows drawn in two blocks differ from one call")
+        head = (args.seed, cut, args.group_size, cum_w, cum_c)
+        tail = (args.seed, args.n_groups - cut, args.group_size, cum_w, cum_c)
+        blocks = np.concatenate([impl.sample_groups(*head), impl.sample_groups(*tail, start=cut)])
+        same = np.array_equal(blocks, groups)
+        if use_table:
+            table = impl.sample_keys(*tail, count_keys(impl, *head), start=cut)
+            same = same and np.array_equal(table, np.bincount(keys, minlength=cells))
+        if not same:
+            print(f"MISMATCH: {name} output drawn in two blocks differs from one call")
             return 1
 
     if len(backends) == 2:
@@ -87,7 +108,9 @@ def main(argv=None) -> int:
             print("MISMATCH: backends disagree")
             return 1
         print("outputs bit-identical across backends")
-    print("every backend draws the same rows in two blocks as in one call")
+    if use_table:
+        print("sample_keys equals the bincount of group_keys(sample_groups(...)) on every backend")
+    print("every backend gives the same output in two blocks as in one call")
     return 0
 
 

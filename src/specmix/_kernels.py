@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
+from ._kernels_np import check_table
 from .rng import MASK
 
 SOURCE = Path(__file__).with_name("_kernels.c")
@@ -78,39 +79,60 @@ except OSError as exc:
     raise ImportError(f"cannot load the library built from {SOURCE}: {exc}") from exc
 
 _f64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
-_lib.sample_groups.argtypes = [
+_i64 = ndpointer(np.int64, flags="C_CONTIGUOUS")
+_DRAW_ARGTYPES = [
     ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, _f64, ctypes.c_int64, _f64, ctypes.c_int64,
-    ctypes.c_uint64, ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE"),
+    ctypes.c_uint64,
 ]
+_lib.sample_groups.argtypes = _DRAW_ARGTYPES + [ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")]
 _lib.sample_groups.restype = None
+_lib.sample_keys.argtypes = _DRAW_ARGTYPES + [_i64, ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")]
+_lib.sample_keys.restype = None
 _lib.group_keys.argtypes = [
-    ndpointer(np.uint8, flags="C_CONTIGUOUS"), ctypes.c_int64, ctypes.c_int64,
-    ndpointer(np.int64, flags="C_CONTIGUOUS"), ctypes.c_int64,
+    ndpointer(np.uint8, flags="C_CONTIGUOUS"), ctypes.c_int64, ctypes.c_int64, _i64, ctypes.c_int64,
     ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE"),
 ]
 _lib.group_keys.restype = ctypes.c_int64
 
 
-def sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start=0):
-    """See _kernels_np.sample_groups."""
+def _draw_args(seed, n_groups, group_size, cum_weights, cum_components, start):
+    """The leading arguments of the C samplers, checked, and d."""
     cum_weights = np.ascontiguousarray(cum_weights, dtype=np.float64)
     cum_components = np.ascontiguousarray(cum_components, dtype=np.float64)
     if cum_weights.ndim != 1 or cum_components.ndim != 2 or 0 in cum_components.shape:
         raise ValueError("expected (m,) cumulative weights and nonempty (m, d) cumulative components")
+    if n_groups < 0 or group_size < 0:
+        raise ValueError("n_groups and group_size must be >= 0")
     n_comp, d = cum_components.shape
-    out = np.empty((n_groups, group_size), dtype=np.uint8)
     # searchsorted(cum_weights) clipped to n_comp - 1 counts at most that many weights
     n_weights = min(len(cum_weights), n_comp - 1)
-    _lib.sample_groups(
+    args = (
         int(seed) & MASK, int(n_groups), int(group_size), cum_weights, n_weights, cum_components, d,
-        int(start) & MASK, out,
+        int(start) & MASK,
     )
+    return args, d
+
+
+def sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start=0):
+    """See _kernels_np.sample_groups."""
+    args, _ = _draw_args(seed, n_groups, group_size, cum_weights, cum_components, start)
+    out = np.empty((n_groups, group_size), dtype=np.uint8)
+    _lib.sample_groups(*args, out)
     return out
 
 
+def sample_keys(seed, n_groups, group_size, cum_weights, cum_components, table, start=0):
+    """See _kernels_np.sample_keys: one pass that keys each group as it
+    draws it, with no (n_groups, group_size) array."""
+    args, d = _draw_args(seed, n_groups, group_size, cum_weights, cum_components, start)
+    # every key is below (k+1)**d, so a table of that many cells holds it
+    check_table(table, group_size, d)
+    _lib.sample_keys(*args, (group_size + 1) ** np.arange(d, dtype=np.int64), table)
+    return table
+
+
 def group_keys(groups, d):
-    """See _kernels_np.group_keys.  Raises ValueError for a category
-    index outside [0, d)."""
+    """See _kernels_np.group_keys."""
     groups = np.asarray(groups)
     n, k = groups.shape
     if groups.dtype != np.uint8:

@@ -64,11 +64,43 @@ def group_keys(groups, d):
     Each draw of category c contributes (k+1)**c, so a group with tally
     (c_0, .., c_{d-1}) maps to sum c_j (k+1)**j; no carries occur because
     every c_j <= k.  The caller guarantees (k+1)**d fits in int64.
+    Raises ValueError for a category index outside [0, d).
     """
     groups = np.asarray(groups)
     n, k = groups.shape
+    if groups.size and (groups.min() < 0 or groups.max() >= d):
+        raise ValueError(f"category index out of range [0, {d})")
     pows = (k + 1) ** np.arange(d, dtype=np.int64)
     keys = np.zeros(n, dtype=np.int64)
     for j in range(k):
         keys += pows[groups[:, j].astype(np.int64)]
     return keys
+
+
+def sample_keys(seed, n_groups, group_size, cum_weights, cum_components, table, start=0):
+    """Count the groups sample_groups draws by their group_keys key: each
+    adds one to table[key], and table is returned.  table must be a
+    writeable, aligned C-contiguous int64 array of exactly
+    (group_size+1)**d cells, which holds every key.
+    """
+    cum_components = np.asarray(cum_components, dtype=np.float64)
+    d = cum_components.shape[-1]
+    check_table(table, group_size, d)
+    keys = group_keys(sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start), d)
+    table += np.bincount(keys, minlength=len(table))
+    return table
+
+
+def check_table(table, group_size, d):
+    """Raise ValueError unless table can count every key of groups of
+    group_size draws from d categories (see sample_keys)."""
+    cells = (group_size + 1) ** d
+    if not (
+        isinstance(table, np.ndarray)
+        and table.dtype == np.int64
+        and table.shape == (cells,)
+        and table.flags.c_contiguous
+        and table.flags.aligned
+        and table.flags.writeable
+    ):
+        raise ValueError(f"table must be a writeable C-contiguous int64 array of (k+1)**d = {cells} cells")

@@ -5,7 +5,9 @@ latent component by weight, then k iid draws from that component.  Since
 every downstream statistic is symmetric in within-group order, a dataset
 compresses without loss to a histogram over per-group category tallies.
 draw_tally goes straight from the mixture to that histogram, one block of
-groups at a time, without holding the whole dataset.
+groups at a time, without holding the whole dataset.  When the possible
+tallies are few, one kernel pass keys and counts each group as it draws
+it, so no block of rows is written either.
 
 Category indices are 0-based in memory; the text format on disk is
 1-based, one group per line.
@@ -114,26 +116,35 @@ class GroupTallyHistogram:
         return cls(d, k, counts)
 
 
-# Groups drawn or tallied at a time.  Blocks of 16k-65k groups drew and
-# tallied within about 25% of each other (numpy kernels, 2 cores); larger
-# ones were slower and raise the peak memory, which grows with the block,
-# not with n_groups.
+# Groups drawn or tallied at a time, and the most cells draw_tally's dense
+# tally table may have, so the table is never larger than the int64 keys
+# of one block of rows.  With the compiled kernels, draw_tally on 2e5
+# groups at d=6, k=7 took 17.8 / 17.4 / 16.5 / 18.5 ms with blocks of
+# 16k / 32k / 65k / 131k groups, and on 4e4 groups at d=12, k=5 5.17 /
+# 5.10 / 4.82 / 4.84 ms (medians of 10 alternating rounds, 2 cores); no
+# size beat 65k in more than 5 of 10 rounds.  Peak memory grows with the
+# block (0.45 to 3.1 MiB traced at d=6), not with n_groups.
 DRAW_BLOCK = 65_536
 
 
-def _draw_blocks(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> Iterator[np.ndarray]:
-    """The groups in DRAW_BLOCK-row blocks.  Group g draws from its own
-    counter-derived stream in any block, so the blocks stacked are the
-    rows of one kernels.sample_groups call; small blocks stay in cache."""
+def _check_sizes(mix: MixtureSpec, group_size: int, n_groups: int) -> None:
     if group_size < 1 or n_groups < 1:
         raise ValueError("group_size and n_groups must be >= 1")
     if mix.d > 255:
         raise ValueError("more than 255 categories not supported by the sampler")
+
+
+def _draw_blocks(kernel, mix: MixtureSpec, group_size: int, n_groups: int, seed: int, **kwargs) -> Iterator[np.ndarray]:
+    """kernel's output for the groups in DRAW_BLOCK-group blocks, where
+    kernel is kernels.sample_groups or kernels.sample_keys.  Group g draws
+    from its own counter-derived stream in any block, so the blocks
+    stacked are the output of one kernel call; small blocks stay in cache.
+    The caller has checked the sizes."""
     sub_seed = rng.derive_seed(seed, rng.TAG_GROUPS)
     cum_weights, cum_components = np.cumsum(mix.weights), np.cumsum(mix.components, axis=1)
     return (
-        kernels.sample_groups(
-            sub_seed, min(DRAW_BLOCK, n_groups - lo), group_size, cum_weights, cum_components, start=lo
+        kernel(
+            sub_seed, min(DRAW_BLOCK, n_groups - lo), group_size, cum_weights, cum_components, start=lo, **kwargs
         )
         for lo in range(0, n_groups, DRAW_BLOCK)
     )
@@ -146,8 +157,9 @@ def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> 
     g consumes its own counter-derived random stream, so any contiguous
     slice of groups can be regenerated in isolation.
     """
-    blocks = _draw_blocks(mix, group_size, n_groups, seed)
+    _check_sizes(mix, group_size, n_groups)
     groups = np.empty((n_groups, group_size), dtype=np.uint8)
+    blocks = _draw_blocks(kernels.sample_groups, mix, group_size, n_groups, seed)
     for lo, block in zip(range(0, n_groups, DRAW_BLOCK), blocks):
         groups[lo : lo + len(block)] = block
     groups.flags.writeable = False
@@ -155,10 +167,25 @@ def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> 
 
 
 def draw_tally(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> GroupTallyHistogram:
-    """tally(draw_groups(mix, group_size, n_groups, seed)), without the
-    n_groups x group_size array: DRAW_BLOCK groups are drawn and tallied
-    at a time, so the histogram is the same, array for array."""
-    return _tally_blocks(mix.d, group_size, _draw_blocks(mix, group_size, n_groups, seed))
+    """tally(draw_groups(mix, group_size, n_groups, seed)), array for
+    array, without the n_groups x group_size array.
+
+    While the (k+1)^d possible tallies number at most DRAW_BLOCK,
+    kernels.sample_keys keys each group as it draws it and counts it in
+    one dense table, whose nonzero cells are the distinct keys in
+    increasing order.  Otherwise DRAW_BLOCK groups are drawn and tallied
+    at a time, as tally reads them.
+    """
+    _check_sizes(mix, group_size, n_groups)
+    d, k = mix.d, group_size
+    cells = (k + 1) ** d
+    if cells > DRAW_BLOCK:
+        return _tally_blocks(d, k, _draw_blocks(kernels.sample_groups, mix, k, n_groups, seed))
+    table = np.zeros(cells, dtype=np.int64)
+    for _ in _draw_blocks(kernels.sample_keys, mix, k, n_groups, seed, table=table):
+        pass  # each block counts its groups into table
+    keys = np.flatnonzero(table)
+    return GroupTallyHistogram(d, k, _from_keys(d, k, keys, table[keys]))
 
 
 class _TallyTable(Mapping):
@@ -224,6 +251,11 @@ def _tally_blocks(d: int, k: int, blocks: Iterable[np.ndarray]) -> GroupTallyHis
 def _tally_by_keys(d: int, k: int, blocks: Iterable[np.ndarray]) -> _TallyTable:
     """Distinct tallies in increasing order of the base-(k+1) group key."""
     keys, groups = _merge(_distinct(kernels.group_keys(block, d)) for block in blocks)
+    return _from_keys(d, k, keys, groups)
+
+
+def _from_keys(d: int, k: int, keys: np.ndarray, groups: np.ndarray) -> _TallyTable:
+    """The tallies of distinct base-(k+1) keys, groups[i] groups each."""
     comps = keys[:, None] // (k + 1) ** np.arange(d, dtype=np.int64) % (k + 1)
     return _TallyTable.from_compositions(comps, groups)
 

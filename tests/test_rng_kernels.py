@@ -176,6 +176,87 @@ class TestCompiledSampler:
         assert_array_equal(compiled.group_keys(got, d), _kernels_np.group_keys(want, d))
 
 
+def backend(name):
+    """The kernel module of a backend; skips if the compiled one does not load."""
+    return _kernels_np if name == "numpy" else pytest.importorskip("specmix._kernels")
+
+
+@pytest.mark.parametrize("name", ["numpy", "compiled"])
+class TestSampleKeys:
+    @settings(max_examples=60, deadline=None)
+    @sampler_cases
+    @example(m=3, d=3, k=5, n=2000, start=2**40, seed=1, zero_weight=True, mix_seed=0)
+    @example(m=2, d=1, k=3, n=500, start=0, seed=2**64 - 1, zero_weight=False, mix_seed=1)
+    @example(m=4, d=5, k=8, n=2000, start=7, seed=3, zero_weight=True, mix_seed=2)
+    @example(m=2, d=16, k=1, n=3000, start=5, seed=4, zero_weight=False, mix_seed=3)
+    def test_matches_reference(self, name, m, d, k, n, start, seed, zero_weight, mix_seed):
+        impl = backend(name)
+        # fold d into 1..d_max, the sizes whose (k+1)^d-cell table is at most 2^16
+        d_max = 1
+        while (k + 1) ** (d_max + 1) <= 2**16:
+            d_max += 1
+        d = 1 + (d - 1) % d_max
+        cw, cc = cumulative_mixture(m, d, zero_weight, mix_seed)
+        cells = (k + 1) ** d
+        want = np.bincount(
+            _kernels_np.group_keys(reference_sample_groups(seed, n, k, cw, cc, start=start), d), minlength=cells
+        )
+        # counts add to what the table holds, in one call or in two blocks
+        before = np.arange(cells, dtype=np.int64)
+        table = before.copy()
+        assert impl.sample_keys(seed, n, k, cw, cc, table, start=start) is table
+        assert table.dtype == np.int64
+        assert_array_equal(table, before + want)
+        cut = n // 3
+        impl.sample_keys(seed, cut, k, cw, cc, table, start=start)
+        impl.sample_keys(seed, n - cut, k, cw, cc, table, start=start + cut)
+        assert_array_equal(table, before + 2 * want)
+
+    @staticmethod
+    def _read_only():
+        table = np.zeros(27, dtype=np.int64)
+        table.flags.writeable = False
+        return table
+
+    @pytest.mark.parametrize(
+        "make_table",
+        [
+            lambda: np.zeros(26, dtype=np.int64),
+            lambda: np.zeros(28, dtype=np.int64),
+            lambda: np.zeros(27, dtype=np.int32),
+            lambda: np.zeros(27, dtype=np.float64),
+            lambda: np.zeros(27, dtype=np.uint64),
+            lambda: np.zeros((3, 9), dtype=np.int64),
+            lambda: np.zeros(54, dtype=np.int64)[::2],
+            lambda: np.zeros(27, dtype=">i8"),
+            lambda: np.frombuffer(bytearray(27 * 8 + 1), dtype=np.int64, offset=1, count=27),
+            _read_only,
+            lambda: [0] * 27,
+        ],
+        ids=[
+            "short", "long", "int32", "float64", "uint64", "2-D", "strided", "big-endian", "unaligned",
+            "read-only", "list",
+        ],
+    )
+    def test_rejects_bad_table(self, name, make_table):
+        # k=2, d=3: keys are below 3**3 = 27
+        impl = backend(name)
+        cw, cc = np.cumsum([0.5, 0.5]), np.cumsum([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]], axis=1)
+        table = make_table()
+        with pytest.raises(ValueError, match="table"):
+            impl.sample_keys(0, 100, 2, cw, cc, table)
+        assert not np.any(table)
+
+    def test_rejects_negative_sizes(self, name):
+        # a group of -1 draws would key to 0, past a table of 0**d cells
+        impl = backend(name)
+        cw, cc = np.cumsum([1.0]), np.cumsum([[0.5, 0.5]], axis=1)
+        with pytest.raises(ValueError):
+            impl.sample_keys(0, 5, -1, cw, cc, np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError):
+            impl.sample_keys(0, -5, 2, cw, cc, np.zeros(9, dtype=np.int64))
+
+
 class TestBackends:
     @staticmethod
     def _both():
@@ -244,7 +325,7 @@ class TestBackends:
         code = (
             "import sys, types\n"
             "stub = types.ModuleType('specmix._kernels')\n"
-            "stub.sample_groups = stub.group_keys = None\n"
+            "stub.sample_groups = stub.sample_keys = stub.group_keys = None\n"
             "sys.modules['specmix._kernels'] = stub\n"
             "import specmix\n"
             "print(specmix.BACKEND)\n"
@@ -270,11 +351,14 @@ class TestBackends:
         assert kernels.BACKEND == specmix.BACKEND
 
     def test_compiled_group_keys_rejects_out_of_range(self):
-        compiled, _ = self._both()
-        with pytest.raises(ValueError, match="range"):
-            compiled.group_keys(np.array([[0, 3]], dtype=np.uint8), 3)
-        with pytest.raises(ValueError, match="range"):
-            compiled.group_keys(np.array([[0, -1]]), 3)
+        # both backends: numpy once read -1 as the last category
+        for impl in self._both():
+            with pytest.raises(ValueError, match="range"):
+                impl.group_keys(np.array([[0, 3]], dtype=np.uint8), 3)
+            with pytest.raises(ValueError, match="range"):
+                impl.group_keys(np.array([[0, -1]]), 3)
+            with pytest.raises(ValueError, match="range"):
+                impl.group_keys(np.array([[0, 3]]), 3)
 
 
 class TestCompiledLoader:

@@ -107,6 +107,15 @@ class TestTally:
 B = sampling.DRAW_BLOCK
 
 
+def assert_same_histogram(got, want):
+    """Equal tally histograms, array for array and dtype for dtype."""
+    assert (got.d, got.group_size) == (want.d, want.group_size)
+    for name in ("cats", "draws", "held", "groups"):
+        a, b = getattr(got.counts, name), getattr(want.counts, name)
+        assert a.dtype == b.dtype, name
+        assert_array_equal(a, b, err_msg=name)
+
+
 class TestDrawTally:
     # Block edges: one group, a block short of full, full, one over, and a
     # ragged last block.
@@ -114,9 +123,10 @@ class TestDrawTally:
     @pytest.mark.parametrize(
         "weights, d, k",
         [
-            ([0.5, 0.3, 0.2], 3, 5),  # keyed by base-6 integers
+            ([0.5, 0.3, 0.2], 3, 5),  # 6^3 tallies: counted in a table
             ([0.6, 0.4], 30, 5),  # 6^30 overflows a key: sorted rows
             ([1.0], 4, 3),  # one component
+            ([0.5, 0.5], 8, 4),  # 5^8 tallies, past a table: keyed rows
         ],
     )
     def test_equals_tally_of_draw_groups(self, n, weights, d, k):
@@ -129,12 +139,7 @@ class TestDrawTally:
         unblocked = kernels.sample_groups(rng.derive_seed(n, rng.TAG_GROUPS), n, k, *cum)
         assert groups.dtype == unblocked.dtype
         assert_array_equal(groups, unblocked)
-        want = sp.tally(sp.GroupedDataset(d, groups))
-        assert (got.d, got.group_size) == (want.d, want.group_size)
-        for name in ("cats", "draws", "held", "groups"):
-            a, b = getattr(got.counts, name), getattr(want.counts, name)
-            assert a.dtype == b.dtype, name
-            assert_array_equal(a, b, err_msg=name)
+        assert_same_histogram(got, sp.tally(sp.GroupedDataset(d, groups)))
         # and both hold the tallies of the drawn rows, counted without blocks
         comps = np.zeros((n, d), dtype=np.uint8)
         np.add.at(comps, (np.arange(n)[:, None], groups), 1)
@@ -144,9 +149,90 @@ class TestDrawTally:
     def test_validates_like_draw_groups(self, blend_mix):
         with pytest.raises(ValueError, match="must be >= 1"):
             sampling.draw_tally(blend_mix, 3, 0, seed=0)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            sampling.draw_tally(blend_mix, -2, 10, seed=0)  # (k+1)^d = -1 tallies
         wide = sp.make_mixture([1.0], np.full((1, 256), 1 / 256))
         with pytest.raises(ValueError, match="255 categories"):
             sampling.draw_tally(wide, 3, 10, seed=0)
+
+
+class TestDrawTallyPaths:
+    """draw_tally counts keys in a table while (k+1)^d <= DRAW_BLOCK and
+    tallies drawn rows past it; both paths give tally(draw_groups(...))."""
+
+    @staticmethod
+    def mixture(m, d, zero_weight, mix_seed):
+        # make_mixture needs positive weights: 1e-300 ties its cumulative
+        # weight with the one before, so no uniform picks the component
+        rs = np.random.default_rng(mix_seed)
+        m = 1 if d == 1 else m  # components must differ
+        w = rs.dirichlet(np.ones(m))
+        if zero_weight and m > 1:
+            w[rs.integers(m)] = 1e-300
+        return sp.make_mixture(w / w.sum(), rs.dirichlet(np.full(d, 0.5), size=m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        d=st.integers(1, 60),
+        k=st.integers(1, 8),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**64 - 1),
+        zero_weight=st.booleans(),
+        mix_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_tally_of_draw_groups(self, m, d, k, n, seed, zero_weight, mix_seed):
+        mix = self.mixture(m, d, zero_weight, mix_seed)
+        want = sp.tally(sp.draw_groups(mix, k, n, seed))
+        assert_same_histogram(sampling.draw_tally(mix, k, n, seed), want)
+
+    # (k, d) at the path edges: (k+1)^d = B, just past B (65,537 is prime,
+    # so only d = 1 reaches B + 1), 2^62 and 2^63
+    @pytest.mark.parametrize(
+        "k, d, kernel",
+        [
+            (3, 8, "sample_keys"),
+            (1, 16, "sample_keys"),
+            (2, 10, "sample_keys"),
+            (B, 1, "sample_groups"),
+            (1, 17, "sample_groups"),
+            (1, 62, "sample_groups"),
+            (1, 63, "sample_groups"),
+        ],
+    )
+    def test_path_edges(self, k, d, kernel, monkeypatch):
+        calls = []
+
+        def spy(name):
+            wrapped = getattr(kernels, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return wrapped(*args, **kwargs)
+
+            return call
+
+        for name in ("sample_keys", "sample_groups"):
+            monkeypatch.setattr(kernels, name, spy(name))
+        mix = self.mixture(3, d, False, d)
+        n = 2 if k == B else 2000
+        got = sampling.draw_tally(mix, k, n, seed=k)
+        monkeypatch.undo()
+        assert set(calls) == {kernel}
+        assert_same_histogram(got, sp.tally(sp.draw_groups(mix, k, n, seed=k)))
+
+    # the benchmark's three workloads, mixtures built as its workloads.py
+    # builds them, at 3 * 10^5 groups
+    @pytest.mark.parametrize("d, m, k", [(3, 3, 5), (6, 4, 7), (12, 3, 5)])
+    def test_workload_mixtures(self, d, m, k, blend_mix):
+        if d == 3:
+            mix = blend_mix
+        else:
+            comps = np.random.default_rng(1).dirichlet(np.full(d, 0.2), size=m)
+            mix = sp.make_mixture(np.full(m, 1.0 / m), comps)
+        for seed in (0, 1):
+            got = sampling.draw_tally(mix, k, 300_000, seed)
+            assert_same_histogram(got, sp.tally(sp.draw_groups(mix, k, 300_000, seed)))
 
 
 class TestNumCompositions:
