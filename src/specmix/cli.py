@@ -21,11 +21,11 @@ from .recovery import RecoveryConfig, RecoveryError, estimate_num_components, re
 from .sampling import read_groups
 
 
-def _read_dataset(path: str, d=None):
+def _read_dataset(path: str):
     if path == "-":
-        return read_groups(sys.stdin, d)
+        return read_groups(sys.stdin)
     with open(path) as fh:
-        return read_groups(fh, d)
+        return read_groups(fh)
 
 
 def _write_out(text: str, path: str | None) -> None:

@@ -82,7 +82,11 @@ def random_baseline(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One row of the accuracy table: data scale plus recovery choices."""
+    """One row of the accuracy table: data scale plus recovery choices.
+
+    dominating is the one reference measure of the experiment; the
+    recovery config must leave its own dominating unset.
+    """
 
     mixture: MixtureSpec
     group_size: int
@@ -96,6 +100,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
+        if self.recovery.dominating is not None:
+            # run_experiment resolves the top-level dominating for each replicate
+            raise ValueError(
+                'recovery.dominating is not read; set the top-level "dominating" key instead'
+            )
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -109,11 +118,6 @@ class ExperimentConfig:
         rec = dict(obj.get("recovery", {}))
         if "m" not in rec:
             raise ValueError('config needs recovery.m (e.g. "recovery": {"m": 3})')
-        if "dominating" in rec:
-            # run_experiment overrides recovery.dominating with the top-level key
-            raise ValueError(
-                'recovery.dominating is not read; set the top-level "dominating" key instead'
-            )
         unknown = sorted(set(rec) - {f.name for f in fields(RecoveryConfig)})
         if unknown:
             raise ValueError(f"unknown recovery key {unknown[0]!r}")

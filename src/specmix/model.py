@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .tensors import outer_power
+from .tensors import _power_sum
 
 # Tolerances: simplex sums are accepted within SUM_TOL and renormalized
 # exactly; component vectors closer than DISTINCT_TOL in L-infinity are
@@ -168,10 +168,7 @@ def population_moment(mix: MixtureSpec, n: int) -> np.ndarray:
     """Order-n moment tensor sum_i w_i p_i^{(x) n}; symmetric, sums to 1."""
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
-    t = np.zeros((mix.d,) * n)
-    for w, p in zip(mix.weights, mix.components):
-        t += w * outer_power(p, n)
-    return t
+    return _power_sum(mix.weights, mix.components, n)
 
 
 def random_dominating_measure(

@@ -12,7 +12,6 @@ samples.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -20,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .model import probability_vector
-from .tensors import _multisets, outer_power
+from .tensors import _multisets, _power_sum, outer_power
 
 Composition = Tuple[int, ...]
 SignedCompositionMeasure = Dict[Composition, float]
@@ -159,22 +158,6 @@ def multinomial_mixture_equal(
             raise ValueError(f"all specs must share n={n}, q={q}")
 
     def tensor(mix):
-        acc = np.zeros((q,) * n)
-        for weight, spec in mix:
-            acc += weight * outer_power(spec.p, n)
-        return acc
+        return _power_sum([w for w, _ in mix], [spec.p for _, spec in mix], n)
 
     return bool(np.abs(tensor(mix_a) - tensor(mix_b)).max() <= tol)
-
-
-def composition_measure_to_json(measure: SignedCompositionMeasure) -> str:
-    items = sorted(measure.items())
-    return json.dumps([{"x": list(x), "c": c} for x, c in items])
-
-
-def composition_measure_from_json(text: str) -> SignedCompositionMeasure:
-    out: SignedCompositionMeasure = {}
-    for rec in json.loads(text):
-        key = tuple(int(v) for v in rec["x"])
-        out[key] = out.get(key, 0.0) + float(rec["c"])
-    return out

@@ -14,17 +14,19 @@ Pipeline for a target component count m:
 4. Contract each eigenvector (folded to a d x d^{m-1} map) against a
    probe vector, divide by b, fix sign, clip stray negatives, normalize.
 5. Fit weights by least squares against the order-(m-1) moment in the
-   original coordinates, then map the solution onto the simplex.
+   original coordinates, then clip negative weights and renormalize.
 
-A 4-samples-per-group variant for linearly independent components and a
-rank-based estimator of the number of components are included.
+The pipeline is fixed; a caller chooses only m, the reference measure,
+the probe and the whitening floor eig_floor.  A 4-samples-per-group
+variant for linearly independent components and a rank-based estimator
+of the number of components are included.
 """
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .model import (
     random_dominating_measure,
 )
 from .sampling import GroupedDataset, GroupTallyHistogram
-from .tensors import eig_sqrt_pinv, numerical_rank, outer_power, sym_eig, unfold
+from .tensors import _power_sum, eig_sqrt_pinv, numerical_rank, outer_power, sym_eig, unfold
 
 PROBE_NORM_TOL = 1e-10
 MAX_PROBE_RETRIES = 16
@@ -51,30 +53,34 @@ class RecoveryError(RuntimeError):
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Algorithm choices for recover_full.
+    """The settings of recover_full.
 
     dominating is a DominatingMeasure, None (identity rescaling), or a
     descriptor string: "none", "uniform", "sqgauss:<sigma>", or
     "fixed:<comma-separated values>"; random schemes are resolved from
     the run seed.  probe selects how folded eigenvectors are contracted
     to single vectors: "gaussian" (seeded random probe with retries) or
-    "singular" (top left singular vector).
+    "singular" (top left singular vector).  eig_floor is the whitening
+    floor relative to the largest eigenvalue of the moment form; lower
+    it when components are nearly coincident (see README).
+
+    Components are always clipped at zero and weights always solved by
+    clip-and-renormalize; the two class constants name those fixed
+    choices in echo().
     """
 
     m: int
     dominating: DominatingMeasure | str | None = None
     probe: str = "gaussian"
-    clip_negatives: bool = True
     eig_floor: float = 1e-8
-    weight_solver: str = "clip-renormalize"
+    clip_negatives: ClassVar[bool] = True
+    weight_solver: ClassVar[str] = "clip-renormalize"
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.probe not in ("gaussian", "singular"):
             raise ValueError(f"unknown probe {self.probe!r}")
-        if self.weight_solver not in ("clip-renormalize", "simplex-projection"):
-            raise ValueError(f"unknown weight solver {self.weight_solver!r}")
 
     def echo(self) -> dict:
         dom = self.dominating
@@ -193,7 +199,6 @@ def _finalize_components(
     b: np.ndarray | None,
     probe: str,
     seed: int,
-    clip_negatives: bool,
 ) -> np.ndarray:
     """Contract eigenvectors to component rows; sign-then-normalize makes
     the output invariant to eigenvector sign flips."""
@@ -205,8 +210,7 @@ def _finalize_components(
             u = (1.0 / b) * u
         if u.sum() < 0.0:
             u = -u
-        if clip_negatives:
-            u = np.maximum(u, 0.0)
+        u = np.maximum(u, 0.0)
         total = u.sum()
         if total <= 0.0:
             raise RecoveryError(f"component {i} vanished after sign correction and clipping")
@@ -217,15 +221,19 @@ def _finalize_components(
 def recover_weights(
     e_hat: np.ndarray,
     components: Sequence[np.ndarray] | np.ndarray,
-    solver: str = "clip-renormalize",
+    solver: str = RecoveryConfig.weight_solver,
 ) -> WeightSolution:
     """Least-squares mixture weights against the order-r moment.
 
     Solves the Gram system of the component r-fold powers (pseudo-
     inverse if nearly singular, with the condition number reported),
-    then maps the raw solution onto the simplex per the chosen solver.
-    The residual is the Frobenius misfit of the returned weights.
+    then clips negative weights and renormalizes.  The residual is the
+    Frobenius misfit of the returned weights.
     """
+    # solver is kept only for perfbench, which passes config.weight_solver;
+    # ROADMAP item 1(b) can drop it.
+    if solver != RecoveryConfig.weight_solver:
+        raise ValueError(f"unknown weight solver {solver!r}")
     e = np.asarray(e_hat, dtype=np.float64)
     comp = np.atleast_2d(np.asarray(components, dtype=np.float64))
     m = comp.shape[0]
@@ -237,34 +245,16 @@ def recover_weights(
     rhs = np.array([float(np.tensordot(e, outer_power(p, r), axes=r)) for p in comp])
     cond = float(np.linalg.cond(gram))
     alpha, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    if solver == "clip-renormalize":
-        weights = np.maximum(alpha, 0.0)
-        total = weights.sum()
-        if total <= 0.0:
-            raise RecoveryError("weight solve produced no positive mass")
-        weights /= total
-    elif solver == "simplex-projection":
-        weights = _project_simplex(alpha)
-    else:
-        raise ValueError(f"unknown weight solver {solver!r}")
+    weights = np.maximum(alpha, 0.0)
+    total = weights.sum()
+    if total <= 0.0:
+        raise RecoveryError("weight solve produced no positive mass")
+    weights /= total
     return WeightSolution(weights, _weight_residual(e, comp, weights, r), cond)
 
 
 def _weight_residual(e: np.ndarray, comp: np.ndarray, weights: np.ndarray, r: int) -> float:
-    fit = np.zeros_like(e)
-    for w_i, p in zip(weights, comp):
-        fit += w_i * outer_power(p, r)
-    return float(np.linalg.norm((e - fit).ravel()))
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / idx > 0.0)[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    return float(np.linalg.norm((e - _power_sum(weights, comp, r)).ravel()))
 
 
 @contextmanager
@@ -309,9 +299,8 @@ def _run_stages(
     data is a moment source already checked by moment_source.  C is
     build_c_hat(data, c_order, b); operator is a (stage name, builder)
     pair whose builder returns the PSD matrix whose top m eigenvectors
-    are contracted to components.  m, the probe, clipping, the whitening
-    floor and the weight solver come from config; extra is appended to
-    the diagnostics.
+    are contracted to components.  m, the probe and the whitening floor
+    come from config; extra is appended to the diagnostics.
     """
     m = config.m
     if m == 1:
@@ -331,11 +320,9 @@ def _run_stages(
             op = build_operator(data, m, b, w)
         with _stage("component extraction"):
             dec = sym_eig(op)
-            comps = _finalize_components(
-                dec.eigenvectors[:, :m], data.d, b, config.probe, seed, config.clip_negatives
-            )
+            comps = _finalize_components(dec.eigenvectors[:, :m], data.d, b, config.probe, seed)
         with _stage("weight estimation"):
-            fit = recover_weights(moment(data, weight_order), comps, config.weight_solver)
+            fit = recover_weights(moment(data, weight_order), comps)
         tt_eigenvalues, spectrum = dec.eigenvalues.tolist(), c_dec.eigenvalues.tolist()
     return RecoveryResult(
         comps,
@@ -391,7 +378,6 @@ def li_recover_4(
     m: int,
     probe: str = "gaussian",
     seed: int = 0,
-    force: bool = False,
 ) -> RecoveryResult:
     """Recovery from 4 draws per group for linearly independent components.
 
@@ -399,18 +385,15 @@ def li_recover_4(
     moment, W = C^{-1/2} on its top-m eigenspace, and I (x) W (x) I (x) W
     applied to the order-4 moment is flattened at split 2 into a PSD
     d^2 x d^2 operator whose top m eigenvectors factor as p_i (x) W p_i.
-    Requires pairwise distinct component norms; in population mode this
-    is checked and violations raise unless force=True.
+    Requires pairwise distinct component norms; on population input
+    this is checked, and tied norms raise a RecoveryError.
     """
     config = RecoveryConfig(m, probe=probe)
     with _stage("setup"):
-        if m > 1 and not force and isinstance(data, MixtureSpec):
+        if m > 1 and isinstance(data, MixtureSpec):
             sep = check_distinct_norms(data, dominating_measure(np.ones(data.d)))
             if not sep.distinct:
-                raise RecoveryError(
-                    f"component norms separate by only {sep.min_gap:.3g}; "
-                    "pass force=True to proceed anyway"
-                )
+                raise RecoveryError(f"component norms separate by only {sep.min_gap:.3g}")
         data = moment_source(data, 4 if m > 1 else 1)
     return _run_stages(
         data,
@@ -427,7 +410,6 @@ def li_recover_4(
 def estimate_num_components(
     data: GroupedDataset | GroupTallyHistogram | MixtureSpec,
     n: int,
-    max_m: int | None = None,
     rel_tol: float = 1e-8,
 ) -> int:
     """Numerical rank of the order-2n moment unfolded at split n.
@@ -438,5 +420,4 @@ def estimate_num_components(
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
-    rank = numerical_rank(unfold(moment(moment_source(data, 2 * n), 2 * n), n), rel_tol)
-    return rank if max_m is None else min(rank, max_m)
+    return numerical_rank(unfold(moment(moment_source(data, 2 * n), 2 * n), n), rel_tol)

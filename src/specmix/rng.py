@@ -39,7 +39,6 @@ TAG_GROUPS = 1
 TAG_DOMINATING = 2
 TAG_PROBE = 3
 TAG_BASELINE = 4
-TAG_MIXTURE = 5
 
 _U64 = np.uint64
 _INV_2_53 = 2.0 ** -53

@@ -51,6 +51,14 @@ def outer_power(v: np.ndarray, k: int) -> np.ndarray:
     return t
 
 
+def _power_sum(weights, vectors, r: int) -> np.ndarray:
+    """sum_i weights[i] * vectors[i]^{(x) r}, accumulated in index order."""
+    t = np.zeros((len(vectors[0]),) * r)
+    for w, v in zip(weights, vectors):
+        t += w * outer_power(v, r)
+    return t
+
+
 def _multisets(d: int, r: int) -> np.ndarray:
     """The multiset rank of every multi-index in [d]^r, a (d,)*r int64 array.
 
@@ -150,16 +158,24 @@ def eig_sqrt_pinv(dec: EigenDecomposition, keep: int, floor_tol: float = 1e-8) -
     Returns sum of lam_i**-0.5 v_i v_i^T over the top ``keep`` eigenpairs.
     Eigenvalues below floor_tol times the largest are unusable; if fewer
     than ``keep`` usable eigenvalues remain a RankDeficiencyError is
-    raised, signalling that the requested rank exceeds the operator's.
+    raised, signalling that the requested rank exceeds the operator's;
+    its message gives eigenvalue ``keep`` as a fraction of the largest,
+    so a near miss (nearly coincident components) shows as a ratio just
+    under floor_tol and a wrong rank as one near zero.
     """
     lam_max = dec.eigenvalues[0]
     if lam_max <= 0.0:
         raise RankDeficiencyError("matrix has no positive eigenvalue")
     usable = int(np.sum(dec.eigenvalues > floor_tol * lam_max))
     if usable < keep:
+        if keep > dec.eigenvalues.size:
+            margin = f"the matrix has only {dec.eigenvalues.size} eigenvalues"
+        else:
+            ratio = dec.eigenvalues[keep - 1] / lam_max
+            margin = f"eigenvalue {keep} is {ratio:.2g} of the largest"
         raise RankDeficiencyError(
             f"requested {keep} eigenpairs but only {usable} exceed "
-            f"{floor_tol:g} of the spectral radius"
+            f"{floor_tol:g} of the spectral radius; {margin}"
         )
     vec = dec.eigenvectors[:, :keep]
     lam = dec.eigenvalues[:keep]

@@ -256,9 +256,8 @@ class TestParser:
             run_cli([])
         assert "command" in capsys.readouterr().err
 
-    def test_console_script_entry(self):
-        import importlib.metadata as md
-
+    @staticmethod
+    def _project_table() -> dict:
         try:
             import tomllib
         except ModuleNotFoundError:  # Python 3.10
@@ -266,7 +265,12 @@ class TestParser:
 
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with open(pyproject, "rb") as fh:
-            scripts = tomllib.load(fh)["project"].get("scripts", {})
+            return tomllib.load(fh)["project"]
+
+    def test_console_script_entry(self):
+        import importlib.metadata as md
+
+        scripts = self._project_table().get("scripts", {})
         assert scripts.get("specmix") == "specmix.cli:main"
 
         # An installed copy must register the same entry point.
@@ -276,3 +280,6 @@ class TestParser:
             return
         installed = {ep.name: ep.value for ep in dist.entry_points.select(group="console_scripts")}
         assert installed.get("specmix") == "specmix.cli:main"
+
+    def test_version_matches_pyproject(self):
+        assert sp.__version__ == self._project_table()["version"]

@@ -146,6 +146,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="reps"):
             small_config(blend_mix, fixed_xi, reps=0)
 
+    def test_one_reference_measure(self, blend_mix):
+        # the top-level dominating is the experiment's only reference measure
+        with pytest.raises(ValueError, match='top-level "dominating"'):
+            small_config(blend_mix, None, recovery=RecoveryConfig(3, dominating="uniform"))
+
     # 5 groups: replicate 0 of seed 0 fails whitening, the others succeed.
     # DRAW_BLOCK + 1 groups: two draw blocks.
     @pytest.mark.parametrize("n_groups, reps", [(5, 4), (DRAW_BLOCK + 1, 2)])
@@ -271,4 +276,20 @@ class TestConfigFromJson:
             }
         )
         with pytest.raises(ValueError, match="unknown experiment config key 'sed'"):
+            ExperimentConfig.from_json(text)
+
+    @pytest.mark.parametrize(
+        "key, value", [("clip_negatives", False), ("weight_solver", "simplex-projection")]
+    )
+    def test_rejects_fixed_choices_inside_recovery(self, key, value):
+        text = json.dumps(
+            {
+                "mixture": {"weights": [1.0], "components": [[0.5, 0.5]]},
+                "group_size": 2,
+                "n_groups": 10,
+                "reps": 1,
+                "recovery": {"m": 1, key: value},
+            }
+        )
+        with pytest.raises(ValueError, match=f"unknown recovery key '{key}'"):
             ExperimentConfig.from_json(text)

@@ -11,8 +11,6 @@ import specmix as sp
 from conftest import raw_moment
 from specmix.multinomial import (
     MultinomialSpec,
-    composition_measure_from_json,
-    composition_measure_to_json,
     enumerate_compositions,
     f_nq,
     multinomial_mixture_equal,
@@ -239,14 +237,3 @@ class TestBridgeToGroupedData:
         spread = t_nq_apply(measure, ds.group_size, ds.d)
         direct = raw_moment(ds, ds.group_size)
         assert_allclose(spread, direct, atol=1e-12)
-
-
-class TestMeasureJson:
-    def test_round_trip(self):
-        measure = {(2, 0): 0.25, (1, 1): -0.5, (0, 2): 1.25}
-        again = composition_measure_from_json(composition_measure_to_json(measure))
-        assert again == measure
-
-    def test_merges_duplicates(self):
-        text = '[{"x": [1, 1], "c": 0.5}, {"x": [1, 1], "c": 0.25}]'
-        assert composition_measure_from_json(text) == {(1, 1): 0.75}

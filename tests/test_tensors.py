@@ -217,8 +217,10 @@ class TestPsdSqrtPinv:
         assert_allclose(w, np.diag([0.5, 1.0, 0.0]), atol=1e-14)
 
     def test_rank_deficiency_raises(self):
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(RankDeficiencyError, match="eigenvalue 2 is 0 of the largest"):
             sp.whiten(np.diag([1.0, 0.0]), 2)
+        with pytest.raises(RankDeficiencyError, match="the matrix has only 2 eigenvalues"):
+            sp.whiten(np.diag([1.0, 0.5]), 3)
 
     def test_whitens_to_projector(self):
         rng = np.random.default_rng(12)
