@@ -1,12 +1,15 @@
-/* Compiled sampling and tally-key kernels, loaded by _kernels.py with ctypes.
+/* Compiled sampling kernels, loaded by _kernels.py with ctypes.
  *
- * Scalar implementation of the contract in _kernels_np.py; the two
- * backends must stay bit-identical.  Words follow the counter scheme in
- * rng.py, a uniform keeps a word's top 53 bits times an exact power of
- * two, and an inverse-CDF pick counts the first n-1 cumulative masses at
- * or below u.  On nondecreasing rows that count is searchsorted(side=
- * "right") clipped to n-1, so no float path differs from the fallback.
- * Unsigned 64-bit arithmetic wraps modulo 2**64 as numpy's uint64 does.
+ * Scalar implementation of the sample_groups and sample_keys contract in
+ * _kernels_np.py; the two backends must stay bit-identical.  Both entry
+ * points run one per-group draw loop, draw_group.  Words follow the
+ * counter scheme in rng.py, a uniform keeps a word's top 53 bits times an
+ * exact power of two, and an inverse-CDF pick counts the first n-1
+ * cumulative masses at or below u.  On nondecreasing rows that count is
+ * searchsorted(side="right") clipped to n-1, so no float path differs
+ * from the fallback.  Unsigned 64-bit arithmetic wraps modulo 2**64 as
+ * numpy's uint64 does.  Tally keys of drawn rows are encoded in numpy,
+ * by _kernels_np.group_keys, on either backend.
  */
 #include <stdint.h>
 
@@ -64,8 +67,8 @@ void sample_groups(uint64_t seed, int64_t n_groups, int64_t group_size, const do
                    cum_components, d, 0, out, 0);
 }
 
-/* The groups of sample_groups, each keyed as group_keys keys it and
- * counted: table[key] is incremented.  With pows[c] = (k+1)**c for
+/* The groups of sample_groups, each keyed as _kernels_np.group_keys keys
+ * it and counted: table[key] is incremented.  With pows[c] = (k+1)**c for
  * k = group_size, a key is below (k+1)**d: each of its k draws adds at
  * most (k+1)**(d-1). */
 void sample_keys(uint64_t seed, int64_t n_groups, int64_t group_size, const double *cum_weights,
@@ -75,20 +78,4 @@ void sample_keys(uint64_t seed, int64_t n_groups, int64_t group_size, const doub
     for (int64_t g = 0; g < n_groups; g++)
         table[draw_group(seed_mixed, start + (uint64_t)g, group_size, cum_weights, n_weights,
                          cum_components, d, pows, 0, 1)]++;
-}
-
-/* keys[i] = sum of pows[c] over the draws c of row i of the (n, k) groups.
- * Returns 0, or -1 (keys unfinished) if a category is d or more. */
-int64_t group_keys(const uint8_t *groups, int64_t n, int64_t k, const int64_t *pows, int64_t d,
-                   int64_t *keys) {
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t acc = 0;
-        for (int64_t j = 0; j < k; j++) {
-            const uint8_t c = *groups++;
-            if (c >= d) return -1;
-            acc += (uint64_t)pows[c];
-        }
-        keys[i] = (int64_t)acc;
-    }
-    return 0;
 }

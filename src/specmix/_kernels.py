@@ -1,4 +1,4 @@
-"""Compiled sampling and tally-key kernels: _kernels.c loaded with ctypes.
+"""Compiled sampling kernels: _kernels.c loaded with ctypes.
 
 The C source is compiled once, with the system C compiler, into
 ``__pycache__/_kernels-<key>.so`` next to it, where the key hashes the
@@ -8,8 +8,8 @@ processes importing at the same time never load a partial file.  Any
 failure (no ``cc``, a read-only directory, a compile error or a timeout)
 raises ImportError, and kernels.py falls back to the numpy kernels.
 
-The functions below keep the signatures and contract of _kernels_np.py,
-bit for bit.
+sample_groups and sample_keys below keep the signatures and contract of
+their _kernels_np.py namesakes, bit for bit.
 """
 from __future__ import annotations
 
@@ -88,11 +88,6 @@ _lib.sample_groups.argtypes = _DRAW_ARGTYPES + [ndpointer(np.uint8, flags="C_CON
 _lib.sample_groups.restype = None
 _lib.sample_keys.argtypes = _DRAW_ARGTYPES + [_i64, ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")]
 _lib.sample_keys.restype = None
-_lib.group_keys.argtypes = [
-    ndpointer(np.uint8, flags="C_CONTIGUOUS"), ctypes.c_int64, ctypes.c_int64, _i64, ctypes.c_int64,
-    ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE"),
-]
-_lib.group_keys.restype = ctypes.c_int64
 
 
 def _draw_args(seed, n_groups, group_size, cum_weights, cum_components, start):
@@ -130,18 +125,3 @@ def sample_keys(seed, n_groups, group_size, cum_weights, cum_components, table, 
     _lib.sample_keys(*args, (group_size + 1) ** np.arange(d, dtype=np.int64), table)
     return table
 
-
-def group_keys(groups, d):
-    """See _kernels_np.group_keys."""
-    groups = np.asarray(groups)
-    n, k = groups.shape
-    if groups.dtype != np.uint8:
-        if groups.size and (groups.min() < 0 or groups.max() >= d):
-            raise ValueError(f"category index out of range [0, {d})")
-        groups = groups.astype(np.uint8)
-    groups = np.ascontiguousarray(groups)
-    pows = (k + 1) ** np.arange(d, dtype=np.int64)
-    keys = np.empty(n, dtype=np.int64)
-    if _lib.group_keys(groups, n, k, pows, int(d), keys):
-        raise ValueError(f"category index out of range [0, {d})")
-    return keys

@@ -94,7 +94,7 @@ def empirical_sym_moment(
 
 
 def moment(
-    source: MixtureSpec | GroupedDataset | GroupTallyHistogram | np.ndarray,
+    source: MixtureSpec | GroupedDataset | GroupTallyHistogram,
     r: int,
     b: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -102,16 +102,11 @@ def moment(
     from any moment source.
 
     A MixtureSpec gives the exact population moment, a dataset or
-    histogram the empirical estimate.  A precomputed tensor is taken as
-    already scaled and only checked for order.
+    histogram the empirical estimate.
     """
     if isinstance(source, MixtureSpec):
         tensor = population_moment(source, r)
         return tensor if b is None else tensor * outer_power(b, r)
-    if isinstance(source, np.ndarray):
-        if source.ndim != r:
-            raise ValueError(f"expected an order-{r} tensor, got order {source.ndim}")
-        return source
     return empirical_sym_moment(source, r, b)
 
 
@@ -132,7 +127,7 @@ def moment_source(data, max_order: int):
 
 
 def build_c_hat(
-    data: MixtureSpec | GroupedDataset | GroupTallyHistogram | np.ndarray,
+    data: MixtureSpec | GroupedDataset | GroupTallyHistogram,
     m: int,
     b: np.ndarray | None,
 ) -> np.ndarray:

@@ -20,9 +20,12 @@ from .tensors import _power_sum
 
 # Tolerances: simplex sums are accepted within SUM_TOL and renormalized
 # exactly; component vectors closer than DISTINCT_TOL in L-infinity are
-# treated as duplicates (a mixture with duplicates is not minimal).
+# treated as duplicates (a mixture with duplicates is not minimal);
+# rescaled component norms separate when every pair differs by more than
+# NORM_GAP_TOL.
 SUM_TOL = 1e-9
 DISTINCT_TOL = 1e-12
+NORM_GAP_TOL = 1e-3
 SQGAUSS_FLOOR = 1e-12
 
 
@@ -210,10 +213,9 @@ def b_map(xi: DominatingMeasure) -> np.ndarray:
     return _readonly(1.0 / np.sqrt(xi.y))
 
 
-def check_distinct_norms(
-    mix: MixtureSpec, xi: DominatingMeasure, gap_tol: float = 1e-3
-) -> DistinctNorms:
-    """Test whether the xi-weighted squared norms of the components separate.
+def check_distinct_norms(mix: MixtureSpec, xi: DominatingMeasure) -> DistinctNorms:
+    """Test whether the xi-weighted squared norms of the components separate
+    by more than NORM_GAP_TOL.
 
     The i-th norm is sum_j p_{i,j}^2 / y_j.  The spectral pipeline needs
     these to be pairwise distinct; for a generic random xi they are, with
@@ -226,4 +228,4 @@ def check_distinct_norms(
         return DistinctNorms(True, float("inf"), _readonly(norms))
     gaps = np.abs(norms[:, None] - norms[None, :])
     min_gap = float(gaps[np.triu_indices(norms.size, k=1)].min())
-    return DistinctNorms(min_gap > gap_tol, min_gap, _readonly(norms))
+    return DistinctNorms(min_gap > NORM_GAP_TOL, min_gap, _readonly(norms))

@@ -161,8 +161,6 @@ def build_t_hat(q_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected an odd-order tensor, got order {q.ndim}")
     m = (q.ndim + 1) // 2
     d = q.shape[0]
-    if m == 1:
-        return q.reshape(d, 1)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (d ** (m - 1), d ** (m - 1)):
         raise ValueError(f"whitener shape {w.shape} does not match d={d}, m={m}")
@@ -351,7 +349,7 @@ def recover_full(
     """
     m = config.m
     with _stage("setup"):
-        data = moment_source(data, max(2 * m - 1, 1))
+        data = moment_source(data, 2 * m - 1)
         xi = resolve_dominating(config.dominating, data.d, seed)
         if xi is not None and xi.d != data.d:
             raise ValueError(f"reference measure has {xi.d} categories, the data has {data.d}")

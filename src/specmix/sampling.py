@@ -36,7 +36,7 @@ class GroupedDataset:
 
     The indices are checked once, here: the tally keys index a table of
     d entries with them, so an index outside [0, d) would be read as
-    another category (or, by the compiled kernel, past the table).
+    another category or fall past the table.
     """
 
     d: int
@@ -118,12 +118,13 @@ class GroupTallyHistogram:
 
 # Groups drawn or tallied at a time, and the most cells draw_tally's dense
 # tally table may have, so the table is never larger than the int64 keys
-# of one block of rows.  With the compiled kernels, draw_tally on 2e5
-# groups at d=6, k=7 took 17.8 / 17.4 / 16.5 / 18.5 ms with blocks of
-# 16k / 32k / 65k / 131k groups, and on 4e4 groups at d=12, k=5 5.17 /
-# 5.10 / 4.82 / 4.84 ms (medians of 10 alternating rounds, 2 cores); no
-# size beat 65k in more than 5 of 10 rounds.  Peak memory grows with the
-# block (0.45 to 3.1 MiB traced at d=6), not with n_groups.
+# of one block of rows.  With the compiled kernels, then including a
+# compiled group_keys, draw_tally on 2e5 groups at d=6, k=7 took 17.8 /
+# 17.4 / 16.5 / 18.5 ms with blocks of 16k / 32k / 65k / 131k groups, and
+# on 4e4 groups at d=12, k=5 5.17 / 5.10 / 4.82 / 4.84 ms (medians of 10
+# alternating rounds, 2 cores); no size beat 65k in more than 5 of 10
+# rounds.  Peak memory grows with the block (0.45 to 3.1 MiB traced at
+# d=6), not with n_groups.
 DRAW_BLOCK = 65_536
 
 

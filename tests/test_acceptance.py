@@ -131,7 +131,7 @@ def test_criterion_6_operator_estimate_converges_with_sample_size():
     # along n = 5e3, 5e4, 5e5.
     mix = blend()
     b = sp.b_map(sp.dominating_measure(FIXED_Y))
-    c_pop = sp.build_c_hat(moment(mix, 4, b), 3, b)
+    c_pop = sp.build_c_hat(mix, 3, b)
     t_pop = build_t_hat(moment(mix, 5, b), whiten(c_pop, 3))
     target = t_pop @ t_pop.T
 
@@ -178,7 +178,7 @@ def test_criterion_8_structural_property_bundle():
 
     mix = blend()
     b = sp.b_map(sp.dominating_measure(FIXED_Y))
-    c = sp.build_c_hat(moment(mix, 4, b), 3, b)
+    c = sp.build_c_hat(mix, 3, b)
     w = whiten(c, 3)
     bp = mix.components * b
     family = np.stack([np.sqrt(wt) * np.kron(v, v) for wt, v in zip(mix.weights, bp)])

@@ -279,7 +279,7 @@ class TestBuildCHat:
         # nonzero spectrum of the population operator equals the spectrum of
         # G_ij = sqrt(w_i w_j) <B p_i, B p_j>^2
         b = sp.b_map(fixed_xi)
-        c = sp.build_c_hat(moment(blend_mix, 4, b), 3, b)
+        c = sp.build_c_hat(blend_mix, 3, b)
         lam = np.sort(np.linalg.eigvalsh(c))[::-1]
         bp = blend_mix.components * b
         w = blend_mix.weights
@@ -290,11 +290,6 @@ class TestBuildCHat:
         )
         assert np.abs(lam[3:]).max() < 1e-14
         assert sp.numerical_rank(c) == 3
-
-    def test_rejects_wrong_precomputed_order(self, blend_mix, fixed_xi):
-        b = sp.b_map(fixed_xi)
-        with pytest.raises(ValueError, match="order"):
-            sp.build_c_hat(moment(blend_mix, 3, b), 3, b)
 
 
 class TestBuildEHat:

@@ -107,7 +107,7 @@ class TestWhiten:
     def test_orthonormalizes_weighted_powers(self, blend_mix, fixed_xi):
         # W applied to sqrt(w_i) (B p_i)^{(x)2} yields an orthonormal family
         b = sp.b_map(fixed_xi)
-        c = sp.build_c_hat(moment(blend_mix, 4, b), 3, b)
+        c = sp.build_c_hat(blend_mix, 3, b)
         w = whiten(c, 3)
         bp = blend_mix.components * b
         family = np.stack(
@@ -119,7 +119,7 @@ class TestWhiten:
 
 class TestBuildTHat:
     def test_two_component_spectrum(self, two_mix):
-        c = sp.build_c_hat(moment(two_mix, 2, None), 2, None)
+        c = sp.build_c_hat(two_mix, 2, None)
         t = build_t_hat(moment(two_mix, 3, None), whiten(c, 2))
         lam = np.sort(np.linalg.eigvalsh(t @ t.T))[::-1]
         # eigenvalues are the squared component norms 1 and 0.5
@@ -128,7 +128,7 @@ class TestBuildTHat:
 
     def test_spectrum_equals_rescaled_norms(self, blend_mix, fixed_xi):
         b = sp.b_map(fixed_xi)
-        c = sp.build_c_hat(moment(blend_mix, 4, b), 3, b)
+        c = sp.build_c_hat(blend_mix, 3, b)
         t = build_t_hat(moment(blend_mix, 5, b), whiten(c, 3))
         lam = np.sort(np.linalg.eigvalsh(t @ t.T))[::-1]
         norms = np.sort(sp.check_distinct_norms(blend_mix, fixed_xi).norms)[::-1]
@@ -154,7 +154,7 @@ class TestBuildTHat:
 class TestExtractComponents:
     @staticmethod
     def _t_hat(mix):
-        c = sp.build_c_hat(moment(mix, 2, None), 2, None)
+        c = sp.build_c_hat(mix, 2, None)
         return build_t_hat(moment(mix, 3, None), whiten(c, 2))
 
     def test_population_exact(self, two_mix):
