@@ -33,11 +33,10 @@ from .model import (
     MixtureSpec,
     b_map,
     check_distinct_norms,
-    dominating_measure,
     make_mixture,
     population_moment,
     probability_vector,
-    random_dominating_measure,
+    resolve_dominating,
 )
 from .multinomial import (
     MultinomialSpec,
@@ -57,7 +56,6 @@ from .recovery import (
     li_recover_4,
     recover_full,
     recover_weights,
-    resolve_dominating,
     whiten,
 )
 from .sampling import (
@@ -101,7 +99,6 @@ __all__ = [
     "build_t_hat",
     "check_distinct_norms",
     "dependence_coefficients",
-    "dominating_measure",
     "draw_groups",
     "empirical_sym_moment",
     "enumerate_compositions",
@@ -119,7 +116,6 @@ __all__ = [
     "population_moment",
     "probability_vector",
     "random_baseline",
-    "random_dominating_measure",
     "num_compositions",
     "read_groups",
     "recover_full",

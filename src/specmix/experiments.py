@@ -18,13 +18,15 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .model import DominatingMeasure, MixtureSpec, json_fields, make_mixture
-from .recovery import (
-    RecoveryConfig,
-    RecoveryError,
-    recover_full,
+from .model import (
+    DominatingMeasure,
+    MixtureSpec,
+    _scheme_name,
+    json_fields,
+    make_mixture,
     resolve_dominating,
 )
+from .recovery import RecoveryConfig, RecoveryError, recover_full
 from .sampling import draw_tally
 
 MAX_MATCH_SIZE = 8
@@ -84,8 +86,9 @@ def random_baseline(
 class ExperimentConfig:
     """One row of the accuracy table: data scale plus recovery choices.
 
-    dominating is the one reference measure of the experiment; the
-    recovery config must leave its own dominating unset.
+    dominating is the one reference measure of the experiment, checked
+    here like RecoveryConfig's; the recovery config must leave its own
+    dominating unset.
     """
 
     mixture: MixtureSpec
@@ -100,6 +103,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
+        resolve_dominating(self.dominating, 1, 0)
         if self.recovery.dominating is not None:
             # run_experiment resolves the top-level dominating for each replicate
             raise ValueError(
@@ -196,14 +200,6 @@ class ExperimentReport:
                 fh.write(self.to_json() + "\n")
 
 
-def _scheme_name(dominating: DominatingMeasure | str | None) -> str:
-    if dominating is None:
-        return "none"
-    if isinstance(dominating, DominatingMeasure):
-        return "fixed:" + ",".join(repr(v) for v in dominating.y)
-    return dominating
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Draw, recover, and score cfg.reps independent replicates.
 
@@ -229,8 +225,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             errors.append(None)
             failures.append({"rep": rep, "tag": str(exc)})
         seconds.append(time.perf_counter() - t_rep)
+    scheme = _scheme_name(cfg.dominating)
     report = ExperimentReport(
-        scheme=_scheme_name(cfg.dominating),
+        scheme=scheme,
         n_groups=cfg.n_groups,
         group_size=cfg.group_size,
         seed=cfg.seed,
@@ -240,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         config={
             "mixture": json.loads(cfg.mixture.to_json()),
             "reps": cfg.reps,
-            "recovery": replace(cfg.recovery, dominating=None).echo() | {"dominating": _scheme_name(cfg.dominating)},
+            "recovery": cfg.recovery.echo() | {"dominating": scheme},
         },
         wall_clock=time.perf_counter() - t_start,
     )

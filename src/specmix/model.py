@@ -5,7 +5,8 @@ together with strictly positive weights summing to one.  The order-n
 population moment is the symmetric tensor sum_i w_i p_i^{(x) n}, i.e. the
 joint law of n exchangeable draws that share a latent component, held as a
 plain (d,)*n array.  A reference measure y enters the pipeline only as the
-scale vector b = 1/sqrt(y) of the rescaling B = diag(b).
+scale vector b = 1/sqrt(y) of the rescaling B = diag(b); this module is the
+one place that reads and writes its descriptor strings.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ SUM_TOL = 1e-9
 DISTINCT_TOL = 1e-12
 NORM_GAP_TOL = 1e-3
 SQGAUSS_FLOOR = 1e-12
+DESCRIPTORS = '"none", "uniform", "sqgauss:<sigma>" or "fixed:<comma-separated masses>"'
 
 
 def probability_vector(x: Sequence[float]) -> np.ndarray:
@@ -131,11 +133,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def dominating_measure(y: Sequence[float]) -> DominatingMeasure:
-    """Validate a finite, strictly positive category-mass vector."""
-    return DominatingMeasure(y)
-
-
 def make_mixture(weights: Sequence[float], components: Sequence[Sequence[float]]) -> MixtureSpec:
     """Build a validated mixture.
 
@@ -174,32 +171,53 @@ def population_moment(mix: MixtureSpec, n: int) -> np.ndarray:
     return _power_sum(mix.weights, mix.components, n)
 
 
-def random_dominating_measure(
-    d: int,
-    scheme: str = "uniform",
-    seed: int = 0,
-    sigma: float = 1.0,
-) -> DominatingMeasure:
-    """Draw a strictly positive reference measure on d categories.
+def resolve_dominating(
+    spec: DominatingMeasure | str | None, d: int, seed: int
+) -> DominatingMeasure | None:
+    """Turn a reference-measure descriptor into a measure (None means the
+    identity rescaling).
 
-    Schemes: "uniform" draws each mass iid uniform on [1, 2];
-    "sqgauss" squares iid centered normals of standard deviation sigma
-    (floored at 1e-12 so the result stays strictly positive).
-    Deterministic given seed; dominating_measure validates a given vector.
+    spec is a DominatingMeasure (returned as is), None, or a descriptor
+    string: "none"; "uniform", each of the d masses iid uniform on
+    [1, 2]; "sqgauss:<sigma>", squared iid centered normals of standard
+    deviation sigma, floored at SQGAUSS_FLOOR; or "fixed:<comma-separated
+    masses>".  The random schemes are deterministic given seed.  The
+    size of a fixed measure is not compared with d; the caller checks it
+    against the data.  Anything else is a ValueError.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    if spec is None or isinstance(spec, DominatingMeasure):
+        return spec
+    if not isinstance(spec, str):
+        raise ValueError(
+            f"dominating must be a DominatingMeasure, None or one of {DESCRIPTORS}; got {spec!r}"
+        )
+    if spec == "none":
+        return None
+    scheme, _, arg = spec.partition(":")
     stream_seed = rng.derive_seed(seed, rng.TAG_DOMINATING)
-    if scheme == "uniform":
-        y = 1.0 + rng.uniforms(stream_seed, 0, d)
-    elif scheme == "sqgauss":
-        if sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {sigma}")
-        z = rng.normals(stream_seed, 0, d)
-        y = np.maximum((sigma * z) ** 2, SQGAUSS_FLOOR)
-    else:
-        raise ValueError(f"unknown dominating-measure scheme {scheme!r}")
-    return DominatingMeasure(y)
+    try:
+        if spec == "uniform":
+            return DominatingMeasure(1.0 + rng.uniforms(stream_seed, 0, d))
+        if scheme == "sqgauss":
+            sigma = float(arg)
+            if not 0.0 < sigma < np.inf:
+                raise ValueError(f"sigma must be finite and > 0, got {arg}")
+            z = rng.normals(stream_seed, 0, d)
+            return DominatingMeasure(np.maximum((sigma * z) ** 2, SQGAUSS_FLOOR))
+        if scheme == "fixed":
+            return DominatingMeasure([float(v) for v in arg.split(",")])
+    except ValueError as exc:
+        raise ValueError(f"dominating-measure descriptor {spec!r}: {exc}") from None
+    raise ValueError(f"unknown dominating-measure descriptor {spec!r}; the schemes are {DESCRIPTORS}")
+
+
+def _scheme_name(dominating: DominatingMeasure | str | None) -> str:
+    """The descriptor string of a reference measure, for reports."""
+    if dominating is None:
+        return "none"
+    if isinstance(dominating, DominatingMeasure):
+        return "fixed:" + ",".join(repr(v) for v in dominating.y)
+    return dominating
 
 
 def b_map(xi: DominatingMeasure) -> np.ndarray:

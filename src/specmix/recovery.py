@@ -24,6 +24,7 @@ of the number of components are included.
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Sequence
@@ -37,8 +38,7 @@ from .model import (
     MixtureSpec,
     b_map,
     check_distinct_norms,
-    dominating_measure,
-    random_dominating_measure,
+    resolve_dominating,
 )
 from .sampling import GroupedDataset, GroupTallyHistogram
 from .tensors import _power_sum, eig_sqrt_pinv, numerical_rank, outer_power, sym_eig, unfold
@@ -56,13 +56,15 @@ class RecoveryConfig:
     """The settings of recover_full.
 
     dominating is a DominatingMeasure, None (identity rescaling), or a
-    descriptor string: "none", "uniform", "sqgauss:<sigma>", or
-    "fixed:<comma-separated values>"; random schemes are resolved from
-    the run seed.  probe selects how folded eigenvectors are contracted
-    to single vectors: "gaussian" (seeded random probe with retries) or
-    "singular" (top left singular vector).  eig_floor is the whitening
-    floor relative to the largest eigenvalue of the moment form; lower
-    it when components are nearly coincident (see README).
+    descriptor string in the grammar of model.resolve_dominating; random
+    schemes are resolved from the run seed.  A malformed descriptor is a
+    ValueError here, before any data is drawn; its size is checked
+    against the data's when recover_full runs.  probe selects how folded
+    eigenvectors are contracted to single vectors: "gaussian" (seeded
+    random probe with retries) or "singular" (top left singular vector).
+    m is an integer >= 1.  eig_floor is the whitening floor relative to
+    the largest eigenvalue of the moment form, in (0, 1); lower it when
+    components are nearly coincident (see README).
 
     Components are always clipped at zero and weights always solved by
     clip-and-renormalize; the two class constants name those fixed
@@ -77,21 +79,24 @@ class RecoveryConfig:
     weight_solver: ClassVar[str] = "clip-renormalize"
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
         if self.probe not in ("gaussian", "singular"):
             raise ValueError(f"unknown probe {self.probe!r}")
+        if not isinstance(self.eig_floor, numbers.Real) or not 0.0 < self.eig_floor < 1.0:
+            raise ValueError(f"eig_floor must be a number in (0, 1), got {self.eig_floor!r}")
+        resolve_dominating(self.dominating, 1, 0)
 
     def echo(self) -> dict:
         dom = self.dominating
         if isinstance(dom, DominatingMeasure):
             dom = {"y": dom.y.tolist()}
         return {
-            "m": self.m,
+            "m": int(self.m),
             "dominating": dom,
             "probe": self.probe,
             "clip_negatives": self.clip_negatives,
-            "eig_floor": self.eig_floor,
+            "eig_floor": float(self.eig_floor),
             "weight_solver": self.weight_solver,
         }
 
@@ -124,28 +129,10 @@ class WeightSolution(NamedTuple):
     gram_condition: float
 
 
-def resolve_dominating(
-    spec: DominatingMeasure | str | None, d: int, seed: int
-) -> DominatingMeasure | None:
-    """Turn a descriptor into a concrete measure (None means identity)."""
-    if spec is None or isinstance(spec, DominatingMeasure):
-        return spec
-    if spec == "none":
-        return None
-    if spec == "uniform":
-        return random_dominating_measure(d, "uniform", seed)
-    if spec.startswith("sqgauss:"):
-        return random_dominating_measure(d, "sqgauss", seed, sigma=float(spec.split(":", 1)[1]))
-    if spec.startswith("fixed:"):
-        values = [float(v) for v in spec.split(":", 1)[1].split(",")]
-        return dominating_measure(values)
-    raise ValueError(f"unknown dominating-measure descriptor {spec!r}")
-
-
 def whiten(c_hat: np.ndarray, m: int, eig_floor: float = 1e-8) -> np.ndarray:
     """Inverse square root of the moment form on its top-m eigenspace."""
     if m < 1:
-        raise ValueError(f"keep must be >= 1, got {m}")
+        raise ValueError(f"m must be >= 1, got {m}")
     return eig_sqrt_pinv(sym_eig(c_hat), m, eig_floor)
 
 
@@ -374,7 +361,6 @@ def recover_full(
 def li_recover_4(
     data: GroupedDataset | GroupTallyHistogram | MixtureSpec,
     m: int,
-    probe: str = "gaussian",
     seed: int = 0,
 ) -> RecoveryResult:
     """Recovery from 4 draws per group for linearly independent components.
@@ -383,13 +369,14 @@ def li_recover_4(
     moment, W = C^{-1/2} on its top-m eigenspace, and I (x) W (x) I (x) W
     applied to the order-4 moment is flattened at split 2 into a PSD
     d^2 x d^2 operator whose top m eigenvectors factor as p_i (x) W p_i.
-    Requires pairwise distinct component norms; on population input
-    this is checked, and tied norms raise a RecoveryError.
+    Eigenvectors are contracted with the seeded Gaussian probe.  Requires
+    pairwise distinct component norms; on population input this is
+    checked, and tied norms raise a RecoveryError.
     """
-    config = RecoveryConfig(m, probe=probe)
+    config = RecoveryConfig(m)
     with _stage("setup"):
         if m > 1 and isinstance(data, MixtureSpec):
-            sep = check_distinct_norms(data, dominating_measure(np.ones(data.d)))
+            sep = check_distinct_norms(data, DominatingMeasure(np.ones(data.d)))
             if not sep.distinct:
                 raise RecoveryError(f"component norms separate by only {sep.min_gap:.3g}")
         data = moment_source(data, 4 if m > 1 else 1)

@@ -23,7 +23,7 @@ def blend_mix():
 @pytest.fixture(scope="session")
 def fixed_xi():
     """Reference measure (9, 4, 1): separates the blend_mix norms."""
-    return sp.dominating_measure([9.0, 4.0, 1.0])
+    return sp.DominatingMeasure([9.0, 4.0, 1.0])
 
 
 @pytest.fixture(scope="session")

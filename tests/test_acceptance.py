@@ -63,7 +63,7 @@ def test_criterion_3_population_moments_recover_mixture_exactly():
     # Both pipelines, fed exact population moments, return the mixture
     # to 1e-6 in matched L1 (components and weights).
     mix = blend()
-    res = sp.recover_full(mix, RecoveryConfig(m=3, dominating=sp.dominating_measure(FIXED_Y)))
+    res = sp.recover_full(mix, RecoveryConfig(m=3, dominating=sp.DominatingMeasure(FIXED_Y)))
     assert sp.matched_l1_error(mix.components, res.components) < 1e-6
     assert np.abs(np.sort(res.weights) - np.sort(mix.weights)).max() < 1e-6
 
@@ -77,7 +77,7 @@ def test_criterion_4_replicated_accuracy_within_reference_windows():
     # 20-replicate matched-L1 accuracy at pinned seeds falls inside the
     # reference windows for three data scales plus the random baseline.
     mix = blend()
-    fixed = sp.dominating_measure(FIXED_Y)
+    fixed = sp.DominatingMeasure(FIXED_Y)
 
     def mean_error(dominating, n_groups):
         cfg = ExperimentConfig(
@@ -130,7 +130,7 @@ def test_criterion_6_operator_estimate_converges_with_sample_size():
     # and its population value, over seeds 0..9, strictly decreases
     # along n = 5e3, 5e4, 5e5.
     mix = blend()
-    b = sp.b_map(sp.dominating_measure(FIXED_Y))
+    b = sp.b_map(sp.DominatingMeasure(FIXED_Y))
     c_pop = sp.build_c_hat(mix, 3, b)
     t_pop = build_t_hat(moment(mix, 5, b), whiten(c_pop, 3))
     target = t_pop @ t_pop.T
@@ -177,7 +177,7 @@ def test_criterion_8_structural_property_bundle():
             assert_array_equal(sp.fold(sp.unfold(t, split), d, order, split), t)
 
     mix = blend()
-    b = sp.b_map(sp.dominating_measure(FIXED_Y))
+    b = sp.b_map(sp.DominatingMeasure(FIXED_Y))
     c = sp.build_c_hat(mix, 3, b)
     w = whiten(c, 3)
     bp = mix.components * b
@@ -206,7 +206,7 @@ def test_criterion_8_structural_property_bundle():
         gram = (h_rows @ h_rows.T) ** 2
         assert np.linalg.matrix_rank(gram) == d + 1
 
-    config = RecoveryConfig(m=3, dominating=sp.dominating_measure(FIXED_Y))
+    config = RecoveryConfig(m=3, dominating=sp.DominatingMeasure(FIXED_Y))
     a = sp.recover_full(mix, config, seed=1).components
     bb = sp.recover_full(mix, config, seed=2).components
     assert np.abs(a - bb).max() < 1e-6

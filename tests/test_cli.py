@@ -126,6 +126,21 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit, match="^specmix experiment: unknown recovery key 'bogus'"):
             run_cli(["experiment", "--config", config_file])
 
+    def test_malformed_setting_exits_with_one_line(self, config_file, tmp_path):
+        # checked when the config is built, so no replicate runs and no report is written
+        out = tmp_path / "report.json"
+        cases = [
+            ({"dominating": "unifrom"}, "unknown dominating-measure descriptor 'unifrom'"),
+            ({"dominating": [9, 4, 1]}, "dominating must be a DominatingMeasure"),
+            ({"dominating": "uniform", "recovery": {"m": "2"}}, "m must be an integer >= 1, got '2'"),
+            ({"recovery": {"m": 3, "eig_floor": "1e-8"}}, "eig_floor must be a number in"),
+        ]
+        for changes, message in cases:
+            self._edit(config_file, **changes)
+            with pytest.raises(SystemExit, match=f"^specmix experiment: {message}[^\n]*$"):
+                run_cli(["experiment", "--config", config_file, "--out", str(out)])
+            assert not out.exists()
+
     def test_unknown_key_exits_with_one_line(self, config_file):
         self._edit(config_file, n_group=5)
         with pytest.raises(SystemExit, match="^specmix experiment: unknown experiment config key 'n_group'$"):

@@ -145,6 +145,9 @@ class TestRunExperiment:
     def test_validation(self, blend_mix, fixed_xi):
         with pytest.raises(ValueError, match="reps"):
             small_config(blend_mix, fixed_xi, reps=0)
+        for dominating in ("unifrom", "sqgauss:-1", "fixed:", [9, 4, 1]):
+            with pytest.raises(ValueError, match="dominating"):
+                small_config(blend_mix, None, dominating=dominating)
 
     def test_one_reference_measure(self, blend_mix):
         # the top-level dominating is the experiment's only reference measure

@@ -93,43 +93,24 @@ class TestPopulationMoment:
 
 class TestDominatingMeasure:
     def test_fixed(self):
-        xi = sp.dominating_measure([9.0, 4.0, 1.0])
+        xi = sp.DominatingMeasure([9.0, 4.0, 1.0])
         assert_array_equal(xi.y, [9.0, 4.0, 1.0])
 
     def test_fixed_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="> 0"):
-            sp.dominating_measure([1.0, 0.0])
+            sp.DominatingMeasure([1.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("build", [sp.dominating_measure, sp.DominatingMeasure])
+    @pytest.mark.parametrize("build", [sp.DominatingMeasure])
     def test_rejects_non_finite_mass(self, build, bad):
         with pytest.raises(ValueError, match=f"entry 1 is {bad}, not finite"):
             build([1.0, bad, 1.0])
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_fixed_descriptor_rejects_non_finite_mass(self, blend_mix, bad):
-        ds = sp.draw_groups(blend_mix, 5, 200, seed=0)
-        config = sp.RecoveryConfig(3, dominating=f"fixed:1,{bad},1")
-        with pytest.raises(sp.RecoveryError, match=f"stage 'setup' failed: .*entry 1 is {bad}"):
-            sp.recover_full(ds, config)
-
-    def test_uniform_support_and_determinism(self):
-        a = sp.random_dominating_measure(50, "uniform", seed=7)
-        b = sp.random_dominating_measure(50, "uniform", seed=7)
-        assert_array_equal(a.y, b.y)
-        assert np.all((a.y >= 1.0) & (a.y <= 2.0))
-        c = sp.random_dominating_measure(50, "uniform", seed=8)
-        assert not np.array_equal(a.y, c.y)
-
-    def test_sqgauss_positive(self):
-        xi = sp.random_dominating_measure(200, "sqgauss", seed=3, sigma=0.03)
-        assert np.all(xi.y > 0.0)
-        # scale should be around sigma^2
-        assert 1e-6 < np.median(xi.y) < 1e-2
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError, match="scheme"):
-            sp.random_dominating_measure(3, "bogus")
+    def test_fixed_descriptor_rejects_non_finite_mass(self, bad):
+        # the descriptor is checked when the config is built, before any data
+        with pytest.raises(ValueError, match=f"entry 1 is {bad}"):
+            sp.RecoveryConfig(3, dominating=f"fixed:1,{bad},1")
 
     def test_json_round_trip(self, fixed_xi):
         assert_array_equal(sp.DominatingMeasure.from_json(fixed_xi.to_json()).y, fixed_xi.y)
@@ -140,7 +121,7 @@ class TestBMap:
         assert_allclose(sp.b_map(fixed_xi), [1 / 3, 1 / 2, 1.0])
 
     def test_unit_measure_gives_identity(self):
-        b = sp.b_map(sp.dominating_measure(np.ones(4)))
+        b = sp.b_map(sp.DominatingMeasure(np.ones(4)))
         assert_array_equal(np.diag(b), np.eye(4))
 
     def test_read_only(self, fixed_xi):
@@ -150,7 +131,7 @@ class TestBMap:
 
 class TestDistinctNorms:
     def test_unit_measure_ties(self, blend_mix):
-        res = sp.check_distinct_norms(blend_mix, sp.dominating_measure(np.ones(3)))
+        res = sp.check_distinct_norms(blend_mix, sp.DominatingMeasure(np.ones(3)))
         assert not res.distinct
         assert_allclose(res.norms[0], 0.5136)
         assert_allclose(res.norms[1], 0.5136)
@@ -163,7 +144,7 @@ class TestDistinctNorms:
 
     def test_single_component_vacuous(self):
         mix = sp.make_mixture([1.0], [[0.5, 0.5]])
-        res = sp.check_distinct_norms(mix, sp.dominating_measure([1.0, 1.0]))
+        res = sp.check_distinct_norms(mix, sp.DominatingMeasure([1.0, 1.0]))
         assert res.distinct and res.min_gap == np.inf
 
     def test_random_measure_separates(self):
@@ -171,9 +152,9 @@ class TestDistinctNorms:
         rng = np.random.default_rng(0)
         for trial in range(1000):
             mix = random_mixture(rng, 3, 3)
-            xi = sp.random_dominating_measure(3, "uniform", seed=trial)
+            xi = sp.resolve_dominating("uniform", 3, trial)
             assert sp.check_distinct_norms(mix, xi).min_gap > 1e-12
 
     def test_dimension_mismatch(self, blend_mix):
         with pytest.raises(ValueError, match="dimension"):
-            sp.check_distinct_norms(blend_mix, sp.dominating_measure([1.0, 1.0]))
+            sp.check_distinct_norms(blend_mix, sp.DominatingMeasure([1.0, 1.0]))

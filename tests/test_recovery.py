@@ -38,26 +38,45 @@ class TestResolveDominating:
         assert resolve_dominating(fixed_xi, 3, 0) is fixed_xi
 
     def test_uniform_scheme(self):
-        xi = resolve_dominating("uniform", 4, 7)
-        again = resolve_dominating("uniform", 4, 7)
-        assert_array_equal(xi.y, again.y)
-        assert np.all(xi.y >= 1.0) and np.all(xi.y < 2.0)
-        other = resolve_dominating("uniform", 4, 8)
-        assert not np.array_equal(xi.y, other.y)
+        for d in (4, 50):
+            xi = resolve_dominating("uniform", d, 7)
+            again = resolve_dominating("uniform", d, 7)
+            assert_array_equal(xi.y, again.y)
+            assert np.all(xi.y >= 1.0) and np.all(xi.y < 2.0)
+            other = resolve_dominating("uniform", d, 8)
+            assert not np.array_equal(xi.y, other.y)
 
     def test_sqgauss_scheme(self):
         xi = resolve_dominating("sqgauss:0.5", 3, 1)
         assert np.all(xi.y >= 1e-12)
         small = resolve_dominating("sqgauss:0.001", 3, 1)
         assert small.y.max() < xi.y.max()
+        xi = resolve_dominating("sqgauss:0.03", 200, 3)
+        assert np.all(xi.y > 0.0)
+        # scale should be around sigma^2
+        assert 1e-6 < np.median(xi.y) < 1e-2
 
     def test_fixed_scheme(self):
         xi = resolve_dominating("fixed:9,4,1", 3, 0)
         assert_array_equal(xi.y, [9.0, 4.0, 1.0])
 
     def test_unknown_raises(self):
-        with pytest.raises(ValueError, match="descriptor"):
+        with pytest.raises(ValueError, match="descriptor 'bogus'; the schemes are"):
             resolve_dominating("bogus", 3, 0)
+        malformed = {
+            "unifrom": "unknown dominating-measure descriptor 'unifrom'",
+            "sqgauss:abc": "'sqgauss:abc': could not convert",
+            "sqgauss:-1": "'sqgauss:-1': sigma must be finite and > 0",
+            "sqgauss:nan": "'sqgauss:nan': sigma must be finite and > 0",
+            "fixed:1,x,3": "'fixed:1,x,3': could not convert",
+            "fixed:": "'fixed:': could not convert",
+        }
+        for spec, message in malformed.items():
+            with pytest.raises(ValueError, match=message):
+                resolve_dominating(spec, 3, 0)
+        for spec in ([9, 4, 1], 3.0):
+            with pytest.raises(ValueError, match='dominating must be .* "uniform"'):
+                resolve_dominating(spec, 3, 0)
 
 
 class TestRecoveryConfig:
@@ -70,6 +89,18 @@ class TestRecoveryConfig:
             RecoveryConfig(m=0)
         with pytest.raises(ValueError, match="probe"):
             RecoveryConfig(m=2, probe="bogus")
+        for m in ("2", 2.0, 2.5, None):
+            with pytest.raises(ValueError, match="m must be an integer >= 1"):
+                RecoveryConfig(m=m)
+        for eig_floor in ("1e-8", 0.0, -1.0, 1.0, float("nan"), None):
+            with pytest.raises(ValueError, match=r"eig_floor must be a number in \(0, 1\)"):
+                RecoveryConfig(m=2, eig_floor=eig_floor)
+        for dominating in ("unifrom", "sqgauss:abc", "sqgauss:-1", "fixed:1,x,3", "fixed:", [9, 4, 1]):
+            with pytest.raises(ValueError, match="dominating"):
+                RecoveryConfig(m=2, dominating=dominating)
+        # a numpy integer m and a numpy float floor are accepted and echoed as JSON numbers
+        cfg = RecoveryConfig(m=np.int64(2), eig_floor=np.float64(1e-9))
+        assert json.dumps(cfg.echo()) == json.dumps(RecoveryConfig(m=2, eig_floor=1e-9).echo())
 
     def test_settable_fields(self):
         assert [f.name for f in fields(RecoveryConfig)] == ["m", "dominating", "probe", "eig_floor"]
@@ -103,6 +134,8 @@ class TestWhiten:
     def test_rank_deficiency(self):
         with pytest.raises(RankDeficiencyError):
             whiten(np.diag([1.0, 0.0]), 2)
+        with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
+            whiten(np.eye(2), 0)
 
     def test_orthonormalizes_weighted_powers(self, blend_mix, fixed_xi):
         # W applied to sqrt(w_i) (B p_i)^{(x)2} yields an orthonormal family
@@ -268,13 +301,13 @@ class TestRecoverFull:
     def test_tied_norms_rejected(self):
         mix = sp.make_mixture([0.5, 0.5], [[0.6, 0.4], [0.4, 0.6]])
         with pytest.raises(RecoveryError, match="separate"):
-            sp.recover_full(mix, RecoveryConfig(m=2, dominating=sp.dominating_measure([1.0, 1.0])))
+            sp.recover_full(mix, RecoveryConfig(m=2, dominating=sp.DominatingMeasure([1.0, 1.0])))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_reference_measure_must_match_categories(self, blend_mix, m):
         ds = sp.draw_groups(blend_mix, 3, 200, seed=0)
         for data in (blend_mix, ds):
-            for dominating in ("fixed:1,2,3,4", sp.dominating_measure([1.0, 2.0])):
+            for dominating in ("fixed:1,2,3,4", sp.DominatingMeasure([1.0, 2.0])):
                 with pytest.raises(RecoveryError, match=r"'setup'.* has \d categories, the data has 3"):
                     sp.recover_full(data, RecoveryConfig(m=m, dominating=dominating))
 
@@ -347,10 +380,6 @@ class TestLiRecover4:
     def test_rejects_bad_m(self, indep_mix):
         with pytest.raises(ValueError):
             sp.li_recover_4(indep_mix, 0)
-
-    def test_rejects_unknown_probe(self, indep_mix):
-        with pytest.raises(ValueError, match="probe"):
-            sp.li_recover_4(indep_mix, 3, probe="bogus")
 
 
 class TestEstimateNumComponents:

@@ -139,7 +139,7 @@ class TestWhitenedOperators:
     def test_fourth_operator_matches_kronecker(self, indep_mix):
         rng = np.random.default_rng(10)
         d = indep_mix.d
-        b = sp.b_map(sp.dominating_measure([2.0, 1.0, 0.5]))
+        b = sp.b_map(sp.DominatingMeasure([2.0, 1.0, 0.5]))
         for scale in (None, b):
             w = rng.standard_normal((d, d))
             m4 = sp.moment(indep_mix, 4, scale)
