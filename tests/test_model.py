@@ -112,6 +112,24 @@ class TestDominatingMeasure:
         with pytest.raises(ValueError, match=f"entry 1 is {bad}"):
             sp.RecoveryConfig(3, dominating=f"fixed:1,{bad},1")
 
+    def test_uniform_support_and_determinism(self):
+        a = sp.resolve_dominating("uniform", 50, seed=7)
+        b = sp.resolve_dominating("uniform", 50, seed=7)
+        assert_array_equal(a.y, b.y)
+        assert np.all((a.y >= 1.0) & (a.y <= 2.0))
+        c = sp.resolve_dominating("uniform", 50, seed=8)
+        assert not np.array_equal(a.y, c.y)
+
+    def test_sqgauss_positive(self):
+        xi = sp.resolve_dominating("sqgauss:0.03", 200, seed=3)
+        assert np.all(xi.y > 0.0)
+        # scale should be around sigma^2
+        assert 1e-6 < np.median(xi.y) < 1e-2
+
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError, match="scheme"):
+            sp.resolve_dominating("bogus", 3, seed=0)
+
     def test_json_round_trip(self, fixed_xi):
         assert_array_equal(sp.DominatingMeasure.from_json(fixed_xi.to_json()).y, fixed_xi.y)
 

@@ -38,23 +38,18 @@ class TestResolveDominating:
         assert resolve_dominating(fixed_xi, 3, 0) is fixed_xi
 
     def test_uniform_scheme(self):
-        for d in (4, 50):
-            xi = resolve_dominating("uniform", d, 7)
-            again = resolve_dominating("uniform", d, 7)
-            assert_array_equal(xi.y, again.y)
-            assert np.all(xi.y >= 1.0) and np.all(xi.y < 2.0)
-            other = resolve_dominating("uniform", d, 8)
-            assert not np.array_equal(xi.y, other.y)
+        xi = resolve_dominating("uniform", 4, 7)
+        again = resolve_dominating("uniform", 4, 7)
+        assert_array_equal(xi.y, again.y)
+        assert np.all(xi.y >= 1.0) and np.all(xi.y < 2.0)
+        other = resolve_dominating("uniform", 4, 8)
+        assert not np.array_equal(xi.y, other.y)
 
     def test_sqgauss_scheme(self):
         xi = resolve_dominating("sqgauss:0.5", 3, 1)
         assert np.all(xi.y >= 1e-12)
         small = resolve_dominating("sqgauss:0.001", 3, 1)
         assert small.y.max() < xi.y.max()
-        xi = resolve_dominating("sqgauss:0.03", 200, 3)
-        assert np.all(xi.y > 0.0)
-        # scale should be around sigma^2
-        assert 1e-6 < np.median(xi.y) < 1e-2
 
     def test_fixed_scheme(self):
         xi = resolve_dominating("fixed:9,4,1", 3, 0)
