@@ -1,9 +1,11 @@
 """Mixture pairs witnessing sharpness of moment identifiability bounds.
 
 Given t distinct mixing levels eps_i in [0, 1] and two distinct base
-measures gamma, gamma', the blends mu_i = eps_i gamma + (1 - eps_i)
-gamma' admit a signed dependence alpha with sum_i alpha_i mu_i^{(x) r}
-= 0 for every r <= t - 2.  Splitting the alpha_i by sign and
+measures gamma, gamma', the r-fold powers of the blends mu_i = eps_i
+gamma + (1 - eps_i) gamma' are polynomials of degree r in eps_i, so the
+t-point divided difference alpha_i = 1 / prod_{j != i} (eps_i - eps_j)
+gives sum_i alpha_i mu_i^{(x) r} = 0 for every r <= t - 2.  Over sorted
+levels the alpha_i alternate in sign; splitting them by sign and
 renormalizing each side produces two different mixtures whose grouped-
 sample laws agree at all orders up to t - 2 and differ at t - 1:
 
@@ -15,15 +17,12 @@ sample laws agree at all orders up to t - 2 and differ at t - 1:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .model import MixtureSpec, make_mixture, population_moment, probability_vector
-
-NULL_SPACE_TOL = 1e-10
 
 
 class MomentComparison(NamedTuple):
@@ -38,9 +37,12 @@ class CounterexamplePair:
     p: MixtureSpec
     p_prime: MixtureSpec
     t: int
-    eq_order: int
     epsilons: np.ndarray
     alphas: np.ndarray
+
+    @property
+    def eq_order(self) -> int:
+        return self.t - 2
 
     def to_json(self) -> str:
         eq = verify_moment_equality(self.p, self.p_prime, self.eq_order)
@@ -62,14 +64,12 @@ class CounterexamplePair:
 
 
 def dependence_coefficients(epsilons: Sequence[float]) -> np.ndarray:
-    """Signed coefficients alpha with sum_i alpha_i mu_i^{(x)(t-2)} = 0.
+    """Unit-norm divided difference alpha_i = 1 / prod_{j != i} (eps_i -
+    eps_j), sign-fixed so the last entry is positive.
 
-    The blends mu_i live in a 2-dim space, so their (t-2)-fold powers
-    have t-1 independent symmetric coordinates: column i of the
-    (t-1) x t matrix M holds the binomial profile C(t-2, j) eps_i^j
-    (1-eps_i)^{t-2-j}.  Distinct eps make the null space of M exactly
-    one-dimensional; alpha is its unit-norm basis vector, sign-fixed so
-    the last entry is positive.
+    The smallest |row product| over each row product is alpha over its
+    largest |entry|, with one rounding per entry.  Levels whose products
+    or coefficients leave the normal float64 range are a ValueError.
     """
     eps = np.asarray(epsilons, dtype=np.float64)
     t = eps.size
@@ -77,24 +77,16 @@ def dependence_coefficients(epsilons: Sequence[float]) -> np.ndarray:
         raise ValueError(f"need at least 3 mixing levels, got {t}")
     if np.unique(eps).size != t:
         raise ValueError("mixing levels must be distinct")
-    j = np.arange(t - 1)
-    coeff = np.array([math.comb(t - 2, int(v)) for v in j], dtype=np.float64)
-    mat = coeff[:, None] * eps[None, :] ** j[:, None] * (1.0 - eps[None, :]) ** (t - 2 - j)[:, None]
-    # Pad to square so the count of small singular values equals the null
-    # space dimension (expected: exactly one, the padding's own zero).
-    padded = np.vstack([mat, np.zeros((1, t))])
-    _, sing, vt = np.linalg.svd(padded)
-    small = sing < NULL_SPACE_TOL * sing[0]
-    if small.sum() != 1:
-        raise ValueError(
-            f"null space dimension {int(small.sum())} != 1; mixing levels degenerate"
-        )
-    alpha = vt[-1]
-    if np.abs(alpha).min() < NULL_SPACE_TOL:
-        raise ValueError("dependence vector has a vanishing entry")
-    if alpha[-1] < 0.0:
-        alpha = -alpha
-    return alpha
+    with np.errstate(all="ignore"):
+        gaps = eps[:, None] - eps[None, :]
+        np.fill_diagonal(gaps, 1.0)
+        prods = gaps.prod(axis=1)
+        alpha = np.abs(prods).min() / prods
+        alpha /= np.linalg.norm(alpha)
+        size = np.abs(np.concatenate([prods, alpha]))
+        if not np.all((size >= np.finfo(np.float64).tiny) & (size < np.inf)):
+            raise ValueError("mixing levels too close or too far apart for float64 coefficients")
+    return alpha if alpha[-1] > 0.0 else -alpha
 
 
 def build_pair(
@@ -105,21 +97,18 @@ def build_pair(
 ) -> CounterexamplePair:
     """Construct the sign-split pair for t = 2m or t = 2m + 1 levels.
 
-    The side with the fewer levels becomes the first mixture (m
-    components in both regimes); for t = 2m the tie goes to the side
-    containing the smallest level.  Side weights are the |alpha_i|
-    renormalized to sum 1.  Default levels are evenly spaced on [0, 1];
-    default bases are the two coordinate measures on d = 2.
+    alpha is negative at the sorted positions i with i % 2 == t % 2; those
+    m levels (with the smallest when t = 2m) form the first mixture.  Side
+    weights are the |alpha_i| renormalized to sum 1.  Default levels are
+    evenly spaced on [0, 1]; default bases are the coordinate measures on d = 2.
     """
     if t not in (2 * m, 2 * m + 1):
         raise ValueError(f"t must be 2m or 2m+1 for m={m}, got {t}")
     if base is None:
-        gamma, gamma_prime = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    else:
-        gamma = probability_vector(base[0])
-        gamma_prime = probability_vector(base[1])
-        if gamma.size != gamma_prime.size:
-            raise ValueError("base measures must share a dimension")
+        base = ([1.0, 0.0], [0.0, 1.0])
+    gamma, gamma_prime = probability_vector(base[0]), probability_vector(base[1])
+    if gamma.size != gamma_prime.size:
+        raise ValueError("base measures must share a dimension")
     if np.abs(gamma - gamma_prime).max() <= 1e-12:
         raise ValueError("base measures must be distinct")
     if epsilons is None:
@@ -132,32 +121,13 @@ def build_pair(
             raise ValueError("mixing levels must lie in [0, 1]")
 
     alpha = dependence_coefficients(eps)
-    neg = np.nonzero(alpha < 0.0)[0]
-    pos = np.nonzero(alpha > 0.0)[0]
-    if min(neg.size, pos.size) != t // 2:
-        raise ValueError(
-            f"sign split {neg.size}/{pos.size} is unbalanced; choose other mixing levels"
-        )
-    # First mixture takes the smaller sign class (smallest level on ties),
-    # with a global flip so that class carries the negative coefficients.
-    if neg.size != pos.size:
-        first = neg if neg.size < pos.size else pos
-    else:
-        first = neg if 0 in neg else pos
-    if alpha[first[0]] > 0.0:
-        alpha = -alpha
-        neg, pos = pos, neg
-    second = pos
-
     components = eps[:, None] * gamma[None, :] + (1.0 - eps[:, None]) * gamma_prime[None, :]
 
-    def side(indices: np.ndarray) -> MixtureSpec:
-        w = np.abs(alpha[indices])
-        return make_mixture(w / w.sum(), components[indices])
+    def side(parity: int) -> MixtureSpec:
+        w = np.abs(alpha[parity::2])
+        return make_mixture(w / w.sum(), components[parity::2])
 
-    pair = CounterexamplePair(
-        side(first), side(second), t, t - 2, np.ascontiguousarray(eps), alpha
-    )
+    pair = CounterexamplePair(side(t % 2), side(1 - t % 2), t, eps, alpha)
     check = verify_moment_equality(pair.p, pair.p_prime, pair.eq_order, tol=1e-8)
     if not check.equal:
         raise ValueError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import IO, NamedTuple, Sequence
@@ -86,9 +87,10 @@ def random_baseline(
 class ExperimentConfig:
     """One row of the accuracy table: data scale plus recovery choices.
 
-    dominating is the one reference measure of the experiment, checked
-    here like RecoveryConfig's; the recovery config must leave its own
-    dominating unset.
+    group_size, n_groups and reps are integers >= 1, and the replicate
+    seeds seed .. seed + reps - 1 lie in [0, 2**64).  dominating is the
+    experiment's one reference measure, checked here like RecoveryConfig's;
+    the recovery config must leave its own dominating unset.
     """
 
     mixture: MixtureSpec
@@ -101,8 +103,12 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        for name in ("group_size", "n_groups", "reps"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed <= 2**64 - self.reps:
+            raise ValueError(f"seed must be an integer in [0, 2**64 - reps], got {self.seed!r}")
         resolve_dominating(self.dominating, 1, 0)
         if self.recovery.dominating is not None:
             # run_experiment resolves the top-level dominating for each replicate
@@ -127,12 +133,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown recovery key {unknown[0]!r}")
         return cls(
             mixture=make_mixture(*json_fields(mix, "mixture", "weights", "components")),
-            group_size=int(group_size),
-            n_groups=int(n_groups),
-            reps=int(reps),
+            group_size=group_size,
+            n_groups=n_groups,
+            reps=reps,
             dominating=obj.get("dominating", "none"),
             recovery=RecoveryConfig(**rec),
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
             out=obj.get("out"),
         )
 

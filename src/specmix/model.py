@@ -31,16 +31,26 @@ SQGAUSS_FLOOR = 1e-12
 DESCRIPTORS = '"none", "uniform", "sqgauss:<sigma>" or "fixed:<comma-separated masses>"'
 
 
+def _finite_vector(x: Sequence[float], what: str) -> np.ndarray:
+    """A float64 copy of x; a ValueError naming what unless it is a
+    nonempty 1-D array of finite entries."""
+    arr = np.array(x, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{what} must be a nonempty 1-D array")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{what} entry {bad[0]} is {arr[bad[0]]}, not finite")
+    return arr
+
+
 def probability_vector(x: Sequence[float]) -> np.ndarray:
-    """Validate a probability vector: nonnegative entries summing to 1.
+    """Validate a probability vector: finite nonnegative entries summing to 1.
 
     Sums within 1e-9 of one are renormalized (tolerates rounded config
     values); anything further off is rejected.  Returns a read-only
     float64 copy.
     """
-    p = np.array(x, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probability vector must be a nonempty 1-D array")
+    p = _finite_vector(x, "probability vector")
     if np.any(p < 0.0):
         raise ValueError(f"negative probability entry: {p.min():.3g}")
     total = p.sum()
@@ -97,12 +107,7 @@ class DominatingMeasure:
     y: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.y, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("dominating measure must be a nonempty 1-D array")
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise ValueError(f"dominating measure entry {bad[0]} is {arr[bad[0]]}, not finite")
+        arr = _finite_vector(self.y, "dominating measure")
         if np.any(arr <= 0.0):
             raise ValueError(f"dominating measure entries must be > 0, got min {arr.min():.3g}")
         object.__setattr__(self, "y", _readonly(arr))
@@ -136,13 +141,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def make_mixture(weights: Sequence[float], components: Sequence[Sequence[float]]) -> MixtureSpec:
     """Build a validated mixture.
 
-    Weights must be strictly positive and sum to 1 within 1e-9 (then
-    renormalized exactly).  Components must be probability vectors of a
-    common dimension, pairwise distinct in L-infinity beyond 1e-12.
+    Weights must be finite, strictly positive and sum to 1 within 1e-9
+    (then renormalized exactly).  Components must be probability vectors
+    of a common dimension, pairwise distinct in L-infinity beyond 1e-12.
     """
-    w = np.array(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a nonempty 1-D array")
+    w = _finite_vector(weights, "weights")
     if np.any(w <= 0.0):
         raise ValueError(f"weights must be strictly positive, got min {w.min():.3g}")
     total = w.sum()

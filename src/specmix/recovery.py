@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Sequence
@@ -242,6 +243,16 @@ def _weight_residual(e: np.ndarray, comp: np.ndarray, weights: np.ndarray, r: in
     return float(np.linalg.norm((e - _power_sum(weights, comp, r)).ravel()))
 
 
+def _check_fits(d: int, order: int) -> None:
+    """MemoryError if d^order float64s exceed physical memory (unchecked without os.sysconf)."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 0 < physical < 8 * d**order:
+        raise MemoryError(f"a dense {d}^{order} array needs {8 * d**order} bytes; physical memory is {physical}")
+
+
 @contextmanager
 def _stage(name: str):
     """Turn any failure inside the block into a RecoveryError naming the stage."""
@@ -341,6 +352,8 @@ def recover_full(
         if xi is not None and xi.d != data.d:
             raise ValueError(f"reference measure has {xi.d} categories, the data has {data.d}")
         b = None if xi is None else b_map(xi)
+        if m > 1:
+            _check_fits(data.d, 2 * m)  # the d^m x d^m operator
     if m > 1 and xi is not None and isinstance(data, MixtureSpec):
         with _stage("dominating-measure check"):
             sep = check_distinct_norms(data, xi)
@@ -380,6 +393,8 @@ def li_recover_4(
             if not sep.distinct:
                 raise RecoveryError(f"component norms separate by only {sep.min_gap:.3g}")
         data = moment_source(data, 4 if m > 1 else 1)
+        if m > 1:
+            _check_fits(data.d, 4)  # the d^2 x d^2 operator
     return _run_stages(
         data,
         seed,
@@ -405,4 +420,7 @@ def estimate_num_components(
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
-    return numerical_rank(unfold(moment(moment_source(data, 2 * n), 2 * n), n), rel_tol)
+    data = moment_source(data, 2 * n)
+    with _stage("setup"):
+        _check_fits(data.d, 2 * n)
+    return numerical_rank(unfold(moment(data, 2 * n), n), rel_tol)

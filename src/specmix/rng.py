@@ -55,7 +55,9 @@ def mix64(z: int) -> int:
 
 
 def derive_seed(seed: int, tag: int) -> int:
-    """Sub-seed for an independent subsystem (see module docstring)."""
+    """Sub-seed for an independent subsystem (see module docstring); seed must lie in [0, 2**64)."""
+    if not 0 <= seed <= MASK:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return mix64((mix64(seed) + tag * GOLD) & MASK)
 
 

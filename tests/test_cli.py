@@ -134,6 +134,10 @@ class TestExperimentCommand:
             ({"dominating": [9, 4, 1]}, "dominating must be a DominatingMeasure"),
             ({"dominating": "uniform", "recovery": {"m": "2"}}, "m must be an integer >= 1, got '2'"),
             ({"recovery": {"m": 3, "eig_floor": "1e-8"}}, "eig_floor must be a number in"),
+            ({"recovery": {"m": 3}, "n_groups": 0}, "n_groups must be an integer >= 1, got 0"),
+            ({"n_groups": 2000, "group_size": 3.7}, "group_size must be an integer >= 1, got 3.7"),
+            ({"group_size": 5, "seed": -1}, r"seed must be an integer in \[0, 2\*\*64 - reps\]"),
+            ({"seed": 2**64 - 1}, r"seed must be an integer in \[0, 2\*\*64 - reps\]"),
         ]
         for changes, message in cases:
             self._edit(config_file, **changes)

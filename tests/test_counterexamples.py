@@ -1,9 +1,13 @@
 """Mixture pairs that match moments up to a cutoff and differ above it."""
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
 from specmix.counterexamples import dependence_coefficients
@@ -24,11 +28,27 @@ class TestDependenceCoefficients:
 
     def test_annihilates_monomials(self):
         # the defining property: sum_i alpha_i eps_i^l = 0 for l <= t-2
-        for eps in ([0.1, 0.3, 0.55, 0.8, 0.95], np.arange(6) / 5.0):
+        for eps in ([0.1, 0.3, 0.55, 0.8, 0.95], np.arange(6) / 5.0, np.arange(30) / 29.0):
             eps = np.asarray(eps)
             alpha = dependence_coefficients(eps)
             for power in range(eps.size - 1):
                 assert abs(np.dot(alpha, eps**power)) < 1e-12
+
+    @pytest.mark.parametrize("t", range(3, 31))
+    def test_even_levels_give_alternating_binomials(self, t):
+        # the t-point divided difference on an even grid is the (t-1)-th
+        # forward difference, up to scale
+        binom = np.array([(-1) ** (t - 1 - i) * math.comb(t - 1, i) for i in range(t)], dtype=float)
+        alpha = dependence_coefficients(np.arange(t) / (t - 1.0))
+        assert np.abs(alpha - binom / np.linalg.norm(binom)).max() <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1e-15, 1e10])
+    def test_out_of_range_levels_raise_without_warning(self, scale):
+        # the gap products underflow (1e-15) or overflow (1e10) float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="levels"):
+                dependence_coefficients(np.arange(30) * scale)
 
     def test_unit_norm_and_sign(self):
         alpha = dependence_coefficients([0.0, 0.2, 0.7, 1.0])
@@ -151,6 +171,34 @@ class TestBuildPairInvariants:
             sp.build_pair(2, 4, epsilons=[0.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="levels"):
             sp.build_pair(2, 4, epsilons=[-0.1, 0.3, 0.6, 1.0])
+
+
+bases = st.integers(2, 4).flatmap(
+    lambda d: st.tuples(*[st.lists(st.integers(1, 9), min_size=d, max_size=d)] * 2)
+)
+
+
+class TestBuildPairProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(levels=st.lists(st.integers(0, 1000), min_size=3, max_size=9, unique=True),
+           base=st.none() | bases)
+    @example(levels=list(range(9)), base=None)  # levels 0.001 apart
+    def test_sides_are_parity_classes(self, levels, base):
+        t = len(levels)
+        if base is not None:
+            base = tuple(np.array(v) / sum(v) for v in base)
+            assume(np.abs(base[0] - base[1]).max() > 1e-3)
+        pair = sp.build_pair(t // 2, t, base=base, epsilons=np.array(levels) / 1000.0)
+        gamma, gamma_prime = ([1.0, 0.0], [0.0, 1.0]) if base is None else base
+        gamma, gamma_prime = sp.probability_vector(gamma), sp.probability_vector(gamma_prime)
+        eps = np.sort(levels) / 1000.0
+        comps = eps[:, None] * gamma[None, :] + (1.0 - eps[:, None]) * gamma_prime[None, :]
+        first, second = slice(t % 2, None, 2), slice(1 - t % 2, None, 2)
+        # each side's rows are the blends at its levels, renormalized as make_mixture does
+        assert_array_equal(pair.p.components, [sp.probability_vector(c) for c in comps[first]])
+        assert_array_equal(pair.p_prime.components, [sp.probability_vector(c) for c in comps[second]])
+        assert np.all(pair.alphas[first] < 0) and np.all(pair.alphas[second] > 0)
+        assert sp.verify_moment_equality(pair.p, pair.p_prime, t - 2).equal
 
 
 class TestVerifyMomentEquality:

@@ -145,6 +145,15 @@ class TestRunExperiment:
     def test_validation(self, blend_mix, fixed_xi):
         with pytest.raises(ValueError, match="reps"):
             small_config(blend_mix, fixed_xi, reps=0)
+        # data-scale fields are whole numbers >= 1, checked before anything is drawn
+        for name, value in [("group_size", 3.7), ("n_groups", 0), ("reps", 2.5), ("n_groups", "10")]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                small_config(blend_mix, fixed_xi, **{name: value})
+        # replicate seeds seed .. seed + reps - 1 must lie in [0, 2**64)
+        small_config(blend_mix, fixed_xi, seed=2**64 - 3)
+        for seed in (-1, 2**64 - 2, 2**70, 1.0):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                small_config(blend_mix, fixed_xi, seed=seed)
         for dominating in ("unifrom", "sqgauss:-1", "fixed:", [9, 4, 1]):
             with pytest.raises(ValueError, match="dominating"):
                 small_config(blend_mix, None, dominating=dominating)
@@ -280,6 +289,28 @@ class TestConfigFromJson:
         )
         with pytest.raises(ValueError, match="unknown experiment config key 'sed'"):
             ExperimentConfig.from_json(text)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("group_size", 3.7, "group_size must be an integer >= 1, got 3.7"),
+            ("reps", 2.5, "reps must be an integer >= 1, got 2.5"),
+            ("n_groups", 0, "n_groups must be an integer >= 1, got 0"),
+            ("seed", 2**70, "seed must be an integer in"),
+            ("seed", -1, "seed must be an integer in"),
+        ],
+    )
+    def test_rejects_bad_scale_and_seed(self, key, value, message):
+        # values are taken as written: no truncation, no seed aliasing modulo 2**64
+        obj = {
+            "mixture": {"weights": [1.0], "components": [[0.5, 0.5]]},
+            "group_size": 2,
+            "n_groups": 10,
+            "reps": 1,
+            "recovery": {"m": 1},
+        }
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(json.dumps(obj | {key: value}))
 
     @pytest.mark.parametrize(
         "key, value", [("clip_negatives", False), ("weight_solver", "simplex-projection")]

@@ -25,6 +25,11 @@ class TestProbabilityVector:
         with pytest.raises(ValueError, match="sum"):
             sp.probability_vector([0.5, 0.6])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=f"probability vector entry 0 is {bad}, not finite"):
+            sp.probability_vector([bad, 1.0])
+
 
 class TestMakeMixture:
     def test_single_component(self):
@@ -48,6 +53,13 @@ class TestMakeMixture:
     def test_rejects_off_simplex_weights(self):
         with pytest.raises(ValueError, match="sum"):
             sp.make_mixture([0.6, 0.6], [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_rejects_non_finite(self):
+        comps = [[0.5, 0.5], [0.2, 0.8]]
+        with pytest.raises(ValueError, match="weights entry 0 is nan, not finite"):
+            sp.make_mixture([np.nan, 1.0], comps)
+        with pytest.raises(ValueError, match="entry 0 is nan, not finite"):
+            sp.make_mixture([0.5, 0.5], [[np.nan, 0.5, 0.5], [0.2, 0.3, 0.5]])
 
     def test_renormalizes_near_simplex_weights(self):
         mix = sp.make_mixture([0.5 + 2e-10, 0.5], [[1.0, 0.0], [0.0, 1.0]])

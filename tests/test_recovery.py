@@ -1,6 +1,7 @@
 """Pipeline stages and end-to-end recovery, population and empirical."""
 import itertools
 import json
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -24,6 +25,18 @@ from specmix.recovery import (
     whiten,
 )
 from specmix.tensors import RankDeficiencyError
+
+
+def _physical_memory() -> int:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return 0
+
+
+# Without a known memory size the setup check is skipped, and these inputs
+# would try to allocate terabytes.
+needs_memory_size = pytest.mark.skipif(_physical_memory() <= 0, reason="physical memory size unknown")
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +357,13 @@ class TestRecoverFull:
         assert sp.matched_l1_error(blend_mix.components, res.components) < 0.15
         assert np.abs(np.sort(res.weights) - [0.2, 0.3, 0.5]).sum() < 0.3
 
+    @needs_memory_size
+    def test_operator_too_large_for_memory_fails_at_setup(self):
+        # d=40, m=4: the 40^4 x 40^4 operator needs 8 * 40^8, about 5e13 bytes
+        mix = random_mixture(np.random.default_rng(0), 4, 40)
+        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: a dense 40\^8 array needs 52428800000000 bytes; physical memory is \d+$"):
+            recover_full(mix, RecoveryConfig(4))
+
 
 class TestLiRecover4:
     def test_population_exact(self, indep_mix):
@@ -376,6 +396,15 @@ class TestLiRecover4:
         with pytest.raises(ValueError):
             sp.li_recover_4(indep_mix, 0)
 
+    @needs_memory_size
+    def test_operator_too_large_for_memory_fails_at_setup(self):
+        # d=1000: the 10^6 x 10^6 operator needs 8e12 bytes
+        spread = np.full(1000, 1e-3)
+        peaked = np.r_[0.5, np.full(999, 0.5 / 999)]
+        mix = sp.make_mixture([0.5, 0.5], [spread, peaked])
+        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: a dense 1000\^4 array needs 8000000000000 bytes"):
+            sp.li_recover_4(mix, 2)
+
 
 class TestEstimateNumComponents:
     def test_population_ranks(self, blend_mix):
@@ -396,6 +425,12 @@ class TestEstimateNumComponents:
     def test_empirical(self, blend_mix):
         ds = sp.draw_groups(blend_mix, 5, 50_000, seed=9)
         assert sp.estimate_num_components(ds, 1, rel_tol=1e-2) == 2
+
+    @needs_memory_size
+    def test_moment_too_large_for_memory_fails_at_setup(self):
+        mix = random_mixture(np.random.default_rng(0), 4, 40)
+        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: a dense 40\^8 array needs"):
+            sp.estimate_num_components(mix, 4)
 
 
 class TestRecoveryResultJson:

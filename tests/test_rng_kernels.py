@@ -41,6 +41,13 @@ class TestDeriveSeed:
     def test_seeds_separate(self):
         assert rng.derive_seed(0, 1) != rng.derive_seed(1, 1)
 
+    def test_rejects_seed_outside_64_bits(self):
+        # such a seed would otherwise alias its residue modulo 2**64
+        rng.derive_seed(2**64 - 1, 1)
+        for seed in (-1, 2**64, 2**70):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                rng.derive_seed(seed, 1)
+
 
 class TestWords:
     def test_dtype_and_shape(self):
