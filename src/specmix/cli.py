@@ -42,7 +42,7 @@ def _cmd_recover(args) -> int:
         raise SystemExit(
             f"dataset has groups of {data.group_size}, --group-size says {args.group_size}"
         )
-    config = RecoveryConfig(m=args.m, dominating=args.dominating, probe=args.probe)
+    config = RecoveryConfig(m=args.m, dominating=args.dominating)
     result = recover_full(data, config, seed=args.seed)
     _write_out(result.to_json(), args.out)
     return 0
@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="number of components to recover")
     p.add_argument("--group-size", type=int, default=None, help="expected draws per group (checked against the data)")
     p.add_argument("--dominating", default="none", help="none | uniform | sqgauss:<sigma> | fixed:<csv>")
-    p.add_argument("--probe", choices=["gaussian", "singular"], default="gaussian")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write result JSON here instead of stdout")
     p.set_defaults(func=_cmd_recover)

@@ -209,8 +209,8 @@ class ExperimentReport:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Draw, recover, and score cfg.reps independent replicates.
 
-    Replicate i runs entirely from seed cfg.seed + i: dataset, any
-    random reference measure, and probe draws.  Failed replicates are
+    Replicate i runs entirely from seed cfg.seed + i: its dataset and
+    any random reference measure.  Failed replicates are
     recorded with their stage message and excluded from the mean and
     variance; everything else about the report is deterministic.
     """

@@ -11,15 +11,17 @@ Pipeline for a target component count m:
 3. Apply I (x) W (x) W to the order-(2m-1) moment and flatten to a
    d^m x d^{m-1} matrix T; the top m eigenvectors of T T^T are, up to
    sign, the rescaled components tensored with their whitened powers.
-4. Contract each eigenvector (folded to a d x d^{m-1} map) against a
-   probe vector, divide by b, fix sign, clip stray negatives, normalize.
+4. Fold each eigenvector to a d x d^{m-1} map; that map has rank one in
+   population, so its top left singular vector is the rescaled
+   component (on data, the best rank-1 fit).  Divide by b, fix sign,
+   clip stray negatives, normalize.
 5. Fit weights by least squares against the order-(m-1) moment in the
    original coordinates, then clip negative weights and renormalize.
 
-The pipeline is fixed; a caller chooses only m, the reference measure,
-the probe and the whitening floor eig_floor.  A 4-samples-per-group
-variant for linearly independent components and a rank-based estimator
-of the number of components are included.
+The pipeline is fixed; a caller chooses only m, the reference measure
+and the whitening floor eig_floor.  A 4-samples-per-group variant for
+linearly independent components and a rank-based estimator of the
+number of components are included.
 """
 from __future__ import annotations
 
@@ -44,9 +46,6 @@ from .model import (
 from .sampling import GroupedDataset, GroupTallyHistogram
 from .tensors import _power_sum, eig_sqrt_pinv, numerical_rank, outer_power, sym_eig, unfold
 
-PROBE_NORM_TOL = 1e-10
-MAX_PROBE_RETRIES = 16
-
 
 class RecoveryError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
@@ -60,12 +59,11 @@ class RecoveryConfig:
     descriptor string in the grammar of model.resolve_dominating; random
     schemes are resolved from the run seed.  A malformed descriptor is a
     ValueError here, before any data is drawn; its size is checked
-    against the data's when recover_full runs.  probe selects how folded
-    eigenvectors are contracted to single vectors: "gaussian" (seeded
-    random probe with retries) or "singular" (top left singular vector).
-    m is an integer >= 1.  eig_floor is the whitening floor relative to
-    the largest eigenvalue of the moment form, in (0, 1); lower it when
-    components are nearly coincident (see README).
+    against the data's when recover_full runs.  probe accepts only
+    "singular": each folded eigenvector is contracted to its top left
+    singular vector.  m is an integer >= 1.  eig_floor is the whitening
+    floor relative to the largest eigenvalue of the moment form, in
+    (0, 1); lower it when components are nearly coincident (see README).
 
     Components are always clipped at zero and weights always solved by
     clip-and-renormalize; the two class constants name those fixed
@@ -74,7 +72,7 @@ class RecoveryConfig:
 
     m: int
     dominating: DominatingMeasure | str | None = None
-    probe: str = "gaussian"
+    probe: str = "singular"  # kept only for perfbench, which passes it; ROADMAP item 1(b) can drop it.
     eig_floor: float = 1e-8
     clip_negatives: ClassVar[bool] = True
     weight_solver: ClassVar[str] = "clip-renormalize"
@@ -82,8 +80,8 @@ class RecoveryConfig:
     def __post_init__(self):
         if not isinstance(self.m, numbers.Integral) or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
-        if self.probe not in ("gaussian", "singular"):
-            raise ValueError(f"unknown probe {self.probe!r}")
+        if self.probe != "singular":
+            raise ValueError(f"unknown probe {self.probe!r}; the only probe is 'singular'")
         if not isinstance(self.eig_floor, numbers.Real) or not 0.0 < self.eig_floor < 1.0:
             raise ValueError(f"eig_floor must be a number in (0, 1), got {self.eig_floor!r}")
         resolve_dominating(self.dominating, 1, 0)
@@ -158,40 +156,13 @@ def build_t_hat(q_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a.reshape(d**m, d ** (m - 1))
 
 
-def _contract_eigenvector(
-    vec: np.ndarray, d: int, probe: str, probe_seed: int, stream: int
-) -> np.ndarray:
-    """Fold an eigenvector of the PSD operator to a d x (cols) map and
-    contract it to a single d-vector."""
-    mat = vec.reshape(d, -1)
-    if probe == "singular":
-        u_left, _, _ = np.linalg.svd(mat, full_matrices=False)
-        return u_left[:, 0]
-    cols = mat.shape[1]
-    for attempt in range(MAX_PROBE_RETRIES):
-        g = rng.normals(probe_seed, stream, cols, start=attempt * cols)
-        u = mat @ g
-        if np.linalg.norm(u) >= PROBE_NORM_TOL:
-            return u
-    raise RecoveryError(
-        f"probe contraction stayed below {PROBE_NORM_TOL:g} after "
-        f"{MAX_PROBE_RETRIES} attempts (degenerate eigenvector)"
-    )
-
-
-def _finalize_components(
-    eigenvectors: np.ndarray,
-    d: int,
-    b: np.ndarray | None,
-    probe: str,
-    seed: int,
-) -> np.ndarray:
-    """Contract eigenvectors to component rows; sign-then-normalize makes
-    the output invariant to eigenvector sign flips."""
-    probe_seed = rng.derive_seed(seed, rng.TAG_PROBE)
+def _finalize_components(eigenvectors: np.ndarray, d: int, b: np.ndarray | None) -> np.ndarray:
+    """Contract each eigenvector, folded to a d x (cols) map, to its top
+    left singular vector; sign-then-normalize makes the output invariant
+    to eigenvector sign flips."""
     rows = []
     for i in range(eigenvectors.shape[1]):
-        u = _contract_eigenvector(eigenvectors[:, i], d, probe, probe_seed, i)
+        u = np.linalg.svd(eigenvectors[:, i].reshape(d, -1), full_matrices=False)[0][:, 0]
         if b is not None:
             u = (1.0 / b) * u
         if u.sum() < 0.0:
@@ -281,7 +252,6 @@ def _fourth_operator(data, m: int, b: np.ndarray | None, w: np.ndarray) -> np.nd
 
 def _run_stages(
     data,
-    seed: int,
     config: RecoveryConfig,
     *,
     b: np.ndarray | None,
@@ -295,8 +265,8 @@ def _run_stages(
     data is a moment source already checked by moment_source.  C is
     build_c_hat(data, c_order, b); operator is a (stage name, builder)
     pair whose builder returns the PSD matrix whose top m eigenvectors
-    are contracted to components.  m, the probe and the whitening floor
-    come from config; extra is appended to the diagnostics.
+    are contracted to components.  m and the whitening floor come from
+    config; extra is appended to the diagnostics.
     """
     m = config.m
     if m == 1:
@@ -316,7 +286,7 @@ def _run_stages(
             op = build_operator(data, m, b, w)
         with _stage("component extraction"):
             dec = sym_eig(op)
-            comps = _finalize_components(dec.eigenvectors[:, :m], data.d, b, config.probe, seed)
+            comps = _finalize_components(dec.eigenvectors[:, :m], data.d, b)
         with _stage("weight estimation"):
             fit = recover_weights(moment(data, weight_order), comps)
         tt_eigenvalues, spectrum = dec.eigenvalues.tolist(), c_dec.eigenvalues.tolist()
@@ -328,7 +298,6 @@ def _run_stages(
             "whitening_spectrum": spectrum,
             "weight_residual": fit.residual,
             "gram_condition": fit.gram_condition,
-            "seed": seed,
             **extra,
         },
     )
@@ -339,7 +308,8 @@ def recover_full(
     config: RecoveryConfig,
     seed: int = 0,
 ) -> RecoveryResult:
-    """Run the full pipeline; deterministic given the seed.
+    """Run the full pipeline; deterministic given the seed, which feeds
+    only a random reference measure and must lie in [0, 2**64).
 
     Passing a MixtureSpec substitutes exact population moments for the
     empirical estimators (useful for validation); otherwise the data
@@ -347,6 +317,7 @@ def recover_full(
     """
     m = config.m
     with _stage("setup"):
+        rng.check_seed(seed)
         data = moment_source(data, 2 * m - 1)
         xi = resolve_dominating(config.dominating, data.d, seed)
         if xi is not None and xi.d != data.d:
@@ -361,30 +332,29 @@ def recover_full(
                 raise RecoveryError(f"rescaled component norms separate by only {sep.min_gap:.3g}")
     return _run_stages(
         data,
-        seed,
         config,
         b=b,
         c_order=m,
         operator=("odd-moment operator", _odd_operator),
         weight_order=m - 1,
-        extra={"config": config.echo()},
+        extra={"seed": int(seed), "config": config.echo()},
     )
 
 
 def li_recover_4(
     data: GroupedDataset | GroupTallyHistogram | MixtureSpec,
     m: int,
-    seed: int = 0,
 ) -> RecoveryResult:
     """Recovery from 4 draws per group for linearly independent components.
 
     Works in the original coordinates (no rescaling): C is the order-2
     moment, W = C^{-1/2} on its top-m eigenspace, and I (x) W (x) I (x) W
     applied to the order-4 moment is flattened at split 2 into a PSD
-    d^2 x d^2 operator whose top m eigenvectors factor as p_i (x) W p_i.
-    Eigenvectors are contracted with the seeded Gaussian probe.  Requires
-    pairwise distinct component norms; on population input this is
-    checked, and tied norms raise a RecoveryError.
+    d^2 x d^2 operator whose top m eigenvectors factor as p_i (x) W p_i;
+    each is contracted to its top left singular vector.  Nothing is
+    random, so there is no seed.  Requires pairwise distinct component
+    norms; on population input this is checked, and tied norms raise a
+    RecoveryError.
     """
     config = RecoveryConfig(m)
     with _stage("setup"):
@@ -397,7 +367,6 @@ def li_recover_4(
             _check_fits(data.d, 4)  # the d^2 x d^2 operator
     return _run_stages(
         data,
-        seed,
         config,
         b=None,
         c_order=2,
@@ -420,7 +389,7 @@ def estimate_num_components(
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
-    data = moment_source(data, 2 * n)
     with _stage("setup"):
+        data = moment_source(data, 2 * n)
         _check_fits(data.d, 2 * n)
     return numerical_rank(unfold(moment(data, 2 * n), n), rel_tol)

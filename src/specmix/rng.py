@@ -25,6 +25,8 @@ The compiled kernels in ``_kernels.c`` re-implement ``word`` with native
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 MASK = (1 << 64) - 1
@@ -34,10 +36,10 @@ MIX_B = 0x94D049BB133111EB
 STREAM_MULT = 0xD1342543DE82EF95
 COUNTER_MULT = 0xDABA0B6EB09322E3
 
-# Subsystem tags for derive_seed.
+# Subsystem tags for derive_seed.  Tag 3 (a retired probe stream) stays
+# unused, so the other streams keep their bits.
 TAG_GROUPS = 1
 TAG_DOMINATING = 2
-TAG_PROBE = 3
 TAG_BASELINE = 4
 
 _U64 = np.uint64
@@ -54,10 +56,17 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_seed(seed: int, tag: int) -> int:
-    """Sub-seed for an independent subsystem (see module docstring); seed must lie in [0, 2**64)."""
+def check_seed(seed: int) -> None:
+    """ValueError unless seed is an integer in [0, 2**64)."""
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= MASK:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def derive_seed(seed: int, tag: int) -> int:
+    """Sub-seed for an independent subsystem (see module docstring); seed must be an integer in [0, 2**64)."""
+    check_seed(seed)
     return mix64((mix64(seed) + tag * GOLD) & MASK)
 
 

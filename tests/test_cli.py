@@ -28,7 +28,7 @@ class TestRecoverCommand:
     def test_stdout_json(self, data_file, capsys):
         code = run_cli(
             ["recover", "--data", data_file, "--m", "3",
-             "--dominating", "fixed:9,4,1", "--probe", "singular", "--seed", "100"]
+             "--dominating", "fixed:9,4,1", "--seed", "100"]
         )
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
