@@ -9,7 +9,9 @@ failure (no ``cc``, a read-only directory, a compile error or a timeout)
 raises ImportError, and kernels.py falls back to the numpy kernels.
 
 sample_groups and sample_keys below keep the signatures and contract of
-their _kernels_np.py namesakes, bit for bit.
+their _kernels_np.py namesakes, bit for bit.  A CDLL call releases the
+GIL, and the C code keeps no state between calls, so threads may run
+the kernels at once on separate outputs (sampling.draw_tally does).
 """
 from __future__ import annotations
 

@@ -148,8 +148,12 @@ def multinomial_mixture_equal(
     """Equality test for two mixtures of multinomial laws.
 
     Compares sum_i a_i p_i^{(x) n} entrywise; valid because the spread
-    transform carries mixtures to these tensors injectively.
+    transform carries mixtures to these tensors injectively.  tol, the
+    largest entrywise difference still called equal, must be a finite
+    number >= 0.
     """
+    if not 0.0 <= tol < math.inf:  # NaN fails every comparison
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     if not mix_a or not mix_b:
         raise ValueError("mixtures must be nonempty")
     n, q = mix_a[0][1].n, mix_a[0][1].q

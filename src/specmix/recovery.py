@@ -386,10 +386,14 @@ def estimate_num_components(
     For population input this equals the number of components once the
     n-fold powers of the components are linearly independent (n at least
     the span codimension); smaller n reports the span dimension instead.
+    Singular values above rel_tol times the largest count; rel_tol must
+    be a finite number in [0, 1).
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     with _stage("setup"):
+        if not 0.0 <= rel_tol < 1.0:  # NaN fails every comparison
+            raise ValueError(f"rel_tol must be a finite number in [0, 1), got {rel_tol}")
         data = moment_source(data, 2 * n)
         _check_fits(data.d, 2 * n)
     return numerical_rank(unfold(moment(data, 2 * n), n), rel_tol)

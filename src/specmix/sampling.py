@@ -7,7 +7,11 @@ compresses without loss to a histogram over per-group category tallies.
 draw_tally goes straight from the mixture to that histogram, one block of
 groups at a time, without holding the whole dataset.  When the possible
 tallies are few, one kernel pass keys and counts each group as it draws
-it, so no block of rows is written either.
+it, so no block of rows is written either, and the blocks are split into
+contiguous runs, one per CPU the process may run on (at most one per
+block), each counted in its own thread and table.  Every group draws
+from its own counter stream and integer counts add exactly, so the
+histogram does not depend on the number of CPUs.
 
 Category indices are 0-based in memory; the text format on disk is
 1-based, one group per line.
@@ -17,6 +21,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import threading
 import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -135,8 +141,11 @@ def _check_sizes(mix: MixtureSpec, group_size: int, n_groups: int) -> None:
         raise ValueError("more than 255 categories not supported by the sampler")
 
 
-def _draw_blocks(kernel, mix: MixtureSpec, group_size: int, n_groups: int, seed: int, **kwargs) -> Iterator[np.ndarray]:
-    """kernel's output for the groups in DRAW_BLOCK-group blocks, where
+def _draw_blocks(
+    kernel, mix: MixtureSpec, group_size: int, n_groups: int, seed: int, starts: range, **kwargs
+) -> Iterator[np.ndarray]:
+    """kernel's output for the groups in the DRAW_BLOCK-group blocks
+    starting at starts, a run of range(0, n_groups, DRAW_BLOCK), where
     kernel is kernels.sample_groups or kernels.sample_keys.  Group g draws
     from its own counter-derived stream in any block, so the blocks
     stacked are the output of one kernel call; small blocks stay in cache.
@@ -147,7 +156,7 @@ def _draw_blocks(kernel, mix: MixtureSpec, group_size: int, n_groups: int, seed:
         kernel(
             sub_seed, min(DRAW_BLOCK, n_groups - lo), group_size, cum_weights, cum_components, start=lo, **kwargs
         )
-        for lo in range(0, n_groups, DRAW_BLOCK)
+        for lo in starts
     )
 
 
@@ -160,8 +169,8 @@ def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> 
     """
     _check_sizes(mix, group_size, n_groups)
     groups = np.empty((n_groups, group_size), dtype=np.uint8)
-    blocks = _draw_blocks(kernels.sample_groups, mix, group_size, n_groups, seed)
-    for lo, block in zip(range(0, n_groups, DRAW_BLOCK), blocks):
+    starts = range(0, n_groups, DRAW_BLOCK)
+    for lo, block in zip(starts, _draw_blocks(kernels.sample_groups, mix, group_size, n_groups, seed, starts)):
         groups[lo : lo + len(block)] = block
     groups.flags.writeable = False
     return GroupedDataset(mix.d, groups)
@@ -173,20 +182,64 @@ def draw_tally(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> G
 
     While the (k+1)^d possible tallies number at most DRAW_BLOCK,
     kernels.sample_keys keys each group as it draws it and counts it in
-    one dense table, whose nonzero cells are the distinct keys in
-    increasing order.  Otherwise DRAW_BLOCK groups are drawn and tallied
-    at a time, as tally reads them.
+    a dense table, whose nonzero cells are the distinct keys in
+    increasing order.  The blocks are then counted by one worker per CPU
+    in the process's affinity set (os.cpu_count() where the platform has
+    no affinity call), at most one per block; the histogram is the same
+    for any number of workers.  Otherwise DRAW_BLOCK groups are drawn and
+    tallied at a time, as tally reads them, in the calling thread.
     """
     _check_sizes(mix, group_size, n_groups)
     d, k = mix.d, group_size
     cells = (k + 1) ** d
+    starts = range(0, n_groups, DRAW_BLOCK)
     if cells > DRAW_BLOCK:
-        return _tally_blocks(d, k, _draw_blocks(kernels.sample_groups, mix, k, n_groups, seed))
-    table = np.zeros(cells, dtype=np.int64)
-    for _ in _draw_blocks(kernels.sample_keys, mix, k, n_groups, seed, table=table):
-        pass  # each block counts its groups into table
+        return _tally_blocks(d, k, _draw_blocks(kernels.sample_groups, mix, k, n_groups, seed, starts))
+    table = _count_keys(mix, k, n_groups, seed, starts, cells)
     keys = np.flatnonzero(table)
     return GroupTallyHistogram(d, k, _from_keys(d, k, keys, table[keys]))
+
+
+def _count_keys(mix: MixtureSpec, k: int, n_groups: int, seed: int, starts: range, cells: int) -> np.ndarray:
+    """The table of kernels.sample_keys over all the blocks at starts.
+
+    Each worker counts a contiguous run of whole blocks into its own
+    table, in a thread (the compiled kernel releases the GIL, and numpy
+    does in its array loops); the calling thread counts the first run.
+    The tables are summed once every thread has ended, and the first
+    worker's exception, if any, is raised as it was raised.
+    """
+    workers = min(_cpu_count(), len(starts))
+    runs = [starts[len(starts) * i // workers : len(starts) * (i + 1) // workers] for i in range(workers)]
+    tables = [np.zeros(cells, dtype=np.int64) for _ in runs]
+    errors: list = [None] * workers
+
+    def count(i: int) -> None:
+        try:
+            for _ in _draw_blocks(kernels.sample_keys, mix, k, n_groups, seed, runs[i], table=tables[i]):
+                pass  # each block counts its groups into tables[i]
+        except BaseException as exc:  # raised again in the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=count, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    count(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    for table in tables[1:]:
+        tables[0] += table
+    return tables[0]
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _TallyTable(Mapping):

@@ -210,6 +210,14 @@ class TestMultinomialCheckCommand:
         assert run_cli(["multinomial-check", "--a", str(a), "--b", str(b)]) == 1
         assert capsys.readouterr().out.strip() == "different"
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_exits_with_one_line(self, tmp_path, tol, capsys):
+        a = tmp_path / "a.json"
+        self._write_mix(a, 2, [(1.0, [0.5, 0.5])])
+        with pytest.raises(SystemExit, match=r"^specmix multinomial-check: tol must be a finite number >= 0, got (-1.0|nan)$"):
+            run_cli(["multinomial-check", "--a", str(a), "--b", str(a), "--tol", tol])
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_exits_with_one_line(self, tmp_path):
         a = tmp_path / "a.json"
         self._write_mix(a, 2, [(1.0, [0.5, 0.5])])
@@ -232,6 +240,12 @@ class TestRankCommand:
     def test_prints_rank(self, data_file, capsys):
         assert run_cli(["rank", "--data", data_file, "--power", "1", "--tol", "0.01"]) == 0
         assert capsys.readouterr().out.strip() == "2"
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_exits_with_one_line(self, data_file, tol, capsys):
+        with pytest.raises(SystemExit, match=r"^specmix rank: stage 'setup' failed: rel_tol must be a finite number in \[0, 1\), got (-1.0|nan)$"):
+            run_cli(["rank", "--data", data_file, "--power", "2", "--tol", tol])
+        assert capsys.readouterr().out == ""
 
     def test_names_group_size_when_power_too_high(self, data_file, capsys):
         with pytest.raises(SystemExit, match="group size 5 < required 6"):

@@ -221,6 +221,14 @@ class TestMixtureEquality:
         with pytest.raises(ValueError, match="share"):
             multinomial_mixture_equal(a, b)
 
+    @pytest.mark.parametrize("tol", [-1e-10, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, tol):
+        # a NaN or negative tol called a mixture different from itself
+        a = [(1.0, MultinomialSpec(2, 2, np.array([0.5, 0.5])))]
+        with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {tol}$"):
+            multinomial_mixture_equal(a, a, tol=tol)
+        assert multinomial_mixture_equal(a, a, tol=0.0)
+
     def test_rejects_empty(self):
         a = [(1.0, MultinomialSpec(2, 2, np.array([0.5, 0.5])))]
         with pytest.raises(ValueError):

@@ -437,6 +437,16 @@ class TestEstimateNumComponents:
         ds = sp.draw_groups(blend_mix, 5, 50_000, seed=9)
         assert sp.estimate_num_components(ds, 1, rel_tol=1e-2) == 2
 
+    @pytest.mark.parametrize("rel_tol", [-1.0, 1.0, 2.0, float("nan"), float("inf")])
+    def test_rejects_bad_rel_tol_at_setup(self, blend_mix, rel_tol):
+        # -1 used to count all 9 singular values at power 2 and NaN none
+        h = sp.tally(sp.draw_groups(blend_mix, 4, 500, seed=0))
+        with pytest.raises(RecoveryError, match=rf"^stage 'setup' failed: rel_tol must be a finite number in \[0, 1\), got {rel_tol}$") as info:
+            sp.estimate_num_components(h, 2, rel_tol=rel_tol)
+        assert isinstance(info.value.__cause__, ValueError)
+        # 0 is allowed: it counts every nonzero singular value
+        assert sp.estimate_num_components(h, 2, rel_tol=0.0) >= sp.estimate_num_components(h, 2, rel_tol=0.5)
+
     def test_bad_input_fails_at_setup(self, blend_mix):
         ds = sp.draw_groups(blend_mix, 3, 50, seed=0)
         with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: group size 3 < required 4$"):

@@ -1,6 +1,8 @@
 """Grouped sampling, tally compression, and the text/JSON formats."""
 import io
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -233,6 +235,64 @@ class TestDrawTallyPaths:
         for seed in (0, 1):
             got = sampling.draw_tally(mix, k, 300_000, seed)
             assert_same_histogram(got, sp.tally(sp.draw_groups(mix, k, 300_000, seed)))
+
+
+class TestDrawTallyWorkers:
+    """On the table path the blocks are split into one contiguous run per
+    CPU in the affinity set, at most one per block; the histogram is the
+    same for any split."""
+
+    @staticmethod
+    def spy_threads(monkeypatch):
+        """The (thread, start) of each sample_keys call, recorded."""
+        calls, sample_keys = [], kernels.sample_keys
+
+        def spy(*args, start, **kwargs):
+            calls.append((threading.current_thread(), start))
+            return sample_keys(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(kernels, "sample_keys", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 17])
+    def test_worker_count_does_not_change_result(self, n, blend_mix, monkeypatch):
+        want = sp.tally(sp.draw_groups(blend_mix, 5, n, seed=n))
+        blocks = -(-n // B)
+        calls = self.spy_threads(monkeypatch)
+        # 64 CPUs is more than there are blocks, and more than this machine has
+        for cpus in (1, 2, 3, 64):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            calls.clear()
+            assert_same_histogram(sampling.draw_tally(blend_mix, 5, n, seed=n), want)
+            assert len({thread for thread, _ in calls}) == min(cpus, blocks)
+            assert sorted(start for _, start in calls) == list(range(0, n, B))
+
+    def test_without_affinity_uses_cpu_count(self, blend_mix, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        calls = self.spy_threads(monkeypatch)
+        got = sampling.draw_tally(blend_mix, 5, 3 * B, seed=4)
+        assert len({thread for thread, _ in calls}) == 2
+        assert_same_histogram(got, sp.tally(sp.draw_groups(blend_mix, 5, 3 * B, seed=4)))
+
+    def test_worker_exception_reaches_caller(self, blend_mix, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        raised, sample_keys = {}, kernels.sample_keys
+
+        def failing(*args, start, **kwargs):
+            if start >= B:
+                raised[start] = RuntimeError(f"block at {start}")
+                raise raised[start]
+            return sample_keys(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(kernels, "sample_keys", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            sampling.draw_tally(blend_mix, 5, 3 * B, seed=0)
+        # the first failing run's own exception, after every worker ended
+        assert info.value is raised[B]
+        assert sorted(raised) == [B, 2 * B]
+        assert threading.active_count() == before
 
 
 class TestNumCompositions:
