@@ -124,17 +124,32 @@ def fold(m: np.ndarray, dim: int, order: int, split: int) -> np.ndarray:
 def sym_eig(m: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix, descending order.
 
-    Requires symmetry within 1e-8 relative to the largest entry; the
-    matrix is symmetrized before factorization so the decomposition is
-    exact for the symmetric part.
+    Requires finite entries and symmetry within 1e-8 relative to the
+    largest entry.  A matrix equal to its transpose bit for bit is
+    decomposed as given, without a copy; any other is replaced by its
+    symmetric part 0.5 * (m + m.T) first, so the decomposition is exact
+    for the symmetric part either way.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got {m.shape}")
-    scale = max(1.0, np.abs(m).max())
-    if np.abs(m - m.T).max() > 1e-8 * scale:
+    if m.size == 0:
+        raise ValueError("expected a non-empty matrix")
+    # the largest |entry|; max and min propagate NaN and inf
+    peak = max(m.max(), -m.min())
+    if not np.isfinite(peak):
+        raise ValueError("matrix has non-finite entries")
+    # m - m.T is exactly antisymmetric, so its max is the largest asymmetry
+    skew = np.subtract(m, m.T)
+    if skew.max() > 1e-8 * max(1.0, peak):
         raise ValueError("matrix is not symmetric within tolerance")
-    lam, vec = np.linalg.eigh(0.5 * (m + m.T))
+    # A sign bit in m - m.T marks an entry that differs from its mirror,
+    # if only as -0.0 against +0.0; only then does the symmetric part
+    # differ from m, and it reuses the buffer.
+    if skew.view(np.int64).min() < 0:
+        m = np.multiply(np.add(m, m.T, out=skew), 0.5, out=skew)
+    del skew  # free before eigh, unless it now holds m
+    lam, vec = np.linalg.eigh(m)
     lam = lam[::-1].copy()
     vec = vec[:, ::-1]
     vec = _sign_normalize(vec)
@@ -142,12 +157,15 @@ def sym_eig(m: np.ndarray) -> EigenDecomposition:
 
 
 def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
+    """Negate each column whose first entry above 1e-12 of the column's
+    largest magnitude is negative; the result is a new array."""
     out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        support = np.nonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))[0]
-        if support.size and col[support[0]] < 0:
-            out[:, j] = -col
+    mag = np.abs(out)
+    support = mag > 1e-12 * np.maximum(mag.max(axis=0), 1e-300)
+    cols = np.arange(out.shape[1])
+    lead = support.argmax(axis=0)
+    # x * -1.0 is exactly -x for every x but NaN, signed zeros included
+    out *= np.where(support[lead, cols] & (out[lead, cols] < 0), -1.0, 1.0)
     return out
 
 

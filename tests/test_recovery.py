@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
+import specmix.recovery as recovery
 from conftest import random_mixture
 from specmix.estimation import moment
 from specmix.recovery import (
@@ -374,6 +375,26 @@ class TestRecoverFull:
         mix = random_mixture(np.random.default_rng(0), 4, 40)
         with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: a dense 40\^8 array needs 52428800000000 bytes; physical memory is \d+$"):
             recover_full(mix, RecoveryConfig(4))
+
+    def test_overflowing_reference_measure_fails_its_stage(self, indep_mix):
+        # a mass of 1e-300 rescales by 1e150, so the order-4 moment overflows
+        config = RecoveryConfig(m=3, dominating="fixed:1e-300,1,1")
+        message = r"^stage 'second-moment form' failed: matrix has non-finite entries$"
+        with np.errstate(over="ignore"), pytest.raises(RecoveryError, match=message):
+            recover_full(indep_mix, config)
+
+    def test_non_finite_operator_fails_component_extraction(self, indep_mix, monkeypatch):
+        odd_operator = recovery._odd_operator
+
+        def poisoned(*args):
+            op = odd_operator(*args)
+            op[0, 1] = op[1, 0] = np.nan
+            return op
+
+        monkeypatch.setattr(recovery, "_odd_operator", poisoned)
+        message = r"^stage 'component extraction' failed: matrix has non-finite entries$"
+        with pytest.raises(RecoveryError, match=message):
+            recover_full(indep_mix, RecoveryConfig(m=3))
 
 
 class TestLiRecover4:

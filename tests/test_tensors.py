@@ -3,11 +3,55 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
 from specmix.recovery import _fourth_operator
-from specmix.tensors import RankDeficiencyError
+from specmix.tensors import RankDeficiencyError, _sign_normalize
+
+
+def sign_normalize_loop(vectors: np.ndarray) -> np.ndarray:
+    """Reference oracle: the sign rule applied one column at a time."""
+    out = np.array(vectors, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        support = np.nonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))[0]
+        if support.size and col[support[0]] < 0:
+            out[:, j] = -col
+    return out
+
+
+@st.composite
+def sign_rule_columns(draw):
+    """A matrix whose columns hit every branch of the sign rule: all
+    zeros, subnormal entries, leading entries below 1e-12 of the
+    column's largest (or at exactly that threshold), a negative lead,
+    and -0.0 entries."""
+    rows = draw(st.integers(1, 6))
+    zero = st.sampled_from([0.0, -0.0])
+    entry = {
+        "zero": zero,
+        # below 1e-300 the floor sets the threshold, which 5e-324 misses
+        "subnormal": st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]),
+        "any": st.one_of(zero, st.floats(-1.0, 1.0)),
+    }
+    cols = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["zero", "subnormal", "tiny lead", "threshold lead", "any"]))
+        col = np.array(draw(st.lists(entry.get(kind, entry["any"]), min_size=rows, max_size=rows)))
+        if kind in ("tiny lead", "threshold lead") and rows > 1:
+            lead = draw(st.integers(1, rows - 1))
+            col[lead] = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+            peak = np.abs(col[lead:]).max()
+            for i in range(lead):
+                if kind == "tiny lead":
+                    col[i] = draw(st.floats(-1e-12, 1e-12)) * peak
+                else:
+                    col[i] = draw(st.sampled_from([-1.0, 1.0])) * 1e-12 * peak
+        cols.append(col)
+    return np.column_stack(cols)
 
 
 class TestOuterPower:
@@ -204,6 +248,80 @@ class TestSymEig:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             sp.sym_eig(np.zeros((2, 3)))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="^expected a non-empty matrix$"):
+            sp.sym_eig(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            sp.sym_eig(m)
+
+    @staticmethod
+    def spy_eigh(monkeypatch):
+        """Record every matrix sym_eig hands to np.linalg.eigh."""
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            seen.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        return seen
+
+    def test_exactly_symmetric_input_is_not_copied(self, monkeypatch):
+        a = np.random.default_rng(13).standard_normal((6, 6))
+        m = a + a.T
+        seen = self.spy_eigh(monkeypatch)
+        sp.sym_eig(m)
+        assert [np.shares_memory(x, m) for x in seen] == [True]
+
+    def test_asymmetry_within_tolerance_decomposes_the_symmetric_part(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((6, 6))
+        m = a + a.T + 1e-12 * rng.standard_normal((6, 6))
+        want = sp.sym_eig(0.5 * (m + m.T))
+        seen = self.spy_eigh(monkeypatch)
+        got = sp.sym_eig(m)
+        assert not np.shares_memory(seen[0], m)
+        assert_array_equal(got.eigenvalues, want.eigenvalues)
+        assert_array_equal(got.eigenvectors, want.eigenvectors)
+
+    def test_signed_zero_pair_decomposes_the_symmetric_part(self, monkeypatch):
+        # -0.0 against +0.0 is no asymmetry in value, but LAPACK reads one
+        # triangle and the sign of a zero can change its Householder steps
+        m = np.array([[2.0, 0.0, 1.0], [-0.0, 3.0, 0.5], [1.0, 0.5, 1.0]])
+        want = sp.sym_eig(0.5 * (m + m.T))
+        seen = self.spy_eigh(monkeypatch)
+        got = sp.sym_eig(m)
+        assert not np.shares_memory(seen[0], m) and not np.signbit(seen[0][1, 0])
+        assert_array_equal(got.eigenvectors.view(np.int64), want.eigenvectors.view(np.int64))
+
+    def test_asymmetry_tolerance_edge(self):
+        m = np.diag([4.0, 1.0])
+        m[0, 1] = 1e-8 * 4.0
+        sp.sym_eig(m)
+        m[0, 1] = np.nextafter(1e-8 * 4.0, np.inf)
+        with pytest.raises(ValueError, match="^matrix is not symmetric within tolerance$"):
+            sp.sym_eig(m)
+
+    def test_entries_above_half_the_largest_double(self):
+        # 0.5 * (m + m.T) would overflow here; an exactly symmetric m is used as given
+        dec = sp.sym_eig(np.diag([1e308, 1.5e308]))
+        assert_array_equal(dec.eigenvalues, [1.5e308, 1e308])
+
+    @settings(max_examples=200, deadline=None)
+    @given(sign_rule_columns())
+    def test_sign_rule_matches_column_loop(self, vectors):
+        for v in (vectors, vectors[:, ::-1]):
+            got, want = _sign_normalize(v), sign_normalize_loop(v)
+            assert_array_equal(got, want)
+            assert_array_equal(np.signbit(got), np.signbit(want))
+            assert got.flags.c_contiguous
 
 
 class TestPsdSqrtPinv:
