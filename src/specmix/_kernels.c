@@ -1,17 +1,39 @@
 /* Compiled sampling kernels, loaded by _kernels.py with ctypes.
  *
- * Scalar implementation of the sample_groups and sample_keys contract in
- * _kernels_np.py; the two backends must stay bit-identical.  Both entry
- * points run one per-group draw loop, draw_group.  Words follow the
- * counter scheme in rng.py, a uniform keeps a word's top 53 bits times an
- * exact power of two, and an inverse-CDF pick counts the first n-1
- * cumulative masses at or below u.  On nondecreasing rows that count is
- * searchsorted(side="right") clipped to n-1, so no float path differs
- * from the fallback.  Unsigned 64-bit arithmetic wraps modulo 2**64 as
- * numpy's uint64 does.  Tally keys of drawn rows are encoded in numpy,
- * by _kernels_np.group_keys, on either backend.
+ * Implementation of the sample_groups and sample_keys contract in
+ * _kernels_np.py; the two backends must stay bit-identical.  Words follow
+ * the counter scheme in rng.py, and an inverse-CDF pick counts the first
+ * n-1 cumulative masses at or below the uniform u.  On nondecreasing rows
+ * that count is searchsorted(side="right") clipped to n-1.
+ *
+ * The comparisons are made in integers, exactly.  numpy's uniform is
+ * u = x * 2**-53 with x = w >> 11 < 2**53, a product without rounding, so
+ * u >= c holds exactly when x >= t(c), where
+ *   t(c) = 0               for c <= 0, -0.0 and -inf included;
+ *   t(c) = ceil(c * 2**53)  for 0 < c < 1, where the scaling is exact,
+ *                          subnormal c included;
+ *   t(c) = 2**53           for c >= 1, +inf and NaN, and no x reaches it.
+ * Each call computes the thresholds once, before it draws.
+ *
+ * Both entry points draw CHUNK groups per pass with draw_chunk, in
+ * structure-of-arrays form: the stream base of every group, its
+ * component, then for each draw the words of all groups and their
+ * category counts, then their keys or codes.  Each pass runs over all
+ * CHUNK lanes, a constant trip count that the compiler vectorises
+ * without a remainder loop; lanes past the last group draw streams that
+ * are never counted or written.  Unsigned 64-bit arithmetic wraps modulo
+ * 2**64 as numpy's uint64 does.
+ *
+ * GCC 12 and later, on x86-64 with glibc, also compile an AVX-512
+ * (x86-64-v4) and an AVX2 (x86-64-v3) clone of each entry point, and the
+ * loader picks one by what the CPU supports.  That is why the flags can
+ * stay free of -march=native: one library in a shared cache directory
+ * runs on every x86-64 machine that loads it, and still uses the widest
+ * vectors each has.  The default clone is the plain x86-64 build, and
+ * other compilers build only that.
  */
 #include <stdint.h>
+#include <stdlib.h>
 
 #define GOLD 0x9E3779B97F4A7C15ULL
 #define MIX_A 0xBF58476D1CE4E5B9ULL
@@ -19,63 +41,126 @@
 #define STREAM_MULT 0xD1342543DE82EF95ULL
 #define COUNTER_MULT 0xDABA0B6EB09322E3ULL
 
+/* Groups per pass.  Every per-group buffer of a pass lives on the stack. */
+#define CHUNK 64
+
+/* glibc's loader resolves the clones (as GNU indirect functions). */
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 && defined(__x86_64__) && defined(__GLIBC__)
+#define VECTOR_CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define VECTOR_CLONES
+#endif
+
 static inline uint64_t mix64(uint64_t z) {
     z = (z ^ (z >> 30)) * MIX_A;
     z = (z ^ (z >> 27)) * MIX_B;
     return z ^ (z >> 31);
 }
 
-static inline double to_unit(uint64_t w) { return (double)(w >> 11) * 0x1p-53; }
+/* t(c) of the header: 2**53 is above every x = w >> 11. */
+#define NEVER ((int64_t)1 << 53)
 
-/* Number of the first n entries of cum at or below u, without branches. */
-static inline int64_t count_le(const double *cum, int64_t n, double u) {
-    int64_t count = 0;
-    for (int64_t i = 0; i < n; i++) count += u >= cum[i];
-    return count;
+static int64_t threshold(double c) {
+    if (c <= 0.0) return 0;
+    if (!(c < 1.0)) return NEVER; /* c >= 1, +inf or NaN */
+    const double scaled = c * 0x1p53;
+    const int64_t t = (int64_t)scaled; /* below 2**53, so truncated exactly */
+    return t + ((double)t < scaled);
 }
 
-/* One group, on stream `stream`: counter 0 picks its component among the
- * first n_weights + 1 rows of the (n_comp, d) cum_components, counters
- * 1..group_size its categories.  Returns the sum of pows[c] over the codes
- * c if keyed, and writes them to out otherwise.  Each caller passes keyed
- * as a constant, so the inlined loop has no branch on it. */
-static inline uint64_t draw_group(uint64_t seed_mixed, uint64_t stream, int64_t group_size,
-                                  const double *cum_weights, int64_t n_weights,
-                                  const double *cum_components, int64_t d, const int64_t *pows,
-                                  uint8_t *out, const int keyed) {
-    const uint64_t base = mix64(seed_mixed ^ (stream * STREAM_MULT));
-    const double *row = cum_components + count_le(cum_weights, n_weights, to_unit(mix64(base))) * d;
-    uint64_t key = 0;
-    for (int64_t j = 0; j < group_size; j++) {
-        const double u = to_unit(mix64(base ^ ((uint64_t)(j + 1) * COUNTER_MULT)));
-        const int64_t c = count_le(row, d - 1, u);
-        if (keyed)
-            key += (uint64_t)pows[c];
-        else
-            out[j] = (uint8_t)c;
+/* The thresholds of the first n_weights cumulative weights, followed by
+ * an (n_comp, width) table: row c holds those of the first d - 1 masses
+ * of component c, padded with NEVER to the even width >= 2 that
+ * draw_chunk reads two at a time.  NULL if out of memory. */
+static int64_t *thresholds(const double *cum_weights, int64_t n_weights, const double *cum_components,
+                           int64_t n_comp, int64_t d, int64_t width) {
+    int64_t *t = malloc((size_t)(n_weights + n_comp * width) * sizeof *t);
+    if (!t) return 0;
+    for (int64_t i = 0; i < n_weights; i++) t[i] = threshold(cum_weights[i]);
+    for (int64_t c = 0; c < n_comp; c++)
+        for (int64_t i = 0; i < width; i++)
+            t[n_weights + c * width + i] = i < d - 1 ? threshold(cum_components[c * d + i]) : NEVER;
+    return t;
+}
+
+/* The n <= CHUNK groups on streams first, first+1, ...: counter 0 picks
+ * a group's component, a row of the (components, width) threshold table
+ * tc, by counting the n_weights weight thresholds tw its x reaches;
+ * counters 1..group_size pick its categories by counting the row's
+ * thresholds, two at a time (width is even, padded with 2**53).  Adds one
+ * to table[sum of pows[c] over the codes c] if keyed, and writes the
+ * codes to the rows of out otherwise.  Each caller passes keyed as a
+ * constant, so the inlined passes have no branch on it. */
+static inline __attribute__((always_inline)) void
+draw_chunk(uint64_t seed_mixed, uint64_t first, int64_t n, int64_t group_size, const int64_t *restrict tw,
+           int64_t n_weights, const int64_t *restrict tc, int64_t width, const int64_t *restrict pows,
+           int64_t *restrict table, uint8_t *restrict out, const int keyed) {
+    uint64_t base[CHUNK], key[CHUNK];
+    int64_t x[CHUNK], row[CHUNK], cat[CHUNK];
+    for (int64_t g = 0; g < CHUNK; g++) {
+        base[g] = mix64(seed_mixed ^ ((first + (uint64_t)g) * STREAM_MULT));
+        x[g] = (int64_t)(mix64(base[g]) >> 11);
+        row[g] = 0;
+        key[g] = 0;
     }
-    return key;
+    for (int64_t i = 0; i < n_weights; i++)
+        for (int64_t g = 0; g < CHUNK; g++) row[g] += (int64_t)(x[g] >= tw[i]);
+    for (int64_t g = 0; g < CHUNK; g++) row[g] *= width;
+    for (int64_t j = 0; j < group_size; j++) {
+        const uint64_t counter = (uint64_t)(j + 1) * COUNTER_MULT;
+        for (int64_t g = 0; g < CHUNK; g++) {
+            const int64_t r = row[g];
+            x[g] = (int64_t)(mix64(base[g] ^ counter) >> 11);
+            cat[g] = (int64_t)(x[g] >= tc[r]) + (int64_t)(x[g] >= tc[r + 1]);
+        }
+        for (int64_t i = 2; i < width; i += 2)
+            for (int64_t g = 0; g < CHUNK; g++) {
+                const int64_t r = row[g] + i;
+                cat[g] += (int64_t)(x[g] >= tc[r]) + (int64_t)(x[g] >= tc[r + 1]);
+            }
+        if (keyed)
+            for (int64_t g = 0; g < CHUNK; g++) key[g] += (uint64_t)pows[cat[g]];
+        else
+            for (int64_t g = 0; g < n; g++) out[g * group_size + j] = (uint8_t)cat[g];
+    }
+    if (keyed)
+        for (int64_t g = 0; g < n; g++) table[key[g]]++;
+}
+
+/* The draws of both entry points, on the (n_comp, d) cum_components;
+ * returns -1 if out of memory and 0 otherwise. */
+static inline __attribute__((always_inline)) int
+draw(uint64_t seed, int64_t n_groups, int64_t group_size, const double *cum_weights, int64_t n_weights,
+     const double *cum_components, int64_t n_comp, int64_t d, uint64_t start, const int64_t *pows,
+     int64_t *table, uint8_t *out, const int keyed) {
+    const int64_t width = d / 2 > 1 ? 2 * (d / 2) : 2;
+    int64_t *const t = thresholds(cum_weights, n_weights, cum_components, n_comp, d, width);
+    if (!t) return -1;
+    const uint64_t seed_mixed = mix64(seed + GOLD);
+    for (int64_t lo = 0; lo < n_groups; lo += CHUNK)
+        draw_chunk(seed_mixed, start + (uint64_t)lo, n_groups - lo < CHUNK ? n_groups - lo : CHUNK, group_size,
+                   t, n_weights, t + n_weights, width, pows, table, keyed ? 0 : out + lo * group_size, keyed);
+    free(t);
+    return 0;
 }
 
 /* Group g (0-based in out) uses stream start + g. */
-void sample_groups(uint64_t seed, int64_t n_groups, int64_t group_size, const double *cum_weights,
-                   int64_t n_weights, const double *cum_components, int64_t d, uint64_t start,
-                   uint8_t *out) {
-    const uint64_t seed_mixed = mix64(seed + GOLD);
-    for (int64_t g = 0; g < n_groups; g++, out += group_size)
-        draw_group(seed_mixed, start + (uint64_t)g, group_size, cum_weights, n_weights,
-                   cum_components, d, 0, out, 0);
+VECTOR_CLONES
+int sample_groups(uint64_t seed, int64_t n_groups, int64_t group_size, const double *cum_weights,
+                  int64_t n_weights, const double *cum_components, int64_t n_comp, int64_t d, uint64_t start,
+                  uint8_t *out) {
+    return draw(seed, n_groups, group_size, cum_weights, n_weights, cum_components, n_comp, d, start, 0, 0,
+                out, 0);
 }
 
 /* The groups of sample_groups, each keyed as _kernels_np.group_keys keys
  * it and counted: table[key] is incremented.  With pows[c] = (k+1)**c for
  * k = group_size, a key is below (k+1)**d: each of its k draws adds at
  * most (k+1)**(d-1). */
-void sample_keys(uint64_t seed, int64_t n_groups, int64_t group_size, const double *cum_weights,
-                 int64_t n_weights, const double *cum_components, int64_t d, uint64_t start,
-                 const int64_t *pows, int64_t *table) {
-    const uint64_t seed_mixed = mix64(seed + GOLD);
-    for (int64_t g = 0; g < n_groups; g++)
-        table[draw_group(seed_mixed, start + (uint64_t)g, group_size, cum_weights, n_weights,
-                         cum_components, d, pows, 0, 1)]++;
+VECTOR_CLONES
+int sample_keys(uint64_t seed, int64_t n_groups, int64_t group_size, const double *cum_weights, int64_t n_weights,
+                const double *cum_components, int64_t n_comp, int64_t d, uint64_t start, const int64_t *pows,
+                int64_t *table) {
+    return draw(seed, n_groups, group_size, cum_weights, n_weights, cum_components, n_comp, d, start, pows,
+                table, 0, 1);
 }

@@ -12,6 +12,19 @@ sample_groups and sample_keys below keep the signatures and contract of
 their _kernels_np.py namesakes, bit for bit.  A CDLL call releases the
 GIL, and the C code keeps no state between calls, so threads may run
 the kernels at once on separate outputs (sampling.draw_tally does).
+
+The C code compares words with cumulative masses in integers, and
+exactly: numpy's uniform u = x * 2**-53, with x = w >> 11 < 2**53, is
+computed without rounding, so u >= c holds exactly when x >= t(c) for
+the integer threshold t(c) = ceil(c * 2**53) clipped to [0, 2**53] (0
+for -0.0 and -inf, 2**53 for NaN; scaling by a power of two is exact,
+for subnormal c too).  Each call computes the thresholds once.
+
+The flags leave out -march=native, so that a library in a shared cache
+directory runs on every machine that loads it.  The vector code comes
+from clones instead: GCC 12 and later compile an x86-64-v4 (AVX-512) and
+an x86-64-v3 (AVX2) copy of each entry point beside the plain x86-64 one,
+and the loader picks the one the CPU supports (see _kernels.c).
 """
 from __future__ import annotations
 
@@ -28,8 +41,8 @@ from ._kernels_np import check_table
 from .rng import MASK
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-# No -ffast-math and no -march=native: the floats must compare as numpy's
-# do, and the library may be shared by machines of one architecture.
+# No -ffast-math, under which the thresholds could mistreat NaN, -0.0 or
+# subnormal masses, and no -march=native (see above).
 CFLAGS = ("-O2", "-shared", "-fPIC")
 CC_TIMEOUT_S = 60
 
@@ -75,21 +88,27 @@ def _compile(code: bytes, lib: Path) -> None:
             os.unlink(tmp)
 
 
-try:
-    _lib = ctypes.CDLL(str(_build(SOURCE, SOURCE.parent / "__pycache__")))
-except OSError as exc:
-    raise ImportError(f"cannot load the library built from {SOURCE}: {exc}") from exc
+def _load(lib: Path) -> ctypes.CDLL:
+    """The library at lib, with the argument types of its entry points."""
+    try:
+        cdll = ctypes.CDLL(str(lib))
+    except OSError as exc:
+        raise ImportError(f"cannot load {lib}: {exc}") from exc
+    f64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
+    draw = [
+        ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, f64, ctypes.c_int64, f64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_uint64,
+    ]
+    cdll.sample_groups.argtypes = draw + [ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")]
+    cdll.sample_keys.argtypes = draw + [
+        ndpointer(np.int64, flags="C_CONTIGUOUS"), ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE"),
+    ]
+    # 0, or -1 when the thresholds could not be allocated
+    cdll.sample_groups.restype = cdll.sample_keys.restype = ctypes.c_int
+    return cdll
 
-_f64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
-_i64 = ndpointer(np.int64, flags="C_CONTIGUOUS")
-_DRAW_ARGTYPES = [
-    ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, _f64, ctypes.c_int64, _f64, ctypes.c_int64,
-    ctypes.c_uint64,
-]
-_lib.sample_groups.argtypes = _DRAW_ARGTYPES + [ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")]
-_lib.sample_groups.restype = None
-_lib.sample_keys.argtypes = _DRAW_ARGTYPES + [_i64, ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")]
-_lib.sample_keys.restype = None
+
+_lib = _load(_build(SOURCE, SOURCE.parent / "__pycache__"))
 
 
 def _draw_args(seed, n_groups, group_size, cum_weights, cum_components, start):
@@ -104,17 +123,23 @@ def _draw_args(seed, n_groups, group_size, cum_weights, cum_components, start):
     # searchsorted(cum_weights) clipped to n_comp - 1 counts at most that many weights
     n_weights = min(len(cum_weights), n_comp - 1)
     args = (
-        int(seed) & MASK, int(n_groups), int(group_size), cum_weights, n_weights, cum_components, d,
+        int(seed) & MASK, int(n_groups), int(group_size), cum_weights, n_weights, cum_components, n_comp, d,
         int(start) & MASK,
     )
     return args, d
+
+
+def _check(status):
+    """MemoryError for the C samplers' status -1."""
+    if status:
+        raise MemoryError("cannot allocate the sampling thresholds")
 
 
 def sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start=0):
     """See _kernels_np.sample_groups."""
     args, _ = _draw_args(seed, n_groups, group_size, cum_weights, cum_components, start)
     out = np.empty((n_groups, group_size), dtype=np.uint8)
-    _lib.sample_groups(*args, out)
+    _check(_lib.sample_groups(*args, out))
     return out
 
 
@@ -124,6 +149,6 @@ def sample_keys(seed, n_groups, group_size, cum_weights, cum_components, table, 
     args, d = _draw_args(seed, n_groups, group_size, cum_weights, cum_components, start)
     # every key is below (k+1)**d, so a table of that many cells holds it
     check_table(table, group_size, d)
-    _lib.sample_keys(*args, (group_size + 1) ** np.arange(d, dtype=np.int64), table)
+    _check(_lib.sample_keys(*args, (group_size + 1) ** np.arange(d, dtype=np.int64), table))
     return table
 

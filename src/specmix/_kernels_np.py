@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import COUNTER_MULT, GOLD, MASK, STREAM_MULT, _mix64_array, mix64, to_unit
+from .rng import _INV_2_53, COUNTER_MULT, GOLD, MASK, MIX_A, MIX_B, STREAM_MULT, mix64
 
 _U64 = np.uint64
 
@@ -38,26 +38,48 @@ def sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start
     cum_weights = np.asarray(cum_weights, dtype=np.float64)
     cum_components = np.asarray(cum_components, dtype=np.float64)
     n_comp, d = cum_components.shape
-    streams = np.arange(start, start + n_groups, dtype=np.uint64)
-    seed_mixed = _U64(mix64((int(seed) + GOLD) & MASK))
-    bases = _mix64_array(seed_mixed ^ (streams * _U64(STREAM_MULT)))
+    # Three buffers of n_groups words serve every counter: the words, a
+    # scratch buffer that ends each counter holding the uniforms, and the
+    # categories.  Fresh temporaries per column are paged in anew whenever
+    # the allocator has handed the last ones back.
+    words, scratch, cats = (np.empty(n_groups, dtype=t) for t in (np.uint64, np.uint64, np.int64))
+    bases = np.arange(n_groups, dtype=np.uint64)
+    bases += _U64(int(start) & MASK)  # stream numbers wrap modulo 2**64, as the compiled kernels' do
+    bases *= _U64(STREAM_MULT)
+    bases ^= _U64(mix64((int(seed) + GOLD) & MASK))
+    _mix64_into(bases, scratch)
 
-    u = to_unit(_mix64_array(bases))  # counter 0: component pick
-    comp = np.searchsorted(cum_weights, u, side="right")
+    def uniforms(counter):
+        """to_unit of every group's word at counter, in scratch."""
+        np.bitwise_xor(bases, _U64((counter * COUNTER_MULT) & MASK), out=words)
+        _mix64_into(words, scratch)
+        # x = w >> 11 < 2**53 converts exactly, and scaling by 2**-53 rounds nothing
+        np.right_shift(words, _U64(11), out=words)
+        return np.multiply(words, _INV_2_53, out=scratch.view(np.float64))
+
+    comp = np.searchsorted(cum_weights, uniforms(0), side="right")  # counter 0: component pick
     np.minimum(comp, n_comp - 1, out=comp)
 
     # A group keeps its component for all its draws, so split once.
     members = [np.flatnonzero(comp == c) for c in range(n_comp)]
     out = np.empty((n_groups, group_size), dtype=np.uint8)
     for j in range(group_size):
-        w = _mix64_array(bases ^ _U64(((j + 1) * COUNTER_MULT) & MASK))
-        u = to_unit(w)
-        cats = np.empty(n_groups, dtype=np.int64)
+        u = uniforms(j + 1)
         for c, idx in enumerate(members):
             cats[idx] = np.searchsorted(cum_components[c], u[idx], side="right")
         np.minimum(cats, d - 1, out=cats)
         out[:, j] = cats
     return out
+
+
+def _mix64_into(z, scratch):
+    """rng._mix64_array(z), computed in z, with scratch as the one temporary."""
+    for shift, mult in ((30, MIX_A), (27, MIX_B)):
+        np.right_shift(z, _U64(shift), out=scratch)
+        np.bitwise_xor(z, scratch, out=z)
+        np.multiply(z, _U64(mult), out=z)
+    np.right_shift(z, _U64(31), out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
 
 
 def group_keys(groups, d):

@@ -224,6 +224,20 @@ def _check_fits(d: int, order: int) -> None:
         raise MemoryError(f"a dense {d}^{order} array needs {8 * d**order} bytes; physical memory is {physical}")
 
 
+def _check_scale(b: np.ndarray, order: int, dominating) -> None:
+    """ValueError naming the reference measure unless the largest entry
+    of outer_power(b, order), the scale of the highest moment, is finite."""
+    peak = top = float(b.max())
+    for _ in range(order - 1):  # the products outer_power forms, in its order
+        top *= peak
+    if not np.isfinite(top):
+        name = repr(dominating) if isinstance(dominating, str) else "given as a DominatingMeasure"
+        raise ValueError(
+            f"reference measure {name} scales the order-{order} moment by {peak:.3g}**{order}, "
+            "which overflows; raise its smallest mass"
+        )
+
+
 @contextmanager
 def _stage(name: str):
     """Turn any failure inside the block into a RecoveryError naming the stage."""
@@ -323,6 +337,8 @@ def recover_full(
         if xi is not None and xi.d != data.d:
             raise ValueError(f"reference measure has {xi.d} categories, the data has {data.d}")
         b = None if xi is None else b_map(xi)
+        if b is not None:
+            _check_scale(b, 2 * m - 1, config.dominating)
         if m > 1:
             _check_fits(data.d, 2 * m)  # the d^m x d^m operator
     if m > 1 and xi is not None and isinstance(data, MixtureSpec):

@@ -1,7 +1,9 @@
 """Pipeline stages and end-to-end recovery, population and empirical."""
 import itertools
 import json
+import math
 import os
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -376,12 +378,42 @@ class TestRecoverFull:
         with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: a dense 40\^8 array needs 52428800000000 bytes; physical memory is \d+$"):
             recover_full(mix, RecoveryConfig(4))
 
-    def test_overflowing_reference_measure_fails_its_stage(self, indep_mix):
-        # a mass of 1e-300 rescales by 1e150, so the order-4 moment overflows
-        config = RecoveryConfig(m=3, dominating="fixed:1e-300,1,1")
-        message = r"^stage 'second-moment form' failed: matrix has non-finite entries$"
-        with np.errstate(over="ignore"), pytest.raises(RecoveryError, match=message):
-            recover_full(indep_mix, config)
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("population", [True, False])
+    def test_overflowing_reference_measure_fails_its_stage(self, indep_mix, m, population):
+        # a mass of 1e-300 rescales by 1e150, so the order-(2m-1) moment
+        # overflows; setup says so before any moment is formed, and with
+        # RuntimeWarnings raised as errors no overflow warning comes first
+        data = indep_mix if population else sp.draw_groups(indep_mix, 2 * m - 1, 200, seed=1)
+        message = (
+            rf"^stage 'setup' failed: reference measure 'fixed:1e-300,1,1' scales the order-{2 * m - 1} "
+            rf"moment by 1e\+150\*\*{2 * m - 1}, which overflows; raise its smallest mass$"
+        )
+        with pytest.raises(RecoveryError, match=message):
+            recover_full(data, RecoveryConfig(m=m, dominating="fixed:1e-300,1,1"))
+        measure = sp.DominatingMeasure([1e-300, 1.0, 1.0])
+        with pytest.raises(RecoveryError, match="^stage 'setup' failed: reference measure given as a DominatingMeasure"):
+            recover_full(data, RecoveryConfig(m=m, dominating=measure))
+
+    def test_largest_finite_reference_scale_passes_setup(self, indep_mix, monkeypatch):
+        # the smallest mass whose max(b)**3, multiplied out as outer_power
+        # does, is finite passes setup at m=2; the next smaller one fails it
+        def cube(mass):
+            b = 1.0 / math.sqrt(mass)  # b_map; Python floats overflow to inf without a warning
+            return b * b * b
+
+        tiny = sys.float_info.max ** (-2 / 3)
+        while math.isinf(cube(tiny)):
+            tiny = math.nextafter(tiny, 1.0)
+        while math.isfinite(cube(math.nextafter(tiny, 0.0))):
+            tiny = math.nextafter(tiny, 0.0)
+        reached = []
+        monkeypatch.setattr(recovery, "_run_stages", lambda *args, **kwargs: reached.append(True))
+        recover_full(indep_mix, RecoveryConfig(m=2, dominating=sp.DominatingMeasure([tiny, 1.0, 1.0])))
+        assert reached == [True]
+        smaller = sp.DominatingMeasure([math.nextafter(tiny, 0.0), 1.0, 1.0])
+        with pytest.raises(RecoveryError, match="^stage 'setup' failed: reference measure"):
+            recover_full(indep_mix, RecoveryConfig(m=2, dominating=smaller))
 
     def test_non_finite_operator_fails_component_extraction(self, indep_mix, monkeypatch):
         odd_operator = recovery._odd_operator

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from specmix import _kernels_np, kernels, rng
+from specmix.sampling import DRAW_BLOCK
 
 
 class TestMix64:
@@ -110,24 +111,32 @@ class TestExponentials:
         assert abs(e.mean() - 1.0) < 0.02
 
 
+def drawn_uniforms(seed, n, k, start):
+    """(n, k+1) uniforms of the groups on streams start, start+1, ...
+    (modulo 2**64): column 0 picks the component, columns 1..k the
+    categories."""
+    streams = np.array([(start + g) & rng.MASK for g in range(n)], dtype=np.uint64)
+    seed_mixed = np.uint64(rng.mix64((int(seed) + rng.GOLD) & rng.MASK))
+    bases = rng._mix64_array(seed_mixed ^ (streams * np.uint64(rng.STREAM_MULT)))
+    counters = np.arange(k + 1, dtype=np.uint64) * np.uint64(rng.COUNTER_MULT)
+    return rng.to_unit(rng._mix64_array(bases[:, None] ^ counters[None, :]))
+
+
 def reference_sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start=0):
     """The numpy sampler written draw by draw: each of the group_size
     draws masks every component's groups afresh.  Same counter scheme and
     inverse-CDF search as the kernels, with none of their bookkeeping."""
     n_comp, d = cum_components.shape
-    streams = np.arange(start, start + n_groups, dtype=np.uint64)
-    seed_mixed = np.uint64(rng.mix64((int(seed) + rng.GOLD) & rng.MASK))
-    bases = rng._mix64_array(seed_mixed ^ (streams * np.uint64(rng.STREAM_MULT)))
-    comp = np.searchsorted(cum_weights, rng.to_unit(rng._mix64_array(bases)), side="right")
+    u = drawn_uniforms(seed, n_groups, group_size, start)
+    comp = np.searchsorted(cum_weights, u[:, 0], side="right")
     np.minimum(comp, n_comp - 1, out=comp)
     out = np.empty((n_groups, group_size), dtype=np.uint8)
     for j in range(group_size):
-        u = rng.to_unit(rng._mix64_array(bases ^ np.uint64(((j + 1) * rng.COUNTER_MULT) & rng.MASK)))
         cats = np.empty(n_groups, dtype=np.int64)
         for c in range(n_comp):
             mask = comp == c
             if mask.any():
-                cats[mask] = np.searchsorted(cum_components[c], u[mask], side="right")
+                cats[mask] = np.searchsorted(cum_components[c], u[mask, j + 1], side="right")
         np.minimum(cats, d - 1, out=cats)
         out[:, j] = cats
     return out
@@ -263,6 +272,123 @@ class TestSampleKeys:
             impl.sample_keys(0, 5, -1, cw, cc, np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
             impl.sample_keys(0, -5, 2, cw, cc, np.zeros(9, dtype=np.int64))
+
+
+# How a cumulative mass sits against the uniforms the groups draw: on one
+# (every uniform is a multiple of 2**-53), an ulp either side, on another
+# multiple of 2**-53, at the edges of [0, 1], or not finite (np.sort puts
+# NaN last, where searchsorted reads it as above every uniform).
+EDGES = (
+    "tie", "below", "above", "grid", "zero", "negzero", "subnormal", "one", "below_one", "above_one", "inf",
+    "neginf", "nan",
+)
+
+
+def edge_mass(kind, u, grid):
+    return {
+        "tie": u,
+        "below": np.nextafter(u, 0.0),
+        "above": np.nextafter(u, 1.0),
+        "grid": grid * 2.0**-53,
+        "zero": 0.0,
+        "negzero": -0.0,
+        "subnormal": 5e-324,
+        "one": 1.0,
+        "below_one": np.nextafter(1.0, 0.0),
+        "above_one": np.nextafter(1.0, 2.0),
+        "inf": np.inf,
+        "neginf": -np.inf,
+        "nan": np.nan,
+    }[kind]
+
+
+@st.composite
+def edge_cases(draw):
+    """(seed, n, k, start, cum_weights, cum_components) whose masses sit
+    on, or an ulp off, the uniforms the groups draw, with repeated masses
+    (zero-weight components, zero-mass categories) and tails at 1."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    n = draw(st.integers(1, 150))
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6))
+    start = draw(st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 200, 2**64 - 1)))
+    u = drawn_uniforms(seed, n, k, start)
+
+    def masses(count, column):
+        out = []
+        for _ in range(count):
+            kind = draw(st.sampled_from(EDGES))
+            col = column if column is not None else draw(st.integers(1, k))
+            out.append(edge_mass(kind, u[draw(st.integers(0, n - 1)), col], draw(st.integers(0, 2**53))))
+        return out
+
+    # the last mass too: a row ending below a drawn uniform must still
+    # pick its last category, as searchsorted clipped to d - 1 does
+    cum_weights = np.sort(masses(m, 0))
+    cum_components = np.sort([masses(d, None) for _ in range(m)], axis=1)
+    return seed, n, k, start, cum_weights, cum_components
+
+
+def chunk():
+    """Groups per pass of the compiled kernels, read from their source."""
+    import re
+
+    return int(re.search(r"^#define CHUNK (\d+)$", (Path(_kernels_np.__file__).with_name("_kernels.c")).read_text(), re.M)[1])
+
+
+@pytest.mark.parametrize("name", ["numpy", "compiled"])
+class TestExactThresholds:
+    """Both backends against reference_sample_groups where a float
+    comparison and its integer form could part: masses on a drawn
+    uniform or an ulp either side of it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=edge_cases())
+    def test_edge_masses_match_reference(self, name, case):
+        impl = backend(name)
+        seed, n, k, start, cw, cc = case
+        want = reference_sample_groups(seed, n, k, cw, cc, start=start)
+        assert_array_equal(impl.sample_groups(seed, n, k, cw, cc, start=start), want)
+        d = cc.shape[1]
+        cells = (k + 1) ** d
+        table = impl.sample_keys(seed, n, k, cw, cc, np.zeros(cells, dtype=np.int64), start=start)
+        assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, d), minlength=cells))
+
+    def test_ties_and_neighbours_on_every_draw(self, name):
+        # every category mass sits on a uniform some group draws, or one
+        # ulp off it, so each comparison kind happens many times
+        impl = backend(name)
+        seed, n, k, start = 11, 4096, 3, 2**64 - 2000
+        u = drawn_uniforms(seed, n, k, start)
+        picks = np.sort(u[:, 1:].ravel())[:: 512]
+        cc = np.sort(np.concatenate([picks, np.nextafter(picks, 0.0), np.nextafter(picks, 1.0), [1.0]]))[None, :]
+        cw = np.array([1.0])
+        want = reference_sample_groups(seed, n, k, cw, cc, start=start)
+        got = impl.sample_groups(seed, n, k, cw, cc, start=start)
+        assert_array_equal(got, want)
+        # the draws land on both sides of the ties, so no test passes vacuously
+        assert len(np.unique(want)) > 10
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_sizes_around_the_chunk(self, name, offset):
+        # n in {1, chunk-1, chunk, chunk+1, DRAW_BLOCK} and a start whose
+        # streams wrap past 2**64; the table gains the same counts in one
+        # call as in calls of every size
+        impl = backend(name)
+        size = chunk()
+        cw, cc = np.cumsum([0.5, 0.3, 0.2]), np.cumsum([[0.64, 0.32, 0.04], [0.04, 0.32, 0.64], [0.24, 0.32, 0.44]], axis=1)
+        start = 2**64 - 3 * size + offset
+        sizes = [1, size - 1, size, size + 1, DRAW_BLOCK]
+        total = sum(sizes)
+        want = reference_sample_groups(3, total, 5, cw, cc, start=start)
+        lo, rows, table = 0, [], np.zeros(6**3, dtype=np.int64)
+        for n in sizes:
+            rows.append(impl.sample_groups(3, n, 5, cw, cc, start=start + lo))
+            impl.sample_keys(3, n, 5, cw, cc, table, start=start + lo)
+            lo += n
+        assert_array_equal(np.concatenate(rows), want)
+        assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, 3), minlength=6**3))
 
 
 class TestBackends:
@@ -401,6 +527,34 @@ class TestCompiledLoader:
         with pytest.raises(ImportError, match="cc failed"):
             compiled._build(broken, tmp_path / "cache")
         assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_build_without_vector_clones_agrees(self, compiled, tmp_path, monkeypatch):
+        # the plain x86-64 code, which a machine with AVX-512 never runs
+        # from the cloned library, gives the same rows and tables
+        source = compiled.SOURCE.read_text()
+        clones = [line for line in source.splitlines() if "target_clones" in line]
+        assert len(clones) == 1 and clones[0].startswith("#define VECTOR_CLONES ")
+        plain = tmp_path / compiled.SOURCE.name
+        plain.write_text(source.replace(clones[0], "#define VECTOR_CLONES"))
+        cases = [
+            (5, 2**64 - 100, 5, np.cumsum([0.5, 0.3, 0.2]),
+             np.cumsum([[0.64, 0.32, 0.04], [0.04, 0.32, 0.64], [0.24, 0.32, 0.44]], axis=1)),
+            (7, 3, 2, *cumulative_mixture(4, 7, True, 5)),
+            (9, 0, 1, *cumulative_mixture(2, 16, False, 6)),
+        ]
+        got = []
+        for lib in (compiled._lib, compiled._load(compiled._build(plain, tmp_path / "cache"))):
+            monkeypatch.setattr(compiled, "_lib", lib)
+            for seed, start, k, cw, cc in cases:
+                for n in (1, chunk() + 1, 5000):
+                    table = np.zeros((k + 1) ** cc.shape[1], dtype=np.int64)
+                    got.append(compiled.sample_groups(seed, n, k, cw, cc, start=start))
+                    got.append(compiled.sample_keys(seed, n, k, cw, cc, table, start=start))
+        cloned, stripped = got[: len(got) // 2], got[len(got) // 2 :]
+        for a, b in zip(cloned, stripped):
+            assert_array_equal(a, b)
+        rows = cloned[4]
+        assert_array_equal(rows, reference_sample_groups(5, 5000, 5, *cases[0][3:], start=2**64 - 100))
 
     def test_concurrent_first_builds_agree(self, compiled, tmp_path):
         # four builders (more than a 2-core machine has cores) on one empty
