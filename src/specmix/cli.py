@@ -9,7 +9,6 @@ multinomial mixtures), rank (component-count estimate), baseline
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -38,10 +37,6 @@ def _write_out(text: str, path: str | None) -> None:
 
 def _cmd_recover(args) -> int:
     data = _read_dataset(args.data)
-    if args.group_size is not None and data.group_size != args.group_size:
-        raise SystemExit(
-            f"dataset has groups of {data.group_size}, --group-size says {args.group_size}"
-        )
     config = RecoveryConfig(m=args.m, dominating=args.dominating)
     result = recover_full(data, config, seed=args.seed)
     _write_out(result.to_json(), args.out)
@@ -51,11 +46,11 @@ def _cmd_recover(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out=args.out)
     report = run_experiment(cfg)
-    if cfg.out is None:
+    if args.out is None:
         print(report.to_json())
+    else:
+        report.write(args.out)
     print(
         f"scheme={report.scheme} n_groups={report.n_groups} "
         f"mean={report.mean:.4f} variance={report.variance:.4g} "
@@ -102,11 +97,7 @@ def _cmd_rank(args) -> int:
 def _cmd_baseline(args) -> int:
     with open(args.truth) as fh:
         truth = MixtureSpec.from_json(fh.read())
-    if truth.m != args.m or truth.d != args.d:
-        raise SystemExit(
-            f"truth file has m={truth.m}, d={truth.d}; flags say m={args.m}, d={args.d}"
-        )
-    report = random_baseline(args.d, args.m, args.trials, args.seed, truth.components)
+    report = random_baseline(truth.components, args.trials, args.seed)
     print(json.dumps({"mean": report.mean, "variance": report.variance}))
     return 0
 
@@ -121,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="fit m components and weights to a grouped dataset")
     p.add_argument("--data", required=True, help="dataset path, or - for stdin (1-based indices, one group per line)")
     p.add_argument("--m", type=int, required=True, help="number of components to recover")
-    p.add_argument("--group-size", type=int, default=None, help="expected draws per group (checked against the data)")
     p.add_argument("--dominating", default="none", help="none | uniform | sqgauss:<sigma> | fixed:<csv>")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write result JSON here instead of stdout")
@@ -129,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a replicated accuracy experiment from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="report path (.csv for per-rep rows, else JSON)")
+    p.add_argument("--out", default=None, help="write the report here (.csv for per-rep rows, else JSON) instead of JSON on stdout")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("counterexample", help="build a pair of mixtures with matching low-order moments")
@@ -152,10 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("baseline", help="error of uniformly random component guesses")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--truth", required=True, help='mixture JSON {"weights","components"}')
+    p.add_argument("--truth", required=True, help='mixture JSON {"weights","components"}; fixes m and d')
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_baseline)
 

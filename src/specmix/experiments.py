@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import IO, NamedTuple, Sequence
@@ -60,20 +59,21 @@ class BaselineReport(NamedTuple):
     errors: np.ndarray
 
 
-def random_baseline(
-    d: int, m: int, trials: int, seed: int, truth: Sequence[np.ndarray] | np.ndarray
-) -> BaselineReport:
-    """Matched L1 error of guessing m simplex-uniform components.
+def random_baseline(truth: Sequence[np.ndarray] | np.ndarray, trials: int, seed: int) -> BaselineReport:
+    """Matched L1 error of guessing as many simplex-uniform components
+    as the truth has.
 
-    Each trial draws m vectors uniformly from the probability simplex
+    truth is a nonempty (m, d) array of components.  Each trial draws m
+    vectors uniformly from the probability simplex on d categories
     (normalized iid exponentials) and scores them against the truth;
     reports mean and plain variance across trials.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    truth = np.atleast_2d(np.asarray(truth, dtype=np.float64))
-    if truth.shape != (m, d):
-        raise ValueError(f"truth shape {truth.shape} does not match m={m}, d={d}")
+    truth = np.asarray(truth, dtype=np.float64)
+    if truth.ndim != 2 or truth.size == 0:
+        raise ValueError(f"truth must be a nonempty (m, d) array, got shape {truth.shape}")
+    m, d = truth.shape
     base_seed = rng.derive_seed(seed, rng.TAG_BASELINE)
     errors = np.empty(trials)
     for trial in range(trials):
@@ -87,10 +87,11 @@ def random_baseline(
 class ExperimentConfig:
     """One row of the accuracy table: data scale plus recovery choices.
 
-    group_size, n_groups and reps are integers >= 1, and the replicate
-    seeds seed .. seed + reps - 1 lie in [0, 2**64).  dominating is the
-    experiment's one reference measure, checked here like RecoveryConfig's;
-    the recovery config must leave its own dominating unset.
+    group_size, n_groups and reps are integers >= 1 (not bools), and the
+    replicate seeds seed .. seed + reps - 1 lie in [0, 2**64).  dominating
+    is the experiment's one reference measure, checked here like
+    RecoveryConfig's; the recovery config must leave its own dominating
+    unset.  run_experiment returns the report; the caller writes it.
     """
 
     mixture: MixtureSpec
@@ -100,14 +101,13 @@ class ExperimentConfig:
     dominating: DominatingMeasure | str | None
     recovery: RecoveryConfig
     seed: int = 0
-    out: str | None = None
 
     def __post_init__(self):
         for name in ("group_size", "n_groups", "reps"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not rng.is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed <= 2**64 - self.reps:
+        if not rng.is_integer(self.seed) or not 0 <= self.seed <= 2**64 - self.reps:
             raise ValueError(f"seed must be an integer in [0, 2**64 - reps], got {self.seed!r}")
         resolve_dominating(self.dominating, 1, 0)
         if self.recovery.dominating is not None:
@@ -139,7 +139,6 @@ class ExperimentConfig:
             dominating=obj.get("dominating", "none"),
             recovery=RecoveryConfig(**rec),
             seed=obj.get("seed", 0),
-            out=obj.get("out"),
         )
 
 
@@ -232,7 +231,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             failures.append({"rep": rep, "tag": str(exc)})
         seconds.append(time.perf_counter() - t_rep)
     scheme = _scheme_name(cfg.dominating)
-    report = ExperimentReport(
+    return ExperimentReport(
         scheme=scheme,
         n_groups=cfg.n_groups,
         group_size=cfg.group_size,
@@ -247,6 +246,3 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         },
         wall_clock=time.perf_counter() - t_start,
     )
-    if cfg.out:
-        report.write(cfg.out)
-    return report

@@ -116,13 +116,6 @@ class DominatingMeasure:
     def d(self) -> int:
         return self.y.size
 
-    def to_json(self) -> str:
-        return json.dumps({"y": self.y.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DominatingMeasure":
-        return cls(json.loads(text)["y"])
-
 
 class DistinctNorms(NamedTuple):
     """Outcome of the pairwise component-norm separation check."""
@@ -138,20 +131,27 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def make_mixture(weights: Sequence[float], components: Sequence[Sequence[float]]) -> MixtureSpec:
-    """Build a validated mixture.
-
-    Weights must be finite, strictly positive and sum to 1 within 1e-9
-    (then renormalized exactly).  Components must be probability vectors
-    of a common dimension, pairwise distinct in L-infinity beyond 1e-12.
-    """
+def mixture_weights(weights: Sequence[float]) -> np.ndarray:
+    """A float64 copy of weights; a ValueError unless they are a nonempty
+    1-D array of finite, strictly positive entries summing to 1 within
+    SUM_TOL."""
     w = _finite_vector(weights, "weights")
     if np.any(w <= 0.0):
         raise ValueError(f"weights must be strictly positive, got min {w.min():.3g}")
-    total = w.sum()
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"weights sum to {total!r}, not 1")
-    w /= total
+    if abs(w.sum() - 1.0) > SUM_TOL:
+        raise ValueError(f"weights sum to {float(w.sum())!r}, not 1")
+    return w
+
+
+def make_mixture(weights: Sequence[float], components: Sequence[Sequence[float]]) -> MixtureSpec:
+    """Build a validated mixture.
+
+    Weights are checked by mixture_weights and then renormalized exactly.
+    Components must be probability vectors of a common dimension,
+    pairwise distinct in L-infinity beyond 1e-12.
+    """
+    w = mixture_weights(weights)
+    w /= w.sum()
 
     rows = [probability_vector(c) for c in components]
     if len(rows) != w.size:

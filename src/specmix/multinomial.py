@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import probability_vector
+from .model import mixture_weights, probability_vector
 from .tensors import _multisets, _power_sum, outer_power
 
 Composition = Tuple[int, ...]
@@ -61,9 +61,7 @@ def enumerate_compositions(n: int, q: int) -> List[Composition]:
 
 def multinomial_pmf(spec: MultinomialSpec, x: Sequence[int]) -> float:
     """P(counts = x) = n!/(x_1! .. x_q!) prod p_i^{x_i}."""
-    x = tuple(int(v) for v in x)
-    if len(x) != spec.q or any(v < 0 for v in x) or sum(x) != spec.n:
-        raise ValueError(f"{x} is not a composition of {spec.n} into {spec.q} cells")
+    x = _composition(x, spec.n, spec.q)
     coeff = math.factorial(spec.n)
     for v in x:
         coeff //= math.factorial(v)
@@ -106,26 +104,36 @@ def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     return per_multiset[rank]
 
 
+def _composition(x: Sequence, n: int, q: int) -> Composition:
+    """x as a tuple of ints; a ValueError naming x as written unless it
+    is a composition of n into q cells whose entries int() converts
+    without change (2.0 and "2" do, 1.5 does not)."""
+    try:
+        counts = tuple(int(v) for v in x)
+        exact = all(isinstance(v, str) or c == v for c, v in zip(counts, x))
+    except (TypeError, ValueError, OverflowError):
+        counts, exact = None, False
+    if not exact or len(counts) != q or any(v < 0 for v in counts) or sum(counts) != n:
+        raise ValueError(f"key {counts if exact else x} is not a composition of {n} into {q} cells")
+    return counts
+
+
 def _composition_rows(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     """The keys of measure as a (len, q) int64 array of compositions of n.
 
-    Keys that are not all integer tuples go through int() entry by entry.
-    If any key is not a composition, the keys are checked one at a time in
-    order, so the first offending key is the one reported.
+    Unless the keys are already such an array, they are checked one at a
+    time in order by _composition, so the first offending key is the one
+    reported.
     """
     try:
         counts = np.array(list(measure))
-        if counts.dtype.kind != "i" or counts.ndim != 2:
-            counts = np.array([tuple(map(int, x)) for x in measure], dtype=np.int64)
-        counts = counts.reshape(len(measure), q)
-    except (TypeError, ValueError, OverflowError):
-        counts = None
+    except ValueError:  # keys of different lengths
+        counts = np.empty(0)
     # entries in [0, n] keep the row sums far from int64 overflow
-    if counts is None or ((counts < 0) | (counts > n)).any() or (counts.sum(axis=1) != n).any():
-        for x in measure:
-            x = tuple(int(v) for v in x)
-            if len(x) != q or any(v < 0 for v in x) or sum(x) != n:
-                raise ValueError(f"key {x} is not a composition of {n} into {q} cells")
+    if counts.dtype.kind != "i" or counts.shape != (len(measure), q) or (
+        ((counts < 0) | (counts > n)).any() or (counts.sum(axis=1) != n).any()
+    ):
+        counts = np.array([_composition(x, n, q) for x in measure], dtype=np.int64).reshape(len(measure), q)
     return counts
 
 
@@ -148,9 +156,11 @@ def multinomial_mixture_equal(
     """Equality test for two mixtures of multinomial laws.
 
     Compares sum_i a_i p_i^{(x) n} entrywise; valid because the spread
-    transform carries mixtures to these tensors injectively.  tol, the
-    largest entrywise difference still called equal, must be a finite
-    number >= 0.
+    transform carries mixtures to these tensors injectively.  Each side's
+    weights must pass model.mixture_weights (finite, > 0, summing to 1
+    within SUM_TOL); they are compared as given, not renormalized.
+    Components may repeat.  tol, the largest entrywise difference still
+    called equal, must be a finite number >= 0.
     """
     if not 0.0 <= tol < math.inf:  # NaN fails every comparison
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
@@ -160,6 +170,8 @@ def multinomial_mixture_equal(
     for _, spec in list(mix_a) + list(mix_b):
         if spec.n != n or spec.q != q:
             raise ValueError(f"all specs must share n={n}, q={q}")
+    for mix in (mix_a, mix_b):
+        mixture_weights([w for w, _ in mix])
 
     def tensor(mix):
         return _power_sum([w for w, _ in mix], [spec.p for _, spec in mix], n)

@@ -61,9 +61,9 @@ class RecoveryConfig:
     ValueError here, before any data is drawn; its size is checked
     against the data's when recover_full runs.  probe accepts only
     "singular": each folded eigenvector is contracted to its top left
-    singular vector.  m is an integer >= 1.  eig_floor is the whitening
-    floor relative to the largest eigenvalue of the moment form, in
-    (0, 1); lower it when components are nearly coincident (see README).
+    singular vector.  m is an integer >= 1, not a bool.  eig_floor is the
+    whitening floor relative to the largest eigenvalue of the moment form,
+    in (0, 1); lower it when components are nearly coincident (see README).
 
     Components are always clipped at zero and weights always solved by
     clip-and-renormalize; the two class constants name those fixed
@@ -78,7 +78,7 @@ class RecoveryConfig:
     weight_solver: ClassVar[str] = "clip-renormalize"
 
     def __post_init__(self):
-        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+        if not rng.is_integer(self.m) or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
         if self.probe != "singular":
             raise ValueError(f"unknown probe {self.probe!r}; the only probe is 'singular'")
@@ -405,8 +405,8 @@ def estimate_num_components(
     Singular values above rel_tol times the largest count; rel_tol must
     be a finite number in [0, 1).
     """
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
+    if not rng.is_integer(n) or n < 1:
+        raise ValueError(f"power must be an integer >= 1, got {n!r}")
     with _stage("setup"):
         if not 0.0 <= rel_tol < 1.0:  # NaN fails every comparison
             raise ValueError(f"rel_tol must be a finite number in [0, 1), got {rel_tol}")

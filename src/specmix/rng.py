@@ -56,9 +56,14 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer and not a bool, so a JSON true is no count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_seed(seed: int) -> None:
     """ValueError unless seed is an integer in [0, 2**64)."""
-    if not isinstance(seed, numbers.Integral):
+    if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= MASK:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")

@@ -19,7 +19,6 @@ Category indices are 0-based in memory; the text format on disk is
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import threading
@@ -69,10 +68,10 @@ class GroupTallyHistogram:
     """Counts of per-group category tallies.
 
     Keys are length-d compositions (category occurrence counts summing to
-    group_size); values are group counts.  Total count equals the number
-    of groups in the source dataset.  counts is always the read-only,
-    array-backed mapping tally() builds: any other mapping is checked
-    once here and converted, keeping its key order.
+    group_size); values are group counts in [1, 2**63).  Total count
+    equals the number of groups in the source dataset.  counts is always
+    the read-only, array-backed mapping tally() builds: any other mapping
+    is checked once here and converted, keeping its key order.
     """
 
     d: int
@@ -88,38 +87,15 @@ class GroupTallyHistogram:
         for key, n in self.counts.items():
             if len(key) != d or sum(key) != k:
                 raise ValueError(f"tally key {key} does not sum to {k} over {d} categories")
-            if n <= 0 or min(key) < 0 or any(v % 1 for v in (n, *key)):
+            if not 0 < n < 2**63 or min(key) < 0 or any(v % 1 for v in (n, *key)):
                 raise ValueError(f"invalid tally record {key}: {n} groups")
         comps = np.array(list(self.counts), dtype=np.int64).reshape(-1, d)
-        # object keeps group counts past 2^63, as from_json allows, exact
-        groups = np.array(list(self.counts.values()), dtype=object)
+        groups = np.array(list(self.counts.values()), dtype=np.int64)
         object.__setattr__(self, "counts", _TallyTable.from_compositions(comps, groups))
 
     @property
     def n_groups(self) -> int:
         return sum(self.counts.values())
-
-    def to_json(self) -> str:
-        items = sorted(self.counts.items())
-        return json.dumps(
-            {
-                "k": self.group_size,
-                "d": self.d,
-                "counts": [{"key": list(key), "n": n} for key, n in items],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroupTallyHistogram":
-        obj = json.loads(text)
-        k, d = int(obj["k"]), int(obj["d"])
-        counts: Dict[Composition, int] = {}
-        for rec in obj["counts"]:
-            key, n = tuple(int(v) for v in rec["key"]), int(rec["n"])
-            old = counts.get(key)
-            # a record of no groups keeps its key invalid through the merge
-            counts[key] = n if old is None else old + n if min(old, n) > 0 else min(old, n)
-        return cls(d, k, counts)
 
 
 # Groups drawn or tallied at a time, and the most cells draw_tally's dense

@@ -102,7 +102,7 @@ def test_criterion_4_replicated_accuracy_within_reference_windows():
     err_large = mean_error(fixed, 10_000_000)
     assert err_large <= 0.02, f"large-sample mean {err_large:.4f}"
 
-    base = sp.random_baseline(3, 3, 1000, 42, mix.components)
+    base = sp.random_baseline(mix.components, 1000, 42)
     assert 0.48 <= base.mean <= 0.58, f"baseline mean {base.mean:.4f}"
     assert err_fixed < base.mean and err_large < err_fixed
 

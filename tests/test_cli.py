@@ -1,6 +1,8 @@
 """Command-line interface, exercised in-process through cli.main."""
 import io
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +44,12 @@ class TestRecoverCommand:
         assert capsys.readouterr().out == ""
         assert "weights" in json.loads(out.read_text())
 
-    def test_group_size_check(self, data_file):
-        with pytest.raises(SystemExit, match="group"):
-            run_cli(["recover", "--data", data_file, "--m", "2", "--group-size", "4"])
-
-    def test_group_size_match_passes(self, data_file):
-        assert run_cli(["recover", "--data", data_file, "--m", "2", "--group-size", "5"]) == 0
+    def test_group_size_comes_from_the_data(self, data_file, capsys):
+        # the file fixes the group size; the flag that could only agree or fail is gone
+        with pytest.raises(SystemExit) as info:
+            run_cli(["recover", "--data", data_file, "--m", "2", "--group-size", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --group-size 5" in capsys.readouterr().err
 
     def test_library_error_exits_with_one_line(self, data_file):
         with pytest.raises(SystemExit, match="group size 5 < required 7"):
@@ -138,6 +140,14 @@ class TestExperimentCommand:
             ({"n_groups": 2000, "group_size": 3.7}, "group_size must be an integer >= 1, got 3.7"),
             ({"group_size": 5, "seed": -1}, r"seed must be an integer in \[0, 2\*\*64 - reps\]"),
             ({"seed": 2**64 - 1}, r"seed must be an integer in \[0, 2\*\*64 - reps\]"),
+            # JSON true is not an integer
+            ({"seed": True}, r"seed must be an integer in \[0, 2\*\*64 - reps\], got True"),
+            ({"seed": 0, "recovery": {"m": True}}, "m must be an integer >= 1, got True"),
+            ({"recovery": {"m": 3}, "reps": True}, "reps must be an integer >= 1, got True"),
+            ({"reps": 2, "group_size": True}, "group_size must be an integer >= 1, got True"),
+            ({"group_size": 5, "n_groups": True}, "n_groups must be an integer >= 1, got True"),
+            # the report path is --out alone
+            ({"n_groups": 2000, "out": str(out)}, "unknown experiment config key 'out'"),
         ]
         for changes, message in cases:
             self._edit(config_file, **changes)
@@ -218,6 +228,25 @@ class TestMultinomialCheckCommand:
             run_cli(["multinomial-check", "--a", str(a), "--b", str(a), "--tol", tol])
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "left, right, message",
+        [
+            # a NaN weight printed "different" for a file against itself
+            ([(float("nan"), [0.5, 0.5])], None, "weights entry 0 is nan, not finite"),
+            # weights -3 and 4 on one p printed "equal" against weight 1 on it
+            ([(-3.0, [0.5, 0.5]), (4.0, [0.5, 0.5])], [(1.0, [0.5, 0.5])], "weights must be strictly positive, got min -3"),
+            ([(0.5, [0.5, 0.5]), (0.6, [0.2, 0.8])], [(1.0, [0.5, 0.5])], r"weights sum to 1\.1, not 1"),
+        ],
+    )
+    def test_bad_weights_exit_with_one_line(self, tmp_path, left, right, message, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write_mix(a, 2, left)
+        self._write_mix(b, 2, left if right is None else right)
+        for x, y in [(a, b), (b, a)]:
+            with pytest.raises(SystemExit, match=f"^specmix multinomial-check: {message}$"):
+                run_cli(["multinomial-check", "--a", str(x), "--b", str(y)])
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_exits_with_one_line(self, tmp_path):
         a = tmp_path / "a.json"
         self._write_mix(a, 2, [(1.0, [0.5, 0.5])])
@@ -257,33 +286,54 @@ class TestBaselineCommand:
     def test_prints_stats(self, tmp_path, blend_mix, capsys):
         truth = tmp_path / "truth.json"
         truth.write_text(blend_mix.to_json())
-        code = run_cli(
-            ["baseline", "--d", "3", "--m", "3", "--trials", "100",
-             "--truth", str(truth), "--seed", "42"]
-        )
+        code = run_cli(["baseline", "--trials", "100", "--truth", str(truth), "--seed", "42"])
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
         assert 0.3 < obj["mean"] < 0.8 and obj["variance"] > 0.0
+        report = sp.random_baseline(blend_mix.components, 100, 42)
+        assert obj == {"mean": report.mean, "variance": report.variance}
 
-    def test_rejects_mismatched_truth(self, tmp_path, blend_mix):
+    @pytest.mark.parametrize("flag", ["--d", "--m"])
+    def test_shape_comes_from_the_truth(self, tmp_path, blend_mix, flag, capsys):
         truth = tmp_path / "truth.json"
         truth.write_text(blend_mix.to_json())
-        with pytest.raises(SystemExit, match="truth"):
-            run_cli(["baseline", "--d", "2", "--m", "3", "--trials", "5", "--truth", str(truth)])
+        with pytest.raises(SystemExit) as info:
+            run_cli(["baseline", flag, "3", "--trials", "5", "--truth", str(truth)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     def test_missing_truth_exits_with_one_line(self, tmp_path):
         missing = str(tmp_path / "missing.json")
         with pytest.raises(SystemExit, match="^specmix baseline: .*missing.json"):
-            run_cli(["baseline", "--d", "3", "--m", "3", "--trials", "5", "--truth", missing])
+            run_cli(["baseline", "--trials", "5", "--truth", missing])
 
     def test_truth_without_components_exits_with_one_line(self, tmp_path):
         truth = tmp_path / "truth.json"
         truth.write_text(json.dumps({"weights": [0.5, 0.5]}))
         with pytest.raises(SystemExit, match="^specmix baseline: mixture has no 'components' key"):
-            run_cli(["baseline", "--d", "3", "--m", "2", "--trials", "5", "--truth", str(truth)])
+            run_cli(["baseline", "--trials", "5", "--truth", str(truth)])
+
+
+def readme_command_lines() -> list:
+    """Every `specmix ...` command in the README's sh blocks, with
+    backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+            if line.startswith("specmix "):
+                lines.append(line)
+    return lines
 
 
 class TestParser:
+    def test_readme_commands_parse(self):
+        commands = [cli.build_parser().parse_args(shlex.split(line)[1:]).command for line in readme_command_lines()]
+        # every subcommand has an example; counterexample has two
+        assert sorted(commands) == sorted(
+            ["recover", "experiment", "counterexample", "counterexample", "multinomial-check", "rank", "baseline"]
+        )
+
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             run_cli([])

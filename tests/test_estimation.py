@@ -82,7 +82,7 @@ class TestPathEquivalence:
         ds = sp.draw_groups(blend_mix, 3, 150, seed=9)
         h = sp.tally(ds)
         assert_array_equal(sp.empirical_sym_moment(h, 2), raw_moment(ds, 2))
-        # the same histogram as a plain dict, as from_json builds it
+        # the same histogram as a plain dict, checked and converted by the constructor
         plain = sp.GroupTallyHistogram(h.d, h.group_size, dict(h.counts))
         assert_array_equal(sp.empirical_sym_moment(plain, 2), raw_moment(ds, 2))
 

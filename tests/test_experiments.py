@@ -66,32 +66,38 @@ class TestMatchedL1Error:
 
 class TestRandomBaseline:
     def test_deterministic(self, blend_mix):
-        a = sp.random_baseline(3, 3, 50, 7, blend_mix.components)
-        b = sp.random_baseline(3, 3, 50, 7, blend_mix.components)
+        a = sp.random_baseline(blend_mix.components, 50, 7)
+        b = sp.random_baseline(blend_mix.components, 50, 7)
         assert_array_equal(a.errors, b.errors)
         assert a.mean == b.mean and a.variance == b.variance
 
     def test_seed_matters(self, blend_mix):
-        a = sp.random_baseline(3, 3, 50, 7, blend_mix.components)
-        b = sp.random_baseline(3, 3, 50, 8, blend_mix.components)
+        a = sp.random_baseline(blend_mix.components, 50, 7)
+        b = sp.random_baseline(blend_mix.components, 50, 8)
         assert not np.array_equal(a.errors, b.errors)
 
     def test_plausible_range(self, blend_mix):
-        rep = sp.random_baseline(3, 3, 200, 42, blend_mix.components)
+        rep = sp.random_baseline(blend_mix.components, 200, 42)
         assert 0.3 < rep.mean < 0.8
         assert rep.variance > 0.0
         assert rep.errors.shape == (200,)
 
     def test_point_mass_truth(self):
         # |u - e_1|_1 = 2 u_2 for simplex-uniform u, so the mean error is 1
-        rep = sp.random_baseline(2, 1, 2000, 0, np.array([[1.0, 0.0]]))
+        rep = sp.random_baseline(np.array([[1.0, 0.0]]), 2000, 0)
         assert abs(rep.mean - 1.0) < 0.06
 
     def test_validation(self, blend_mix):
         with pytest.raises(ValueError):
-            sp.random_baseline(3, 3, 0, 0, blend_mix.components)
-        with pytest.raises(ValueError, match="truth"):
-            sp.random_baseline(3, 2, 10, 0, blend_mix.components)
+            sp.random_baseline(blend_mix.components, 0, 0)
+        for truth in ([0.5, 0.5], [[]], np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="truth must be a nonempty"):
+                sp.random_baseline(truth, 10, 0)
+
+    def test_shape_comes_from_truth(self, blend_mix):
+        # m and d are the truth's; the old leading (d, m) arguments are gone
+        with pytest.raises(TypeError):
+            sp.random_baseline(3, 3, 10, 0, blend_mix.components)
 
 
 def small_config(blend_mix, fixed_xi, **overrides):
@@ -146,12 +152,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="reps"):
             small_config(blend_mix, fixed_xi, reps=0)
         # data-scale fields are whole numbers >= 1, checked before anything is drawn
-        for name, value in [("group_size", 3.7), ("n_groups", 0), ("reps", 2.5), ("n_groups", "10")]:
+        for name, value in [
+            ("group_size", 3.7), ("n_groups", 0), ("reps", 2.5), ("n_groups", "10"),
+            ("group_size", True), ("n_groups", True), ("reps", True),
+        ]:
             with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
                 small_config(blend_mix, fixed_xi, **{name: value})
         # replicate seeds seed .. seed + reps - 1 must lie in [0, 2**64)
         small_config(blend_mix, fixed_xi, seed=2**64 - 3)
-        for seed in (-1, 2**64 - 2, 2**70, 1.0):
+        for seed in (-1, 2**64 - 2, 2**70, 1.0, True):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 small_config(blend_mix, fixed_xi, seed=seed)
         for dominating in ("unifrom", "sqgauss:-1", "fixed:", [9, 4, 1]):
@@ -223,10 +232,10 @@ class TestReportSerialization:
         assert json.loads(json_path.read_text())["mean"] == rep.mean
         assert csv_path.read_text().startswith("scheme,")
 
-    def test_out_field_triggers_write(self, blend_mix, fixed_xi, tmp_path):
-        path = tmp_path / "auto.json"
-        run_experiment(small_config(blend_mix, fixed_xi, out=str(path)))
-        assert path.exists()
+    def test_config_has_no_report_path(self, blend_mix, fixed_xi):
+        # the report goes where the caller writes it (specmix experiment --out)
+        with pytest.raises(TypeError):
+            small_config(blend_mix, fixed_xi, out="report.json")
 
 
 class TestConfigFromJson:
@@ -275,8 +284,10 @@ class TestConfigFromJson:
         with pytest.raises(ValueError, match='top-level "dominating"'):
             ExperimentConfig.from_json(text)
 
-    def test_rejects_unknown_key(self):
-        # a misspelt setting is an error, not silently the default
+    # a misspelt setting is an error, not silently the default; the report
+    # path is the command's --out, not a config key
+    @pytest.mark.parametrize("key, value", [("sed", 7), ("out", "report.csv")])
+    def test_rejects_unknown_key(self, key, value):
         text = json.dumps(
             {
                 "mixture": {"weights": [1.0], "components": [[0.5, 0.5]]},
@@ -284,10 +295,10 @@ class TestConfigFromJson:
                 "n_groups": 10,
                 "reps": 1,
                 "recovery": {"m": 1},
-                "sed": 7,
+                key: value,
             }
         )
-        with pytest.raises(ValueError, match="unknown experiment config key 'sed'"):
+        with pytest.raises(ValueError, match=f"^unknown experiment config key '{key}'$"):
             ExperimentConfig.from_json(text)
 
     @pytest.mark.parametrize(
@@ -295,6 +306,10 @@ class TestConfigFromJson:
         [
             ("group_size", 3.7, "group_size must be an integer >= 1, got 3.7"),
             ("reps", 2.5, "reps must be an integer >= 1, got 2.5"),
+            ("reps", True, "reps must be an integer >= 1, got True"),
+            ("group_size", True, "group_size must be an integer >= 1, got True"),
+            ("n_groups", True, "n_groups must be an integer >= 1, got True"),
+            ("seed", True, "seed must be an integer in"),
             ("n_groups", 0, "n_groups must be an integer >= 1, got 0"),
             ("seed", 2**70, "seed must be an integer in"),
             ("seed", -1, "seed must be an integer in"),

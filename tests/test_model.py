@@ -142,9 +142,6 @@ class TestDominatingMeasure:
         with pytest.raises(ValueError, match="scheme"):
             sp.resolve_dominating("bogus", 3, seed=0)
 
-    def test_json_round_trip(self, fixed_xi):
-        assert_array_equal(sp.DominatingMeasure.from_json(fixed_xi.to_json()).y, fixed_xi.y)
-
 
 class TestBMap:
     def test_inverse_square_roots(self, fixed_xi):

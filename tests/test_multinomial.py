@@ -160,10 +160,24 @@ class TestSpreadTransform:
         for measure, first in [
             ({(1, 1): 1.0, (3, -1): 1.0, (2,): 1.0}, "(3, -1)"),
             ({(1, 1): 1.0, (2,): 1.0, (3, -1): 1.0}, "(2,)"),
-            ({(1.5, 0.5): 1.0, (1, 1, 0): 1.0}, "(1, 0)"),
+            # named as written: int() would truncate it to (1, 0)
+            ({(1.5, 0.5): 1.0, (1, 1, 0): 1.0}, "(1.5, 0.5)"),
         ]:
             with pytest.raises(ValueError, match=rf"^key {re.escape(first)} is not a composition"):
                 t_nq_apply(measure, 2, 2)
+
+    @pytest.mark.parametrize(
+        "key", [(1.5, 1.5, 1.0), (1.0, 1.0, 1.5), (0.5, 2.5, 0.0), (2.000001, 1.0, 0.0), ("1.5", "1.5", "1")]
+    )
+    def test_rejects_fractional_key(self, key):
+        # int() would truncate (1.5, 1.5, 1.0) to the composition (1, 1, 1)
+        written = re.escape(str(key))
+        with pytest.raises(ValueError, match=rf"^key {written} is not a composition of 3 into 3 cells$"):
+            t_nq_apply({key: 1.0}, 3, 3)
+        with pytest.raises(ValueError, match=rf"^key {written} is not a composition of 3 into 3 cells$"):
+            t_nq_apply({(1, 1, 1): 0.5, key: 0.5}, 3, 3)
+        with pytest.raises(ValueError, match=rf"^key {written} is not a composition of 3 into 3 cells$"):
+            multinomial_pmf(MultinomialSpec(3, 3, [0.2, 0.3, 0.5]), key)
 
     def test_keys_convert_with_int(self):
         expected = t_nq_apply({(1, 1): 0.25, (2, 0): 0.75}, 2, 2)
@@ -233,6 +247,37 @@ class TestMixtureEquality:
         a = [(1.0, MultinomialSpec(2, 2, np.array([0.5, 0.5])))]
         with pytest.raises(ValueError):
             multinomial_mixture_equal(a, [])
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([float("nan")], "^weights entry 0 is nan, not finite$"),
+            ([float("inf")], "^weights entry 0 is inf, not finite$"),
+            ([-3.0, 4.0], "^weights must be strictly positive, got min -3$"),
+            ([0.0, 1.0], "^weights must be strictly positive, got min 0$"),
+            ([0.5, 0.6], r"^weights sum to 1\.1, not 1$"),
+        ],
+    )
+    def test_rejects_bad_weights_on_either_side(self, weights, message):
+        # make_mixture's rules; a NaN weight called a mixture different from
+        # itself, and -3, 4 on one p equal to 1 on that p
+        p = MultinomialSpec(2, 2, np.array([0.5, 0.5]))
+        bad = [(w, p) for w in weights]
+        good = [(1.0, p)]
+        for a, b in [(bad, good), (good, bad), (bad, bad)]:
+            with pytest.raises(ValueError, match=message):
+                multinomial_mixture_equal(a, b)
+
+    def test_weights_are_checked_not_renormalized(self):
+        # within SUM_TOL of 1 passes, and the tensors use the weights as given
+        p = MultinomialSpec(2, 2, np.array([0.5, 0.5]))
+        off = [(0.5, p), (0.5 + 5e-10, p)]
+        assert multinomial_mixture_equal(off, [(1.0, p)], tol=1e-9)
+        assert not multinomial_mixture_equal(off, [(1.0, p)], tol=0.0)
+
+    def test_repeated_components_allowed(self):
+        p = MultinomialSpec(2, 2, np.array([0.3, 0.7]))
+        assert multinomial_mixture_equal([(0.25, p), (0.75, p)], [(1.0, p)])
 
 
 class TestBridgeToGroupedData:

@@ -102,7 +102,7 @@ class TestRecoveryConfig:
         for probe in ("bogus", "gaussian"):
             with pytest.raises(ValueError, match="the only probe is 'singular'"):
                 RecoveryConfig(m=2, probe=probe)
-        for m in ("2", 2.0, 2.5, None):
+        for m in ("2", 2.0, 2.5, None, True, False):
             with pytest.raises(ValueError, match="m must be an integer >= 1"):
                 RecoveryConfig(m=m)
         for eig_floor in ("1e-8", 0.0, -1.0, 1.0, float("nan"), None):
@@ -316,6 +316,7 @@ class TestRecoverFull:
             (2, -5, r"in \[0, 2\*\*64\), got -5"),
             (2, 2**64, r"in \[0, 2\*\*64\), got 18446744073709551616"),
             (2, 1.5, r"an integer, got 1\.5"),
+            (2, True, r"an integer, got True"),
         ],
     )
     def test_bad_seed_fails_at_setup(self, blend_mix, m, seed, message):
@@ -456,9 +457,10 @@ class TestLiRecover4:
         res = sp.li_recover_4(ds, 3)
         assert sp.matched_l1_error(indep_mix.components, res.components) < 0.2
 
-    def test_rejects_bad_m(self, indep_mix):
-        with pytest.raises(ValueError):
-            sp.li_recover_4(indep_mix, 0)
+    @pytest.mark.parametrize("m", [0, True])
+    def test_rejects_bad_m(self, indep_mix, m):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            sp.li_recover_4(indep_mix, m)
 
     @needs_memory_size
     def test_operator_too_large_for_memory_fails_at_setup(self):
@@ -482,9 +484,10 @@ class TestEstimateNumComponents:
         mix = sp.make_mixture([1.0], [[0.2, 0.3, 0.5]])
         assert sp.estimate_num_components(mix, 2) == 1
 
-    def test_rejects_bad_power(self, blend_mix):
-        with pytest.raises(ValueError):
-            sp.estimate_num_components(blend_mix, 0)
+    @pytest.mark.parametrize("power", [0, 2.5, True])
+    def test_rejects_bad_power(self, blend_mix, power):
+        with pytest.raises(ValueError, match=f"^power must be an integer >= 1, got {power!r}$"):
+            sp.estimate_num_components(blend_mix, power)
 
     def test_empirical(self, blend_mix):
         ds = sp.draw_groups(blend_mix, 5, 50_000, seed=9)

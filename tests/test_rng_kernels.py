@@ -48,7 +48,7 @@ class TestDeriveSeed:
         for seed in (-1, 2**64, 2**70):
             with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
                 rng.derive_seed(seed, 1)
-        for seed in (1.5, "3", None):
+        for seed in (1.5, "3", None, True):
             with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
                 rng.derive_seed(seed, 1)
 
