@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 
 from .counterexamples import build_pair
@@ -73,11 +74,15 @@ def _cmd_counterexample(args) -> int:
 def _read_multinomial_mixture(path: str):
     with open(path) as fh:
         n, q, components = json_fields(json.load(fh), path, "n", "q", "components")
-    n, q = int(n), int(q)
     mixture = []
     for rec in components:
         weight, p = json_fields(rec, f"a component in {path}", "weight", "p")
-        mixture.append((float(weight), MultinomialSpec(n, q, p)))
+        if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+            raise ValueError(f"a component in {path} has weight {json.dumps(weight)}, not a number")
+        try:
+            mixture.append((weight, MultinomialSpec(n, q, p)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return mixture
 
 

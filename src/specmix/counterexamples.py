@@ -22,7 +22,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import MixtureSpec, make_mixture, population_moment, probability_vector
+from .model import MixtureSpec, make_mixture, probability_vector
+from .tensors import _power_sum
+
+
+# build_pair's least ratio of the gap one order above eq_order to the gap at
+# it.  On the default levels, rounding noise alone gave ratios up to 2.5
+# (m = 15..30); the least separable pair, m = 14 with t = 29, gives 13.8.
+SEPARATION = 5.0
 
 
 class MomentComparison(NamedTuple):
@@ -101,6 +108,13 @@ def build_pair(
     m levels (with the smallest when t = 2m) form the first mixture.  Side
     weights are the |alpha_i| renormalized to sum 1.  Default levels are
     evenly spaced on [0, 1]; default bases are the coordinate measures on d = 2.
+
+    The pair is checked twice: its order-eq_order moments must agree
+    within 1e-8, and its gap one order above must exceed SEPARATION (5)
+    times its gap at eq_order, the rounding noise of the check; else
+    float64 cannot tell the pair from one that matches one order less,
+    and a ValueError names both gaps.  On the default levels and bases
+    that first happens at m = 15 for t = 2m + 1 and m = 16 for t = 2m.
     """
     if t not in (2 * m, 2 * m + 1):
         raise ValueError(f"t must be 2m or 2m+1 for m={m}, got {t}")
@@ -128,10 +142,16 @@ def build_pair(
         return make_mixture(w / w.sum(), components[parity::2])
 
     pair = CounterexamplePair(side(t % 2), side(1 - t % 2), t, eps, alpha)
-    check = verify_moment_equality(pair.p, pair.p_prime, pair.eq_order, tol=1e-8)
-    if not check.equal:
+    at = verify_moment_equality(pair.p, pair.p_prime, pair.eq_order, tol=1e-8)
+    if not at.equal:
         raise ValueError(
-            f"construction failed: order-{pair.eq_order} moments differ by {check.max_abs_diff:.3g}"
+            f"construction failed: order-{pair.eq_order} moments differ by {at.max_abs_diff:.3g}"
+        )
+    above = verify_moment_equality(pair.p, pair.p_prime, pair.eq_order + 1).max_abs_diff
+    if not above > SEPARATION * at.max_abs_diff:
+        raise ValueError(
+            f"order-{pair.eq_order + 1} moments differ by {above:.3g} and order-{pair.eq_order} "
+            f"moments by {at.max_abs_diff:.3g}; float64 cannot separate the pair"
         )
     return pair
 
@@ -139,11 +159,12 @@ def build_pair(
 def verify_moment_equality(
     p: MixtureSpec, p_prime: MixtureSpec, n: int, tol: float = 1e-9
 ) -> MomentComparison:
-    """Max absolute entrywise gap between order-n population moments."""
+    """Max absolute entrywise gap between order-n population moments,
+    taken over their C(d+n-1, n) multiset values."""
     if p.d != p_prime.d:
         raise ValueError(f"dimension mismatch: {p.d} vs {p_prime.d}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    diff = population_moment(p, n) - population_moment(p_prime, n)
+    diff = _power_sum(p.weights, p.components, n) - _power_sum(p_prime.weights, p_prime.components, n)
     gap = float(np.abs(diff).max())
     return MomentComparison(gap, gap <= tol)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .tensors import _power_sum
+from .tensors import _multisets, _power_sum
 
 # Tolerances: simplex sums are accepted within SUM_TOL and renormalized
 # exactly; component vectors closer than DISTINCT_TOL in L-infinity are
@@ -55,7 +55,7 @@ def probability_vector(x: Sequence[float]) -> np.ndarray:
         raise ValueError(f"negative probability entry: {p.min():.3g}")
     total = p.sum()
     if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+        raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
     p /= total
     p.flags.writeable = False
     return p
@@ -134,8 +134,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def mixture_weights(weights: Sequence[float]) -> np.ndarray:
     """A float64 copy of weights; a ValueError unless they are a nonempty
     1-D array of finite, strictly positive entries summing to 1 within
-    SUM_TOL."""
+    SUM_TOL.  A bool entry is no weight, though numpy reads True as 1."""
     w = _finite_vector(weights, "weights")
+    flags = [i for i, v in enumerate(weights) if isinstance(v, (bool, np.bool_))]
+    if flags:
+        raise ValueError(f"weights entry {flags[0]} is {weights[flags[0]]}, not a number")
     if np.any(w <= 0.0):
         raise ValueError(f"weights must be strictly positive, got min {w.min():.3g}")
     if abs(w.sum() - 1.0) > SUM_TOL:
@@ -168,10 +171,11 @@ def make_mixture(weights: Sequence[float], components: Sequence[Sequence[float]]
 
 
 def population_moment(mix: MixtureSpec, n: int) -> np.ndarray:
-    """Order-n moment tensor sum_i w_i p_i^{(x) n}; symmetric, sums to 1."""
+    """Order-n moment tensor sum_i w_i p_i^{(x) n}, the dense read-out of
+    its multiset values; exactly symmetric, sums to 1."""
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
-    return _power_sum(mix.weights, mix.components, n)
+    return _power_sum(mix.weights, mix.components, n)[_multisets(mix.d, n)]
 
 
 def resolve_dominating(

@@ -11,15 +11,15 @@ samples.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import rng
 from .model import mixture_weights, probability_vector
-from .tensors import _multisets, _power_sum, outer_power
+from .tensors import _multisets, _power_sum, _rank, enumerate_compositions
 
 Composition = Tuple[int, ...]
 SignedCompositionMeasure = Dict[Composition, float]
@@ -34,29 +34,13 @@ class MultinomialSpec:
     p: np.ndarray
 
     def __post_init__(self):
+        if not (rng.is_integer(self.n) and rng.is_integer(self.q)):
+            raise ValueError(f"n and q must be integers, got n={self.n!r}, q={self.q!r}")
         if self.n < 1 or self.q < 2:
             raise ValueError(f"need n >= 1 and q >= 2, got n={self.n}, q={self.q}")
         object.__setattr__(self, "p", probability_vector(self.p))
         if self.p.size != self.q:
             raise ValueError(f"p has {self.p.size} cells, expected {self.q}")
-
-
-def enumerate_compositions(n: int, q: int) -> List[Composition]:
-    """All length-q nonnegative integer vectors summing to n.
-
-    Fixed order: first coordinate descending, recursively within.  The
-    order is part of the serialization contract.  A composition is read
-    off its q-1 stars-and-bars separators among n+q-1 slots; separators
-    in increasing lexicographic order give the reverse of this order.
-    """
-    if n < 0 or q < 1:
-        raise ValueError(f"need n >= 0 and q >= 1, got n={n}, q={q}")
-    out: List[Composition] = []
-    for bars in itertools.combinations(range(n + q - 1), q - 1):
-        edges = (-1,) + bars + (n + q - 1,)
-        out.append(tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:])))
-    out.reverse()
-    return out
 
 
 def multinomial_pmf(spec: MultinomialSpec, x: Sequence[int]) -> float:
@@ -89,7 +73,11 @@ def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     """
     if n < 1 or q < 1:
         raise ValueError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
-    rank = _multisets(q, n)
+    return _spread(measure, n, q)[_multisets(q, n)]
+
+
+def _spread(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
+    """t_nq_apply's multiset values: each key's share summed at its rank."""
     counts = _composition_rows(measure, n, q)
     # shares c * x_1! * .. * x_q! / n!, multiplied left to right as in that formula
     fact = np.array([float(math.factorial(v)) for v in range(n + 1)])
@@ -97,11 +85,9 @@ def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     for col in counts.T:
         shares *= fact[col]
     shares /= fact[n]
-    # the canonical word of each key, 0-based, indexes its multiset rank
-    words = np.repeat(np.tile(np.arange(q), len(counts)), counts.ravel()).reshape(-1, n)
     per_multiset = np.zeros(math.comb(q + n - 1, n))
-    np.add.at(per_multiset, rank[tuple(words.T)], shares)
-    return per_multiset[rank]
+    np.add.at(per_multiset, _rank(np.cumsum(counts, axis=1)[:, :-1].T, n, len(counts)), shares)
+    return per_multiset
 
 
 def _composition(x: Sequence, n: int, q: int) -> Composition:
@@ -138,13 +124,14 @@ def _composition_rows(measure: SignedCompositionMeasure, n: int, q: int) -> np.n
 
 
 def verify_lemma_mult(spec: MultinomialSpec) -> float:
-    """Max gap between the spread-out multinomial law and p^{(x) n}.
+    """Max gap between the spread-out multinomial law and p^{(x) n},
+    over their multiset values.
 
     Zero (to rounding) for every spec: tallying loses nothing that the
     symmetric tensors can see.
     """
     measure = {x: multinomial_pmf(spec, x) for x in enumerate_compositions(spec.n, spec.q)}
-    gap = t_nq_apply(measure, spec.n, spec.q) - outer_power(spec.p, spec.n)
+    gap = _spread(measure, spec.n, spec.q) - _power_sum([1.0], [spec.p], spec.n)
     return float(np.abs(gap).max())
 
 
@@ -155,8 +142,9 @@ def multinomial_mixture_equal(
 ) -> bool:
     """Equality test for two mixtures of multinomial laws.
 
-    Compares sum_i a_i p_i^{(x) n} entrywise; valid because the spread
-    transform carries mixtures to these tensors injectively.  Each side's
+    Compares the C(n+q-1, n) multiset values of sum_i a_i p_i^{(x) n},
+    without building the q^n tensor; valid because the spread transform
+    carries mixtures to these tensors injectively.  Each side's
     weights must pass model.mixture_weights (finite, > 0, summing to 1
     within SUM_TOL); they are compared as given, not renormalized.
     Components may repeat.  tol, the largest entrywise difference still
@@ -170,10 +158,6 @@ def multinomial_mixture_equal(
     for _, spec in list(mix_a) + list(mix_b):
         if spec.n != n or spec.q != q:
             raise ValueError(f"all specs must share n={n}, q={q}")
-    for mix in (mix_a, mix_b):
-        mixture_weights([w for w, _ in mix])
-
-    def tensor(mix):
-        return _power_sum([w for w, _ in mix], [spec.p for _, spec in mix], n)
-
-    return bool(np.abs(tensor(mix_a) - tensor(mix_b)).max() <= tol)
+    weights = [mixture_weights([w for w, _ in mix]) for mix in (mix_a, mix_b)]
+    values = [_power_sum(w, [spec.p for _, spec in mix], n) for w, mix in zip(weights, (mix_a, mix_b))]
+    return bool(np.abs(values[0] - values[1]).max() <= tol)

@@ -44,7 +44,7 @@ from .model import (
     resolve_dominating,
 )
 from .sampling import GroupedDataset, GroupTallyHistogram
-from .tensors import _power_sum, eig_sqrt_pinv, numerical_rank, outer_power, sym_eig, unfold
+from .tensors import eig_sqrt_pinv, numerical_rank, outer_power, sym_eig, unfold
 
 
 class RecoveryError(RuntimeError):
@@ -211,7 +211,11 @@ def recover_weights(
 
 
 def _weight_residual(e: np.ndarray, comp: np.ndarray, weights: np.ndarray, r: int) -> float:
-    return float(np.linalg.norm((e - _power_sum(weights, comp, r)).ravel()))
+    """Frobenius norm of e minus sum_i weights[i] comp[i]^{(x) r}, summed densely in index order."""
+    fit = np.zeros((comp.shape[1],) * r)
+    for w, p in zip(weights, comp):
+        fit += w * outer_power(p, r)
+    return float(np.linalg.norm((e - fit).ravel()))
 
 
 def _check_fits(d: int, order: int) -> None:

@@ -10,13 +10,16 @@ x_1 (x) .. (x) x_s to the coordinates of the last k - s slots.  ``fold``
 is the exact inverse.  Operators are plain 2-D arrays.
 
 Symmetric tensors live in the multiset basis: one value per size-r
-multiset of [d] (a count vector summing to r), C(d+r-1, r) in all.
-``_multisets`` gives the multiset rank of every multi-index;
-symmetrization, the moment tally kernel and the spread map share it.
+multiset of [d] (a count vector summing to r), C(d+r-1, r) in all, in
+rank order.  ``_rank`` is the one rank formula; ``_multisets`` gives the
+rank of every multi-index, the dense read-out, and ``_count_vectors``
+the count vectors in rank order.  Population moments, symmetrization,
+the moment tally kernel and the spread map all work in this basis.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -51,33 +54,73 @@ def outer_power(v: np.ndarray, k: int) -> np.ndarray:
     return t
 
 
-def _power_sum(weights, vectors, r: int) -> np.ndarray:
-    """sum_i weights[i] * vectors[i]^{(x) r}, accumulated in index order."""
-    t = np.zeros((len(vectors[0]),) * r)
-    for w, v in zip(weights, vectors):
-        t += w * outer_power(v, r)
-    return t
+def enumerate_compositions(n: int, q: int) -> list[tuple[int, ...]]:
+    """All length-q nonnegative integer vectors summing to n.
+
+    Fixed order: first coordinate descending, recursively within.  The
+    order is part of the serialization contract.  A composition is read
+    off its q-1 stars-and-bars separators among n+q-1 slots; separators
+    in increasing lexicographic order give the reverse of this order.
+    """
+    if n < 0 or q < 1:
+        raise ValueError(f"need n >= 0 and q >= 1, got n={n}, q={q}")
+    out = []
+    for bars in itertools.combinations(range(n + q - 1), q - 1):
+        edges = (-1,) + bars + (n + q - 1,)
+        out.append(tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:])))
+    out.reverse()
+    return out
+
+
+def _rank(partial_counts, r: int, shape) -> np.ndarray:
+    """The rank of size-r multisets from their partial counts, an int64
+    array of the given shape.
+
+    partial_counts yields S_c = b_0 + ... + b_c for c < d-1, int arrays
+    of that shape.  A multiset has its stars-and-bars separators at
+    S_c + c; its rank is the combinadic rank of those positions,
+    sum_c C(S_c + c, c + 1), which numbers the size-r multisets of [d]
+    0 .. C(d+r-1, r) - 1 and so cannot overflow.
+    """
+    rank = np.zeros(shape, dtype=np.int64)
+    for c, s in enumerate(partial_counts):
+        # C(S + c, c + 1) <= C(d+r-1, r) for S <= r, so no entry overflows
+        rank += np.array([math.comb(j + c, c + 1) for j in range(r + 1)], dtype=np.int64)[s]
+    return rank
 
 
 def _multisets(d: int, r: int) -> np.ndarray:
-    """The multiset rank of every multi-index in [d]^r, a (d,)*r int64 array.
+    """The multiset rank of every multi-index in [d]^r, a (d,)*r int64 array."""
+    # S_c of every multi-index: how many of its r entries are <= c
+    below = ((np.arange(d) <= c).astype(np.int64) for c in range(d - 1))
+    return _rank((functools.reduce(np.add.outer, [b] * r) for b in below), r, (d,) * r)
 
-    A multiset with partial counts S_c = b_0 + ... + b_c has its
-    stars-and-bars separators at S_c + c, c < d-1; its rank is the
-    combinadic rank of those positions, sum_c C(S_c + c, c + 1), which
-    numbers the size-r multisets 0 .. C(d+r-1, r) - 1 and so cannot
-    overflow.
+
+def _count_vectors(d: int, r: int) -> np.ndarray:
+    """The count vector of every size-r multiset of [d], a
+    (C(d+r-1, r), d) int64 array in rank order."""
+    counts = np.array(enumerate_compositions(r, d), dtype=np.int64)
+    out = np.empty_like(counts)
+    out[_rank(np.cumsum(counts, axis=1)[:, :-1].T, r, len(counts))] = counts
+    return out
+
+
+def _power_sum(weights, vectors, r: int) -> np.ndarray:
+    """The multiset values of sum_i weights[i] * vectors[i]^{(x) r}: for
+    each count vector beta in rank order, sum_i weights[i] * prod_c
+    vectors[i][c]**beta_c, accumulated in index order.
+
+    Powers are repeated products and factors are multiplied in category
+    order, plain IEEE arithmetic that is the same on every platform.
     """
-    # sep_rank[s, c] = C(s + c, c + 1) <= C(d+r-1, r), so no entry overflows.
-    sep_rank = np.array(
-        [[math.comb(s + c, c + 1) for c in range(d - 1)] for s in range(r + 1)], dtype=np.int64
-    )
-    rank = np.zeros((d,) * r, dtype=np.int64)
-    for c in range(d - 1):
-        # S_c of every multi-index: how many of its r entries are <= c
-        below = (np.arange(d) <= c).astype(np.int64)
-        rank += sep_rank[functools.reduce(np.add.outer, [below] * r), c]
-    return rank
+    d = len(vectors[0])
+    beta, cats = _count_vectors(d, r), np.arange(d)
+    t = np.zeros(len(beta))
+    for w, v in zip(weights, vectors):
+        # powers[k, c] = v[c]**k
+        powers = np.cumprod(np.vstack([np.ones(d), np.tile(np.asarray(v, dtype=np.float64), (r, 1))]), axis=0)
+        t += w * np.prod(powers[beta, cats], axis=1)
+    return t
 
 
 def symmetrize(t: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
-"""Shared fixtures: reference mixtures used across the suite, and the
-position-tuple moment oracle the estimator is checked against."""
+"""Shared fixtures: reference mixtures used across the suite, the
+position-tuple moment oracle the estimator is checked against, and the
+dense power-sum oracle the multiset population moments are checked
+against."""
 import itertools
 import math
 
@@ -60,3 +62,12 @@ def raw_moment(ds: sp.GroupedDataset, r: int, b: np.ndarray | None = None) -> np
     the estimator does it, so the two agree bit for bit."""
     tensor = raw_counts(ds, r) / (ds.n_groups * math.perm(ds.group_size, r))
     return tensor if b is None else tensor * sp.outer_power(b, r)
+
+
+def dense_power_sum(weights, vectors, r: int) -> np.ndarray:
+    """Reference oracle: sum_i weights[i] * vectors[i]^{(x) r} as a dense
+    (d,)*r array, each outer power multiplied out in index order."""
+    t = np.zeros((len(vectors[0]),) * r)
+    for w, v in zip(weights, vectors):
+        t += w * sp.outer_power(v, r)
+    return t

@@ -247,6 +247,23 @@ class TestMultinomialCheckCommand:
                 run_cli(["multinomial-check", "--a", str(x), "--b", str(y)])
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "n, weight, message",
+        [
+            # n 2.5 and weight true against n 2 and weight 1.0 printed "equal"
+            (2.5, 1.0, ".*a.json: n and q must be integers, got n=2.5, q=2"),
+            (2, True, "a component in .*a.json has weight true, not a number"),
+            (2, "1.0", 'a component in .*a.json has weight "1.0", not a number'),
+        ],
+    )
+    def test_uncoerced_fields_exit_with_one_line(self, tmp_path, n, weight, message, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write_mix(a, n, [(weight, [0.5, 0.5])])
+        self._write_mix(b, 2, [(1.0, [0.5, 0.5])])
+        with pytest.raises(SystemExit, match=f"^specmix multinomial-check: {message}$"):
+            run_cli(["multinomial-check", "--a", str(a), "--b", str(b)])
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_exits_with_one_line(self, tmp_path):
         a = tmp_path / "a.json"
         self._write_mix(a, 2, [(1.0, [0.5, 0.5])])

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
-from specmix.counterexamples import dependence_coefficients
+from conftest import dense_power_sum
+from specmix.counterexamples import SEPARATION, dependence_coefficients
 
 
 class TestDependenceCoefficients:
@@ -127,6 +128,28 @@ class TestBuildPairOrderGap:
         assert not sp.verify_moment_equality(pair.p, pair.p_prime, pair.eq_order + 1, tol=1e-8).equal
 
 
+class TestBuildPairSeparation:
+    @pytest.mark.parametrize("m,t", [(14, 28), (14, 29), (15, 30)])
+    def test_last_separable_pairs_build(self, m, t):
+        # build_pair(14, 29) took 117 s with dense 2^28-entry moments; its
+        # multiset values number 29 and 30
+        pair = sp.build_pair(m, t)
+        at = sp.verify_moment_equality(pair.p, pair.p_prime, pair.eq_order)
+        above = sp.verify_moment_equality(pair.p, pair.p_prime, pair.eq_order + 1)
+        assert at.equal and above.max_abs_diff > SEPARATION * at.max_abs_diff
+
+    @pytest.mark.parametrize("m,t", [(15, 31), (16, 32)])
+    def test_raises_where_float64_cannot_separate(self, m, t):
+        # the gap one order above eq_order is rounding noise, no larger than
+        # the gap at eq_order; the absolute 1e-8 check alone accepted these
+        with pytest.raises(
+            ValueError,
+            match=rf"^order-{t - 1} moments differ by \S+ and order-{t - 2} moments by \S+; "
+            "float64 cannot separate the pair$",
+        ):
+            sp.build_pair(m, t)
+
+
 class TestBuildPairInvariants:
     @pytest.mark.parametrize("m,t", [(2, 4), (2, 5), (3, 6), (3, 7)])
     def test_weights_and_segment(self, m, t):
@@ -182,19 +205,31 @@ class TestBuildPairProperties:
     @settings(max_examples=60, deadline=None)
     @given(levels=st.lists(st.integers(0, 1000), min_size=3, max_size=9, unique=True),
            base=st.none() | bases)
-    @example(levels=list(range(9)), base=None)  # levels 0.001 apart
+    @example(levels=list(range(9)), base=None)  # levels 0.001 apart: too close for float64
+    @example(levels=[0, 125, 250, 375, 500, 625, 750, 875, 1000], base=None)
     def test_sides_are_parity_classes(self, levels, base):
         t = len(levels)
         if base is not None:
             base = tuple(np.array(v) / sum(v) for v in base)
             assume(np.abs(base[0] - base[1]).max() > 1e-3)
-        pair = sp.build_pair(t // 2, t, base=base, epsilons=np.array(levels) / 1000.0)
         gamma, gamma_prime = ([1.0, 0.0], [0.0, 1.0]) if base is None else base
         gamma, gamma_prime = sp.probability_vector(gamma), sp.probability_vector(gamma_prime)
         eps = np.sort(levels) / 1000.0
         comps = eps[:, None] * gamma[None, :] + (1.0 - eps[:, None]) * gamma_prime[None, :]
         first, second = slice(t % 2, None, 2), slice(1 - t % 2, None, 2)
+        # the sides built by hand: the blends at each parity class of levels, weighted by |alpha|
+        alpha = np.abs(dependence_coefficients(eps))
+        sides = [sp.make_mixture(alpha[s] / alpha[s].sum(), comps[s]) for s in (first, second)]
+        at = sp.verify_moment_equality(*sides, t - 2).max_abs_diff
+        above = sp.verify_moment_equality(*sides, t - 1).max_abs_diff
+        if not above > SEPARATION * at:
+            with pytest.raises(ValueError, match="float64 cannot separate the pair$"):
+                sp.build_pair(t // 2, t, base=base, epsilons=np.array(levels) / 1000.0)
+            return
+        pair = sp.build_pair(t // 2, t, base=base, epsilons=np.array(levels) / 1000.0)
         # each side's rows are the blends at its levels, renormalized as make_mixture does
+        assert_array_equal(pair.p.components, sides[0].components)
+        assert_array_equal(pair.p_prime.components, sides[1].components)
         assert_array_equal(pair.p.components, [sp.probability_vector(c) for c in comps[first]])
         assert_array_equal(pair.p_prime.components, [sp.probability_vector(c) for c in comps[second]])
         assert np.all(pair.alphas[first] < 0) and np.all(pair.alphas[second] > 0)
@@ -214,6 +249,23 @@ class TestVerifyMomentEquality:
     def test_bad_order(self, blend_mix):
         with pytest.raises(ValueError):
             sp.verify_moment_equality(blend_mix, blend_mix, 0)
+
+    def test_high_order_on_two_categories(self):
+        # a dense order-60 moment on d = 2 has 2^60 entries and could not be
+        # allocated; its multiset values are 61
+        p = sp.make_mixture([0.5, 0.5], [[0.1, 0.9], [0.9, 0.1]])
+        q = sp.make_mixture([1.0], [[0.5, 0.5]])
+        assert sp.verify_moment_equality(p, p, 60) == (0.0, True)
+        gap = sp.verify_moment_equality(p, q, 60)
+        # the largest gap is at the two entries with all draws in one category
+        assert not gap.equal
+        assert gap.max_abs_diff == pytest.approx(0.5 * 0.9**60 + 0.5 * 0.1**60 - 0.5**60, rel=1e-12)
+
+    def test_gap_is_the_dense_max_gap(self, blend_mix, indep_mix):
+        for n in range(1, 6):
+            dense = np.abs(dense_power_sum(blend_mix.weights, blend_mix.components, n)
+                           - dense_power_sum(indep_mix.weights, indep_mix.components, n)).max()
+            assert sp.verify_moment_equality(blend_mix, indep_mix, n).max_abs_diff == pytest.approx(dense, rel=1e-14, abs=1e-17)
 
 
 class TestPairJson:

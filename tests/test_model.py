@@ -1,10 +1,13 @@
 """Mixture construction, population moments, reference measures, norms."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
-from conftest import random_mixture
+from conftest import dense_power_sum, random_mixture
+from specmix.model import mixture_weights
 
 
 class TestProbabilityVector:
@@ -22,7 +25,8 @@ class TestProbabilityVector:
             sp.probability_vector([1.1, -0.1])
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum"):
+        # the plain float, not numpy 2's np.float64(1.1)
+        with pytest.raises(ValueError, match=r"^probabilities sum to 1\.1, not 1$"):
             sp.probability_vector([0.5, 0.6])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -60,6 +64,13 @@ class TestMakeMixture:
             sp.make_mixture([np.nan, 1.0], comps)
         with pytest.raises(ValueError, match="entry 0 is nan, not finite"):
             sp.make_mixture([0.5, 0.5], [[np.nan, 0.5, 0.5], [0.2, 0.3, 0.5]])
+
+    @pytest.mark.parametrize("weights", [[True], [0.5, True], np.array([True])])
+    def test_rejects_bool_weights(self, weights):
+        # numpy reads True as the weight 1.0
+        flag = len(weights) - 1
+        with pytest.raises(ValueError, match=rf"^weights entry {flag} is True, not a number$"):
+            mixture_weights(weights)
 
     def test_renormalizes_near_simplex_weights(self):
         mix = sp.make_mixture([0.5 + 2e-10, 0.5], [[1.0, 0.0], [0.0, 1.0]])
@@ -101,6 +112,32 @@ class TestPopulationMoment:
     def test_rejects_order_zero(self, blend_mix):
         with pytest.raises(ValueError):
             sp.population_moment(blend_mix, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 5),
+        r=st.integers(1, 6),
+        m=st.integers(1, 4),
+    )
+    def test_multiset_values_match_dense_power_sum(self, data, d, r, m):
+        # components with entries in multiples of 1/(20 d) and weights in
+        # multiples of 1/(20 m) keep every product far above underflow
+        rows = data.draw(st.lists(st.lists(st.integers(0, 20), min_size=d, max_size=d).filter(any),
+                                  min_size=m, max_size=m, unique_by=tuple))
+        counts = data.draw(st.lists(st.integers(1, 20), min_size=m, max_size=m))
+        comps = [np.array(row) / sum(row) for row in rows]
+        assume(all(np.abs(a - b).max() > 1e-12 for i, a in enumerate(comps) for b in comps[:i]))
+        mix = sp.make_mixture(np.array(counts) / sum(counts), comps)
+        t = sp.population_moment(mix, r)
+        oracle = dense_power_sum(mix.weights, mix.components, r)
+        # each side forms every term with at most r + d multiplications and
+        # adds m nonnegative terms, each operation within half an ulp
+        # (2**-53 relative), so the two differ by at most (r + d + m) eps
+        assert np.all(np.abs(t - oracle) <= (r + d + m) * np.finfo(float).eps * oracle)
+        # read out of one value per multiset, the tensor is exactly symmetric
+        perm = data.draw(st.permutations(range(r)))
+        assert_array_equal(t.transpose(perm), t)
 
 
 class TestDominatingMeasure:

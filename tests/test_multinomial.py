@@ -90,6 +90,13 @@ class TestMultinomialPmf:
         with pytest.raises(ValueError):
             MultinomialSpec(2, 3, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("n, q", [(2.5, 2), (2.0, 2), (True, 2), (2, 2.0), ("2", 2)])
+    def test_spec_rejects_non_integer_sizes(self, n, q):
+        # MultinomialSpec(2.5, 2, ...) was accepted
+        with pytest.raises(ValueError, match=rf"^n and q must be integers, got n={re.escape(repr(n))}, q={re.escape(repr(q))}$"):
+            MultinomialSpec(n, q, np.array([0.5, 0.5]))
+        assert MultinomialSpec(np.int64(2), 2, [0.5, 0.5]).n == 2
+
 
 class TestCanonicalWord:
     def test_example(self):
@@ -274,6 +281,15 @@ class TestMixtureEquality:
         off = [(0.5, p), (0.5 + 5e-10, p)]
         assert multinomial_mixture_equal(off, [(1.0, p)], tol=1e-9)
         assert not multinomial_mixture_equal(off, [(1.0, p)], tol=0.0)
+
+    def test_forty_trials(self):
+        # the dense 2^40-entry tensor needed 8 TiB (MemoryError); the
+        # multiset values are 41
+        p, p_swap = MultinomialSpec(40, 2, [0.3, 0.7]), MultinomialSpec(40, 2, [0.7, 0.3])
+        a = [(0.25, p), (0.75, p_swap)]
+        assert multinomial_mixture_equal(a, list(reversed(a)))
+        assert multinomial_mixture_equal(a, a, tol=0.0)
+        assert not multinomial_mixture_equal(a, [(0.75, p), (0.25, p_swap)])
 
     def test_repeated_components_allowed(self):
         p = MultinomialSpec(2, 2, np.array([0.3, 0.7]))

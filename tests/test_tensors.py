@@ -1,5 +1,6 @@
 """Tensor algebra: outer powers, symmetrization, fold/unfold, whitened operators."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
 from specmix.recovery import _fourth_operator
-from specmix.tensors import RankDeficiencyError, _sign_normalize
+from specmix.tensors import RankDeficiencyError, _count_vectors, _multisets, _power_sum, _sign_normalize
 
 
 def sign_normalize_loop(vectors: np.ndarray) -> np.ndarray:
@@ -75,6 +76,31 @@ class TestOuterPower:
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
             sp.outer_power([1.0], 0)
+
+
+class TestMultisetBasis:
+    @pytest.mark.parametrize("d, r", [(d, r) for d in range(1, 6) for r in range(1, 6)])
+    def test_count_vectors_are_in_rank_order(self, d, r):
+        # the count vector at rank j is the tally of every multi-index of rank j
+        beta = _count_vectors(d, r)
+        rank = _multisets(d, r)
+        assert beta.shape == (math.comb(d + r - 1, r), d)
+        assert_array_equal(np.unique(rank), np.arange(len(beta)))
+        for idx in itertools.product(range(d), repeat=r):
+            assert_array_equal(np.bincount(idx, minlength=d), beta[rank[idx]])
+
+    def test_enumeration_order_is_not_rank_order(self):
+        # enumerate_compositions keeps its public order; for d >= 3 it is
+        # neither the rank order nor its reverse
+        listed = [tuple(v) for v in sp.enumerate_compositions(2, 3)]
+        ranked = [tuple(v) for v in _count_vectors(3, 2)]
+        assert sorted(listed) == sorted(ranked)
+        assert listed != ranked and listed != ranked[::-1]
+
+    def test_power_sum_at_high_order(self):
+        # 2^80 dense entries; the 81 multiset values hold (1/2)^80 each
+        values = _power_sum([1.0], [[0.5, 0.5]], 80)
+        assert_array_equal(values, np.full(81, 0.5**80))
 
 
 class TestSymmetrize:
