@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import sys
 
 from .counterexamples import build_pair
 from .experiments import ExperimentConfig, random_baseline, run_experiment
-from .model import MixtureSpec, json_fields
+from .model import MixtureSpec, json_fields, mixture_weights
 from .multinomial import MultinomialSpec, multinomial_mixture_equal
 from .recovery import RecoveryConfig, RecoveryError, estimate_num_components, recover_full
 from .sampling import read_groups
@@ -74,16 +73,12 @@ def _cmd_counterexample(args) -> int:
 def _read_multinomial_mixture(path: str):
     with open(path) as fh:
         n, q, components = json_fields(json.load(fh), path, "n", "q", "components")
-    mixture = []
-    for rec in components:
-        weight, p = json_fields(rec, f"a component in {path}", "weight", "p")
-        if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
-            raise ValueError(f"a component in {path} has weight {json.dumps(weight)}, not a number")
-        try:
-            mixture.append((weight, MultinomialSpec(n, q, p)))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    return mixture
+    fields = [json_fields(rec, f"a component in {path}", "weight", "p") for rec in components]
+    try:
+        mixture_weights([weight for weight, _ in fields])
+        return [(weight, MultinomialSpec(n, q, p)) for weight, p in fields]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_multinomial_check(args) -> int:

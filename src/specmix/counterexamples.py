@@ -28,7 +28,7 @@ from .tensors import _power_sum
 
 # build_pair's least ratio of the gap one order above eq_order to the gap at
 # it.  On the default levels, rounding noise alone gave ratios up to 2.5
-# (m = 15..30); the least separable pair, m = 14 with t = 29, gives 13.8.
+# (m = 15..30); the least separable pair, m = 14 with t = 29, gives 14.0.
 SEPARATION = 5.0
 
 

@@ -11,6 +11,7 @@ one place that reads and writes its descriptor strings.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -33,10 +34,18 @@ DESCRIPTORS = '"none", "uniform", "sqgauss:<sigma>" or "fixed:<comma-separated m
 
 def _finite_vector(x: Sequence[float], what: str) -> np.ndarray:
     """A float64 copy of x; a ValueError naming what unless it is a
-    nonempty 1-D array of finite entries."""
-    arr = np.array(x, dtype=np.float64)
+    nonempty 1-D array of finite real numbers.  A bool or a string is no
+    number, though numpy reads True as 1 and "0.5" as 0.5."""
+    arr = np.asarray(x)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{what} must be a nonempty 1-D array")
+    # an array of one numeric dtype is checked whole, anything else entry by entry
+    entries = list(x) if not isinstance(x, np.ndarray) or arr.dtype == object else []
+    typed = [i for i, v in enumerate(entries) if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)]
+    if typed or arr.dtype.kind not in "iufO":
+        i = typed[0] if typed else 0
+        raise ValueError(f"{what} entry {i} is {entries[i] if typed else arr[i].item()!r}, not a real number")
+    arr = arr.astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise ValueError(f"{what} entry {bad[0]} is {arr[bad[0]]}, not finite")
@@ -134,11 +143,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def mixture_weights(weights: Sequence[float]) -> np.ndarray:
     """A float64 copy of weights; a ValueError unless they are a nonempty
     1-D array of finite, strictly positive entries summing to 1 within
-    SUM_TOL.  A bool entry is no weight, though numpy reads True as 1."""
+    SUM_TOL."""
     w = _finite_vector(weights, "weights")
-    flags = [i for i, v in enumerate(weights) if isinstance(v, (bool, np.bool_))]
-    if flags:
-        raise ValueError(f"weights entry {flags[0]} is {weights[flags[0]]}, not a number")
     if np.any(w <= 0.0):
         raise ValueError(f"weights must be strictly positive, got min {w.min():.3g}")
     if abs(w.sum() - 1.0) > SUM_TOL:

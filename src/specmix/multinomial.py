@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng
 from .model import mixture_weights, probability_vector
-from .tensors import _multisets, _power_sum, _rank, enumerate_compositions
+from .tensors import _counts_rank, _multisets, _power_sum, enumerate_compositions
 
 Composition = Tuple[int, ...]
 SignedCompositionMeasure = Dict[Composition, float]
@@ -86,7 +86,7 @@ def _spread(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
         shares *= fact[col]
     shares /= fact[n]
     per_multiset = np.zeros(math.comb(q + n - 1, n))
-    np.add.at(per_multiset, _rank(np.cumsum(counts, axis=1)[:, :-1].T, n, len(counts)), shares)
+    np.add.at(per_multiset, _counts_rank(counts, n), shares)
     return per_multiset
 
 

@@ -10,16 +10,15 @@ x_1 (x) .. (x) x_s to the coordinates of the last k - s slots.  ``fold``
 is the exact inverse.  Operators are plain 2-D arrays.
 
 Symmetric tensors live in the multiset basis: one value per size-r
-multiset of [d] (a count vector summing to r), C(d+r-1, r) in all, in
-rank order.  ``_rank`` is the one rank formula; ``_multisets`` gives the
-rank of every multi-index, the dense read-out, and ``_count_vectors``
-the count vectors in rank order.  Population moments, symmetrization,
-the moment tally kernel and the spread map all work in this basis.
+multiset of [d], C(d+r-1, r) in all, in rank order.  A multiset is held
+as its sorted word, the r letters in ascending order.  ``_rank`` is the
+one rank formula and ``_words`` the one enumerator; ``_multisets`` gives
+the rank of every multi-index, the dense read-out.  Population moments,
+symmetrization, the moment tally kernel and the spread map all work in
+this basis.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -54,72 +53,85 @@ def outer_power(v: np.ndarray, k: int) -> np.ndarray:
     return t
 
 
+def _rank(words: np.ndarray, d: int) -> np.ndarray:
+    """The rank of size-r multisets of [d], an int64 array of
+    words.shape[1:]; words[j] holds letter j of each sorted word.
+
+    A word w_0 <= .. <= w_{r-1} has its stars-and-bars bars at S_c + c,
+    S_c counting its letters <= c.  The rank is their combinadic rank,
+    sum_c C(S_c + c, c + 1) = C(d+r-1, r) - 1 - sum_j C(w_j + j, j + 1),
+    which numbers the multisets 0 .. C(d+r-1, r) - 1, from r copies of
+    d - 1 to r zeros, and so cannot overflow.
+    """
+    r = len(words)
+    rank = np.full(words.shape[1:], math.comb(d + r - 1, r) - 1, dtype=np.int64)
+    for j in range(r):
+        rank -= np.array([math.comb(w + j, j + 1) for w in range(d)], dtype=np.int64)[words[j]]
+    return rank
+
+
+def _counts_rank(counts: np.ndarray, r: int) -> np.ndarray:
+    """The rank of each row of an (N, d) array of count vectors summing to r."""
+    n, d = counts.shape
+    return _rank(np.repeat(np.tile(np.arange(d), n), counts.ravel()).reshape(n, r).T, d)
+
+
+def _words(d: int, r: int) -> np.ndarray:
+    """The sorted word of every size-r multiset of [d] in rank order, an
+    (r, C(d+r-1, r)) int64 array with one word per column."""
+    words = np.zeros((0, 1), dtype=np.int64)
+    for k in range(r):
+        # larger last letters rank first; the words ending in c extend the
+        # C(c+k, k) shorter words over [0, c], which rank last
+        words = np.hstack(
+            [np.vstack([words[:, -math.comb(c + k, k):], np.full(math.comb(c + k, k), c)]) for c in range(d - 1, -1, -1)]
+        )
+    return words
+
+
 def enumerate_compositions(n: int, q: int) -> list[tuple[int, ...]]:
     """All length-q nonnegative integer vectors summing to n.
 
     Fixed order: first coordinate descending, recursively within.  The
-    order is part of the serialization contract.  A composition is read
-    off its q-1 stars-and-bars separators among n+q-1 slots; separators
-    in increasing lexicographic order give the reverse of this order.
+    order is part of the serialization contract.  It is the rank order
+    of the size-n multisets of [q] with each category c renamed q-1-c.
     """
     if n < 0 or q < 1:
         raise ValueError(f"need n >= 0 and q >= 1, got n={n}, q={q}")
-    out = []
-    for bars in itertools.combinations(range(n + q - 1), q - 1):
-        edges = (-1,) + bars + (n + q - 1,)
-        out.append(tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:])))
-    out.reverse()
-    return out
-
-
-def _rank(partial_counts, r: int, shape) -> np.ndarray:
-    """The rank of size-r multisets from their partial counts, an int64
-    array of the given shape.
-
-    partial_counts yields S_c = b_0 + ... + b_c for c < d-1, int arrays
-    of that shape.  A multiset has its stars-and-bars separators at
-    S_c + c; its rank is the combinadic rank of those positions,
-    sum_c C(S_c + c, c + 1), which numbers the size-r multisets of [d]
-    0 .. C(d+r-1, r) - 1 and so cannot overflow.
-    """
-    rank = np.zeros(shape, dtype=np.int64)
-    for c, s in enumerate(partial_counts):
-        # C(S + c, c + 1) <= C(d+r-1, r) for S <= r, so no entry overflows
-        rank += np.array([math.comb(j + c, c + 1) for j in range(r + 1)], dtype=np.int64)[s]
-    return rank
+    size = math.comb(n + q - 1, n)
+    flat = (np.arange(size) * q + (q - 1 - _words(q, n))).ravel()
+    return list(map(tuple, np.bincount(flat, minlength=size * q).reshape(size, q).tolist()))
 
 
 def _multisets(d: int, r: int) -> np.ndarray:
-    """The multiset rank of every multi-index in [d]^r, a (d,)*r int64 array."""
-    # S_c of every multi-index: how many of its r entries are <= c
-    below = ((np.arange(d) <= c).astype(np.int64) for c in range(d - 1))
-    return _rank((functools.reduce(np.add.outer, [b] * r) for b in below), r, (d,) * r)
+    """The multiset rank of every multi-index in [d]^r, a (d,)*r int64 array.
 
-
-def _count_vectors(d: int, r: int) -> np.ndarray:
-    """The count vector of every size-r multiset of [d], a
-    (C(d+r-1, r), d) int64 array in rank order."""
-    counts = np.array(enumerate_compositions(r, d), dtype=np.int64)
-    out = np.empty_like(counts)
-    out[_rank(np.cumsum(counts, axis=1)[:, :-1].T, r, len(counts))] = counts
-    return out
+    Built one axis at a time: a size-k multiset's sorted word with letter
+    c inserted has letters max(w_{j-1}, min(w_j, c)), j = 0 .. k.
+    """
+    rank = np.zeros((), dtype=np.int64)
+    for k in range(r):
+        words = _words(d, k)
+        lo = np.vstack([np.full(words.shape[1], -1), words])[:, :, None]
+        hi = np.vstack([words, np.full(words.shape[1], d)])[:, :, None]
+        grown = _rank(np.maximum(lo, np.minimum(hi, np.arange(d))), d)
+        rank = np.take(grown, rank[..., None] * d + np.arange(d))
+    return rank
 
 
 def _power_sum(weights, vectors, r: int) -> np.ndarray:
     """The multiset values of sum_i weights[i] * vectors[i]^{(x) r}: for
-    each count vector beta in rank order, sum_i weights[i] * prod_c
-    vectors[i][c]**beta_c, accumulated in index order.
-
-    Powers are repeated products and factors are multiplied in category
-    order, plain IEEE arithmetic that is the same on every platform.
-    """
-    d = len(vectors[0])
-    beta, cats = _count_vectors(d, r), np.arange(d)
-    t = np.zeros(len(beta))
+    each sorted word w in rank order, sum_i weights[i] * prod_j
+    vectors[i][w_j], the product taken along w and the sum in index
+    order."""
+    words = _words(len(vectors[0]), r)
+    t = np.zeros(words.shape[1])
     for w, v in zip(weights, vectors):
-        # powers[k, c] = v[c]**k
-        powers = np.cumprod(np.vstack([np.ones(d), np.tile(np.asarray(v, dtype=np.float64), (r, 1))]), axis=0)
-        t += w * np.prod(powers[beta, cats], axis=1)
+        v = np.asarray(v, dtype=np.float64)
+        term = v[words[0]]
+        for j in range(1, r):
+            term *= v[words[j]]
+        t += w * term
     return t
 
 

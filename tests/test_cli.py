@@ -243,7 +243,7 @@ class TestMultinomialCheckCommand:
         self._write_mix(a, 2, left)
         self._write_mix(b, 2, left if right is None else right)
         for x, y in [(a, b), (b, a)]:
-            with pytest.raises(SystemExit, match=f"^specmix multinomial-check: {message}$"):
+            with pytest.raises(SystemExit, match=rf"^specmix multinomial-check: .*\.json: {message}$"):
                 run_cli(["multinomial-check", "--a", str(x), "--b", str(y)])
         assert capsys.readouterr().out == ""
 
@@ -252,14 +252,24 @@ class TestMultinomialCheckCommand:
         [
             # n 2.5 and weight true against n 2 and weight 1.0 printed "equal"
             (2.5, 1.0, ".*a.json: n and q must be integers, got n=2.5, q=2"),
-            (2, True, "a component in .*a.json has weight true, not a number"),
-            (2, "1.0", 'a component in .*a.json has weight "1.0", not a number'),
+            (2, True, ".*a.json: weights entry 0 is True, not a real number"),
+            (2, "1.0", ".*a.json: weights entry 0 is '1.0', not a real number"),
         ],
     )
     def test_uncoerced_fields_exit_with_one_line(self, tmp_path, n, weight, message, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         self._write_mix(a, n, [(weight, [0.5, 0.5])])
         self._write_mix(b, 2, [(1.0, [0.5, 0.5])])
+        with pytest.raises(SystemExit, match=f"^specmix multinomial-check: {message}$"):
+            run_cli(["multinomial-check", "--a", str(a), "--b", str(b)])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("p, entry", [([True, False], "True"), (["0.5", "0.5"], "'0.5'")])
+    def test_uncoerced_probabilities_exit_with_one_line(self, tmp_path, p, entry, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write_mix(a, 2, [(1.0, p)])
+        self._write_mix(b, 2, [(1.0, [0.5, 0.5])])
+        message = f".*a.json: probability vector entry 0 is {entry}, not a real number"
         with pytest.raises(SystemExit, match=f"^specmix multinomial-check: {message}$"):
             run_cli(["multinomial-check", "--a", str(a), "--b", str(b)])
         assert capsys.readouterr().out == ""

@@ -138,6 +138,11 @@ class TestBuildPairSeparation:
         above = sp.verify_moment_equality(pair.p, pair.p_prime, pair.eq_order + 1)
         assert at.equal and above.max_abs_diff > SEPARATION * at.max_abs_diff
 
+    def test_close_levels_raise(self):
+        # nine levels 0.001 apart: the order-8 gap is rounding noise
+        with pytest.raises(ValueError, match="float64 cannot separate the pair$"):
+            sp.build_pair(4, 9, epsilons=np.arange(9) / 1000.0)
+
     @pytest.mark.parametrize("m,t", [(15, 31), (16, 32)])
     def test_raises_where_float64_cannot_separate(self, m, t):
         # the gap one order above eq_order is rounding noise, no larger than
@@ -202,31 +207,30 @@ bases = st.integers(2, 4).flatmap(
 
 
 class TestBuildPairProperties:
+    # Levels 0.05 apart and bases more than 0.2 apart keep every pair
+    # separable: over thousands of draws, and the most clustered levels
+    # against the closest such bases, the gap one order above eq_order
+    # was at least 227 times the gap at it.  Closer levels raise instead;
+    # TestBuildPairSeparation covers that.
     @settings(max_examples=60, deadline=None)
-    @given(levels=st.lists(st.integers(0, 1000), min_size=3, max_size=9, unique=True),
+    @given(levels=st.lists(st.integers(0, 20), min_size=3, max_size=9, unique=True),
            base=st.none() | bases)
-    @example(levels=list(range(9)), base=None)  # levels 0.001 apart: too close for float64
-    @example(levels=[0, 125, 250, 375, 500, 625, 750, 875, 1000], base=None)
+    @example(levels=list(range(9)), base=None)
+    @example(levels=[0, 3, 5, 8, 10, 13, 15, 18, 20], base=None)
     def test_sides_are_parity_classes(self, levels, base):
         t = len(levels)
         if base is not None:
             base = tuple(np.array(v) / sum(v) for v in base)
-            assume(np.abs(base[0] - base[1]).max() > 1e-3)
+            assume(np.abs(base[0] - base[1]).max() > 0.2)
         gamma, gamma_prime = ([1.0, 0.0], [0.0, 1.0]) if base is None else base
         gamma, gamma_prime = sp.probability_vector(gamma), sp.probability_vector(gamma_prime)
-        eps = np.sort(levels) / 1000.0
+        eps = np.sort(levels) / 20.0
         comps = eps[:, None] * gamma[None, :] + (1.0 - eps[:, None]) * gamma_prime[None, :]
         first, second = slice(t % 2, None, 2), slice(1 - t % 2, None, 2)
         # the sides built by hand: the blends at each parity class of levels, weighted by |alpha|
         alpha = np.abs(dependence_coefficients(eps))
         sides = [sp.make_mixture(alpha[s] / alpha[s].sum(), comps[s]) for s in (first, second)]
-        at = sp.verify_moment_equality(*sides, t - 2).max_abs_diff
-        above = sp.verify_moment_equality(*sides, t - 1).max_abs_diff
-        if not above > SEPARATION * at:
-            with pytest.raises(ValueError, match="float64 cannot separate the pair$"):
-                sp.build_pair(t // 2, t, base=base, epsilons=np.array(levels) / 1000.0)
-            return
-        pair = sp.build_pair(t // 2, t, base=base, epsilons=np.array(levels) / 1000.0)
+        pair = sp.build_pair(t // 2, t, base=base, epsilons=np.array(levels) / 20.0)
         # each side's rows are the blends at its levels, renormalized as make_mixture does
         assert_array_equal(pair.p.components, sides[0].components)
         assert_array_equal(pair.p_prime.components, sides[1].components)

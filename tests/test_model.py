@@ -65,12 +65,26 @@ class TestMakeMixture:
         with pytest.raises(ValueError, match="entry 0 is nan, not finite"):
             sp.make_mixture([0.5, 0.5], [[np.nan, 0.5, 0.5], [0.2, 0.3, 0.5]])
 
-    @pytest.mark.parametrize("weights", [[True], [0.5, True], np.array([True])])
-    def test_rejects_bool_weights(self, weights):
-        # numpy reads True as the weight 1.0
-        flag = len(weights) - 1
-        with pytest.raises(ValueError, match=rf"^weights entry {flag} is True, not a number$"):
+    @pytest.mark.parametrize(
+        "weights, entry",
+        [([True], "0 is True"), ([0.5, True], "1 is True"), (np.array([True]), "0 is True"),
+         (["1.0"], "0 is '1.0'"), ([0.5, "0.5"], "1 is '0.5'"), (np.array(["1.0"]), "0 is '1.0'")],
+    )
+    def test_rejects_bool_and_string_weights(self, weights, entry):
+        # numpy reads True as the weight 1.0 and "1.0" as 1.0
+        with pytest.raises(ValueError, match=rf"^weights entry {entry}, not a real number$"):
             mixture_weights(weights)
+
+    @pytest.mark.parametrize("p", [[True, False], ["0.5", "0.5"], np.array([0.5, 0.5], dtype=complex)])
+    def test_rejects_probabilities_that_are_no_real_numbers(self, p):
+        with pytest.raises(ValueError, match=r"^probability vector entry 0 is .+, not a real number$"):
+            sp.probability_vector(p)
+        with pytest.raises(ValueError, match=r"^dominating measure entry 0 is .+, not a real number$"):
+            sp.DominatingMeasure(p)
+
+    def test_accepts_real_number_types(self):
+        for p in ([1, 0], [np.float32(0.5), np.int64(0), 0.5], np.array([0.5, 0.5], dtype=object)):
+            assert sp.probability_vector(p).dtype == np.float64
 
     def test_renormalizes_near_simplex_weights(self):
         mix = sp.make_mixture([0.5 + 2e-10, 0.5], [[1.0, 0.0], [0.0, 1.0]])

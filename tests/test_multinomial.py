@@ -2,6 +2,7 @@
 import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -290,6 +291,16 @@ class TestMixtureEquality:
         assert multinomial_mixture_equal(a, list(reversed(a)))
         assert multinomial_mixture_equal(a, a, tol=0.0)
         assert not multinomial_mixture_equal(a, [(0.75, p), (0.25, p_swap)])
+
+    def test_thousand_categories(self):
+        # q = 1000, n = 2: 500500 multiset values.  A table of count vectors
+        # as 1000-int tuples took gigabytes here; sorted words take 8 MB.
+        rng = np.random.default_rng(3)
+        p, p2 = (MultinomialSpec(2, 1000, rng.dirichlet(np.ones(1000))) for _ in range(2))
+        start = time.perf_counter()
+        assert multinomial_mixture_equal([(0.5, p), (0.5, p2)], [(0.5, p2), (0.5, p)])
+        assert not multinomial_mixture_equal([(0.5, p), (0.5, p2)], [(1.0, p)])
+        assert time.perf_counter() - start < 2.0
 
     def test_repeated_components_allowed(self):
         p = MultinomialSpec(2, 2, np.array([0.3, 0.7]))

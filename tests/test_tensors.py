@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
 from specmix.recovery import _fourth_operator
-from specmix.tensors import RankDeficiencyError, _count_vectors, _multisets, _power_sum, _sign_normalize
+from specmix.tensors import RankDeficiencyError, _counts_rank, _multisets, _power_sum, _rank, _sign_normalize, _words
 
 
 def sign_normalize_loop(vectors: np.ndarray) -> np.ndarray:
@@ -80,21 +80,30 @@ class TestOuterPower:
 
 class TestMultisetBasis:
     @pytest.mark.parametrize("d, r", [(d, r) for d in range(1, 6) for r in range(1, 6)])
-    def test_count_vectors_are_in_rank_order(self, d, r):
-        # the count vector at rank j is the tally of every multi-index of rank j
-        beta = _count_vectors(d, r)
+    def test_words_are_in_rank_order(self, d, r):
+        # the word at rank j is the sorted multi-index of every multi-index
+        # of rank j, and the ranks are the bars' combinadic rank
+        words = _words(d, r)
         rank = _multisets(d, r)
-        assert beta.shape == (math.comb(d + r - 1, r), d)
-        assert_array_equal(np.unique(rank), np.arange(len(beta)))
+        assert words.shape == (r, math.comb(d + r - 1, r))
+        assert_array_equal(_rank(words, d), np.arange(words.shape[1]))
         for idx in itertools.product(range(d), repeat=r):
-            assert_array_equal(np.bincount(idx, minlength=d), beta[rank[idx]])
+            assert_array_equal(sorted(idx), words[:, rank[idx]])
+            partial = np.cumsum(np.bincount(idx, minlength=d))[:-1]
+            assert rank[idx] == sum(math.comb(int(s) + c, c + 1) for c, s in enumerate(partial))
+
+    def test_counts_rank_is_word_rank(self):
+        words = _words(4, 3)
+        counts = np.array([np.bincount(w, minlength=4) for w in words.T])
+        assert_array_equal(_counts_rank(counts, 3), np.arange(words.shape[1]))
 
     def test_enumeration_order_is_not_rank_order(self):
-        # enumerate_compositions keeps its public order; for d >= 3 it is
-        # neither the rank order nor its reverse
-        listed = [tuple(v) for v in sp.enumerate_compositions(2, 3)]
-        ranked = [tuple(v) for v in _count_vectors(3, 2)]
-        assert sorted(listed) == sorted(ranked)
+        # enumerate_compositions keeps its public order, the rank order with
+        # categories renamed; for d >= 3 it is neither the rank order nor
+        # its reverse
+        listed = sp.enumerate_compositions(2, 3)
+        ranked = [tuple(np.bincount(w, minlength=3)) for w in _words(3, 2).T]
+        assert listed == [v[::-1] for v in ranked]
         assert listed != ranked and listed != ranked[::-1]
 
     def test_power_sum_at_high_order(self):
