@@ -3,7 +3,8 @@
 Times sample_groups (counter-based categorical draws) and sample_keys
 (drawing and keying in one pass, counting the keys in a (k+1)^d table)
 on identical inputs, checks the outputs are bit-identical, and reports
-per-backend throughput.  group_keys (per-group tally encoding) has one
+per-backend times per group, the best and the median of the repeats,
+and the throughput at the best.  group_keys (per-group tally encoding) has one
 implementation, the numpy one, and is timed once.  sample_keys must
 equal the bincount of group_keys(sample_groups(...)).  It also checks
 the block contract each backend must keep for sampling.draw_tally: two
@@ -13,6 +14,7 @@ Usage:
     python3 benchmarks/bench_kernels.py --n-groups 500000 --group-size 5 --d 3
 """
 import argparse
+import statistics
 import time
 
 import numpy as np
@@ -28,14 +30,14 @@ except ImportError:
     HAVE_COMPILED = False
 
 
-def best_of(repeats, fn, *args):
-    best = float("inf")
-    out = None
+def timed(repeats, fn, *args):
+    """The best and median seconds of repeats calls, and the last output."""
+    times = []
     for _ in range(repeats):
         start = time.perf_counter()
         out = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best, out
+        times.append(time.perf_counter() - start)
+    return min(times), statistics.median(times), out
 
 
 def main(argv=None) -> int:
@@ -71,21 +73,24 @@ def main(argv=None) -> int:
 
     sample_out = {}
     call = (args.seed, args.n_groups, args.group_size, cum_w, cum_c)
-    print(f"{args.n_groups} groups x {args.group_size} draws, d={args.d}, "
-          f"best of {args.repeats}")
-    t_keys, _ = best_of(args.repeats, _kernels_np.group_keys, _kernels_np.sample_groups(*call), args.d)
-    print(f"  {'any':9s} group_keys    {t_keys * 1e3:8.1f} ms "
-          f"({args.n_groups / t_keys / 1e6:6.1f} M groups/s)")
+
+    def report(name, kernel, times, count, unit):
+        """A kernel's best and median of timed(...), and its rate of count units per call at best."""
+        best, median = (t / args.n_groups * 1e9 for t in times)
+        print(f"  {name:9s} {kernel:13s} best {best:7.1f} median {median:7.1f} ns/group "
+              f"({count / times[0] / 1e6:6.1f} M {unit}/s at best)")
+
+    print(f"{args.n_groups} groups x {args.group_size} draws, d={args.d}, {args.repeats} repeats")
+    *t_keys, _ = timed(args.repeats, _kernels_np.group_keys, _kernels_np.sample_groups(*call), args.d)
+    report("any", "group_keys", t_keys, args.n_groups, "groups")
     for name, impl in backends:
-        t_sample, groups = best_of(args.repeats, impl.sample_groups, *call)
+        *t_sample, groups = timed(args.repeats, impl.sample_groups, *call)
         sample_out[name] = groups
         keys = _kernels_np.group_keys(groups, args.d)
-        print(f"  {name:9s} sample_groups {t_sample * 1e3:8.1f} ms "
-              f"({draws / t_sample / 1e6:6.1f} M draws/s)")
+        report(name, "sample_groups", t_sample, draws, "draws")
         if use_table:
-            t_table, table = best_of(args.repeats, count_keys, impl, *call)
-            print(f"  {name:9s} sample_keys   {t_table * 1e3:8.1f} ms "
-                  f"({args.n_groups / t_table / 1e6:6.1f} M groups/s)")
+            *t_table, table = timed(args.repeats, count_keys, impl, *call)
+            report(name, "sample_keys", t_table, args.n_groups, "groups")
             if not np.array_equal(table, np.bincount(keys, minlength=cells)):
                 print(f"MISMATCH: {name} sample_keys differs from the bincount of group_keys(sample_groups(...))")
                 return 1

@@ -17,12 +17,25 @@
  *
  * Both entry points draw CHUNK groups per pass with draw_chunk, in
  * structure-of-arrays form: the stream base of every group, its
- * component, then for each draw the words of all groups and their
- * category counts, then their keys or codes.  Each pass runs over all
- * CHUNK lanes, a constant trip count that the compiler vectorises
- * without a remainder loop; lanes past the last group draw streams that
- * are never counted or written.  Unsigned 64-bit arithmetic wraps modulo
- * 2**64 as numpy's uint64 does.
+ * component, then its component's thresholds, gathered once into a
+ * (width, CHUNK) buffer that shares the thresholds' malloc, then for
+ * each draw the words of all groups and what they reach of those
+ * contiguous thresholds, and last their codes or table counts.  Each
+ * pass runs over all CHUNK lanes, a constant trip count that the
+ * compiler vectorises without a remainder loop; lanes past the last
+ * group draw streams that are never counted or written.  Unsigned
+ * 64-bit arithmetic wraps modulo 2**64 as numpy's uint64 does.
+ *
+ * A keyed draw reads no table either: its key is summed from the
+ * comparisons.  With pows[c] = (k+1)**c and steps s_i = pows[i+1] -
+ * pows[i], a draw that reaches c thresholds has pows[c] = pows[0] +
+ * s_0 + ... + s_{c-1}.  The sum of s_i over the reached thresholds
+ * equals that only because they are the first c of the row: t() is
+ * nondecreasing, so a nondecreasing row has nondecreasing thresholds,
+ * and x >= t_i implies x >= t_h for every h < i.  Rows are nondecreasing
+ * by the contract of both backends; on any other row searchsorted is
+ * undefined too.  So a group's key starts at k * pows[0] and each draw
+ * adds s_i & -(x >= t_i) over its row, with s_i = 0 on the padding.
  *
  * GCC 12 and later, on x86-64 with glibc, also compile an AVX-512
  * (x86-64-v4) and an AVX2 (x86-64-v3) clone of each entry point, and the
@@ -41,7 +54,8 @@
 #define STREAM_MULT 0xD1342543DE82EF95ULL
 #define COUNTER_MULT 0xDABA0B6EB09322E3ULL
 
-/* Groups per pass.  Every per-group buffer of a pass lives on the stack. */
+/* Groups per pass.  The per-group buffers of a pass live on the stack,
+ * all but the gathered thresholds, whose size depends on d. */
 #define CHUNK 64
 
 /* glibc's loader resolves the clones (as GNU indirect functions). */
@@ -71,60 +85,79 @@ static int64_t threshold(double c) {
 /* The thresholds of the first n_weights cumulative weights, followed by
  * an (n_comp, width) table: row c holds those of the first d - 1 masses
  * of component c, padded with NEVER to the even width >= 2 that
- * draw_chunk reads two at a time.  NULL if out of memory. */
+ * draw_chunk reads two at a time.  Then width key steps, pows[i+1] -
+ * pows[i] below d - 1 and 0 on the padding (all 0 without pows), and
+ * last the (width, CHUNK) buffer into which draw_chunk gathers each
+ * group's row.  NULL if out of memory. */
 static int64_t *thresholds(const double *cum_weights, int64_t n_weights, const double *cum_components,
-                           int64_t n_comp, int64_t d, int64_t width) {
-    int64_t *t = malloc((size_t)(n_weights + n_comp * width) * sizeof *t);
+                           int64_t n_comp, int64_t d, int64_t width, const int64_t *pows) {
+    int64_t *t = malloc((size_t)(n_weights + (n_comp + 1 + CHUNK) * width) * sizeof *t);
     if (!t) return 0;
     for (int64_t i = 0; i < n_weights; i++) t[i] = threshold(cum_weights[i]);
+    int64_t *const tc = t + n_weights, *const steps = tc + n_comp * width;
     for (int64_t c = 0; c < n_comp; c++)
         for (int64_t i = 0; i < width; i++)
-            t[n_weights + c * width + i] = i < d - 1 ? threshold(cum_components[c * d + i]) : NEVER;
+            tc[c * width + i] = i < d - 1 ? threshold(cum_components[c * d + i]) : NEVER;
+    for (int64_t i = 0; i < width; i++) steps[i] = pows && i < d - 1 ? pows[i + 1] - pows[i] : 0;
     return t;
+}
+
+/* What the thresholds t0 and t1, of steps s0 and s1, add for the word
+ * x: in keyed mode the steps of those it reaches, else their number.
+ * Masks, not branches: the plain x86-64 build runs this scalar. */
+static inline __attribute__((always_inline)) int64_t
+reached(int64_t x, int64_t t0, int64_t t1, int64_t s0, int64_t s1, const int keyed) {
+    const int64_t a = -(int64_t)(x >= t0), b = -(int64_t)(x >= t1);
+    return keyed ? (s0 & a) + (s1 & b) : -(a + b);
 }
 
 /* The n <= CHUNK groups on streams first, first+1, ...: counter 0 picks
  * a group's component, a row of the (components, width) threshold table
- * tc, by counting the n_weights weight thresholds tw its x reaches;
- * counters 1..group_size pick its categories by counting the row's
- * thresholds, two at a time (width is even, padded with 2**53).  Adds one
- * to table[sum of pows[c] over the codes c] if keyed, and writes the
- * codes to the rows of out otherwise.  Each caller passes keyed as a
- * constant, so the inlined passes have no branch on it. */
+ * tc, by counting the n_weights weight thresholds tw its x reaches, and
+ * that row is gathered once into lane, whose row i holds threshold i of
+ * every group.  Counters 1..group_size each draw a word x per group and
+ * read the lane rows contiguously, two at a time (width is even, padded
+ * with 2**53).  Unkeyed, a draw counts the thresholds x reaches, its
+ * category code, and writes it to the group's row of out.  Keyed, the
+ * group's key starts at key0 = group_size * pows[0], each draw adds the
+ * steps of the thresholds it reaches (see the header), and the group
+ * then adds one to table[key].  Each caller passes keyed as a constant,
+ * so the inlined passes have no branch on it. */
 static inline __attribute__((always_inline)) void
 draw_chunk(uint64_t seed_mixed, uint64_t first, int64_t n, int64_t group_size, const int64_t *restrict tw,
-           int64_t n_weights, const int64_t *restrict tc, int64_t width, const int64_t *restrict pows,
-           int64_t *restrict table, uint8_t *restrict out, const int keyed) {
-    uint64_t base[CHUNK], key[CHUNK];
-    int64_t x[CHUNK], row[CHUNK], cat[CHUNK];
+           int64_t n_weights, const int64_t *restrict tc, int64_t width, const int64_t *restrict steps,
+           uint64_t key0, int64_t *restrict lane, int64_t *restrict table, uint8_t *restrict out,
+           const int keyed) {
+    uint64_t base[CHUNK], acc[CHUNK];
+    int64_t x[CHUNK], row[CHUNK];
     for (int64_t g = 0; g < CHUNK; g++) {
         base[g] = mix64(seed_mixed ^ ((first + (uint64_t)g) * STREAM_MULT));
         x[g] = (int64_t)(mix64(base[g]) >> 11);
         row[g] = 0;
-        key[g] = 0;
+        acc[g] = key0;
     }
     for (int64_t i = 0; i < n_weights; i++)
         for (int64_t g = 0; g < CHUNK; g++) row[g] += (int64_t)(x[g] >= tw[i]);
     for (int64_t g = 0; g < CHUNK; g++) row[g] *= width;
+    for (int64_t i = 0; i < width; i++)
+        for (int64_t g = 0; g < CHUNK; g++) lane[i * CHUNK + g] = tc[row[g] + i];
     for (int64_t j = 0; j < group_size; j++) {
         const uint64_t counter = (uint64_t)(j + 1) * COUNTER_MULT;
         for (int64_t g = 0; g < CHUNK; g++) {
-            const int64_t r = row[g];
             x[g] = (int64_t)(mix64(base[g] ^ counter) >> 11);
-            cat[g] = (int64_t)(x[g] >= tc[r]) + (int64_t)(x[g] >= tc[r + 1]);
+            acc[g] = (keyed ? acc[g] : 0)
+                     + (uint64_t)reached(x[g], lane[g], lane[CHUNK + g], steps[0], steps[1], keyed);
         }
-        for (int64_t i = 2; i < width; i += 2)
-            for (int64_t g = 0; g < CHUNK; g++) {
-                const int64_t r = row[g] + i;
-                cat[g] += (int64_t)(x[g] >= tc[r]) + (int64_t)(x[g] >= tc[r + 1]);
-            }
-        if (keyed)
-            for (int64_t g = 0; g < CHUNK; g++) key[g] += (uint64_t)pows[cat[g]];
-        else
-            for (int64_t g = 0; g < n; g++) out[g * group_size + j] = (uint8_t)cat[g];
+        for (int64_t i = 2; i < width; i += 2) {
+            const int64_t *restrict t0 = lane + i * CHUNK, *restrict t1 = t0 + CHUNK;
+            for (int64_t g = 0; g < CHUNK; g++)
+                acc[g] += (uint64_t)reached(x[g], t0[g], t1[g], steps[i], steps[i + 1], keyed);
+        }
+        if (!keyed)
+            for (int64_t g = 0; g < n; g++) out[g * group_size + j] = (uint8_t)acc[g];
     }
     if (keyed)
-        for (int64_t g = 0; g < n; g++) table[key[g]]++;
+        for (int64_t g = 0; g < n; g++) table[acc[g]]++;
 }
 
 /* The draws of both entry points, on the (n_comp, d) cum_components;
@@ -134,12 +167,14 @@ draw(uint64_t seed, int64_t n_groups, int64_t group_size, const double *cum_weig
      const double *cum_components, int64_t n_comp, int64_t d, uint64_t start, const int64_t *pows,
      int64_t *table, uint8_t *out, const int keyed) {
     const int64_t width = d / 2 > 1 ? 2 * (d / 2) : 2;
-    int64_t *const t = thresholds(cum_weights, n_weights, cum_components, n_comp, d, width);
+    int64_t *const t = thresholds(cum_weights, n_weights, cum_components, n_comp, d, width, pows);
     if (!t) return -1;
-    const uint64_t seed_mixed = mix64(seed + GOLD);
+    const int64_t *const tc = t + n_weights, *const steps = tc + n_comp * width;
+    const uint64_t seed_mixed = mix64(seed + GOLD), key0 = keyed ? (uint64_t)group_size * (uint64_t)pows[0] : 0;
     for (int64_t lo = 0; lo < n_groups; lo += CHUNK)
         draw_chunk(seed_mixed, start + (uint64_t)lo, n_groups - lo < CHUNK ? n_groups - lo : CHUNK, group_size,
-                   t, n_weights, t + n_weights, width, pows, table, keyed ? 0 : out + lo * group_size, keyed);
+                   t, n_weights, tc, width, steps, key0, t + n_weights + (n_comp + 1) * width, table,
+                   keyed ? 0 : out + lo * group_size, keyed);
     free(t);
     return 0;
 }

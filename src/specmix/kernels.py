@@ -10,7 +10,9 @@ bit-identical, so the choice only affects speed.
 sample_keys draws groups and counts each in a dense table at its tally
 key, the key group_keys(sample_groups(...)) would give it.  The compiled
 kernel does this in one pass per chunk of 64 groups, without the
-(n_groups, group_size) array; the numpy fallback runs the two kernels.
+(n_groups, group_size) array, and sums each key from the comparisons
+with its group's thresholds, with no table read per draw (see the header
+of _kernels.c); the numpy fallback runs the two kernels.
 
 group_keys is the numpy encoder on both backends, because a compiled one
 saved under 1% of any benchmark replicate.  Encoding the 2e5 groups

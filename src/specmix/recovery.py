@@ -242,6 +242,15 @@ def _check_scale(b: np.ndarray, order: int, dominating) -> None:
         )
 
 
+def _check_norms(mix: MixtureSpec, xi: DominatingMeasure | None) -> None:
+    """RecoveryError unless the component norms rescaled by xi, or the
+    Euclidean norms for None, are pairwise distinct."""
+    sep = check_distinct_norms(mix, xi if xi is not None else DominatingMeasure(np.ones(mix.d)))
+    if not sep.distinct:
+        rescaled = "" if xi is None else "rescaled "
+        raise RecoveryError(f"{rescaled}component norms separate by only {sep.min_gap:.3g}")
+
+
 @contextmanager
 def _stage(name: str):
     """Turn any failure inside the block into a RecoveryError naming the stage."""
@@ -331,7 +340,10 @@ def recover_full(
 
     Passing a MixtureSpec substitutes exact population moments for the
     empirical estimators (useful for validation); otherwise the data
-    must have groups of at least 2m-1 draws.
+    must have groups of at least 2m-1 draws.  On population input the
+    component norms under the reference measure (the Euclidean norms
+    without one) must be pairwise distinct; tied norms raise a
+    RecoveryError.
     """
     m = config.m
     with _stage("setup"):
@@ -345,11 +357,9 @@ def recover_full(
             _check_scale(b, 2 * m - 1, config.dominating)
         if m > 1:
             _check_fits(data.d, 2 * m)  # the d^m x d^m operator
-    if m > 1 and xi is not None and isinstance(data, MixtureSpec):
+    if m > 1 and isinstance(data, MixtureSpec):
         with _stage("dominating-measure check"):
-            sep = check_distinct_norms(data, xi)
-            if not sep.distinct:
-                raise RecoveryError(f"rescaled component norms separate by only {sep.min_gap:.3g}")
+            _check_norms(data, xi)
     return _run_stages(
         data,
         config,
@@ -379,9 +389,7 @@ def li_recover_4(
     config = RecoveryConfig(m)
     with _stage("setup"):
         if m > 1 and isinstance(data, MixtureSpec):
-            sep = check_distinct_norms(data, DominatingMeasure(np.ones(data.d)))
-            if not sep.distinct:
-                raise RecoveryError(f"component norms separate by only {sep.min_gap:.3g}")
+            _check_norms(data, None)
         data = moment_source(data, 4 if m > 1 else 1)
         if m > 1:
             _check_fits(data.d, 4)  # the d^2 x d^2 operator

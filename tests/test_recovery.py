@@ -309,6 +309,16 @@ class TestRecoverFull:
         with pytest.raises(RecoveryError, match="separate"):
             sp.recover_full(mix, RecoveryConfig(m=2, dominating=sp.DominatingMeasure([1.0, 1.0])))
 
+    def test_tied_norms_rejected_without_reference_measure(self, blend_mix, fixed_xi):
+        # the identity rescaling needs distinct Euclidean norms, as
+        # li_recover_4 does; blend_mix's first two components tie
+        for mix in (blend_mix, sp.make_mixture([0.5, 0.5], [[0.6, 0.4], [0.4, 0.6]])):
+            with pytest.raises(RecoveryError, match=r"^component norms separate by only 0$"):
+                sp.recover_full(mix, RecoveryConfig(m=mix.m))
+        # data is not checked, and a measure that separates the norms passes
+        sp.recover_full(sp.draw_groups(blend_mix, 5, 2000, seed=0), RecoveryConfig(m=3))
+        sp.recover_full(blend_mix, RecoveryConfig(m=3, dominating=fixed_xi))
+
     @pytest.mark.parametrize(
         ("m", "seed", "message"),
         [
