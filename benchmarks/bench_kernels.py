@@ -52,8 +52,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     weights = rng.dirichlet(np.ones(3))
     components = rng.dirichlet(np.ones(args.d), size=3)
-    cum_w = np.cumsum(weights)
-    cum_c = np.cumsum(components, axis=1)
+    thresholds = _kernels_np.draw_thresholds(np.cumsum(weights), np.cumsum(components, axis=1))
     draws = args.n_groups * args.group_size
 
     backends = [("numpy", _kernels_np)]
@@ -72,7 +71,7 @@ def main(argv=None) -> int:
         return impl.sample_keys(*call, np.zeros(cells, dtype=np.int64), start=start)
 
     sample_out = {}
-    call = (args.seed, args.n_groups, args.group_size, cum_w, cum_c)
+    call = (args.seed, args.n_groups, args.group_size, thresholds)
 
     def report(name, kernel, times, count, unit):
         """A kernel's best and median of timed(...), and its rate of count units per call at best."""
@@ -96,8 +95,8 @@ def main(argv=None) -> int:
                 return 1
 
         cut = args.n_groups // 3
-        head = (args.seed, cut, args.group_size, cum_w, cum_c)
-        tail = (args.seed, args.n_groups - cut, args.group_size, cum_w, cum_c)
+        head = (args.seed, cut, args.group_size, thresholds)
+        tail = (args.seed, args.n_groups - cut, args.group_size, thresholds)
         blocks = np.concatenate([impl.sample_groups(*head), impl.sample_groups(*tail, start=cut)])
         same = np.array_equal(blocks, groups)
         if use_table:

@@ -2,23 +2,17 @@
  *
  * Implementation of the sample_groups and sample_keys contract in
  * _kernels_np.py; the two backends must stay bit-identical.  Words follow
- * the counter scheme in rng.py, and an inverse-CDF pick counts the first
- * n-1 cumulative masses at or below the uniform u.  On nondecreasing rows
- * that count is searchsorted(side="right") clipped to n-1.
- *
- * The comparisons are made in integers, exactly.  numpy's uniform is
- * u = x * 2**-53 with x = w >> 11 < 2**53, a product without rounding, so
- * u >= c holds exactly when x >= t(c), where
- *   t(c) = 0               for c <= 0, -0.0 and -inf included;
- *   t(c) = ceil(c * 2**53)  for 0 < c < 1, where the scaling is exact,
- *                          subnormal c included;
- *   t(c) = 2**53           for c >= 1, +inf and NaN, and no x reaches it.
- * Each call computes the thresholds once, before it draws.
+ * the counter scheme in rng.py.  A pick counts the integer thresholds
+ * that x = w >> 11 of a word w reaches (x >= t): first those of the
+ * cumulative weights, for the component, then those of that component's
+ * row, for each category.  _kernels_np.draw_thresholds computes the
+ * thresholds, once per draw, and proves the counts equal the float
+ * inverse-CDF pick.
  *
  * Both entry points draw CHUNK groups per pass with draw_chunk, in
  * structure-of-arrays form: the stream base of every group, its
  * component, then its component's thresholds, gathered once into a
- * (width, CHUNK) buffer that shares the thresholds' malloc, then for
+ * (width, CHUNK) buffer that shares the threshold table's malloc, then for
  * each draw the words of all groups and what they reach of those
  * contiguous thresholds, and last their codes or table counts.  Each
  * pass runs over all CHUNK lanes, a constant trip count that the
@@ -30,12 +24,11 @@
  * comparisons.  With pows[c] = (k+1)**c and steps s_i = pows[i+1] -
  * pows[i], a draw that reaches c thresholds has pows[c] = pows[0] +
  * s_0 + ... + s_{c-1}.  The sum of s_i over the reached thresholds
- * equals that only because they are the first c of the row: t() is
- * nondecreasing, so a nondecreasing row has nondecreasing thresholds,
- * and x >= t_i implies x >= t_h for every h < i.  Rows are nondecreasing
- * by the contract of both backends; on any other row searchsorted is
- * undefined too.  So a group's key starts at k * pows[0] and each draw
- * adds s_i & -(x >= t_i) over its row, with s_i = 0 on the padding.
+ * equals that only because they are the first c of the row: threshold
+ * rows are nondecreasing (see draw_thresholds), so x >= t_i implies
+ * x >= t_h for every h < i.  So a group's key starts at k * pows[0] and
+ * each draw adds s_i & -(x >= t_i) over its row, with s_i = 0 on the
+ * padding.
  *
  * GCC 12 and later, on x86-64 with glibc, also compile an AVX-512
  * (x86-64-v4) and an AVX2 (x86-64-v3) clone of each entry point, and the
@@ -71,35 +64,23 @@ static inline uint64_t mix64(uint64_t z) {
     return z ^ (z >> 31);
 }
 
-/* t(c) of the header: 2**53 is above every x = w >> 11. */
+/* Above every x = w >> 11: the padding of a threshold row. */
 #define NEVER ((int64_t)1 << 53)
 
-static int64_t threshold(double c) {
-    if (c <= 0.0) return 0;
-    if (!(c < 1.0)) return NEVER; /* c >= 1, +inf or NaN */
-    const double scaled = c * 0x1p53;
-    const int64_t t = (int64_t)scaled; /* below 2**53, so truncated exactly */
-    return t + ((double)t < scaled);
-}
-
-/* The thresholds of the first n_weights cumulative weights, followed by
- * an (n_comp, width) table: row c holds those of the first d - 1 masses
- * of component c, padded with NEVER to the even width >= 2 that
+/* An (n_comp, width) table whose row c holds the d - 1 thresholds of
+ * row c of comp_t, padded with NEVER to the even width >= 2 that
  * draw_chunk reads two at a time.  Then width key steps, pows[i+1] -
  * pows[i] below d - 1 and 0 on the padding (all 0 without pows), and
  * last the (width, CHUNK) buffer into which draw_chunk gathers each
  * group's row.  NULL if out of memory. */
-static int64_t *thresholds(const double *cum_weights, int64_t n_weights, const double *cum_components,
-                           int64_t n_comp, int64_t d, int64_t width, const int64_t *pows) {
-    int64_t *t = malloc((size_t)(n_weights + (n_comp + 1 + CHUNK) * width) * sizeof *t);
-    if (!t) return 0;
-    for (int64_t i = 0; i < n_weights; i++) t[i] = threshold(cum_weights[i]);
-    int64_t *const tc = t + n_weights, *const steps = tc + n_comp * width;
+static int64_t *thresholds(const int64_t *comp_t, int64_t n_comp, int64_t d, int64_t width, const int64_t *pows) {
+    int64_t *const tc = malloc((size_t)((n_comp + 1 + CHUNK) * width) * sizeof *tc);
+    if (!tc) return 0;
+    int64_t *const steps = tc + n_comp * width;
     for (int64_t c = 0; c < n_comp; c++)
-        for (int64_t i = 0; i < width; i++)
-            tc[c * width + i] = i < d - 1 ? threshold(cum_components[c * d + i]) : NEVER;
+        for (int64_t i = 0; i < width; i++) tc[c * width + i] = i < d - 1 ? comp_t[c * (d - 1) + i] : NEVER;
     for (int64_t i = 0; i < width; i++) steps[i] = pows && i < d - 1 ? pows[i + 1] - pows[i] : 0;
-    return t;
+    return tc;
 }
 
 /* What the thresholds t0 and t1, of steps s0 and s1, add for the word
@@ -160,32 +141,31 @@ draw_chunk(uint64_t seed_mixed, uint64_t first, int64_t n, int64_t group_size, c
         for (int64_t g = 0; g < n; g++) table[acc[g]]++;
 }
 
-/* The draws of both entry points, on the (n_comp, d) cum_components;
- * returns -1 if out of memory and 0 otherwise. */
+/* The draws of both entry points, with the n_weights weight thresholds
+ * weight_t and the (n_comp, d - 1) component thresholds comp_t; returns
+ * -1 if out of memory and 0 otherwise. */
 static inline __attribute__((always_inline)) int
-draw(uint64_t seed, int64_t n_groups, int64_t group_size, const double *cum_weights, int64_t n_weights,
-     const double *cum_components, int64_t n_comp, int64_t d, uint64_t start, const int64_t *pows,
-     int64_t *table, uint8_t *out, const int keyed) {
+draw(uint64_t seed, int64_t n_groups, int64_t group_size, const int64_t *weight_t, int64_t n_weights,
+     const int64_t *comp_t, int64_t n_comp, int64_t d, uint64_t start, const int64_t *pows, int64_t *table,
+     uint8_t *out, const int keyed) {
     const int64_t width = d / 2 > 1 ? 2 * (d / 2) : 2;
-    int64_t *const t = thresholds(cum_weights, n_weights, cum_components, n_comp, d, width, pows);
-    if (!t) return -1;
-    const int64_t *const tc = t + n_weights, *const steps = tc + n_comp * width;
+    int64_t *const tc = thresholds(comp_t, n_comp, d, width, pows);
+    if (!tc) return -1;
+    const int64_t *const steps = tc + n_comp * width;
     const uint64_t seed_mixed = mix64(seed + GOLD), key0 = keyed ? (uint64_t)group_size * (uint64_t)pows[0] : 0;
     for (int64_t lo = 0; lo < n_groups; lo += CHUNK)
         draw_chunk(seed_mixed, start + (uint64_t)lo, n_groups - lo < CHUNK ? n_groups - lo : CHUNK, group_size,
-                   t, n_weights, tc, width, steps, key0, t + n_weights + (n_comp + 1) * width, table,
+                   weight_t, n_weights, tc, width, steps, key0, tc + (n_comp + 1) * width, table,
                    keyed ? 0 : out + lo * group_size, keyed);
-    free(t);
+    free(tc);
     return 0;
 }
 
 /* Group g (0-based in out) uses stream start + g. */
 VECTOR_CLONES
-int sample_groups(uint64_t seed, int64_t n_groups, int64_t group_size, const double *cum_weights,
-                  int64_t n_weights, const double *cum_components, int64_t n_comp, int64_t d, uint64_t start,
-                  uint8_t *out) {
-    return draw(seed, n_groups, group_size, cum_weights, n_weights, cum_components, n_comp, d, start, 0, 0,
-                out, 0);
+int sample_groups(uint64_t seed, int64_t n_groups, int64_t group_size, const int64_t *weight_t, int64_t n_weights,
+                  const int64_t *comp_t, int64_t n_comp, int64_t d, uint64_t start, uint8_t *out) {
+    return draw(seed, n_groups, group_size, weight_t, n_weights, comp_t, n_comp, d, start, 0, 0, out, 0);
 }
 
 /* The groups of sample_groups, each keyed as _kernels_np.group_keys keys
@@ -193,9 +173,8 @@ int sample_groups(uint64_t seed, int64_t n_groups, int64_t group_size, const dou
  * k = group_size, a key is below (k+1)**d: each of its k draws adds at
  * most (k+1)**(d-1). */
 VECTOR_CLONES
-int sample_keys(uint64_t seed, int64_t n_groups, int64_t group_size, const double *cum_weights, int64_t n_weights,
-                const double *cum_components, int64_t n_comp, int64_t d, uint64_t start, const int64_t *pows,
+int sample_keys(uint64_t seed, int64_t n_groups, int64_t group_size, const int64_t *weight_t, int64_t n_weights,
+                const int64_t *comp_t, int64_t n_comp, int64_t d, uint64_t start, const int64_t *pows,
                 int64_t *table) {
-    return draw(seed, n_groups, group_size, cum_weights, n_weights, cum_components, n_comp, d, start, pows,
-                table, 0, 1);
+    return draw(seed, n_groups, group_size, weight_t, n_weights, comp_t, n_comp, d, start, pows, table, 0, 1);
 }

@@ -13,12 +13,9 @@ their _kernels_np.py namesakes, bit for bit.  A CDLL call releases the
 GIL, and the C code keeps no state between calls, so threads may run
 the kernels at once on separate outputs (sampling.draw_tally does).
 
-The C code compares words with cumulative masses in integers, and
-exactly: numpy's uniform u = x * 2**-53, with x = w >> 11 < 2**53, is
-computed without rounding, so u >= c holds exactly when x >= t(c) for
-the integer threshold t(c) = ceil(c * 2**53) clipped to [0, 2**53] (0
-for -0.0 and -inf, 2**53 for NaN; scaling by a power of two is exact,
-for subnormal c too).  Each call computes the thresholds once.
+The C code counts the integer thresholds of
+_kernels_np.draw_thresholds that each word reaches, as the numpy
+fallback does.
 
 The flags leave out -march=native, so that a library in a shared cache
 directory runs on every machine that loads it.  The vector code comes
@@ -41,8 +38,7 @@ from ._kernels_np import check_table
 from .rng import MASK
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-# No -ffast-math, under which the thresholds could mistreat NaN, -0.0 or
-# subnormal masses, and no -march=native (see above).
+# No -march=native (see above).
 CFLAGS = ("-O2", "-shared", "-fPIC")
 CC_TIMEOUT_S = 60
 
@@ -94,10 +90,9 @@ def _load(lib: Path) -> ctypes.CDLL:
         cdll = ctypes.CDLL(str(lib))
     except OSError as exc:
         raise ImportError(f"cannot load {lib}: {exc}") from exc
-    f64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
     draw = [
-        ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, f64, ctypes.c_int64, f64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_uint64,
+        ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, ndpointer(np.int64, 1, flags="C_CONTIGUOUS"), ctypes.c_int64,
+        ndpointer(np.int64, 2, flags="C_CONTIGUOUS"), ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64,
     ]
     cdll.sample_groups.argtypes = draw + [ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")]
     cdll.sample_keys.argtypes = draw + [
@@ -111,20 +106,16 @@ def _load(lib: Path) -> ctypes.CDLL:
 _lib = _load(_build(SOURCE, SOURCE.parent / "__pycache__"))
 
 
-def _draw_args(seed, n_groups, group_size, cum_weights, cum_components, start):
+def _draw_args(seed, n_groups, group_size, thresholds, start):
     """The leading arguments of the C samplers, checked, and d."""
-    cum_weights = np.ascontiguousarray(cum_weights, dtype=np.float64)
-    cum_components = np.ascontiguousarray(cum_components, dtype=np.float64)
-    if cum_weights.ndim != 1 or cum_components.ndim != 2 or 0 in cum_components.shape:
-        raise ValueError("expected (m,) cumulative weights and nonempty (m, d) cumulative components")
     if n_groups < 0 or group_size < 0:
         raise ValueError("n_groups and group_size must be >= 0")
-    n_comp, d = cum_components.shape
-    # searchsorted(cum_weights) clipped to n_comp - 1 counts at most that many weights
-    n_weights = min(len(cum_weights), n_comp - 1)
+    weight_t, comp_t = thresholds
+    n_comp, d = comp_t.shape[0], comp_t.shape[1] + 1
+    # draw_thresholds keeps at most n_comp - 1 weights; more would let a pick reach a row past the table
+    n_weights = min(len(weight_t), n_comp - 1)
     args = (
-        int(seed) & MASK, int(n_groups), int(group_size), cum_weights, n_weights, cum_components, n_comp, d,
-        int(start) & MASK,
+        int(seed) & MASK, int(n_groups), int(group_size), weight_t, n_weights, comp_t, n_comp, d, int(start) & MASK,
     )
     return args, d
 
@@ -135,18 +126,18 @@ def _check(status):
         raise MemoryError("cannot allocate the sampling thresholds")
 
 
-def sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start=0):
+def sample_groups(seed, n_groups, group_size, thresholds, start=0):
     """See _kernels_np.sample_groups."""
-    args, _ = _draw_args(seed, n_groups, group_size, cum_weights, cum_components, start)
+    args, _ = _draw_args(seed, n_groups, group_size, thresholds, start)
     out = np.empty((n_groups, group_size), dtype=np.uint8)
     _check(_lib.sample_groups(*args, out))
     return out
 
 
-def sample_keys(seed, n_groups, group_size, cum_weights, cum_components, table, start=0):
+def sample_keys(seed, n_groups, group_size, thresholds, table, start=0):
     """See _kernels_np.sample_keys: one pass that keys each group as it
     draws it, with no (n_groups, group_size) array."""
-    args, d = _draw_args(seed, n_groups, group_size, cum_weights, cum_components, start)
+    args, d = _draw_args(seed, n_groups, group_size, thresholds, start)
     # every key is below (k+1)**d, so a table of that many cells holds it
     check_table(table, group_size, d)
     _check(_lib.sample_keys(*args, (group_size + 1) ** np.arange(d, dtype=np.int64), table))

@@ -3,30 +3,73 @@
 sample_groups and sample_keys are the fallback used when the compiled
 kernels of _kernels.py cannot be built or loaded.  Both backends
 implement the same contract: the counter scheme documented in rng.py and
-inverse-CDF search on caller-provided cumulative arrays, producing
-bit-identical output.  group_keys is the one tally-key encoder, used on
-either backend.
+an inverse-CDF pick by the integer thresholds of draw_thresholds,
+producing bit-identical output.  draw_thresholds, the one definition of
+that pick, and group_keys, the one tally-key encoder, are used on either
+backend.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .rng import _INV_2_53, COUNTER_MULT, GOLD, MASK, MIX_A, MIX_B, STREAM_MULT, mix64
+from .rng import COUNTER_MULT, GOLD, MASK, STREAM_MULT, mix64, mix64_into
 
 _U64 = np.uint64
 
 
-def sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start=0):
+def draw_thresholds(cum_weights, cum_components):
+    """The integer thresholds both backends draw with.
+
+    Returns the int64 thresholds t(c) of the first min(m, n_comp - 1)
+    of the m cumulative weights, and the (n_comp, d - 1) thresholds of
+    the first d - 1 cumulative masses of each row of the (n_comp, d)
+    cum_components.  A group draws a 64-bit word w, and x = w >> 11
+    picks the component, then each category, by counting the thresholds
+    of its row that x reaches (x >= t).  Neither count can exceed the
+    number of thresholds, so it needs no clip.
+
+    That count is the inverse-CDF pick searchsorted(side="right") of
+    u = rng.to_unit(w) on the cumulative masses, clipped to the last
+    entry, because u >= c holds exactly when x >= t(c), for
+
+      t(c) = 0                for c <= 0, -0.0 and -inf included;
+      t(c) = ceil(c * 2**53)  for 0 < c < 1;
+      t(c) = 2**53            for c >= 1, +inf and NaN, which no x reaches.
+
+    The uniform u = x * 2**-53 is exact, since x < 2**53, so u >= c
+    exactly when x >= c * 2**53, the scaling by a power of two being
+    exact too (subnormal c included), and for an integer x that holds
+    exactly when x >= ceil(c * 2**53).  With c >= 1 no u < 1 reaches c,
+    and NaN compares false, as searchsorted, which sorts NaN last, also
+    treats it.  t is nondecreasing, so nondecreasing rows, the contract
+    of the cumulative arrays, give nondecreasing threshold rows.
+
+    Raises ValueError unless cum_weights is 1-D and cum_components 2-D
+    and nonempty.
+    """
+    cum_weights = np.asarray(cum_weights, dtype=np.float64)
+    cum_components = np.asarray(cum_components, dtype=np.float64)
+    if cum_weights.ndim != 1 or cum_components.ndim != 2 or 0 in cum_components.shape:
+        raise ValueError("expected (m,) cumulative weights and nonempty (m, d) cumulative components")
+    return _threshold(cum_weights[: len(cum_components) - 1]), _threshold(cum_components[:, :-1])
+
+
+def _threshold(c):
+    """t(c) of draw_thresholds, elementwise."""
+    scaled = np.ceil(np.clip(c, 0.0, 1.0) * 2.0**53)  # clipped first, so nothing overflows
+    return np.where(c < 1.0, scaled, 2.0**53).astype(np.int64)  # NaN fails c < 1
+
+
+def sample_groups(seed, n_groups, group_size, thresholds, start=0):
     """Draw category codes for n_groups groups.
 
     Parameters
     ----------
     seed : int
         Subsystem seed (already tag-derived by the caller).
-    cum_weights : (m,) float64
-        Cumulative mixture weights.
-    cum_components : (m, d) float64
-        Cumulative category masses per component, rows nondecreasing.
+    thresholds : (weight thresholds, component thresholds)
+        draw_thresholds of the cumulative weights and the cumulative
+        category masses per component, rows nondecreasing.
     start : int
         Index of the first group; group g uses stream ``start + g`` so a
         dataset may be produced in blocks without changing the result.
@@ -35,51 +78,34 @@ def sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start
     -------
     (n_groups, group_size) uint8 array of 0-based category codes.
     """
-    cum_weights = np.asarray(cum_weights, dtype=np.float64)
-    cum_components = np.asarray(cum_components, dtype=np.float64)
-    n_comp, d = cum_components.shape
-    # Three buffers of n_groups words serve every counter: the words, a
-    # scratch buffer that ends each counter holding the uniforms, and the
-    # categories.  Fresh temporaries per column are paged in anew whenever
-    # the allocator has handed the last ones back.
-    words, scratch, cats = (np.empty(n_groups, dtype=t) for t in (np.uint64, np.uint64, np.int64))
+    weight_t, comp_t = thresholds
+    # Two buffers of n_groups words serve every counter: the words and
+    # a scratch buffer.  Fresh temporaries per column are paged in anew
+    # whenever the allocator has handed the last ones back.
+    words, scratch = np.empty(n_groups, dtype=np.uint64), np.empty(n_groups, dtype=np.uint64)
     bases = np.arange(n_groups, dtype=np.uint64)
     bases += _U64(int(start) & MASK)  # stream numbers wrap modulo 2**64, as the compiled kernels' do
     bases *= _U64(STREAM_MULT)
     bases ^= _U64(mix64((int(seed) + GOLD) & MASK))
-    _mix64_into(bases, scratch)
+    mix64_into(bases, scratch)
 
-    def uniforms(counter):
-        """to_unit of every group's word at counter, in scratch."""
+    def draws(counter):
+        """x = w >> 11 of every group's word w at counter, in words."""
         np.bitwise_xor(bases, _U64((counter * COUNTER_MULT) & MASK), out=words)
-        _mix64_into(words, scratch)
-        # x = w >> 11 < 2**53 converts exactly, and scaling by 2**-53 rounds nothing
+        mix64_into(words, scratch)
         np.right_shift(words, _U64(11), out=words)
-        return np.multiply(words, _INV_2_53, out=scratch.view(np.float64))
+        return words.view(np.int64)  # below 2**53, so compared as the int64 thresholds are
 
-    comp = np.searchsorted(cum_weights, uniforms(0), side="right")  # counter 0: component pick
-    np.minimum(comp, n_comp - 1, out=comp)
+    comp = np.searchsorted(weight_t, draws(0), side="right")  # counter 0: component pick
 
     # A group keeps its component for all its draws, so split once.
-    members = [np.flatnonzero(comp == c) for c in range(n_comp)]
+    members = [np.flatnonzero(comp == c) for c in range(len(comp_t))]
     out = np.empty((n_groups, group_size), dtype=np.uint8)
     for j in range(group_size):
-        u = uniforms(j + 1)
-        for c, idx in enumerate(members):
-            cats[idx] = np.searchsorted(cum_components[c], u[idx], side="right")
-        np.minimum(cats, d - 1, out=cats)
-        out[:, j] = cats
+        x = draws(j + 1)
+        for row, idx in zip(comp_t, members):
+            out[idx, j] = np.searchsorted(row, x[idx], side="right")
     return out
-
-
-def _mix64_into(z, scratch):
-    """rng._mix64_array(z), computed in z, with scratch as the one temporary."""
-    for shift, mult in ((30, MIX_A), (27, MIX_B)):
-        np.right_shift(z, _U64(shift), out=scratch)
-        np.bitwise_xor(z, scratch, out=z)
-        np.multiply(z, _U64(mult), out=z)
-    np.right_shift(z, _U64(31), out=scratch)
-    np.bitwise_xor(z, scratch, out=z)
 
 
 def group_keys(groups, d):
@@ -105,16 +131,15 @@ def group_keys(groups, d):
     return keys
 
 
-def sample_keys(seed, n_groups, group_size, cum_weights, cum_components, table, start=0):
+def sample_keys(seed, n_groups, group_size, thresholds, table, start=0):
     """Count the groups sample_groups draws by their group_keys key: each
     adds one to table[key], and table is returned.  table must be a
     writeable, aligned C-contiguous int64 array of exactly
     (group_size+1)**d cells, which holds every key.
     """
-    cum_components = np.asarray(cum_components, dtype=np.float64)
-    d = cum_components.shape[-1]
+    d = thresholds[1].shape[1] + 1
     check_table(table, group_size, d)
-    keys = group_keys(sample_groups(seed, n_groups, group_size, cum_weights, cum_components, start), d)
+    keys = group_keys(sample_groups(seed, n_groups, group_size, thresholds, start), d)
     table += np.bincount(keys, minlength=len(table))
     return table
 

@@ -151,12 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a library error ends it with a one-line message."""
+    """Run one subcommand and return its exit status.  A library error
+    prints a one-line message to stderr and returns 2, argparse's status
+    for bad usage, which no subcommand returns otherwise."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, RecoveryError, ValueError) as exc:
-        raise SystemExit(f"specmix {args.command}: {exc}") from exc
+        print(f"specmix {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,19 +7,16 @@ environment variable SPECMIX_FORCE_NUMPY=1 before import to force the
 fallback (the forced-backend test does).  Both backends are
 bit-identical, so the choice only affects speed.
 
-sample_keys draws groups and counts each in a dense table at its tally
-key, the key group_keys(sample_groups(...)) would give it.  The compiled
-kernel does this in one pass per chunk of 64 groups, without the
-(n_groups, group_size) array, and sums each key from the comparisons
-with its group's thresholds, with no table read per draw (see the header
-of _kernels.c); the numpy fallback runs the two kernels.
-
-group_keys is the numpy encoder on both backends, because a compiled one
-saved under 1% of any benchmark replicate.  Encoding the 2e5 groups
-(d=6, k=7) of moment-d6m4 in 65,536-row blocks took 4.8-5.2 ms in numpy
-against 1.8-1.9 ms compiled, of a 0.44 s replicate; the 4e4 groups
-(d=12, k=5) of spectral-d12m3 took 0.59 against 0.32-0.39 ms, of 0.89 s
-(best of 9, 2 cores).
+draw_thresholds turns cumulative weights and component masses into the
+integer thresholds both samplers take, so a draw computes them once and
+hands them to every block.  sample_keys draws groups and counts each in
+a dense table at its tally key, the key group_keys(sample_groups(...))
+would give it.  The compiled kernel does this in one pass per chunk of
+64 groups, without the (n_groups, group_size) array, and sums each key
+from the comparisons with its group's thresholds, with no table read per
+draw (see the header of _kernels.c); the numpy fallback runs the two
+kernels.  group_keys, the one tally-key encoder, is numpy on both
+backends.
 """
 from __future__ import annotations
 
@@ -41,4 +38,5 @@ else:
 
 sample_groups = _impl.sample_groups
 sample_keys = _impl.sample_keys
+draw_thresholds = _kernels_np.draw_thresholds
 group_keys = _kernels_np.group_keys

@@ -218,14 +218,22 @@ def _weight_residual(e: np.ndarray, comp: np.ndarray, weights: np.ndarray, r: in
     return float(np.linalg.norm((e - fit).ravel()))
 
 
-def _check_fits(d: int, order: int) -> None:
-    """MemoryError if d^order float64s exceed physical memory (unchecked without os.sysconf)."""
+def _check_fits(d: int, order: int, copies: int) -> None:
+    """MemoryError if copies dense arrays of d^order float64s exceed
+    physical memory (unchecked without os.sysconf).
+
+    copies is what the stage that needs such an array holds at once:
+    its peak RSS above the level before the call, in units of 8 d^order
+    bytes, measured at d^order from 1.7e6 to 3.7e6 (Linux x86-64, numpy
+    with OpenBLAS) and rounded up.
+    """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    if 0 < physical < 8 * d**order:
-        raise MemoryError(f"a dense {d}^{order} array needs {8 * d**order} bytes; physical memory is {physical}")
+    need = copies * 8 * d**order
+    if 0 < physical < need:
+        raise MemoryError(f"{copies} dense {d}^{order} arrays need {need} bytes; physical memory is {physical}")
 
 
 def _check_scale(b: np.ndarray, order: int, dominating) -> None:
@@ -356,7 +364,8 @@ def recover_full(
         if b is not None:
             _check_scale(b, 2 * m - 1, config.dominating)
         if m > 1:
-            _check_fits(data.d, 2 * m)  # the d^m x d^m operator
+            # the d^m x d^m operator, T, the moment and eigh's copy, workspace and eigenvectors: 5.2-5.4 copies
+            _check_fits(data.d, 2 * m, 6)
     if m > 1 and isinstance(data, MixtureSpec):
         with _stage("dominating-measure check"):
             _check_norms(data, xi)
@@ -392,7 +401,7 @@ def li_recover_4(
             _check_norms(data, None)
         data = moment_source(data, 4 if m > 1 else 1)
         if m > 1:
-            _check_fits(data.d, 4)  # the d^2 x d^2 operator
+            _check_fits(data.d, 4, 7)  # the d^2 x d^2 operator, its terms and eigh's arrays: 6.1-6.3 copies
     return _run_stages(
         data,
         config,
@@ -423,5 +432,5 @@ def estimate_num_components(
         if not 0.0 <= rel_tol < 1.0:  # NaN fails every comparison
             raise ValueError(f"rel_tol must be a finite number in [0, 1), got {rel_tol}")
         data = moment_source(data, 2 * n)
-        _check_fits(data.d, 2 * n)
+        _check_fits(data.d, 2 * n, 4)  # the moment, its unfolding and the SVD's copy and workspace: 3.1-3.2 copies
     return numerical_rank(unfold(moment(data, 2 * n), n), rel_tol)

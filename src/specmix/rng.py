@@ -79,12 +79,21 @@ def stream_base(seed: int, stream: int) -> int:
     return mix64(mix64((seed + GOLD) & MASK) ^ ((stream * STREAM_MULT) & MASK))
 
 
+def mix64_into(z: np.ndarray, scratch: np.ndarray) -> None:
+    """mix64 of every entry of the uint64 array z, computed in z, with
+    scratch, a uint64 array of z's shape, as the one temporary."""
+    for shift, mult in ((30, MIX_A), (27, MIX_B)):
+        np.right_shift(z, _U64(shift), out=scratch)
+        np.bitwise_xor(z, scratch, out=z)
+        np.multiply(z, _U64(mult), out=z)
+    np.right_shift(z, _U64(31), out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
+
+
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> _U64(30))
-    z = z * _U64(MIX_A)
-    z = z ^ (z >> _U64(27))
-    z = z * _U64(MIX_B)
-    return z ^ (z >> _U64(31))
+    z = np.array(z, dtype=np.uint64)
+    mix64_into(z, np.empty_like(z))
+    return z
 
 
 def words(seed: int, stream: int, counters: np.ndarray) -> np.ndarray:

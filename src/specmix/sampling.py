@@ -117,21 +117,24 @@ def _check_sizes(mix: MixtureSpec, group_size: int, n_groups: int) -> None:
         raise ValueError("more than 255 categories not supported by the sampler")
 
 
+def _thresholds(mix: MixtureSpec) -> tuple:
+    """kernels.draw_thresholds of mix, which every block of a draw shares."""
+    return kernels.draw_thresholds(np.cumsum(mix.weights), np.cumsum(mix.components, axis=1))
+
+
 def _draw_blocks(
-    kernel, mix: MixtureSpec, group_size: int, n_groups: int, seed: int, starts: range, **kwargs
+    kernel, thresholds: tuple, group_size: int, n_groups: int, seed: int, starts: range, **kwargs
 ) -> Iterator[np.ndarray]:
     """kernel's output for the groups in the DRAW_BLOCK-group blocks
     starting at starts, a run of range(0, n_groups, DRAW_BLOCK), where
-    kernel is kernels.sample_groups or kernels.sample_keys.  Group g draws
-    from its own counter-derived stream in any block, so the blocks
-    stacked are the output of one kernel call; small blocks stay in cache.
-    The caller has checked the sizes."""
+    kernel is kernels.sample_groups or kernels.sample_keys and thresholds
+    come from _thresholds.  Group g draws from its own counter-derived
+    stream in any block, so the blocks stacked are the output of one
+    kernel call; small blocks stay in cache.  The caller has checked the
+    sizes."""
     sub_seed = rng.derive_seed(seed, rng.TAG_GROUPS)
-    cum_weights, cum_components = np.cumsum(mix.weights), np.cumsum(mix.components, axis=1)
     return (
-        kernel(
-            sub_seed, min(DRAW_BLOCK, n_groups - lo), group_size, cum_weights, cum_components, start=lo, **kwargs
-        )
+        kernel(sub_seed, min(DRAW_BLOCK, n_groups - lo), group_size, thresholds, start=lo, **kwargs)
         for lo in starts
     )
 
@@ -146,7 +149,8 @@ def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> 
     _check_sizes(mix, group_size, n_groups)
     groups = np.empty((n_groups, group_size), dtype=np.uint8)
     starts = range(0, n_groups, DRAW_BLOCK)
-    for lo, block in zip(starts, _draw_blocks(kernels.sample_groups, mix, group_size, n_groups, seed, starts)):
+    blocks = _draw_blocks(kernels.sample_groups, _thresholds(mix), group_size, n_groups, seed, starts)
+    for lo, block in zip(starts, blocks):
         groups[lo : lo + len(block)] = block
     groups.flags.writeable = False
     return GroupedDataset(mix.d, groups)
@@ -169,14 +173,15 @@ def draw_tally(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> G
     d, k = mix.d, group_size
     cells = (k + 1) ** d
     starts = range(0, n_groups, DRAW_BLOCK)
+    thresholds = _thresholds(mix)
     if cells > DRAW_BLOCK:
-        return _tally_blocks(d, k, _draw_blocks(kernels.sample_groups, mix, k, n_groups, seed, starts))
-    table = _count_keys(mix, k, n_groups, seed, starts, cells)
+        return _tally_blocks(d, k, _draw_blocks(kernels.sample_groups, thresholds, k, n_groups, seed, starts))
+    table = _count_keys(thresholds, k, n_groups, seed, starts, cells)
     keys = np.flatnonzero(table)
     return GroupTallyHistogram(d, k, _from_keys(d, k, keys, table[keys]))
 
 
-def _count_keys(mix: MixtureSpec, k: int, n_groups: int, seed: int, starts: range, cells: int) -> np.ndarray:
+def _count_keys(thresholds: tuple, k: int, n_groups: int, seed: int, starts: range, cells: int) -> np.ndarray:
     """The table of kernels.sample_keys over all the blocks at starts.
 
     Each worker counts a contiguous run of whole blocks into its own
@@ -192,7 +197,7 @@ def _count_keys(mix: MixtureSpec, k: int, n_groups: int, seed: int, starts: rang
 
     def count(i: int) -> None:
         try:
-            for _ in _draw_blocks(kernels.sample_keys, mix, k, n_groups, seed, runs[i], table=tables[i]):
+            for _ in _draw_blocks(kernels.sample_keys, thresholds, k, n_groups, seed, runs[i], table=tables[i]):
                 pass  # each block counts its groups into tables[i]
         except BaseException as exc:  # raised again in the calling thread
             errors[i] = exc

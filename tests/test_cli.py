@@ -26,6 +26,16 @@ def run_cli(args):
     return cli.main(args)
 
 
+def run_failing(capsys, args, pattern):
+    """stdout of run_cli(args), which must exit with status 2 and print
+    one stderr line that pattern matches (re.search)."""
+    status = run_cli(args)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err.count("\n") == 1 and re.search(pattern, captured.err.rstrip("\n")), captured.err
+    return captured.out
+
+
 class TestRecoverCommand:
     def test_stdout_json(self, data_file, capsys):
         code = run_cli(
@@ -51,11 +61,9 @@ class TestRecoverCommand:
         assert info.value.code == 2
         assert "unrecognized arguments: --group-size 5" in capsys.readouterr().err
 
-    def test_library_error_exits_with_one_line(self, data_file):
-        with pytest.raises(SystemExit, match="group size 5 < required 7"):
-            run_cli(["recover", "--data", data_file, "--m", "4"])
-        with pytest.raises(SystemExit, match="descriptor"):
-            run_cli(["recover", "--data", data_file, "--m", "2", "--dominating", "bogus"])
+    def test_library_error_exits_with_one_line(self, data_file, capsys):
+        run_failing(capsys, ["recover", "--data", data_file, "--m", "4"], "group size 5 < required 7")
+        run_failing(capsys, ["recover", "--data", data_file, "--m", "2", "--dominating", "bogus"], "descriptor")
 
     def test_stdin(self, blend_mix, capsys, monkeypatch):
         ds = sp.draw_groups(blend_mix, 5, 500, seed=1)
@@ -103,10 +111,9 @@ class TestExperimentCommand:
         assert captured.out == ""
         assert out.read_text().startswith("scheme,")
 
-    def test_missing_config_exits_with_one_line(self, tmp_path):
+    def test_missing_config_exits_with_one_line(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
-        with pytest.raises(SystemExit, match="^specmix experiment: .*missing.json"):
-            run_cli(["experiment", "--config", missing])
+        run_failing(capsys, ["experiment", "--config", missing], "^specmix experiment: .*missing.json")
 
     @staticmethod
     def _edit(config_file, **changes):
@@ -118,17 +125,16 @@ class TestExperimentCommand:
                 cfg[key] = value
         Path(config_file).write_text(json.dumps(cfg))
 
-    def test_missing_key_exits_with_one_line(self, config_file):
+    def test_missing_key_exits_with_one_line(self, config_file, capsys):
         self._edit(config_file, group_size=None)
-        with pytest.raises(SystemExit, match="^specmix experiment: .* no 'group_size' key"):
-            run_cli(["experiment", "--config", config_file])
+        run_failing(capsys, ["experiment", "--config", config_file], "^specmix experiment: .* no 'group_size' key")
 
-    def test_unknown_recovery_key_exits_with_one_line(self, config_file):
+    def test_unknown_recovery_key_exits_with_one_line(self, config_file, capsys):
         self._edit(config_file, recovery={"m": 1, "bogus": 2})
-        with pytest.raises(SystemExit, match="^specmix experiment: unknown recovery key 'bogus'"):
-            run_cli(["experiment", "--config", config_file])
+        run_failing(capsys, ["experiment", "--config", config_file],
+            "^specmix experiment: unknown recovery key 'bogus'")
 
-    def test_malformed_setting_exits_with_one_line(self, config_file, tmp_path):
+    def test_malformed_setting_exits_with_one_line(self, config_file, tmp_path, capsys):
         # checked when the config is built, so no replicate runs and no report is written
         out = tmp_path / "report.json"
         cases = [
@@ -151,14 +157,14 @@ class TestExperimentCommand:
         ]
         for changes, message in cases:
             self._edit(config_file, **changes)
-            with pytest.raises(SystemExit, match=f"^specmix experiment: {message}[^\n]*$"):
-                run_cli(["experiment", "--config", config_file, "--out", str(out)])
+            run_failing(capsys, ["experiment", "--config", config_file, "--out", str(out)],
+                f"^specmix experiment: {message}[^\n]*$")
             assert not out.exists()
 
-    def test_unknown_key_exits_with_one_line(self, config_file):
+    def test_unknown_key_exits_with_one_line(self, config_file, capsys):
         self._edit(config_file, n_group=5)
-        with pytest.raises(SystemExit, match="^specmix experiment: unknown experiment config key 'n_group'$"):
-            run_cli(["experiment", "--config", config_file])
+        run_failing(capsys, ["experiment", "--config", config_file],
+            "^specmix experiment: unknown experiment config key 'n_group'$")
 
 
 class TestCounterexampleCommand:
@@ -186,9 +192,8 @@ class TestCounterexampleCommand:
         assert_allclose(obj["epsilons"], [0.05, 0.35, 0.6, 0.92])
 
     def test_zero_components_exits_with_one_line(self, capsys):
-        with pytest.raises(SystemExit, match="^specmix counterexample: need at least 3"):
-            run_cli(["counterexample", "--m", "0", "--kind", "identifiability"])
-        assert capsys.readouterr().out == ""
+        assert run_failing(capsys, ["counterexample", "--m", "0", "--kind", "identifiability"],
+            "^specmix counterexample: need at least 3") == ""
 
 
 class TestMultinomialCheckCommand:
@@ -224,9 +229,8 @@ class TestMultinomialCheckCommand:
     def test_bad_tol_exits_with_one_line(self, tmp_path, tol, capsys):
         a = tmp_path / "a.json"
         self._write_mix(a, 2, [(1.0, [0.5, 0.5])])
-        with pytest.raises(SystemExit, match=r"^specmix multinomial-check: tol must be a finite number >= 0, got (-1.0|nan)$"):
-            run_cli(["multinomial-check", "--a", str(a), "--b", str(a), "--tol", tol])
-        assert capsys.readouterr().out == ""
+        assert run_failing(capsys, ["multinomial-check", "--a", str(a), "--b", str(a), "--tol", tol],
+            r"^specmix multinomial-check: tol must be a finite number >= 0, got (-1.0|nan)$") == ""
 
     @pytest.mark.parametrize(
         "left, right, message",
@@ -243,9 +247,8 @@ class TestMultinomialCheckCommand:
         self._write_mix(a, 2, left)
         self._write_mix(b, 2, left if right is None else right)
         for x, y in [(a, b), (b, a)]:
-            with pytest.raises(SystemExit, match=rf"^specmix multinomial-check: .*\.json: {message}$"):
-                run_cli(["multinomial-check", "--a", str(x), "--b", str(y)])
-        assert capsys.readouterr().out == ""
+            assert run_failing(capsys, ["multinomial-check", "--a", str(x), "--b", str(y)],
+                rf"^specmix multinomial-check: .*\.json: {message}$") == ""
 
     @pytest.mark.parametrize(
         "n, weight, message",
@@ -260,9 +263,8 @@ class TestMultinomialCheckCommand:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         self._write_mix(a, n, [(weight, [0.5, 0.5])])
         self._write_mix(b, 2, [(1.0, [0.5, 0.5])])
-        with pytest.raises(SystemExit, match=f"^specmix multinomial-check: {message}$"):
-            run_cli(["multinomial-check", "--a", str(a), "--b", str(b)])
-        assert capsys.readouterr().out == ""
+        assert run_failing(capsys, ["multinomial-check", "--a", str(a), "--b", str(b)],
+            f"^specmix multinomial-check: {message}$") == ""
 
     @pytest.mark.parametrize("p, entry", [([True, False], "True"), (["0.5", "0.5"], "'0.5'")])
     def test_uncoerced_probabilities_exit_with_one_line(self, tmp_path, p, entry, capsys):
@@ -270,26 +272,24 @@ class TestMultinomialCheckCommand:
         self._write_mix(a, 2, [(1.0, p)])
         self._write_mix(b, 2, [(1.0, [0.5, 0.5])])
         message = f".*a.json: probability vector entry 0 is {entry}, not a real number"
-        with pytest.raises(SystemExit, match=f"^specmix multinomial-check: {message}$"):
-            run_cli(["multinomial-check", "--a", str(a), "--b", str(b)])
-        assert capsys.readouterr().out == ""
+        assert run_failing(capsys, ["multinomial-check", "--a", str(a), "--b", str(b)],
+            f"^specmix multinomial-check: {message}$") == ""
 
-    def test_missing_file_exits_with_one_line(self, tmp_path):
+    def test_missing_file_exits_with_one_line(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         self._write_mix(a, 2, [(1.0, [0.5, 0.5])])
         missing = str(tmp_path / "missing.json")
-        with pytest.raises(SystemExit, match="^specmix multinomial-check: .*missing.json"):
-            run_cli(["multinomial-check", "--a", str(a), "--b", missing])
+        run_failing(capsys, ["multinomial-check", "--a", str(a), "--b", missing],
+            "^specmix multinomial-check: .*missing.json")
 
-    def test_missing_key_exits_with_one_line(self, tmp_path):
+    def test_missing_key_exits_with_one_line(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         self._write_mix(a, 2, [(1.0, [0.5, 0.5])])
         b.write_text(json.dumps({"n": 2, "components": [{"weight": 1.0, "p": [0.5, 0.5]}]}))
-        with pytest.raises(SystemExit, match="^specmix multinomial-check: .*b.json has no 'q' key"):
-            run_cli(["multinomial-check", "--a", str(a), "--b", str(b)])
+        run_failing(capsys, ["multinomial-check", "--a", str(a), "--b", str(b)],
+            "^specmix multinomial-check: .*b.json has no 'q' key")
         b.write_text(json.dumps({"n": 2, "q": 2, "components": [{"p": [0.5, 0.5]}]}))
-        with pytest.raises(SystemExit, match="no 'weight' key"):
-            run_cli(["multinomial-check", "--a", str(a), "--b", str(b)])
+        run_failing(capsys, ["multinomial-check", "--a", str(a), "--b", str(b)], "no 'weight' key")
 
 
 class TestRankCommand:
@@ -299,14 +299,11 @@ class TestRankCommand:
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_bad_tol_exits_with_one_line(self, data_file, tol, capsys):
-        with pytest.raises(SystemExit, match=r"^specmix rank: stage 'setup' failed: rel_tol must be a finite number in \[0, 1\), got (-1.0|nan)$"):
-            run_cli(["rank", "--data", data_file, "--power", "2", "--tol", tol])
-        assert capsys.readouterr().out == ""
+        assert run_failing(capsys, ["rank", "--data", data_file, "--power", "2", "--tol", tol],
+            r"^specmix rank: stage 'setup' failed: rel_tol must be a finite number in \[0, 1\), got (-1.0|nan)$") == ""
 
     def test_names_group_size_when_power_too_high(self, data_file, capsys):
-        with pytest.raises(SystemExit, match="group size 5 < required 6"):
-            run_cli(["rank", "--data", data_file, "--power", "3"])
-        assert capsys.readouterr().out == ""
+        assert run_failing(capsys, ["rank", "--data", data_file, "--power", "3"], "group size 5 < required 6") == ""
 
 
 class TestBaselineCommand:
@@ -329,16 +326,15 @@ class TestBaselineCommand:
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
-    def test_missing_truth_exits_with_one_line(self, tmp_path):
+    def test_missing_truth_exits_with_one_line(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
-        with pytest.raises(SystemExit, match="^specmix baseline: .*missing.json"):
-            run_cli(["baseline", "--trials", "5", "--truth", missing])
+        run_failing(capsys, ["baseline", "--trials", "5", "--truth", missing], "^specmix baseline: .*missing.json")
 
-    def test_truth_without_components_exits_with_one_line(self, tmp_path):
+    def test_truth_without_components_exits_with_one_line(self, tmp_path, capsys):
         truth = tmp_path / "truth.json"
         truth.write_text(json.dumps({"weights": [0.5, 0.5]}))
-        with pytest.raises(SystemExit, match="^specmix baseline: mixture has no 'components' key"):
-            run_cli(["baseline", "--trials", "5", "--truth", str(truth)])
+        run_failing(capsys, ["baseline", "--trials", "5", "--truth", str(truth)],
+            "^specmix baseline: mixture has no 'components' key")
 
 
 def readme_command_lines() -> list:

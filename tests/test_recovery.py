@@ -384,10 +384,30 @@ class TestRecoverFull:
 
     @needs_memory_size
     def test_operator_too_large_for_memory_fails_at_setup(self):
-        # d=40, m=4: the 40^4 x 40^4 operator needs 8 * 40^8, about 5e13 bytes
+        # d=40, m=4: the 40^4 x 40^4 operator stage needs 6 * 8 * 40^8, about 3e14 bytes
         mix = random_mixture(np.random.default_rng(0), 4, 40)
-        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: a dense 40\^8 array needs 52428800000000 bytes; physical memory is \d+$"):
+        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: 6 dense 40\^8 arrays need 314572800000000 bytes; physical memory is \d+$"):
             recover_full(mix, RecoveryConfig(4))
+
+    @pytest.mark.parametrize(
+        "call, times",
+        [
+            (lambda mix: recover_full(mix, RecoveryConfig(2)), 1.5),
+            (lambda mix: recover_full(mix, RecoveryConfig(2)), 4.9),
+            (lambda mix: sp.li_recover_4(mix, 2), 1.5),
+            (lambda mix: sp.li_recover_4(mix, 2), 4.9),
+            (lambda mix: sp.estimate_num_components(mix, 2), 1.5),
+            (lambda mix: sp.estimate_num_components(mix, 2), 3.9),
+        ],
+        ids=["recover_full-1.5", "recover_full-4.9", "li_recover_4-1.5", "li_recover_4-4.9", "rank-1.5", "rank-3.9"],
+    )
+    def test_stage_footprint_checked_at_setup(self, indep_mix, monkeypatch, call, times):
+        # the d^2 x d^2 array of each call fits this memory more than once,
+        # but its stage holds more copies than that at once
+        physical = int(times * 8 * 3**4)
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical}.get)
+        with pytest.raises(RecoveryError, match=rf"^stage 'setup' failed: \d dense 3\^4 arrays need \d+ bytes; physical memory is {physical}$"):
+            call(indep_mix)
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("population", [True, False])
@@ -474,11 +494,11 @@ class TestLiRecover4:
 
     @needs_memory_size
     def test_operator_too_large_for_memory_fails_at_setup(self):
-        # d=1000: the 10^6 x 10^6 operator needs 8e12 bytes
+        # d=1000: the 10^6 x 10^6 operator stage needs 7 * 8e12 bytes
         spread = np.full(1000, 1e-3)
         peaked = np.r_[0.5, np.full(999, 0.5 / 999)]
         mix = sp.make_mixture([0.5, 0.5], [spread, peaked])
-        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: a dense 1000\^4 array needs 8000000000000 bytes"):
+        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: 7 dense 1000\^4 arrays need 56000000000000 bytes"):
             sp.li_recover_4(mix, 2)
 
 
@@ -523,7 +543,7 @@ class TestEstimateNumComponents:
     @needs_memory_size
     def test_moment_too_large_for_memory_fails_at_setup(self):
         mix = random_mixture(np.random.default_rng(0), 4, 40)
-        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: a dense 40\^8 array needs"):
+        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: 4 dense 40\^8 arrays need"):
             sp.estimate_num_components(mix, 4)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from specmix import _kernels_np, kernels, rng
+from specmix._kernels_np import draw_thresholds
 from specmix.sampling import DRAW_BLOCK
 
 
@@ -171,7 +172,7 @@ class TestNumpySampler:
     @example(m=3, d=4, k=5, n=2000, start=2**40, seed=1, zero_weight=True, mix_seed=0)
     def test_matches_reference(self, m, d, k, n, start, seed, zero_weight, mix_seed):
         cw, cc = cumulative_mixture(m, d, zero_weight, mix_seed)
-        got = _kernels_np.sample_groups(seed, n, k, cw, cc, start=start)
+        got = _kernels_np.sample_groups(seed, n, k, draw_thresholds(cw, cc), start=start)
         want = reference_sample_groups(seed, n, k, cw, cc, start=start)
         assert got.dtype == want.dtype == np.uint8
         assert_array_equal(got, want)
@@ -187,7 +188,7 @@ class TestCompiledSampler:
     def test_matches_reference(self, m, d, k, n, start, seed, zero_weight, mix_seed):
         compiled = pytest.importorskip("specmix._kernels")
         cw, cc = cumulative_mixture(m, d, zero_weight, mix_seed)
-        got = compiled.sample_groups(seed, n, k, cw, cc, start=start)
+        got = compiled.sample_groups(seed, n, k, draw_thresholds(cw, cc), start=start)
         want = reference_sample_groups(seed, n, k, cw, cc, start=start)
         assert got.dtype == want.dtype == np.uint8
         assert_array_equal(got, want)
@@ -221,12 +222,12 @@ class TestSampleKeys:
         # counts add to what the table holds, in one call or in two blocks
         before = np.arange(cells, dtype=np.int64)
         table = before.copy()
-        assert impl.sample_keys(seed, n, k, cw, cc, table, start=start) is table
+        assert impl.sample_keys(seed, n, k, draw_thresholds(cw, cc), table, start=start) is table
         assert table.dtype == np.int64
         assert_array_equal(table, before + want)
         cut = n // 3
-        impl.sample_keys(seed, cut, k, cw, cc, table, start=start)
-        impl.sample_keys(seed, n - cut, k, cw, cc, table, start=start + cut)
+        impl.sample_keys(seed, cut, k, draw_thresholds(cw, cc), table, start=start)
+        impl.sample_keys(seed, n - cut, k, draw_thresholds(cw, cc), table, start=start + cut)
         assert_array_equal(table, before + 2 * want)
 
     @staticmethod
@@ -261,7 +262,7 @@ class TestSampleKeys:
         cw, cc = np.cumsum([0.5, 0.5]), np.cumsum([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]], axis=1)
         table = make_table()
         with pytest.raises(ValueError, match="table"):
-            impl.sample_keys(0, 100, 2, cw, cc, table)
+            impl.sample_keys(0, 100, 2, draw_thresholds(cw, cc), table)
         assert not np.any(table)
 
     def test_rejects_negative_sizes(self, name):
@@ -269,9 +270,9 @@ class TestSampleKeys:
         impl = backend(name)
         cw, cc = np.cumsum([1.0]), np.cumsum([[0.5, 0.5]], axis=1)
         with pytest.raises(ValueError):
-            impl.sample_keys(0, 5, -1, cw, cc, np.zeros(0, dtype=np.int64))
+            impl.sample_keys(0, 5, -1, draw_thresholds(cw, cc), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            impl.sample_keys(0, -5, 2, cw, cc, np.zeros(9, dtype=np.int64))
+            impl.sample_keys(0, -5, 2, draw_thresholds(cw, cc), np.zeros(9, dtype=np.int64))
 
 
 # How a cumulative mass sits against the uniforms the groups draw: on one
@@ -330,6 +331,55 @@ def edge_cases(draw):
     return seed, n, k, start, cum_weights, cum_components
 
 
+SPECIAL_MASSES = (0.0, -0.0, 5e-324, float(np.nextafter(1.0, 0.0)), 1.0, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def masses_and_words(draw):
+    """Masses, the special ones among them, and words whose x = w >> 11
+    sits on, or next to, some mass scaled by 2**53, besides random ones."""
+    masses = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_MASSES), st.floats(-0.5, 1.5), st.floats()), min_size=1, max_size=12))
+    words = draw(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    for c in masses:
+        if 0.0 <= c < 1.0:
+            x = int(c * 2.0**53)  # floor: the scaling is exact
+            for near in (x - 1, x, x + 1):
+                if 0 <= near < 2**53:
+                    words.append(near << 11 | draw(st.integers(0, 2**11 - 1)))
+    return np.array(masses), np.array(words, dtype=np.uint64)
+
+
+class TestDrawThresholds:
+    """draw_thresholds against the float rule it replaces: a word w
+    reaches t(c) exactly when rng.to_unit(w) >= c."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=masses_and_words())
+    @example(case=(np.array(SPECIAL_MASSES), np.array([0, 1 << 11, 2**64 - 1, (2**53 - 1) << 11], dtype=np.uint64)))
+    def test_matches_float_rule(self, case):
+        c, w = case
+        # every mass as a weight threshold, and as each component's category thresholds
+        weight_t, comp_t = draw_thresholds(c, np.tile(np.append(c, 1.0), (len(c) + 1, 1)))
+        assert weight_t.dtype == comp_t.dtype == np.int64
+        assert_array_equal(weight_t, comp_t[0])
+        reached = (w >> np.uint64(11)).astype(np.int64)[:, None] >= comp_t[0][None, :]
+        assert_array_equal(reached, rng.to_unit(w)[:, None] >= c[None, :])
+
+    def test_keeps_the_first_n_comp_minus_1_weights(self):
+        weight_t, comp_t = draw_thresholds([0.5, 1.0, 1.0], [[0.25, 1.0], [1.0, 1.0]])
+        assert weight_t.tolist() == [2**52]
+        assert comp_t.tolist() == [[2**51], [2**53]]
+
+    @pytest.mark.parametrize(
+        "cum_weights, cum_components",
+        [([[1.0]], [[1.0]]), ([1.0], [1.0]), ([1.0], np.zeros((0, 2))), ([1.0], np.zeros((1, 0)))],
+        ids=["2-D weights", "1-D components", "no components", "no categories"],
+    )
+    def test_rejects_bad_shapes(self, cum_weights, cum_components):
+        with pytest.raises(ValueError, match="cumulative"):
+            draw_thresholds(cum_weights, cum_components)
+
+
 def chunk():
     """Groups per pass of the compiled kernels, read from their source."""
     import re
@@ -349,10 +399,10 @@ class TestExactThresholds:
         impl = backend(name)
         seed, n, k, start, cw, cc = case
         want = reference_sample_groups(seed, n, k, cw, cc, start=start)
-        assert_array_equal(impl.sample_groups(seed, n, k, cw, cc, start=start), want)
+        assert_array_equal(impl.sample_groups(seed, n, k, draw_thresholds(cw, cc), start=start), want)
         d = cc.shape[1]
         cells = (k + 1) ** d
-        table = impl.sample_keys(seed, n, k, cw, cc, np.zeros(cells, dtype=np.int64), start=start)
+        table = impl.sample_keys(seed, n, k, draw_thresholds(cw, cc), np.zeros(cells, dtype=np.int64), start=start)
         assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, d), minlength=cells))
 
     def test_ties_and_neighbours_on_every_draw(self, name):
@@ -365,7 +415,7 @@ class TestExactThresholds:
         cc = np.sort(np.concatenate([picks, np.nextafter(picks, 0.0), np.nextafter(picks, 1.0), [1.0]]))[None, :]
         cw = np.array([1.0])
         want = reference_sample_groups(seed, n, k, cw, cc, start=start)
-        got = impl.sample_groups(seed, n, k, cw, cc, start=start)
+        got = impl.sample_groups(seed, n, k, draw_thresholds(cw, cc), start=start)
         assert_array_equal(got, want)
         # the draws land on both sides of the ties, so no test passes vacuously
         assert len(np.unique(want)) > 10
@@ -384,8 +434,8 @@ class TestExactThresholds:
         want = reference_sample_groups(3, total, 5, cw, cc, start=start)
         lo, rows, table = 0, [], np.zeros(6**3, dtype=np.int64)
         for n in sizes:
-            rows.append(impl.sample_groups(3, n, 5, cw, cc, start=start + lo))
-            impl.sample_keys(3, n, 5, cw, cc, table, start=start + lo)
+            rows.append(impl.sample_groups(3, n, 5, draw_thresholds(cw, cc), start=start + lo))
+            impl.sample_keys(3, n, 5, draw_thresholds(cw, cc), table, start=start + lo)
             lo += n
         assert_array_equal(np.concatenate(rows), want)
         assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, 3), minlength=6**3))
@@ -407,8 +457,8 @@ class TestBackends:
             w = rs.dirichlet(np.ones(m))
             comp = rs.dirichlet(np.ones(d), size=m)
             cw, cc = np.cumsum(w), np.cumsum(comp, axis=1)
-            a = compiled.sample_groups(seed, 50, 6, cw, cc)
-            b = fallback.sample_groups(seed, 50, 6, cw, cc)
+            a = compiled.sample_groups(seed, 50, 6, draw_thresholds(cw, cc))
+            b = fallback.sample_groups(seed, 50, 6, draw_thresholds(cw, cc))
             assert a.dtype == np.uint8
             assert_array_equal(a, b)
 
@@ -416,9 +466,9 @@ class TestBackends:
         compiled, fallback = self._both()
         cw = np.cumsum([0.5, 0.5])
         cc = np.cumsum([[0.9, 0.1], [0.1, 0.9]], axis=1)
-        full = compiled.sample_groups(5, 10, 3, cw, cc)
-        assert_array_equal(compiled.sample_groups(5, 4, 3, cw, cc, start=6), full[6:])
-        assert_array_equal(fallback.sample_groups(5, 4, 3, cw, cc, start=6), full[6:])
+        full = compiled.sample_groups(5, 10, 3, draw_thresholds(cw, cc))
+        assert_array_equal(compiled.sample_groups(5, 4, 3, draw_thresholds(cw, cc), start=6), full[6:])
+        assert_array_equal(fallback.sample_groups(5, 4, 3, draw_thresholds(cw, cc), start=6), full[6:])
 
     def test_ties_go_right(self):
         # A uniform equal to a cumulative mass picks the next entry, as
@@ -429,7 +479,7 @@ class TestBackends:
         cw = np.array([u_comp, 1.0])
         cc = np.array([[1.0, 1.0, 1.0], [u_cat, 1.0, 1.0]])
         for impl in self._both():
-            assert impl.sample_groups(9, 1, 1, cw, cc).tolist() == [[1]]
+            assert impl.sample_groups(9, 1, 1, draw_thresholds(cw, cc)).tolist() == [[1]]
 
     def test_group_keys_encoding(self):
         groups = np.array([[0, 0, 1], [1, 0, 0], [2, 2, 2]], dtype=np.uint8)
@@ -548,8 +598,8 @@ class TestCompiledLoader:
             for seed, start, k, cw, cc in cases:
                 for n in (1, chunk() + 1, 5000):
                     table = np.zeros((k + 1) ** cc.shape[1], dtype=np.int64)
-                    got.append(compiled.sample_groups(seed, n, k, cw, cc, start=start))
-                    got.append(compiled.sample_keys(seed, n, k, cw, cc, table, start=start))
+                    got.append(compiled.sample_groups(seed, n, k, draw_thresholds(cw, cc), start=start))
+                    got.append(compiled.sample_keys(seed, n, k, draw_thresholds(cw, cc), table, start=start))
         cloned, stripped = got[: len(got) // 2], got[len(got) // 2 :]
         for a, b in zip(cloned, stripped):
             assert_array_equal(a, b)

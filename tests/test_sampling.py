@@ -137,7 +137,7 @@ class TestDrawTally:
         groups = sp.draw_groups(mix, k, n, seed=n).groups
         # draw_groups fills its rows block by block, as one kernel call would
         cum = np.cumsum(mix.weights), np.cumsum(mix.components, axis=1)
-        unblocked = kernels.sample_groups(rng.derive_seed(n, rng.TAG_GROUPS), n, k, *cum)
+        unblocked = kernels.sample_groups(rng.derive_seed(n, rng.TAG_GROUPS), n, k, kernels.draw_thresholds(*cum))
         assert groups.dtype == unblocked.dtype
         assert_array_equal(groups, unblocked)
         assert_same_histogram(got, sp.tally(sp.GroupedDataset(d, groups)))
@@ -221,6 +221,20 @@ class TestDrawTallyPaths:
         monkeypatch.undo()
         assert set(calls) == {kernel}
         assert_same_histogram(got, sp.tally(sp.draw_groups(mix, k, n, seed=k)))
+
+    # keyed blocks on two worker threads, rows tallied past a table, rows kept
+    @pytest.mark.parametrize("d, k, draw", [(3, 5, "draw_tally"), (17, 1, "draw_tally"), (3, 5, "draw_groups")])
+    def test_thresholds_computed_once_per_draw(self, d, k, draw, monkeypatch):
+        calls, draw_thresholds = [], kernels.draw_thresholds
+
+        def spy(*args):
+            calls.append(args)
+            return draw_thresholds(*args)
+
+        monkeypatch.setattr(kernels, "draw_thresholds", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        getattr(sampling, draw)(self.mixture(3, d, False, d), k, 3 * B + 17, seed=d)
+        assert len(calls) == 1
 
     # the benchmark's three workloads, mixtures built as its workloads.py
     # builds them, at 3 * 10^5 groups
