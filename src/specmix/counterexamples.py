@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .model import MixtureSpec, make_mixture, probability_vector
-from .tensors import _power_sum
+from .tensors import _orbit_sizes, _power_sum
 
 
 # build_pair's least ratio of the gap one order above eq_order to the gap at
@@ -35,6 +35,7 @@ SEPARATION = 5.0
 class MomentComparison(NamedTuple):
     max_abs_diff: float
     equal: bool
+    law_l1: float
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,8 @@ class CounterexamplePair:
                 "verification": {
                     "max_diff_at_eq_order": eq.max_abs_diff,
                     "max_diff_above_eq_order": ineq.max_abs_diff,
+                    "law_l1_at_eq_order": eq.law_l1,
+                    "law_l1_above_eq_order": ineq.law_l1,
                 },
             }
         )
@@ -160,11 +163,18 @@ def verify_moment_equality(
     p: MixtureSpec, p_prime: MixtureSpec, n: int, tol: float = 1e-9
 ) -> MomentComparison:
     """Max absolute entrywise gap between order-n population moments,
-    taken over their C(d+n-1, n) multiset values."""
+    taken over their C(d+n-1, n) multiset values, and the L1 distance
+    between the laws of the tallies of n draws from each mixture.
+
+    A tally beta of n draws has probability n(beta) q_beta, for q_beta
+    its multiset value and n(beta) its number of orderings, so the L1
+    distance is sum_beta n(beta) |q_beta - q'_beta| (twice the total
+    variation), the dense sum of |entry gaps| without the dense tensor.
+    """
     if p.d != p_prime.d:
         raise ValueError(f"dimension mismatch: {p.d} vs {p_prime.d}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     diff = _power_sum(p.weights, p.components, n) - _power_sum(p_prime.weights, p_prime.components, n)
     gap = float(np.abs(diff).max())
-    return MomentComparison(gap, gap <= tol)
+    return MomentComparison(gap, gap <= tol, float(np.abs(diff) @ _orbit_sizes(p.d, n)))

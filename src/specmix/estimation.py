@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import MixtureSpec, population_moment
 from .sampling import GroupedDataset, GroupTallyHistogram, tally
-from .tensors import _multisets, outer_power, unfold
+from .tensors import _multisets, outer_power
 
 # Nothing in the library reads this.  perfbench/workloads.py imports it to
 # label each workload with the moment path it took before every dataset
@@ -133,8 +133,9 @@ def build_c_hat(
 ) -> np.ndarray:
     """Second-moment operator of the transformed (m-1)-fold draws.
 
-    The order-(2m-2) moment under b, unfolded at split m-1 to a
-    d^{m-1} x d^{m-1} matrix and symmetrized; its expectation is the
+    The order-(2m-2) moment under b, read as its plain row-major
+    reshape to a d^{m-1} x d^{m-1} matrix (the transpose of its unfolding
+    at split m-1, with no copy) and symmetrized; its expectation is the
     Gram-weighted sum of (B p_i)^{(x)(m-1)} projectors, the operator the
     whitening step inverts.  data is any source that moment() reads.
     """
@@ -142,8 +143,7 @@ def build_c_hat(
         raise ValueError(f"component count must be >= 1, got {m}")
     if m == 1:
         return np.ones((1, 1))
-    tensor = moment(data, 2 * m - 2, b)
-    mat = unfold(tensor, m - 1)
+    mat = moment(data, 2 * m - 2, b).reshape(data.d ** (m - 1), -1)
     return 0.5 * (mat + mat.T)
 
 

@@ -44,7 +44,7 @@ from .model import (
     resolve_dominating,
 )
 from .sampling import GroupedDataset, GroupTallyHistogram
-from .tensors import eig_sqrt_pinv, numerical_rank, outer_power, sym_eig, unfold
+from .tensors import eig_sqrt_pinv, numerical_rank, outer_power, sym_eig
 
 
 class RecoveryError(RuntimeError):
@@ -418,7 +418,9 @@ def estimate_num_components(
     n: int,
     rel_tol: float = 1e-8,
 ) -> int:
-    """Numerical rank of the order-2n moment unfolded at split n.
+    """Numerical rank of the order-2n moment as a d^n x d^n matrix, read
+    as its plain row-major reshape.  The moment is symmetric, so the
+    reshape equals its unfolding at split n, with no copy.
 
     For population input this equals the number of components once the
     n-fold powers of the components are linearly independent (n at least
@@ -432,5 +434,5 @@ def estimate_num_components(
         if not 0.0 <= rel_tol < 1.0:  # NaN fails every comparison
             raise ValueError(f"rel_tol must be a finite number in [0, 1), got {rel_tol}")
         data = moment_source(data, 2 * n)
-        _check_fits(data.d, 2 * n, 4)  # the moment, its unfolding and the SVD's copy and workspace: 3.1-3.2 copies
-    return numerical_rank(unfold(moment(data, 2 * n), n), rel_tol)
+        _check_fits(data.d, 2 * n, 3)  # the moment and the SVD's copy and workspace: 2.2-2.5 copies
+    return numerical_rank(moment(data, 2 * n).reshape(data.d**n, -1), rel_tol)

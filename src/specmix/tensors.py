@@ -7,13 +7,17 @@ row-major layout.  ``unfold(t, s)`` views it as a linear map from the
 first s axes to the remaining k - s axes: the result has shape
 (d**(k-s), d**s) and sends the coordinate vector of a simple tensor
 x_1 (x) .. (x) x_s to the coordinates of the last k - s slots.  ``fold``
-is the exact inverse.  Operators are plain 2-D arrays.
+is the exact inverse.  Both are reference views the library no longer
+calls: the pipeline's moments are symmetric, so it reads the plain
+row-major reshape, the transpose of the unfolding, which for a
+symmetric tensor equals it.  Operators are plain 2-D arrays.
 
 Symmetric tensors live in the multiset basis: one value per size-r
 multiset of [d], C(d+r-1, r) in all, in rank order.  A multiset is held
 as its sorted word, the r letters in ascending order.  ``_rank`` is the
 one rank formula and ``_words`` the one enumerator; ``_multisets`` gives
-the rank of every multi-index, the dense read-out.  Population moments,
+the rank of every multi-index, the dense read-out, and ``_orbit_sizes``
+the number of multi-indices of each multiset.  Population moments,
 symmetrization, the moment tally kernel and the spread map all work in
 this basis.
 """
@@ -30,11 +34,8 @@ class RankDeficiencyError(RuntimeError):
 
 
 class EigenDecomposition(NamedTuple):
-    """Symmetric eigendecomposition, eigenvalues descending.
-
-    Eigenvector columns are orthonormal and sign-normalized so that each
-    vector's first nonzero coordinate is positive.
-    """
+    """Symmetric eigendecomposition, eigenvalues descending, eigenvector
+    columns orthonormal."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -87,6 +88,24 @@ def _words(d: int, r: int) -> np.ndarray:
             [np.vstack([words[:, -math.comb(c + k, k):], np.full(math.comb(c + k, k), c)]) for c in range(d - 1, -1, -1)]
         )
     return words
+
+
+def _orbit_sizes(d: int, r: int) -> np.ndarray:
+    """The number of multi-indices of each size-r multiset of [d] in rank
+    order, r! over the product of its letters' multiplicity factorials,
+    as float64.
+
+    Along a sorted word, the c-th copy of a letter contributes c to that
+    product.  Every quantity formed divides r!, so all are exact up to
+    r = 22, the last r whose r! float64 holds exactly.
+    """
+    words = _words(d, r)
+    copies = np.ones(words.shape[1])
+    repeats = np.ones(words.shape[1])
+    for j in range(1, r):
+        copies = np.where(words[j] == words[j - 1], copies + 1.0, 1.0)
+        repeats *= copies
+    return float(math.factorial(r)) / repeats
 
 
 def enumerate_compositions(n: int, q: int) -> list[tuple[int, ...]]:
@@ -184,6 +203,10 @@ def sym_eig(m: np.ndarray) -> EigenDecomposition:
     decomposed as given, without a copy; any other is replaced by its
     symmetric part 0.5 * (m + m.T) first, so the decomposition is exact
     for the symmetric part either way.
+
+    The eigenvectors are eigh's columns in reverse order, a view with no
+    copy, each with the sign LAPACK gave it: an eigenvector is defined
+    only up to sign, and no output of the pipeline depends on it.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -205,23 +228,7 @@ def sym_eig(m: np.ndarray) -> EigenDecomposition:
         m = np.multiply(np.add(m, m.T, out=skew), 0.5, out=skew)
     del skew  # free before eigh, unless it now holds m
     lam, vec = np.linalg.eigh(m)
-    lam = lam[::-1].copy()
-    vec = vec[:, ::-1]
-    vec = _sign_normalize(vec)
-    return EigenDecomposition(lam, vec)
-
-
-def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
-    """Negate each column whose first entry above 1e-12 of the column's
-    largest magnitude is negative; the result is a new array."""
-    out = np.array(vectors, copy=True)
-    mag = np.abs(out)
-    support = mag > 1e-12 * np.maximum(mag.max(axis=0), 1e-300)
-    cols = np.arange(out.shape[1])
-    lead = support.argmax(axis=0)
-    # x * -1.0 is exactly -x for every x but NaN, signed zeros included
-    out *= np.where(support[lead, cols] & (out[lead, cols] < 0), -1.0, 1.0)
-    return out
+    return EigenDecomposition(lam[::-1].copy(), vec[:, ::-1])
 
 
 def eig_sqrt_pinv(dec: EigenDecomposition, keep: int, floor_tol: float = 1e-8) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Mixture pairs that match moments up to a cutoff and differ above it."""
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import specmix as sp
 from conftest import dense_power_sum
 from specmix.counterexamples import SEPARATION, dependence_coefficients
+from specmix.tensors import _multisets, _orbit_sizes
 
 
 class TestDependenceCoefficients:
@@ -138,6 +140,12 @@ class TestBuildPairSeparation:
         above = sp.verify_moment_equality(pair.p, pair.p_prime, pair.eq_order + 1)
         assert at.equal and above.max_abs_diff > SEPARATION * at.max_abs_diff
 
+    def test_last_separable_pair_builds_in_under_a_second(self):
+        # the law gaps in to_json read C(d+n-1, n) orbit sizes, no dense tensor
+        start = time.perf_counter()
+        json.loads(sp.build_pair(14, 29).to_json())
+        assert time.perf_counter() - start < 1.0
+
     def test_close_levels_raise(self):
         # nine levels 0.001 apart: the order-8 gap is rounding noise
         with pytest.raises(ValueError, match="float64 cannot separate the pair$"):
@@ -259,7 +267,7 @@ class TestVerifyMomentEquality:
         # allocated; its multiset values are 61
         p = sp.make_mixture([0.5, 0.5], [[0.1, 0.9], [0.9, 0.1]])
         q = sp.make_mixture([1.0], [[0.5, 0.5]])
-        assert sp.verify_moment_equality(p, p, 60) == (0.0, True)
+        assert sp.verify_moment_equality(p, p, 60) == (0.0, True, 0.0)
         gap = sp.verify_moment_equality(p, q, 60)
         # the largest gap is at the two entries with all draws in one category
         assert not gap.equal
@@ -271,6 +279,27 @@ class TestVerifyMomentEquality:
                            - dense_power_sum(indep_mix.weights, indep_mix.components, n)).max()
             assert sp.verify_moment_equality(blend_mix, indep_mix, n).max_abs_diff == pytest.approx(dense, rel=1e-14, abs=1e-17)
 
+    @staticmethod
+    def pairs(top_m):
+        return [sp.build_pair(m, t) for m in range(1, top_m + 1) for t in (2 * m, 2 * m + 1) if t >= 3]
+
+    def test_orbit_sizes_count_multi_indices(self):
+        for d in range(1, 6):
+            for r in range(6):
+                want = np.bincount(_multisets(d, r).ravel()) if r else [1]
+                assert_array_equal(_orbit_sizes(d, r), want)
+
+    def test_law_gap_vanishes_at_eq_order(self):
+        for pair in self.pairs(8):
+            assert sp.verify_moment_equality(pair.p, pair.p_prime, pair.eq_order).law_l1 <= 1e-15
+
+    def test_law_gap_above_eq_order_is_the_dense_sum(self):
+        # the dense moment counts each tally once per ordering of its draws
+        for pair in self.pairs(4):
+            n = pair.eq_order + 1
+            dense = np.abs(sp.population_moment(pair.p, n) - sp.population_moment(pair.p_prime, n)).sum()
+            assert sp.verify_moment_equality(pair.p, pair.p_prime, n).law_l1 == pytest.approx(dense, rel=1e-15)
+
 
 class TestPairJson:
     def test_embeds_verification(self):
@@ -278,5 +307,7 @@ class TestPairJson:
         assert obj["t"] == 4 and obj["eq_order"] == 2
         assert obj["verification"]["max_diff_at_eq_order"] < 1e-9
         assert obj["verification"]["max_diff_above_eq_order"] > 1e-6
+        assert obj["verification"]["law_l1_at_eq_order"] <= 1e-15
+        assert obj["verification"]["law_l1_above_eq_order"] == pytest.approx(4 / 9, rel=1e-15)
         assert len(obj["alphas"]) == 4
         assert obj["p"]["weights"] and obj["p_prime"]["weights"]

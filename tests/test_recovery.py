@@ -208,13 +208,47 @@ class TestExtractComponents:
         err = sp.matched_l1_error(two_mix.components, comps)
         assert err < 1e-8
 
-    def test_sign_flip_invariant(self, two_mix):
+    def test_sign_flip_invariant(self, two_mix, indep_mix, monkeypatch):
         t = self._t_hat(two_mix)
         dec = sp.sym_eig(t @ t.T)
         v = dec.eigenvectors[:, :2]
         a = _finalize_components(v, 2, None)
         flipped = _finalize_components(-v, 2, None)
         assert_array_equal(a, flipped)
+
+        # sym_eig's eigenvectors carry LAPACK's signs; negating a seeded
+        # random set of its columns changes no bit of W or of any fit
+        wide = random_mixture(np.random.default_rng(31), 3, 5)
+        sources = [
+            source
+            for mix in (indep_mix, wide)
+            for source in (mix, sp.draw_groups(mix, 5, 4000, seed=32))
+        ]
+
+        def outputs():
+            for source in sources:
+                yield whiten(sp.build_c_hat(source, 3, None), 3).tobytes()
+                yield whiten(sp.build_c_hat(source, 2, None), 3).tobytes()
+                for dominating in (None, "uniform"):
+                    yield recover_full(source, RecoveryConfig(3, dominating=dominating), seed=33).to_json()
+                yield sp.li_recover_4(source, 3).to_json()
+
+        want = list(outputs())
+        signs = np.random.default_rng(34)
+        flips = []
+        sym_eig = recovery.sym_eig
+
+        def sym_eig_flipped(m):
+            dec = sym_eig(m)
+            flips.append(signs.random(dec.eigenvalues.size) < 0.5)
+            # x * -1.0 is exactly -x
+            return dec._replace(eigenvectors=dec.eigenvectors * np.where(flips[-1], -1.0, 1.0))
+
+        monkeypatch.setattr(recovery, "sym_eig", sym_eig_flipped)
+        assert list(outputs()) == want
+        # each of the top three columns was negated in some calls, kept in others
+        top = np.array([flip[:3] for flip in flips])
+        assert 0 < top.mean(axis=0).min() and top.mean(axis=0).max() < 1
 
     def test_probe_seed_invariant(self, two_mix):
         a = recover_full(two_mix, RecoveryConfig(2), seed=1).components
@@ -397,9 +431,9 @@ class TestRecoverFull:
             (lambda mix: sp.li_recover_4(mix, 2), 1.5),
             (lambda mix: sp.li_recover_4(mix, 2), 4.9),
             (lambda mix: sp.estimate_num_components(mix, 2), 1.5),
-            (lambda mix: sp.estimate_num_components(mix, 2), 3.9),
+            (lambda mix: sp.estimate_num_components(mix, 2), 2.9),
         ],
-        ids=["recover_full-1.5", "recover_full-4.9", "li_recover_4-1.5", "li_recover_4-4.9", "rank-1.5", "rank-3.9"],
+        ids=["recover_full-1.5", "recover_full-4.9", "li_recover_4-1.5", "li_recover_4-4.9", "rank-1.5", "rank-2.9"],
     )
     def test_stage_footprint_checked_at_setup(self, indep_mix, monkeypatch, call, times):
         # the d^2 x d^2 array of each call fits this memory more than once,
@@ -543,8 +577,15 @@ class TestEstimateNumComponents:
     @needs_memory_size
     def test_moment_too_large_for_memory_fails_at_setup(self):
         mix = random_mixture(np.random.default_rng(0), 4, 40)
-        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: 4 dense 40\^8 arrays need"):
+        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: 3 dense 40\^8 arrays need"):
             sp.estimate_num_components(mix, 4)
+
+    def test_rank_fits_in_three_and_a_half_moments(self, indep_mix, monkeypatch):
+        # the rank stage holds the order-2n moment, the SVD's copy and its
+        # workspace (2.2-2.5 moments at its peak), and no transposed copy
+        physical = int(3.5 * 8 * 3**4)
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical}.get)
+        assert sp.estimate_num_components(indep_mix, 2) == 3
 
 
 # Median matched-L1 error of the seeded Gaussian probe, which contracted each
