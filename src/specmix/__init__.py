@@ -34,7 +34,6 @@ from .model import (
     b_map,
     check_distinct_norms,
     make_mixture,
-    population_moment,
     probability_vector,
     resolve_dominating,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "multinomial_pmf",
     "numerical_rank",
     "outer_power",
-    "population_moment",
     "probability_vector",
     "random_baseline",
     "num_compositions",

@@ -1,12 +1,13 @@
-"""Mixtures of categorical measures and their exact population moments.
+"""Mixtures of categorical measures and reference measures.
 
 A mixture is a finite collection of probability vectors on d categories
-together with strictly positive weights summing to one.  The order-n
-population moment is the symmetric tensor sum_i w_i p_i^{(x) n}, i.e. the
-joint law of n exchangeable draws that share a latent component, held as a
-plain (d,)*n array.  A reference measure y enters the pipeline only as the
-scale vector b = 1/sqrt(y) of the rescaling B = diag(b); this module is the
-one place that reads and writes its descriptor strings.
+together with strictly positive weights summing to one.  Its order-n
+population moment, the symmetric tensor sum_i w_i p_i^{(x) n}, i.e. the
+joint law of n exchangeable draws that share a latent component, comes
+from estimation.moment, the one moment source.  A reference measure y
+enters the pipeline only as the scale vector b = 1/sqrt(y) of the
+rescaling B = diag(b); this module is the one place that reads and writes
+its descriptor strings.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .tensors import _multisets, _power_sum
 
 # Tolerances: simplex sums are accepted within SUM_TOL and renormalized
 # exactly; component vectors closer than DISTINCT_TOL in L-infinity are
@@ -174,14 +174,6 @@ def make_mixture(weights: Sequence[float], components: Sequence[Sequence[float]]
             if np.abs(comp[i] - comp[j]).max() <= DISTINCT_TOL:
                 raise ValueError(f"components {i} and {j} coincide; mixture is not minimal")
     return MixtureSpec(_readonly(w), _readonly(comp))
-
-
-def population_moment(mix: MixtureSpec, n: int) -> np.ndarray:
-    """Order-n moment tensor sum_i w_i p_i^{(x) n}, the dense read-out of
-    its multiset values; exactly symmetric, sums to 1."""
-    if n < 1:
-        raise ValueError(f"moment order must be >= 1, got {n}")
-    return _power_sum(mix.weights, mix.components, n)[_multisets(mix.d, n)]
 
 
 def resolve_dominating(

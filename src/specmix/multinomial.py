@@ -11,6 +11,7 @@ samples.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -93,10 +94,10 @@ def _spread(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
 def _composition(x: Sequence, n: int, q: int) -> Composition:
     """x as a tuple of ints; a ValueError naming x as written unless it
     is a composition of n into q cells whose entries int() converts
-    without change (2.0 and "2" do, 1.5 does not)."""
+    without change (2.0 and "2" do, 1.5 and True do not)."""
     try:
         counts = tuple(int(v) for v in x)
-        exact = all(isinstance(v, str) or c == v for c, v in zip(counts, x))
+        exact = all(isinstance(v, str) or (c == v and not isinstance(v, (bool, np.bool_))) for c, v in zip(counts, x))
     except (TypeError, ValueError, OverflowError):
         counts, exact = None, False
     if not exact or len(counts) != q or any(v < 0 for v in counts) or sum(counts) != n:
@@ -115,10 +116,11 @@ def _composition_rows(measure: SignedCompositionMeasure, n: int, q: int) -> np.n
         counts = np.array(list(measure))
     except ValueError:  # keys of different lengths
         counts = np.empty(0)
-    # entries in [0, n] keep the row sums far from int64 overflow
+    # entries in [0, n] keep the row sums far from int64 overflow; a bool
+    # key beside int keys is read as ints, so the entries' types are checked last
     if counts.dtype.kind != "i" or counts.shape != (len(measure), q) or (
         ((counts < 0) | (counts > n)).any() or (counts.sum(axis=1) != n).any()
-    ):
+    ) or not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(measure))):
         counts = np.array([_composition(x, n, q) for x in measure], dtype=np.int64).reshape(len(measure), q)
     return counts
 

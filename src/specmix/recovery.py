@@ -185,7 +185,9 @@ def recover_weights(
     Solves the Gram system of the component r-fold powers (pseudo-
     inverse if nearly singular, with the condition number reported),
     then clips negative weights and renormalizes.  The residual is the
-    Frobenius misfit of the returned weights.
+    Frobenius misfit of the returned weights.  A solve with no positive
+    weight is a RecoveryError; for one component, that is one orthogonal
+    to e_hat.
     """
     # solver is kept only for perfbench, which passes config.weight_solver;
     # ROADMAP item 1(b) can drop it.
@@ -193,11 +195,7 @@ def recover_weights(
         raise ValueError(f"unknown weight solver {solver!r}")
     e = np.asarray(e_hat, dtype=np.float64)
     comp = np.atleast_2d(np.asarray(components, dtype=np.float64))
-    m = comp.shape[0]
     r = e.ndim
-    if m == 1:
-        weights = np.array([1.0])
-        return WeightSolution(weights, _weight_residual(e, comp, weights, r), 1.0)
     gram = (comp @ comp.T) ** r
     rhs = np.array([float(np.tensordot(e, outer_power(p, r), axes=r)) for p in comp])
     cond = float(np.linalg.cond(gram))

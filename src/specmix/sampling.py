@@ -68,10 +68,11 @@ class GroupTallyHistogram:
     """Counts of per-group category tallies.
 
     Keys are length-d compositions (category occurrence counts summing to
-    group_size); values are group counts in [1, 2**63).  Total count
-    equals the number of groups in the source dataset.  counts is always
-    the read-only, array-backed mapping tally() builds: any other mapping
-    is checked once here and converted, keeping its key order.
+    group_size); values are group counts in [1, 2**63).  Counts may be
+    integral floats, but not bools.  Total count equals the number of
+    groups in the source dataset.  counts is always the read-only,
+    array-backed mapping tally() builds: any other mapping is checked
+    once here and converted, keeping its key order.
     """
 
     d: int
@@ -87,7 +88,8 @@ class GroupTallyHistogram:
         for key, n in self.counts.items():
             if len(key) != d or sum(key) != k:
                 raise ValueError(f"tally key {key} does not sum to {k} over {d} categories")
-            if not 0 < n < 2**63 or min(key) < 0 or any(v % 1 for v in (n, *key)):
+            # a bool is no count, though it passes the numeric tests
+            if any(isinstance(v, (bool, np.bool_)) or v % 1 for v in (n, *key)) or not 0 < n < 2**63 or min(key) < 0:
                 raise ValueError(f"invalid tally record {key}: {n} groups")
         comps = np.array(list(self.counts), dtype=np.int64).reshape(-1, d)
         groups = np.array(list(self.counts.values()), dtype=np.int64)
@@ -346,14 +348,20 @@ def write_groups(ds: GroupedDataset, fh: IO[str]) -> None:
 
 
 def read_groups(fh: IO[str], d: int | None = None) -> GroupedDataset:
-    """Parse the line-based text format; infer d from the data if omitted."""
+    """Parse the line-based text format; infer d from the data if omitted.
+
+    An index below 1 is a ValueError that names its group, counted from 1
+    over the non-blank lines.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         rows = np.loadtxt(fh, dtype=np.int64, ndmin=2)
     if rows.size == 0:
         raise ValueError("empty dataset")
-    if rows.min() < 1:
-        raise ValueError("text format uses 1-based category indices")
+    low = rows.min(axis=1)
+    if low.min() < 1:
+        group = np.argmax(low < 1)
+        raise ValueError(f"group {group + 1}: index {low[group]} is below 1; the text format uses 1-based category indices")
     groups = rows - 1
     if d is None:
         d = int(groups.max()) + 1

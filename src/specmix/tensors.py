@@ -15,11 +15,11 @@ symmetric tensor equals it.  Operators are plain 2-D arrays.
 Symmetric tensors live in the multiset basis: one value per size-r
 multiset of [d], C(d+r-1, r) in all, in rank order.  A multiset is held
 as its sorted word, the r letters in ascending order.  ``_rank`` is the
-one rank formula and ``_words`` the one enumerator; ``_multisets`` gives
-the rank of every multi-index, the dense read-out, and ``_orbit_sizes``
-the number of multi-indices of each multiset.  Population moments,
-symmetrization, the moment tally kernel and the spread map all work in
-this basis.
+one rank formula, with its terms in ``_rank_terms``, and ``_words`` the
+one enumerator; ``_multisets`` gives the rank of every multi-index, the
+dense read-out, and ``_orbit_sizes`` the number of multi-indices of each
+multiset.  Population moments, symmetrization, the moment tally kernel
+and the spread map all work in this basis.
 """
 from __future__ import annotations
 
@@ -65,10 +65,17 @@ def _rank(words: np.ndarray, d: int) -> np.ndarray:
     d - 1 to r zeros, and so cannot overflow.
     """
     r = len(words)
+    terms = _rank_terms(d, r)
     rank = np.full(words.shape[1:], math.comb(d + r - 1, r) - 1, dtype=np.int64)
     for j in range(r):
-        rank -= np.array([math.comb(w + j, j + 1) for w in range(d)], dtype=np.int64)[words[j]]
+        rank -= terms[j][words[j]]
     return rank
+
+
+def _rank_terms(d: int, r: int) -> np.ndarray:
+    """The (r, d) int64 table of _rank's terms: entry (j, w) is
+    C(w + j, j + 1), the term of letter w at position j of a sorted word."""
+    return np.array([[math.comb(w + j, j + 1) for w in range(d)] for j in range(r)], dtype=np.int64)
 
 
 def _counts_rank(counts: np.ndarray, r: int) -> np.ndarray:

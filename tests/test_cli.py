@@ -349,6 +349,16 @@ def readme_command_lines() -> list:
     return lines
 
 
+def test_readme_quickstart_runs(capsys):
+    # catches a drift of the public API, such as a renamed or removed name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # the block's comments promise an equal and an unequal comparison
+    assert "equal=True" in lines[-2] and "equal=False" in lines[-1]
+
+
 class TestParser:
     def test_readme_commands_parse(self):
         commands = [cli.build_parser().parse_args(shlex.split(line)[1:]).command for line in readme_command_lines()]

@@ -87,14 +87,14 @@ class TestBuildPairOrderM:
 
     def test_m2_shared_second_moment(self):
         pair = sp.build_pair(2, 4)
-        v2 = sp.population_moment(pair.p, 2)
+        v2 = sp.moment(pair.p, 2)
         assert_allclose(v2, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-12)
-        assert_allclose(sp.population_moment(pair.p_prime, 2), v2, atol=1e-12)
+        assert_allclose(sp.moment(pair.p_prime, 2), v2, atol=1e-12)
 
     def test_m2_third_moment_gap(self):
         pair = sp.build_pair(2, 4)
-        a = sp.population_moment(pair.p, 3)[0, 0, 0]
-        b = sp.population_moment(pair.p_prime, 3)[0, 0, 0]
+        a = sp.moment(pair.p, 3)[0, 0, 0]
+        b = sp.moment(pair.p_prime, 3)[0, 0, 0]
         assert_allclose([a, b], [2 / 9, 10 / 36], atol=1e-12)
         comp = sp.verify_moment_equality(pair.p, pair.p_prime, 3)
         assert not comp.equal
@@ -115,7 +115,7 @@ class TestBuildPairOrderGap:
         assert pair.p.m == 1 and pair.p_prime.m == 2
         assert_allclose(pair.p.components, [[0.5, 0.5]], atol=1e-12)
         assert_allclose(
-            sp.population_moment(pair.p, 1), sp.population_moment(pair.p_prime, 1), atol=1e-12
+            sp.moment(pair.p, 1), sp.moment(pair.p_prime, 1), atol=1e-12
         )
         gap = sp.verify_moment_equality(pair.p, pair.p_prime, 2)
         assert not gap.equal
@@ -297,7 +297,7 @@ class TestVerifyMomentEquality:
         # the dense moment counts each tally once per ordering of its draws
         for pair in self.pairs(4):
             n = pair.eq_order + 1
-            dense = np.abs(sp.population_moment(pair.p, n) - sp.population_moment(pair.p_prime, n)).sum()
+            dense = np.abs(sp.moment(pair.p, n) - sp.moment(pair.p_prime, n)).sum()
             assert sp.verify_moment_equality(pair.p, pair.p_prime, n).law_l1 == pytest.approx(dense, rel=1e-15)
 
 

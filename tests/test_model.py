@@ -103,14 +103,14 @@ class TestMakeMixture:
 class TestPopulationMoment:
     def test_single_component_is_outer_product(self):
         mix = sp.make_mixture([1.0], [[0.3, 0.7]])
-        assert_allclose(sp.population_moment(mix, 2), np.outer([0.3, 0.7], [0.3, 0.7]))
+        assert_allclose(sp.moment(mix, 2), np.outer([0.3, 0.7], [0.3, 0.7]))
 
     def test_reference_mean(self, blend_mix):
-        assert_allclose(sp.population_moment(blend_mix, 1), [0.38, 0.32, 0.30], atol=1e-15)
+        assert_allclose(sp.moment(blend_mix, 1), [0.38, 0.32, 0.30], atol=1e-15)
 
     def test_symmetric_and_normalized(self, blend_mix):
         for n in range(1, 7):
-            t = sp.population_moment(blend_mix, n)
+            t = sp.moment(blend_mix, n)
             assert_allclose(t.sum(), 1.0, atol=1e-12)
             assert_allclose(sp.symmetrize(t), t, atol=1e-15)
 
@@ -118,14 +118,14 @@ class TestPopulationMoment:
         # summing out the last draw recovers the lower-order moment
         for n in range(2, 7):
             assert_allclose(
-                sp.population_moment(blend_mix, n).sum(axis=-1),
-                sp.population_moment(blend_mix, n - 1),
+                sp.moment(blend_mix, n).sum(axis=-1),
+                sp.moment(blend_mix, n - 1),
                 atol=1e-14,
             )
 
     def test_rejects_order_zero(self, blend_mix):
         with pytest.raises(ValueError):
-            sp.population_moment(blend_mix, 0)
+            sp.moment(blend_mix, 0)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -143,7 +143,7 @@ class TestPopulationMoment:
         comps = [np.array(row) / sum(row) for row in rows]
         assume(all(np.abs(a - b).max() > 1e-12 for i, a in enumerate(comps) for b in comps[:i]))
         mix = sp.make_mixture(np.array(counts) / sum(counts), comps)
-        t = sp.population_moment(mix, r)
+        t = sp.moment(mix, r)
         oracle = dense_power_sum(mix.weights, mix.components, r)
         # each side forms every term with at most r + d multiplications and
         # adds m nonnegative terms, each operation within half an ulp

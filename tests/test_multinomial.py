@@ -85,6 +85,14 @@ class TestMultinomialPmf:
         with pytest.raises(ValueError):
             multinomial_pmf(spec, (1, 1, 0))
 
+    @pytest.mark.parametrize("x", [(True, True), (2, False), (np.True_, 1)])
+    def test_rejects_bool_counts(self, x):
+        # (True, True) was read as (1, 1), probability 0.5
+        spec = MultinomialSpec(2, 2, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=rf"^key {re.escape(str(x))} is not a composition of 2 into 2 cells$"):
+            multinomial_pmf(spec, x)
+        assert multinomial_pmf(spec, (1.0, "1")) == multinomial_pmf(spec, (1, 1))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MultinomialSpec(0, 2, np.array([0.5, 0.5]))
@@ -186,6 +194,16 @@ class TestSpreadTransform:
             t_nq_apply({(1, 1, 1): 0.5, key: 0.5}, 3, 3)
         with pytest.raises(ValueError, match=rf"^key {written} is not a composition of 3 into 3 cells$"):
             multinomial_pmf(MultinomialSpec(3, 3, [0.2, 0.3, 0.5]), key)
+
+    @pytest.mark.parametrize("key", [(True, False), (1, False), (np.True_, np.False_)])
+    def test_rejects_bool_key(self, key):
+        # int() reads True as 1, so (True, False) was accepted as (1, 0)
+        written = re.escape(str(key))
+        with pytest.raises(ValueError, match=rf"^key {written} is not a composition of 1 into 2 cells$"):
+            t_nq_apply({key: 1.0}, 1, 2)
+        # beside int keys numpy reads a bool key as ints
+        with pytest.raises(ValueError, match=rf"^key {written} is not a composition of 1 into 2 cells$"):
+            t_nq_apply({(0, 1): 1.0, key: 1.0}, 1, 2)
 
     def test_keys_convert_with_int(self):
         expected = t_nq_apply({(1, 1): 0.25, (2, 0): 0.75}, 2, 2)

@@ -258,7 +258,7 @@ class TestExtractComponents:
 
 class TestRecoverWeights:
     def test_population_exact(self, blend_mix):
-        e = sp.population_moment(blend_mix, 2)
+        e = sp.moment(blend_mix, 2)
         sol = recover_weights(e, blend_mix.components)
         assert_allclose(sol.weights, [0.5, 0.3, 0.2], atol=1e-10)
         assert sol.residual < 1e-12
@@ -273,17 +273,25 @@ class TestRecoverWeights:
         sol = recover_weights(np.array([0.4, 0.6]), np.array([[0.4, 0.6]]))
         assert_array_equal(sol.weights, [1.0])
         assert sol.residual < 1e-15
+        assert sol.gram_condition == 1.0
+
+    def test_single_component_orthogonal_to_moment(self):
+        # one component is solved like many: no positive mass is a failure
+        with pytest.raises(RecoveryError, match="no positive mass"):
+            recover_weights(np.array([0.0, 1.0]), np.array([[1.0, 0.0]]))
+        with pytest.raises(RecoveryError, match="no positive mass"):
+            recover_weights(np.outer([0.0, 1.0], [0.0, 1.0]), np.array([[1.0, 0.0]]))
 
     def test_weights_on_simplex(self, blend_mix):
         # perturbed moment still yields a proper weight vector
-        e = sp.population_moment(blend_mix, 2) + 1e-3
+        e = sp.moment(blend_mix, 2) + 1e-3
         sol = recover_weights(e, blend_mix.components)
         assert np.all(sol.weights >= 0.0)
         assert abs(sol.weights.sum() - 1.0) < 1e-12
 
     def test_unknown_solver(self, blend_mix):
         with pytest.raises(ValueError, match="solver"):
-            recover_weights(sp.population_moment(blend_mix, 2), blend_mix.components, "x")
+            recover_weights(sp.moment(blend_mix, 2), blend_mix.components, "x")
 
 
 class TestRecoverFull:
@@ -514,7 +522,7 @@ class TestLiRecover4:
     def test_m_one(self, indep_mix):
         res = sp.li_recover_4(indep_mix, 1)
         assert_array_equal(res.weights, [1.0])
-        assert_allclose(res.components[0], sp.population_moment(indep_mix, 1), atol=1e-12)
+        assert_allclose(res.components[0], sp.moment(indep_mix, 1), atol=1e-12)
 
     def test_empirical_hundred_thousand_groups(self, indep_mix):
         ds = sp.draw_groups(indep_mix, 4, 100_000, seed=3)

@@ -339,6 +339,15 @@ class TestHistogramMapping:
         with pytest.raises(ValueError, match=match):
             sp.GroupTallyHistogram(2, 3, counts)
 
+    @pytest.mark.parametrize(
+        "k, counts",
+        [(1, {(1, 0): True}), (1, {(True, False): 3}), (3, {(2, np.True_): 3}), (3, {(2, 1): np.True_})],
+    )
+    def test_rejects_bools(self, k, counts):
+        # a bool passes every numeric test: {(1, 0): True} was one group
+        with pytest.raises(ValueError, match="^invalid tally record"):
+            sp.GroupTallyHistogram(2, k, counts)
+
     def test_counts_are_int64(self):
         h = sp.GroupTallyHistogram(2, 3, {(2, 1): 4.0, (3, 0): 2**63 - 1})
         assert h.counts.groups.dtype == np.int64
@@ -390,6 +399,15 @@ class TestTextFormat:
     def test_rejects_zero_index(self):
         with pytest.raises(ValueError, match="1-based"):
             sp.read_groups(io.StringIO("0 1\n"))
+
+    @pytest.mark.parametrize(
+        "text, group, index",
+        [("0 1\n2 2\n", 1, 0), ("1 2\n2 2\n\n2 -3\n1 0\n", 3, -3)],
+    )
+    def test_low_index_names_its_group(self, text, group, index):
+        # groups count from 1 over the non-blank lines
+        with pytest.raises(ValueError, match=rf"^group {group}: index {index} is below 1; the text format"):
+            sp.read_groups(io.StringIO(text))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="range"):

@@ -189,10 +189,10 @@ class TestWhitenedOperators:
         from conftest import random_mixture
 
         mix = random_mixture(rng, 2, 3)
-        m2 = sp.population_moment(mix, 2)
+        m2 = sp.moment(mix, 2)
         c = sp.unfold(m2, 1)
         w = sp.whiten(0.5 * (c + c.T), 2)
-        t_hat = sp.build_t_hat(sp.population_moment(mix, 3), w)
+        t_hat = sp.build_t_hat(sp.moment(mix, 3), w)
         assert sp.numerical_rank(t_hat, 1e-8) == 2
 
 
