@@ -52,7 +52,7 @@ from .recovery import (
     RecoveryResult,
     build_t_hat,
     estimate_num_components,
-    li_recover_4,
+    li_recover,
     recover_full,
     recover_weights,
     whiten,
@@ -104,7 +104,7 @@ __all__ = [
     "estimate_num_components",
     "f_nq",
     "fold",
-    "li_recover_4",
+    "li_recover",
     "make_mixture",
     "matched_l1_error",
     "moment",

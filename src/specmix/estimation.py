@@ -140,8 +140,8 @@ def build_c_hat(
     Gram-weighted sum of (B p_i)^{(x)(m-1)} projectors, the operator the
     whitening step inverts.  data is any source that moment() reads.
     """
-    if m < 1:
-        raise ValueError(f"component count must be >= 1, got {m}")
+    if not rng.is_integer(m) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if m == 1:
         return np.ones((1, 1))
     mat = moment(data, 2 * m - 2, b).reshape(data.d ** (m - 1), -1)
@@ -150,7 +150,7 @@ def build_c_hat(
 
 def build_e_hat(data: GroupedDataset | GroupTallyHistogram, m: int) -> np.ndarray:
     """Order-(m-1) moment in the original space, for the weight solve."""
-    if m < 2:
-        raise ValueError(f"component count must be >= 2, got {m}")
+    if not rng.is_integer(m) or m < 2:
+        raise ValueError(f"m must be an integer >= 2, got {m!r}")
     return moment(data, m - 1)
 

@@ -1,27 +1,28 @@
 """Spectral recovery of mixture components and weights from grouped data.
 
-Pipeline for a target component count m:
+Pipeline for a target component count m, whitened at order c: c = m for
+recover_full, which assumes nothing of the components, and c = min(m, 2)
+for li_recover, which needs them linearly independent.
 
 1. Rescale coordinates by B = diag(b), b = 1/sqrt(y) the scale vector of
    a reference measure y chosen so the rescaled components have distinct
    Euclidean norms.  Moments are plain (d,)*r arrays of scaled draws.
-2. Whiten: from the order-(2m-2) moment form C, build W = C^{-1/2} on
-   its top-m eigenspace; W maps the weighted component powers to an
-   orthonormal family.
-3. Apply I (x) W (x) W to the order-(2m-1) moment and flatten to a
-   d^m x d^{m-1} matrix T; the top m eigenvectors of T T^T are, up to
+2. Whiten: from the order-(2c-2) moment form C, build W = C^{-1/2} on
+   its top-m eigenspace; W maps the weighted (c-1)-fold component powers
+   to an orthonormal family once those powers are linearly independent.
+3. Apply I (x) W (x) W to the order-(2c-1) moment and flatten to a
+   d^c x d^{c-1} matrix T; the top m eigenvectors of T T^T are, up to
    sign, the rescaled components tensored with their whitened powers.
-4. Fold each eigenvector to a d x d^{m-1} map; that map has rank one in
+4. Fold each eigenvector to a d x d^{c-1} map; that map has rank one in
    population, so its top left singular vector is the rescaled
    component (on data, the best rank-1 fit).  Divide by b, fix sign,
    clip stray negatives, normalize.
-5. Fit weights by least squares against the order-(m-1) moment in the
+5. Fit weights by least squares against the order-(c-1) moment in the
    original coordinates, then clip negative weights and renormalize.
 
 The pipeline is fixed; a caller chooses only m, the reference measure
-and the whitening floor eig_floor.  A 4-samples-per-group variant for
-linearly independent components and a rank-based estimator of the
-number of components are included.
+and the whitening floor eig_floor.  m = 1 skips it: the component is the
+mean.  A rank-based estimator of the number of components is included.
 """
 from __future__ import annotations
 
@@ -130,8 +131,8 @@ class WeightSolution(NamedTuple):
 
 def whiten(c_hat: np.ndarray, m: int, eig_floor: float = 1e-8) -> np.ndarray:
     """Inverse square root of the moment form on its top-m eigenspace."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    if not rng.is_integer(m) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     return eig_sqrt_pinv(sym_eig(c_hat), m, eig_floor)
 
 
@@ -268,38 +269,44 @@ def _stage(name: str):
         raise RecoveryError(f"stage {name!r} failed: {exc}") from exc
 
 
-def _odd_operator(data, m: int, b: np.ndarray | None, w: np.ndarray) -> np.ndarray:
-    """T T^T for T from the order-(2m-1) moment under b."""
-    t_hat = build_t_hat(moment(data, 2 * m - 1, b), w)
+def _odd_operator(data, c: int, b: np.ndarray | None, w: np.ndarray) -> np.ndarray:
+    """T T^T for T from the order-(2c-1) moment under b."""
+    t_hat = build_t_hat(moment(data, 2 * c - 1, b), w)
     return t_hat @ t_hat.T
 
 
-def _fourth_operator(data, m: int, b: np.ndarray | None, w: np.ndarray) -> np.ndarray:
-    """I (x) W (x) I (x) W on the order-4 moment, flattened at split 2."""
-    d = data.d
-    a = np.moveaxis(np.tensordot(w, moment(data, 4, b), axes=(1, 1)), 0, 1)
-    a = np.moveaxis(np.tensordot(w, a, axes=(1, 3)), 0, 3)
-    s = a.reshape(d**2, d**2)
-    return 0.5 * (s + s.T)
+def _setup(data, config: RecoveryConfig, seed: int, c: int) -> tuple:
+    """Check the run before any moment is formed; return the moment
+    source and the scale vector b (None without a reference measure)."""
+    m = config.m
+    with _stage("setup"):
+        rng.check_seed(seed)
+        data = moment_source(data, 2 * c - 1)
+        xi = resolve_dominating(config.dominating, data.d, seed)
+        if xi is not None and xi.d != data.d:
+            raise ValueError(f"reference measure has {xi.d} categories, the data has {data.d}")
+        b = None if xi is None else b_map(xi)
+        if b is not None:
+            _check_scale(b, 2 * c - 1, config.dominating)
+        if m > 1:
+            # the d^c x d^c operator, T, the moment and eigh's copy, workspace and eigenvectors: 5.1-5.4 copies
+            _check_fits(data.d, 2 * c, 6)
+    if m > 1 and isinstance(data, MixtureSpec):
+        with _stage("dominating-measure check"):
+            _check_norms(data, xi)
+    return data, b
 
 
-def _run_stages(
-    data,
-    config: RecoveryConfig,
-    *,
-    b: np.ndarray | None,
-    c_order: int,
-    operator: tuple,
-    weight_order: int,
-    extra: dict,
-) -> RecoveryResult:
-    """The staged pipeline behind recover_full and li_recover_4.
+def _run_stages(data, config: RecoveryConfig, b: np.ndarray | None, c: int, extra: dict) -> RecoveryResult:
+    """The staged pipeline behind recover_full and li_recover, whitened
+    at order c.
 
-    data is a moment source already checked by moment_source.  C is
-    build_c_hat(data, c_order, b); operator is a (stage name, builder)
-    pair whose builder returns the PSD matrix whose top m eigenvectors
-    are contracted to components.  m and the whitening floor come from
-    config; extra is appended to the diagnostics.
+    data is a moment source already checked by _setup.  C is
+    build_c_hat(data, c, b), whitened to rank m; the top m eigenvectors
+    of the odd-moment operator are contracted to components, and the
+    weights are fit against the order-(c-1) moment.  m = 1 is the mean.
+    m and the whitening floor come from config; extra is appended to the
+    diagnostics.
     """
     m = config.m
     if m == 1:
@@ -311,17 +318,16 @@ def _run_stages(
         tt_eigenvalues, spectrum = [float(np.dot(mean, mean))], [1.0]
     else:
         with _stage("second-moment form"):
-            c_dec = sym_eig(build_c_hat(data, c_order, b))
+            c_dec = sym_eig(build_c_hat(data, c, b))
         with _stage("whitening"):
             w = eig_sqrt_pinv(c_dec, m, config.eig_floor)
-        stage_name, build_operator = operator
-        with _stage(stage_name):
-            op = build_operator(data, m, b, w)
+        with _stage("odd-moment operator"):
+            op = _odd_operator(data, c, b, w)
         with _stage("component extraction"):
             dec = sym_eig(op)
             comps = _finalize_components(dec.eigenvectors[:, :m], data.d, b)
         with _stage("weight estimation"):
-            fit = recover_weights(moment(data, weight_order), comps)
+            fit = recover_weights(moment(data, c - 1), comps)
         tt_eigenvalues, spectrum = dec.eigenvalues.tolist(), c_dec.eigenvalues.tolist()
     return RecoveryResult(
         comps,
@@ -351,64 +357,29 @@ def recover_full(
     without one) must be pairwise distinct; tied norms raise a
     RecoveryError.
     """
-    m = config.m
-    with _stage("setup"):
-        rng.check_seed(seed)
-        data = moment_source(data, 2 * m - 1)
-        xi = resolve_dominating(config.dominating, data.d, seed)
-        if xi is not None and xi.d != data.d:
-            raise ValueError(f"reference measure has {xi.d} categories, the data has {data.d}")
-        b = None if xi is None else b_map(xi)
-        if b is not None:
-            _check_scale(b, 2 * m - 1, config.dominating)
-        if m > 1:
-            # the d^m x d^m operator, T, the moment and eigh's copy, workspace and eigenvectors: 5.2-5.4 copies
-            _check_fits(data.d, 2 * m, 6)
-    if m > 1 and isinstance(data, MixtureSpec):
-        with _stage("dominating-measure check"):
-            _check_norms(data, xi)
-    return _run_stages(
-        data,
-        config,
-        b=b,
-        c_order=m,
-        operator=("odd-moment operator", _odd_operator),
-        weight_order=m - 1,
-        extra={"seed": int(seed), "config": config.echo()},
-    )
+    data, b = _setup(data, config, seed, config.m)
+    return _run_stages(data, config, b, config.m, {"seed": int(seed), "config": config.echo()})
 
 
-def li_recover_4(
+def li_recover(
     data: GroupedDataset | GroupTallyHistogram | MixtureSpec,
     m: int,
 ) -> RecoveryResult:
-    """Recovery from 4 draws per group for linearly independent components.
+    """Recovery from 3 draws per group for linearly independent components.
 
-    Works in the original coordinates (no rescaling): C is the order-2
-    moment, W = C^{-1/2} on its top-m eigenspace, and I (x) W (x) I (x) W
-    applied to the order-4 moment is flattened at split 2 into a PSD
-    d^2 x d^2 operator whose top m eigenvectors factor as p_i (x) W p_i;
-    each is contracted to its top left singular vector.  Nothing is
-    random, so there is no seed.  Requires pairwise distinct component
+    The pipeline of recover_full whitened at order 2, in the original
+    coordinates (no rescaling): C is the order-2 moment, W = C^{-1/2} on
+    its top-m eigenspace, and the top m eigenvectors of T T^T, for T the
+    whitened order-3 moment, factor as p_i (x) W p_i; the weights are fit
+    against the mean.  At m = 2 it is recover_full(data,
+    RecoveryConfig(2)) without the seed and config diagnostics.  Nothing
+    is random, so there is no seed.  Requires pairwise distinct component
     norms; on population input this is checked, and tied norms raise a
     RecoveryError.
     """
-    config = RecoveryConfig(m)
-    with _stage("setup"):
-        if m > 1 and isinstance(data, MixtureSpec):
-            _check_norms(data, None)
-        data = moment_source(data, 4 if m > 1 else 1)
-        if m > 1:
-            _check_fits(data.d, 4, 7)  # the d^2 x d^2 operator, its terms and eigh's arrays: 6.1-6.3 copies
-    return _run_stages(
-        data,
-        config,
-        b=None,
-        c_order=2,
-        operator=("fourth-moment operator", _fourth_operator),
-        weight_order=min(m - 1, 2),
-        extra={},
-    )
+    config, c = RecoveryConfig(m), min(m, 2)
+    data, b = _setup(data, config, 0, c)
+    return _run_stages(data, config, b, c, {})
 
 
 def estimate_num_components(

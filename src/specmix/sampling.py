@@ -95,8 +95,9 @@ class GroupTallyHistogram:
         groups = np.array(list(self.counts.values()), dtype=np.int64)
         object.__setattr__(self, "counts", _TallyTable.from_compositions(comps, groups))
 
-    @property
+    @functools.cached_property
     def n_groups(self) -> int:
+        """The number of groups, summed once as an exact Python int."""
         return sum(self.counts.values())
 
 

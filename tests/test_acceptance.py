@@ -68,9 +68,9 @@ def test_criterion_3_population_moments_recover_mixture_exactly():
     assert np.abs(np.sort(res.weights) - np.sort(mix.weights)).max() < 1e-6
 
     indep = sp.make_mixture([0.3, 0.3, 0.4], [[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
-    res4 = sp.li_recover_4(indep, 3)
-    assert sp.matched_l1_error(indep.components, res4.components) < 1e-6
-    assert np.abs(np.sort(res4.weights) - np.sort(indep.weights)).max() < 1e-6
+    res_li = sp.li_recover(indep, 3)
+    assert sp.matched_l1_error(indep.components, res_li.components) < 1e-6
+    assert np.abs(np.sort(res_li.weights) - np.sort(indep.weights)).max() < 1e-6
 
 
 def test_criterion_4_replicated_accuracy_within_reference_windows():

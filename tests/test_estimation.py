@@ -385,6 +385,12 @@ class TestBuildCHat:
         ds = sp.draw_groups(blend_mix, 2, 10, seed=0)
         assert_array_equal(sp.build_c_hat(ds, 1, sp.b_map(fixed_xi)), [[1.0]])
 
+    @pytest.mark.parametrize("m", [0, True, 2.5])
+    def test_rejects_non_integer_m(self, blend_mix, m):
+        # True once built the m = 1 form, and 2.5 was blamed as moment order 3.0
+        with pytest.raises(ValueError, match=f"^m must be an integer >= 1, got {m!r}$"):
+            sp.build_c_hat(blend_mix, m, None)
+
     def test_exactly_symmetric(self, blend_mix, fixed_xi):
         ds = sp.draw_groups(blend_mix, 4, 500, seed=2)
         c = sp.build_c_hat(ds, 3, sp.b_map(fixed_xi))
@@ -430,3 +436,9 @@ class TestBuildEHat:
         ds = sp.draw_groups(blend_mix, 3, 10, seed=0)
         with pytest.raises(ValueError):
             sp.build_e_hat(ds, 1)
+
+    @pytest.mark.parametrize("m", [0, True, 2.5])
+    def test_rejects_non_integer_m(self, blend_mix, m):
+        ds = sp.draw_groups(blend_mix, 3, 10, seed=0)
+        with pytest.raises(ValueError, match=f"^m must be an integer >= 2, got {m!r}$"):
+            sp.build_e_hat(ds, m)

@@ -147,8 +147,14 @@ class TestWhiten:
     def test_rank_deficiency(self):
         with pytest.raises(RankDeficiencyError):
             whiten(np.diag([1.0, 0.0]), 2)
-        with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^m must be an integer >= 1, got 0$"):
             whiten(np.eye(2), 0)
+
+    @pytest.mark.parametrize("m", [0, True, 2.5])
+    def test_rejects_non_integer_m(self, m):
+        # True once whitened as m = 1, and 2.5 died slicing the eigenvectors
+        with pytest.raises(ValueError, match=f"^m must be an integer >= 1, got {m!r}$"):
+            whiten(np.eye(3), m)
 
     def test_orthonormalizes_weighted_powers(self, blend_mix, fixed_xi):
         # W applied to sqrt(w_i) (B p_i)^{(x)2} yields an orthonormal family
@@ -231,7 +237,7 @@ class TestExtractComponents:
                 yield whiten(sp.build_c_hat(source, 2, None), 3).tobytes()
                 for dominating in (None, "uniform"):
                     yield recover_full(source, RecoveryConfig(3, dominating=dominating), seed=33).to_json()
-                yield sp.li_recover_4(source, 3).to_json()
+                yield sp.li_recover(source, 3).to_json()
 
         want = list(outputs())
         signs = np.random.default_rng(34)
@@ -353,7 +359,7 @@ class TestRecoverFull:
 
     def test_tied_norms_rejected_without_reference_measure(self, blend_mix, fixed_xi):
         # the identity rescaling needs distinct Euclidean norms, as
-        # li_recover_4 does; blend_mix's first two components tie
+        # li_recover does; blend_mix's first two components tie
         for mix in (blend_mix, sp.make_mixture([0.5, 0.5], [[0.6, 0.4], [0.4, 0.6]])):
             with pytest.raises(RecoveryError, match=r"^component norms separate by only 0$"):
                 sp.recover_full(mix, RecoveryConfig(m=mix.m))
@@ -436,12 +442,12 @@ class TestRecoverFull:
         [
             (lambda mix: recover_full(mix, RecoveryConfig(2)), 1.5),
             (lambda mix: recover_full(mix, RecoveryConfig(2)), 4.9),
-            (lambda mix: sp.li_recover_4(mix, 2), 1.5),
-            (lambda mix: sp.li_recover_4(mix, 2), 4.9),
+            (lambda mix: sp.li_recover(mix, 2), 1.5),
+            (lambda mix: sp.li_recover(mix, 2), 4.9),
             (lambda mix: sp.estimate_num_components(mix, 2), 1.5),
             (lambda mix: sp.estimate_num_components(mix, 2), 2.9),
         ],
-        ids=["recover_full-1.5", "recover_full-4.9", "li_recover_4-1.5", "li_recover_4-4.9", "rank-1.5", "rank-2.9"],
+        ids=["recover_full-1.5", "recover_full-4.9", "li_recover-1.5", "li_recover-4.9", "rank-1.5", "rank-2.9"],
     )
     def test_stage_footprint_checked_at_setup(self, indep_mix, monkeypatch, call, times):
         # the d^2 x d^2 array of each call fits this memory more than once,
@@ -502,14 +508,14 @@ class TestRecoverFull:
             recover_full(indep_mix, RecoveryConfig(m=3))
 
 
-class TestLiRecover4:
+class TestLiRecover:
     def test_population_exact(self, indep_mix):
-        res = sp.li_recover_4(indep_mix, 3)
+        res = sp.li_recover(indep_mix, 3)
         assert sp.matched_l1_error(indep_mix.components, res.components) < 1e-8
         assert_allclose(np.sort(res.weights), [0.3, 0.3, 0.4], atol=1e-8)
 
     def test_population_spectrum(self, indep_mix):
-        res = sp.li_recover_4(indep_mix, 3)
+        res = sp.li_recover(indep_mix, 3)
         lam = np.array(res.diagnostics["tt_eigenvalues"])
         assert_allclose(lam[:3], [0.54, 0.46, 0.44], atol=1e-10)
         assert np.abs(lam[3:]).max() < 1e-10
@@ -517,31 +523,48 @@ class TestLiRecover4:
     def test_equal_norm_gate(self):
         eq = sp.make_mixture([0.5, 0.5], [[0.6, 0.4], [0.4, 0.6]])
         with pytest.raises(RecoveryError, match=r"^component norms separate by only \S+$"):
-            sp.li_recover_4(eq, 2)
+            sp.li_recover(eq, 2)
 
     def test_m_one(self, indep_mix):
-        res = sp.li_recover_4(indep_mix, 1)
+        res = sp.li_recover(indep_mix, 1)
         assert_array_equal(res.weights, [1.0])
         assert_allclose(res.components[0], sp.moment(indep_mix, 1), atol=1e-12)
 
-    def test_empirical_hundred_thousand_groups(self, indep_mix):
-        ds = sp.draw_groups(indep_mix, 4, 100_000, seed=3)
-        res = sp.li_recover_4(ds, 3)
+    @pytest.mark.parametrize("group_size", [3, 4])
+    def test_empirical_hundred_thousand_groups(self, indep_mix, group_size):
+        ds = sp.draw_groups(indep_mix, group_size, 100_000, seed=3)
+        res = sp.li_recover(ds, 3)
         assert sp.matched_l1_error(indep_mix.components, res.components) < 0.2
+
+    def test_two_draws_fail_at_setup(self, indep_mix):
+        ds = sp.draw_groups(indep_mix, 2, 100, seed=3)
+        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: group size 2 < required 3$"):
+            sp.li_recover(ds, 3)
+
+    def test_is_recover_full_at_m_two(self, indep_mix):
+        # whitened at order 2, li_recover is recover_full at m = 2 without
+        # the seed and config diagnostics
+        mix = sp.make_mixture([0.4, 0.6], indep_mix.components[:2])
+        ds = sp.draw_groups(mix, 3, 5000, seed=4)
+        for source in (mix, sp.tally(ds), ds):
+            full = recover_full(source, RecoveryConfig(2)).to_json()
+            res = json.loads(full)
+            del res["diagnostics"]["seed"], res["diagnostics"]["config"]
+            assert sp.li_recover(source, 2).to_json() == json.dumps(res)
 
     @pytest.mark.parametrize("m", [0, True])
     def test_rejects_bad_m(self, indep_mix, m):
         with pytest.raises(ValueError, match="m must be an integer >= 1"):
-            sp.li_recover_4(indep_mix, m)
+            sp.li_recover(indep_mix, m)
 
     @needs_memory_size
     def test_operator_too_large_for_memory_fails_at_setup(self):
-        # d=1000: the 10^6 x 10^6 operator stage needs 7 * 8e12 bytes
+        # d=1000: the 10^6 x 10^6 operator stage needs 6 * 8e12 bytes
         spread = np.full(1000, 1e-3)
         peaked = np.r_[0.5, np.full(999, 0.5 / 999)]
         mix = sp.make_mixture([0.5, 0.5], [spread, peaked])
-        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: 7 dense 1000\^4 arrays need 56000000000000 bytes"):
-            sp.li_recover_4(mix, 2)
+        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: 6 dense 1000\^4 arrays need 48000000000000 bytes"):
+            sp.li_recover(mix, 2)
 
 
 class TestEstimateNumComponents:
@@ -599,7 +622,8 @@ class TestEstimateNumComponents:
 # Median matched-L1 error of the seeded Gaussian probe, which contracted each
 # folded eigenvector with a random vector before the top left singular vector
 # replaced it, on the sweeps below: per n for recover_full (run seed = sweep
-# seed), and for li_recover_4 at its former default probe seed 0.
+# seed), and for li_recover_4, li_recover's 4-draw predecessor, at its former
+# default probe seed 0.
 GAUSSIAN_PROBE_MEDIANS = {3_000: 0.0678571, 30_000: 0.0232583, 300_000: 0.00715565}
 GAUSSIAN_PROBE_LI4_MEDIAN = 0.0479246
 
@@ -627,14 +651,15 @@ class TestAccuracySweep:
         for n in sizes:
             assert np.median(errors[n]) < GAUSSIAN_PROBE_MEDIANS[n], (n, np.median(errors[n]))
 
-    def test_li_recover_4(self):
-        # 60 seeds: m 2-4, d m+1..8, Dirichlet(0.5) components, 3e4 groups of 4
+    @pytest.mark.parametrize("group_size", [3, 4])
+    def test_li_recover(self, group_size):
+        # 60 seeds: m 2-4, d m+1..8, Dirichlet(0.5) components, 3e4 groups
         errors = []
         for seed in range(60):
             m = 2 + seed % 3
             rng = np.random.default_rng(seed)
             mix = _sweep_mixture(rng, m, int(rng.integers(m + 1, 9)))
-            res = sp.li_recover_4(draw_tally(mix, 4, 30_000, seed=seed), m)
+            res = sp.li_recover(draw_tally(mix, group_size, 30_000, seed=seed), m)
             errors.append(sp.matched_l1_error(mix.components, res.components))
         assert np.median(errors) < GAUSSIAN_PROBE_LI4_MEDIAN, np.median(errors)
 

@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
-from specmix.recovery import _fourth_operator
 from specmix.tensors import RankDeficiencyError, _counts_rank, _multisets, _power_sum, _rank, _words
 
 
@@ -170,18 +169,6 @@ class TestWhitenedOperators:
             w = rng.standard_normal((d ** (m - 1),) * 2)
             big = np.kron(np.eye(d), np.kron(w, w))
             assert_allclose(sp.build_t_hat(q, w).ravel(), big @ q.ravel(), atol=1e-12)
-
-    def test_fourth_operator_matches_kronecker(self, indep_mix):
-        rng = np.random.default_rng(10)
-        d = indep_mix.d
-        b = sp.b_map(sp.DominatingMeasure([2.0, 1.0, 0.5]))
-        for scale in (None, b):
-            w = rng.standard_normal((d, d))
-            m4 = sp.moment(indep_mix, 4, scale)
-            big = np.kron(np.kron(np.eye(d), w), np.kron(np.eye(d), w))
-            s = (big @ m4.ravel()).reshape(d**2, d**2)
-            out = _fourth_operator(indep_mix, 3, scale, w)
-            assert_allclose(out, 0.5 * (s + s.T), atol=1e-12)
 
     def test_whitened_odd_moment_has_rank_m(self):
         # the whitened population moment collapses to an m-dimensional family
