@@ -22,6 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import rng
 from .model import MixtureSpec, make_mixture, probability_vector
 from .tensors import _orbit_sizes, _power_sum
 
@@ -40,21 +41,22 @@ class MomentComparison(NamedTuple):
 
 @dataclass(frozen=True)
 class CounterexamplePair:
-    """Two distinct mixtures with matching moments up to eq_order = t - 2."""
+    """Two distinct mixtures with matching moments up to eq_order = t - 2,
+    and their moment comparisons at eq_order and one order above."""
 
     p: MixtureSpec
     p_prime: MixtureSpec
     t: int
     epsilons: np.ndarray
     alphas: np.ndarray
+    at_eq_order: MomentComparison
+    above_eq_order: MomentComparison
 
     @property
     def eq_order(self) -> int:
         return self.t - 2
 
     def to_json(self) -> str:
-        eq = verify_moment_equality(self.p, self.p_prime, self.eq_order)
-        ineq = verify_moment_equality(self.p, self.p_prime, self.eq_order + 1)
         return json.dumps(
             {
                 "t": self.t,
@@ -64,10 +66,10 @@ class CounterexamplePair:
                 "p": json.loads(self.p.to_json()),
                 "p_prime": json.loads(self.p_prime.to_json()),
                 "verification": {
-                    "max_diff_at_eq_order": eq.max_abs_diff,
-                    "max_diff_above_eq_order": ineq.max_abs_diff,
-                    "law_l1_at_eq_order": eq.law_l1,
-                    "law_l1_above_eq_order": ineq.law_l1,
+                    "max_diff_at_eq_order": self.at_eq_order.max_abs_diff,
+                    "max_diff_above_eq_order": self.above_eq_order.max_abs_diff,
+                    "law_l1_at_eq_order": self.at_eq_order.law_l1,
+                    "law_l1_above_eq_order": self.above_eq_order.law_l1,
                 },
             }
         )
@@ -119,7 +121,8 @@ def build_pair(
     and a ValueError names both gaps.  On the default levels and bases
     that first happens at m = 15 for t = 2m + 1 and m = 16 for t = 2m.
     """
-    if t not in (2 * m, 2 * m + 1):
+    rng.check_count("m", m)
+    if not rng.is_integer(t) or t not in (2 * m, 2 * m + 1):
         raise ValueError(f"t must be 2m or 2m+1 for m={m}, got {t}")
     if base is None:
         base = ([1.0, 0.0], [0.0, 1.0])
@@ -144,19 +147,17 @@ def build_pair(
         w = np.abs(alpha[parity::2])
         return make_mixture(w / w.sum(), components[parity::2])
 
-    pair = CounterexamplePair(side(t % 2), side(1 - t % 2), t, eps, alpha)
-    at = verify_moment_equality(pair.p, pair.p_prime, pair.eq_order, tol=1e-8)
+    p, p_prime = side(t % 2), side(1 - t % 2)
+    at = verify_moment_equality(p, p_prime, t - 2, tol=1e-8)
     if not at.equal:
+        raise ValueError(f"construction failed: order-{t - 2} moments differ by {at.max_abs_diff:.3g}")
+    above = verify_moment_equality(p, p_prime, t - 1)
+    if not above.max_abs_diff > SEPARATION * at.max_abs_diff:
         raise ValueError(
-            f"construction failed: order-{pair.eq_order} moments differ by {at.max_abs_diff:.3g}"
-        )
-    above = verify_moment_equality(pair.p, pair.p_prime, pair.eq_order + 1).max_abs_diff
-    if not above > SEPARATION * at.max_abs_diff:
-        raise ValueError(
-            f"order-{pair.eq_order + 1} moments differ by {above:.3g} and order-{pair.eq_order} "
+            f"order-{t - 1} moments differ by {above.max_abs_diff:.3g} and order-{t - 2} "
             f"moments by {at.max_abs_diff:.3g}; float64 cannot separate the pair"
         )
-    return pair
+    return CounterexamplePair(p, p_prime, t, eps, alpha, at, above)
 
 
 def verify_moment_equality(
@@ -173,8 +174,7 @@ def verify_moment_equality(
     """
     if p.d != p_prime.d:
         raise ValueError(f"dimension mismatch: {p.d} vs {p_prime.d}")
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    rng.check_count("n", n)
     diff = _power_sum(p.weights, p.components, n) - _power_sum(p_prime.weights, p_prime.components, n)
     gap = float(np.abs(diff).max())
     return MomentComparison(gap, gap <= tol, float(np.abs(diff) @ _orbit_sizes(p.d, n)))

@@ -89,13 +89,16 @@ def moment(
     A MixtureSpec gives the exact population moment, a dataset or
     histogram the estimate; a dataset is tallied first, and the tally
     loses nothing the estimate sees, so both give the same bits.  r must
-    be an integer >= 1, and for data at most the group size; anything
-    else is a ValueError, and any other source a TypeError.
+    be an integer >= 1, and for data at most the group size, and b a
+    vector of d entries; anything else is a ValueError, and any other
+    source a TypeError.
     """
     source = moment_source(source, 1)  # checks the type, tallies a dataset
     k = math.inf if isinstance(source, MixtureSpec) else source.group_size
     if not rng.is_integer(r) or not 1 <= r <= k:
         raise ValueError(f"moment order {r!r} is not an integer in [1, {k}]")
+    if b is not None and np.shape(b) != (source.d,):
+        raise ValueError(f"scale vector b has shape {np.shape(b)}; the source has d = {source.d}")
     if isinstance(source, MixtureSpec):
         values = _power_sum(source.weights, source.components, r)
     else:
@@ -140,8 +143,7 @@ def build_c_hat(
     Gram-weighted sum of (B p_i)^{(x)(m-1)} projectors, the operator the
     whitening step inverts.  data is any source that moment() reads.
     """
-    if not rng.is_integer(m) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    rng.check_count("m", m)
     if m == 1:
         return np.ones((1, 1))
     mat = moment(data, 2 * m - 2, b).reshape(data.d ** (m - 1), -1)
@@ -150,7 +152,6 @@ def build_c_hat(
 
 def build_e_hat(data: GroupedDataset | GroupTallyHistogram, m: int) -> np.ndarray:
     """Order-(m-1) moment in the original space, for the weight solve."""
-    if not rng.is_integer(m) or m < 2:
-        raise ValueError(f"m must be an integer >= 2, got {m!r}")
+    rng.check_count("m", m, 2)
     return moment(data, m - 1)
 

@@ -68,8 +68,7 @@ def random_baseline(truth: Sequence[np.ndarray] | np.ndarray, trials: int, seed:
     (normalized iid exponentials) and scores them against the truth;
     reports mean and plain variance across trials.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    rng.check_count("trials", trials)
     truth = np.asarray(truth, dtype=np.float64)
     if truth.ndim != 2 or truth.size == 0:
         raise ValueError(f"truth must be a nonempty (m, d) array, got shape {truth.shape}")
@@ -104,14 +103,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("group_size", "n_groups", "reps"):
-            value = getattr(self, name)
-            if not rng.is_integer(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not rng.is_integer(self.seed) or not 0 <= self.seed <= 2**64 - self.reps:
+            rng.check_count(name, getattr(self, name))
+        if not rng.is_integer(self.seed) or not 0 <= self.seed <= 2**64 - int(self.reps):
             raise ValueError(f"seed must be an integer in [0, 2**64 - reps], got {self.seed!r}")
         resolve_dominating(self.dominating, 1, 0)
         if self.recovery.dominating is not None:
-            # run_experiment resolves the top-level dominating for each replicate
+            # each replicate's recover_full resolves the top-level dominating
             raise ValueError(
                 'recovery.dominating is not read; set the top-level "dominating" key instead'
             )
@@ -217,13 +214,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     seconds: list = []
     failures: list = []
     t_start = time.perf_counter()
+    recovery = replace(cfg.recovery, dominating=cfg.dominating)
     for rep in range(cfg.reps):
         rep_seed = cfg.seed + rep
         t_rep = time.perf_counter()
         try:
-            xi = resolve_dominating(cfg.dominating, cfg.mixture.d, rep_seed)
             data = draw_tally(cfg.mixture, cfg.group_size, cfg.n_groups, rep_seed)
-            result = recover_full(data, replace(cfg.recovery, dominating=xi), seed=rep_seed)
+            result = recover_full(data, recovery, seed=rep_seed)
             err = matched_l1_error(cfg.mixture.components, result.components)
             errors.append(err)
         except (RecoveryError, ValueError) as exc:

@@ -35,10 +35,8 @@ class MultinomialSpec:
     p: np.ndarray
 
     def __post_init__(self):
-        if not (rng.is_integer(self.n) and rng.is_integer(self.q)):
-            raise ValueError(f"n and q must be integers, got n={self.n!r}, q={self.q!r}")
-        if self.n < 1 or self.q < 2:
-            raise ValueError(f"need n >= 1 and q >= 2, got n={self.n}, q={self.q}")
+        rng.check_count("n", self.n)
+        rng.check_count("q", self.q, 2)
         object.__setattr__(self, "p", probability_vector(self.p))
         if self.p.size != self.q:
             raise ValueError(f"p has {self.p.size} cells, expected {self.q}")
@@ -72,8 +70,8 @@ def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     arrangements of a word are the multi-indices of its multiset, so the
     share is added once at that multiset's rank and read out through it.
     """
-    if n < 1 or q < 1:
-        raise ValueError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
+    rng.check_count("n", n)
+    rng.check_count("q", q)
     return _spread(measure, n, q)[_multisets(q, n)]
 
 

@@ -79,8 +79,7 @@ class RecoveryConfig:
     weight_solver: ClassVar[str] = "clip-renormalize"
 
     def __post_init__(self):
-        if not rng.is_integer(self.m) or self.m < 1:
-            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
+        rng.check_count("m", self.m)
         if self.probe != "singular":
             raise ValueError(f"unknown probe {self.probe!r}; the only probe is 'singular'")
         if not isinstance(self.eig_floor, numbers.Real) or not 0.0 < self.eig_floor < 1.0:
@@ -131,8 +130,7 @@ class WeightSolution(NamedTuple):
 
 def whiten(c_hat: np.ndarray, m: int, eig_floor: float = 1e-8) -> np.ndarray:
     """Inverse square root of the moment form on its top-m eigenspace."""
-    if not rng.is_integer(m) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    rng.check_count("m", m)
     return eig_sqrt_pinv(sym_eig(c_hat), m, eig_floor)
 
 
@@ -397,8 +395,7 @@ def estimate_num_components(
     Singular values above rel_tol times the largest count; rel_tol must
     be a finite number in [0, 1).
     """
-    if not rng.is_integer(n) or n < 1:
-        raise ValueError(f"power must be an integer >= 1, got {n!r}")
+    rng.check_count("power", n)
     with _stage("setup"):
         if not 0.0 <= rel_tol < 1.0:  # NaN fails every comparison
             raise ValueError(f"rel_tol must be a finite number in [0, 1), got {rel_tol}")

@@ -61,6 +61,13 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_count(name: str, value, low: int = 1) -> None:
+    """ValueError naming name unless value is an integer >= low and not a
+    bool: the one rule for every size, order and count argument."""
+    if not is_integer(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def check_seed(seed: int) -> None:
     """ValueError unless seed is an integer in [0, 2**64)."""
     if not is_integer(seed):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 import warnings
@@ -48,6 +49,7 @@ class GroupedDataset:
     groups: np.ndarray
 
     def __post_init__(self):
+        rng.check_count("d", self.d)
         g = self.groups
         if not isinstance(g, np.ndarray) or g.dtype.kind not in "iu" or g.ndim != 2 or g.size == 0:
             raise ValueError("expected a nonempty n x k integer index array")
@@ -68,11 +70,11 @@ class GroupTallyHistogram:
     """Counts of per-group category tallies.
 
     Keys are length-d compositions (category occurrence counts summing to
-    group_size); values are group counts in [1, 2**63).  Counts may be
-    integral floats, but not bools.  Total count equals the number of
-    groups in the source dataset.  counts is always the read-only,
-    array-backed mapping tally() builds: any other mapping is checked
-    once here and converted, keeping its key order.
+    group_size); values are group counts in [1, 2**63).  Every entry is
+    a real number and not a bool; integral floats are accepted.  Total
+    count equals the number of groups in the source dataset.  counts is
+    always the read-only, array-backed mapping tally() builds: any other
+    mapping is checked once here and converted, keeping its key order.
     """
 
     d: int
@@ -86,10 +88,11 @@ class GroupTallyHistogram:
         if not self.counts:
             raise ValueError("a tally histogram needs at least one group")
         for key, n in self.counts.items():
-            if len(key) != d or sum(key) != k:
+            # checked before any arithmetic; a bool is no count, though it passes the numeric tests
+            numeric = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (n, *key))
+            if numeric and (len(key) != d or sum(key) != k):
                 raise ValueError(f"tally key {key} does not sum to {k} over {d} categories")
-            # a bool is no count, though it passes the numeric tests
-            if any(isinstance(v, (bool, np.bool_)) or v % 1 for v in (n, *key)) or not 0 < n < 2**63 or min(key) < 0:
+            if not numeric or any(v % 1 for v in (n, *key)) or not 0 < n < 2**63 or min(key) < 0:
                 raise ValueError(f"invalid tally record {key}: {n} groups")
         comps = np.array(list(self.counts), dtype=np.int64).reshape(-1, d)
         groups = np.array(list(self.counts.values()), dtype=np.int64)
@@ -114,8 +117,8 @@ DRAW_BLOCK = 65_536
 
 
 def _check_sizes(mix: MixtureSpec, group_size: int, n_groups: int) -> None:
-    if group_size < 1 or n_groups < 1:
-        raise ValueError("group_size and n_groups must be >= 1")
+    rng.check_count("group_size", group_size)
+    rng.check_count("n_groups", n_groups)
     if mix.d > 255:
         raise ValueError("more than 255 categories not supported by the sampler")
 

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import rng
 
 class RankDeficiencyError(RuntimeError):
     """Fewer usable eigenvalues than requested; operator rank is below target."""
@@ -43,8 +44,7 @@ class EigenDecomposition(NamedTuple):
 
 def outer_power(v: np.ndarray, k: int) -> np.ndarray:
     """k-fold outer product v (x) v (x) .. (x) v, entry (i_1..i_k) = prod v_{i_j}."""
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    rng.check_count("k", k)
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("expected a vector")
@@ -122,8 +122,8 @@ def enumerate_compositions(n: int, q: int) -> list[tuple[int, ...]]:
     order is part of the serialization contract.  It is the rank order
     of the size-n multisets of [q] with each category c renamed q-1-c.
     """
-    if n < 0 or q < 1:
-        raise ValueError(f"need n >= 0 and q >= 1, got n={n}, q={q}")
+    rng.check_count("n", n, 0)
+    rng.check_count("q", q)
     size = math.comb(n + q - 1, n)
     flat = (np.arange(size) * q + (q - 1 - _words(q, n))).ravel()
     return list(map(tuple, np.bincount(flat, minlength=size * q).reshape(size, q).tolist()))

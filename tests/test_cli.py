@@ -193,7 +193,7 @@ class TestCounterexampleCommand:
 
     def test_zero_components_exits_with_one_line(self, capsys):
         assert run_failing(capsys, ["counterexample", "--m", "0", "--kind", "identifiability"],
-            "^specmix counterexample: need at least 3") == ""
+            "^specmix counterexample: m must be an integer >= 1, got 0$") == ""
 
 
 class TestMultinomialCheckCommand:
@@ -254,7 +254,7 @@ class TestMultinomialCheckCommand:
         "n, weight, message",
         [
             # n 2.5 and weight true against n 2 and weight 1.0 printed "equal"
-            (2.5, 1.0, ".*a.json: n and q must be integers, got n=2.5, q=2"),
+            (2.5, 1.0, ".*a.json: n must be an integer >= 1, got 2.5"),
             (2, True, ".*a.json: weights entry 0 is True, not a real number"),
             (2, "1.0", ".*a.json: weights entry 0 is '1.0', not a real number"),
         ],

@@ -3,6 +3,7 @@ import json
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
 from conftest import dense_power_sum
-from specmix.counterexamples import SEPARATION, dependence_coefficients
+from specmix.counterexamples import SEPARATION, MomentComparison, dependence_coefficients
 from specmix.tensors import _multisets, _orbit_sizes
 
 
@@ -201,6 +202,8 @@ class TestBuildPairInvariants:
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError, match="2m"):
             sp.build_pair(2, 6)
+        with pytest.raises(ValueError, match=r"^t must be 2m or 2m\+1 for m=1, got 3\.0$"):
+            sp.build_pair(1, 3.0)  # built a pair with t = 3.0
 
     def test_rejects_bad_epsilons(self):
         with pytest.raises(ValueError, match="levels"):
@@ -311,3 +314,15 @@ class TestPairJson:
         assert obj["verification"]["law_l1_above_eq_order"] == pytest.approx(4 / 9, rel=1e-15)
         assert len(obj["alphas"]) == 4
         assert obj["p"]["weights"] and obj["p_prime"]["weights"]
+
+    def test_writes_the_comparisons_build_pair_made(self):
+        pair = sp.build_pair(3, 7)
+        assert pair.at_eq_order == sp.verify_moment_equality(pair.p, pair.p_prime, 5, tol=1e-8)
+        assert pair.above_eq_order == sp.verify_moment_equality(pair.p, pair.p_prime, 6)
+        marked = replace(pair, at_eq_order=MomentComparison(1.0, False, 2.0), above_eq_order=MomentComparison(3.0, False, 4.0))
+        assert json.loads(marked.to_json())["verification"] == {
+            "max_diff_at_eq_order": 1.0,
+            "max_diff_above_eq_order": 3.0,
+            "law_l1_at_eq_order": 2.0,
+            "law_l1_above_eq_order": 4.0,
+        }

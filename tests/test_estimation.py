@@ -323,6 +323,17 @@ class TestMomentChecks:
         for source in (blend_mix, ds):
             assert_array_equal(moment(source, np.int64(2)), moment(source, 2))
 
+    @pytest.mark.parametrize("b", [np.ones(4), np.ones(2), np.ones((3, 1))])
+    def test_scale_vector_has_d_entries(self, blend_mix, b):
+        # np.ones(4) on d = 3 failed inside numpy: shapes (3,3) (4,4) (3,3)
+        ds = sp.draw_groups(blend_mix, 3, 20, seed=1)
+        message = rf"^scale vector b has shape {re.escape(str(b.shape))}; the source has d = 3$"
+        for source in (blend_mix, ds, sp.tally(ds)):
+            with pytest.raises(ValueError, match=message):
+                moment(source, 2, b)
+        with pytest.raises(ValueError, match=message):
+            sp.build_c_hat(blend_mix, 2, b)
+
     @pytest.mark.parametrize("source", [[[0, 1]], np.zeros((2, 2), dtype=np.uint8), None])
     def test_other_sources_are_type_errors(self, source):
         with pytest.raises(TypeError, match=rf"^unsupported data type {type(source).__name__}$"):

@@ -172,6 +172,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match='top-level "dominating"'):
             small_config(blend_mix, None, recovery=RecoveryConfig(3, dominating="uniform"))
 
+    def test_recover_full_resolves_the_descriptor(self, blend_mix):
+        # the replicate's recover_full resolves the descriptor, so an
+        # overflowing scale names it instead of "given as a DominatingMeasure"
+        report = run_experiment(small_config(blend_mix, None, dominating="fixed:1e-300,1,1", reps=1))
+        assert report.failures == [{"rep": 0, "tag": (
+            "stage 'setup' failed: reference measure 'fixed:1e-300,1,1' scales the order-5 moment "
+            "by 1e+150**5, which overflows; raise its smallest mass"
+        )}]
+
     # 5 groups: replicate 0 of seed 0 fails whitening, the others succeed.
     # DRAW_BLOCK + 1 groups: two draw blocks.
     @pytest.mark.parametrize("n_groups, reps", [(5, 4), (DRAW_BLOCK + 1, 2)])

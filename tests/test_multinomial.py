@@ -102,7 +102,8 @@ class TestMultinomialPmf:
     @pytest.mark.parametrize("n, q", [(2.5, 2), (2.0, 2), (True, 2), (2, 2.0), ("2", 2)])
     def test_spec_rejects_non_integer_sizes(self, n, q):
         # MultinomialSpec(2.5, 2, ...) was accepted
-        with pytest.raises(ValueError, match=rf"^n and q must be integers, got n={re.escape(repr(n))}, q={re.escape(repr(q))}$"):
+        name, value, low = ("n", n, 1) if type(n) is not int else ("q", q, 2)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {low}, got {re.escape(repr(value))}$"):
             MultinomialSpec(n, q, np.array([0.5, 0.5]))
         assert MultinomialSpec(np.int64(2), 2, [0.5, 0.5]).n == 2
 

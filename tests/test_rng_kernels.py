@@ -1,5 +1,7 @@
 """Deterministic random words and the sampling kernel backends."""
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -628,3 +630,42 @@ class TestCompiledLoader:
         assert all(p.returncode == 0 for p in procs)
         assert len(set(outs)) == 1
         assert [p.name for p in tmp_path.iterdir()] == [Path(outs[0]).name]
+
+
+# (d, group size) of the four kernel benchmark runs in CI: a full threshold
+# row, keys with a pad, the largest keyed table, and too many cells to key
+CI_SHAPES = [(3, 5), (6, 5), (16, 1), (12, 5)]
+
+
+@pytest.fixture(scope="module", params=["plain", "clones"])
+def warning_free_build(request, tmp_path_factory):
+    """_kernels.c compiled with -Wall -Wextra -Werror and loaded: "plain"
+    with the target_clones define emptied, so the one copy built is the
+    plain x86-64 code that compilers without clones and older CPUs run,
+    and "clones" as it is."""
+    compiled = pytest.importorskip("specmix._kernels")
+    if shutil.which("cc") is None:
+        pytest.skip("no cc")
+    code = compiled.SOURCE.read_text()
+    if request.param == "plain":
+        code, count = re.subn(r"^#define VECTOR_CLONES __attribute__\(\(target_clones\(.*\)\)\)$",
+                              "#define VECTOR_CLONES", code, flags=re.MULTILINE)
+        assert count == 1
+    lib = tmp_path_factory.mktemp(request.param) / "_kernels.so"
+    subprocess.run(["cc", *compiled.CFLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c", "-", "-o", str(lib)],
+                   input=code, text=True, capture_output=True, check=True)
+    return compiled, compiled._load(lib)
+
+
+@pytest.mark.parametrize("d, k", CI_SHAPES)
+def test_warning_free_build_matches_numpy(warning_free_build, monkeypatch, d, k):
+    compiled, lib = warning_free_build
+    monkeypatch.setattr(compiled, "_lib", lib)
+    rs = np.random.default_rng(d * 10 + k)
+    weights, components = rs.dirichlet(np.ones(3)), rs.dirichlet(np.ones(d), size=3)
+    call = (7, 20_000, k, draw_thresholds(np.cumsum(weights), np.cumsum(components, axis=1)))
+    assert_array_equal(compiled.sample_groups(*call, start=12_345), _kernels_np.sample_groups(*call, start=12_345))
+    cells = (k + 1) ** d
+    if cells <= DRAW_BLOCK:  # the tables draw_tally keys into
+        table = compiled.sample_keys(*call, np.zeros(cells, dtype=np.int64), start=12_345)
+        assert_array_equal(table, _kernels_np.sample_keys(*call, np.zeros(cells, dtype=np.int64), start=12_345))

@@ -148,9 +148,9 @@ class TestDrawTally:
         assert dict(got.counts) == dict(zip(map(tuple, rows.tolist()), counts.tolist()))
 
     def test_validates_like_draw_groups(self, blend_mix):
-        with pytest.raises(ValueError, match="must be >= 1"):
+        with pytest.raises(ValueError, match="^n_groups must be an integer >= 1, got 0$"):
             sampling.draw_tally(blend_mix, 3, 0, seed=0)
-        with pytest.raises(ValueError, match="must be >= 1"):
+        with pytest.raises(ValueError, match="^group_size must be an integer >= 1, got -2$"):
             sampling.draw_tally(blend_mix, -2, 10, seed=0)  # (k+1)^d = -1 tallies
         wide = sp.make_mixture([1.0], np.full((1, 256), 1 / 256))
         with pytest.raises(ValueError, match="255 categories"):
@@ -333,6 +333,13 @@ class TestHistogramMapping:
             ({(2, 1): 2.5}, "invalid"),
             ({}, "at least one group"),
             ({(2, 1): 2**63}, r"^invalid tally record \(2, 1\): 9223372036854775808 groups$"),
+            # not numbers: a string key raised a TypeError from sum, a string or None count one from %
+            ({("1", "2"): 3}, "^invalid tally record"),
+            ({(2, 1): "3"}, "^invalid tally record"),
+            ({(2, 1): None}, "^invalid tally record"),
+            ({(2, None): 3}, "^invalid tally record"),
+            ({(2, 1.0j): 3}, "^invalid tally record"),
+            ({("2", 1, 0): 3}, "^invalid tally record"),
         ],
     )
     def test_rejects_malformed_mapping(self, counts, match):
@@ -395,6 +402,9 @@ class TestTextFormat:
     def test_explicit_d(self):
         ds = sp.read_groups(io.StringIO("1 2\n"), d=5)
         assert ds.d == 5
+        # d=2.0 gave GroupedDataset(d=2.0, ...)
+        with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got 2\.0$"):
+            sp.read_groups(io.StringIO("1 2\n"), d=2.0)
 
     def test_rejects_zero_index(self):
         with pytest.raises(ValueError, match="1-based"):
