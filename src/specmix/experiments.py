@@ -230,15 +230,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     scheme = _scheme_name(cfg.dominating)
     return ExperimentReport(
         scheme=scheme,
-        n_groups=cfg.n_groups,
-        group_size=cfg.group_size,
-        seed=cfg.seed,
+        # int(): the count rule accepts numpy integers, which json cannot write
+        n_groups=int(cfg.n_groups),
+        group_size=int(cfg.group_size),
+        seed=int(cfg.seed),
         errors=errors,
         seconds=seconds,
         failures=failures,
         config={
             "mixture": json.loads(cfg.mixture.to_json()),
-            "reps": cfg.reps,
+            "reps": int(cfg.reps),
             "recovery": cfg.recovery.echo() | {"dominating": scheme},
         },
         wall_clock=time.perf_counter() - t_start,

@@ -11,12 +11,16 @@ draw_thresholds turns cumulative weights and component masses into the
 integer thresholds both samplers take, so a draw computes them once and
 hands them to every block.  sample_keys draws groups and counts each in
 a dense table at its tally key, the key group_keys(sample_groups(...))
-would give it.  The compiled kernel does this in one pass per chunk of
-64 groups, without the (n_groups, group_size) array, and sums each key
-from the comparisons with its group's thresholds, with no table read per
-draw (see the header of _kernels.c); the numpy fallback runs the two
-kernels.  group_keys, the one tally-key encoder, is numpy on both
-backends.
+would give it, for any number of groups in one call: sampling.draw_tally
+makes one call per worker, over that worker's run of whole DRAW_BLOCK
+blocks, so the longest call covers ceil(ceil(n_groups / DRAW_BLOCK) /
+workers) blocks, all n_groups groups with one CPU.  The compiled kernel does this in one pass
+per chunk of 64 groups, without the (n_groups, group_size) array, and
+sums each key from the comparisons with its group's thresholds, with no
+table read per draw (see the header of _kernels.c); the numpy fallback
+runs the two kernels DRAW_BLOCK groups at a time, in buffers it reuses
+for every block.  group_keys, the one tally-key encoder, is numpy on
+both backends, and DRAW_BLOCK, the one block size, is defined beside it.
 """
 from __future__ import annotations
 
@@ -39,4 +43,5 @@ else:
 sample_groups = _impl.sample_groups
 sample_keys = _impl.sample_keys
 draw_thresholds = _kernels_np.draw_thresholds
+DRAW_BLOCK = _kernels_np.DRAW_BLOCK
 group_keys = _kernels_np.group_keys

@@ -47,8 +47,9 @@ _INV_2_53 = 2.0 ** -53
 
 
 def mix64(z: int) -> int:
-    """splitmix64 finalizer on a Python integer, modulo 2**64."""
-    z &= MASK
+    """splitmix64 finalizer on an integer, modulo 2**64; a numpy integer
+    is read as the Python int of its value, so no mask can overflow it."""
+    z = int(z) & MASK
     z ^= z >> 30
     z = (z * MIX_A) & MASK
     z ^= z >> 27

@@ -9,9 +9,9 @@ groups at a time, without holding the whole dataset.  When the possible
 tallies are few, one kernel pass keys and counts each group as it draws
 it, so no block of rows is written either, and the blocks are split into
 contiguous runs, one per CPU the process may run on (at most one per
-block), each counted in its own thread and table.  Every group draws
-from its own counter stream and integer counts add exactly, so the
-histogram does not depend on the number of CPUs.
+block), each counted in one kernel call, in its own thread and table.
+Every group draws from its own counter stream and integer counts add
+exactly, so the histogram does not depend on the number of CPUs.
 
 Category indices are 0-based in memory; the text format on disk is
 1-based, one group per line.
@@ -69,12 +69,14 @@ class GroupedDataset:
 class GroupTallyHistogram:
     """Counts of per-group category tallies.
 
-    Keys are length-d compositions (category occurrence counts summing to
-    group_size); values are group counts in [1, 2**63).  Every entry is
-    a real number and not a bool; integral floats are accepted.  Total
-    count equals the number of groups in the source dataset.  counts is
-    always the read-only, array-backed mapping tally() builds: any other
-    mapping is checked once here and converted, keeping its key order.
+    d and group_size are integers >= 1, checked by the count rule
+    whatever counts holds.  Keys are length-d compositions (category
+    occurrence counts summing to group_size); values are group counts in
+    [1, 2**63).  Every entry is a real number and not a bool; integral
+    floats are accepted.  Total count equals the number of groups in the
+    source dataset.  counts is always the read-only, array-backed mapping
+    tally() builds: any other mapping is checked once here and converted,
+    keeping its key order.
     """
 
     d: int
@@ -82,6 +84,8 @@ class GroupTallyHistogram:
     counts: Mapping[Composition, int]
 
     def __post_init__(self):
+        rng.check_count("d", self.d)
+        rng.check_count("group_size", self.group_size)
         if isinstance(self.counts, _TallyTable):
             return
         d, k = self.d, self.group_size
@@ -105,15 +109,9 @@ class GroupTallyHistogram:
 
 
 # Groups drawn or tallied at a time, and the most cells draw_tally's dense
-# tally table may have, so the table is never larger than the int64 keys
-# of one block of rows.  With the compiled kernels, then including a
-# compiled group_keys, draw_tally on 2e5 groups at d=6, k=7 took 17.8 /
-# 17.4 / 16.5 / 18.5 ms with blocks of 16k / 32k / 65k / 131k groups, and
-# on 4e4 groups at d=12, k=5 5.17 / 5.10 / 4.82 / 4.84 ms (medians of 10
-# alternating rounds, 2 cores); no size beat 65k in more than 5 of 10
-# rounds.  Peak memory grows with the block (0.45 to 3.1 MiB traced at
-# d=6), not with n_groups.
-DRAW_BLOCK = 65_536
+# tally table may have; the one constant, defined beside the numpy kernels,
+# which chunk by it too.
+DRAW_BLOCK = kernels.DRAW_BLOCK
 
 
 def _check_sizes(mix: MixtureSpec, group_size: int, n_groups: int) -> None:
@@ -128,20 +126,16 @@ def _thresholds(mix: MixtureSpec) -> tuple:
     return kernels.draw_thresholds(np.cumsum(mix.weights), np.cumsum(mix.components, axis=1))
 
 
-def _draw_blocks(
-    kernel, thresholds: tuple, group_size: int, n_groups: int, seed: int, starts: range, **kwargs
-) -> Iterator[np.ndarray]:
-    """kernel's output for the groups in the DRAW_BLOCK-group blocks
-    starting at starts, a run of range(0, n_groups, DRAW_BLOCK), where
-    kernel is kernels.sample_groups or kernels.sample_keys and thresholds
-    come from _thresholds.  Group g draws from its own counter-derived
-    stream in any block, so the blocks stacked are the output of one
-    kernel call; small blocks stay in cache.  The caller has checked the
-    sizes."""
+def _draw_blocks(thresholds: tuple, group_size: int, n_groups: int, seed: int) -> Iterator[np.ndarray]:
+    """The kernels.sample_groups rows of the groups of a draw, one
+    DRAW_BLOCK-group block at a time, with thresholds from _thresholds.
+    Group g draws from its own counter-derived stream in any block, so
+    the blocks stacked are the output of one kernel call; small blocks
+    stay in cache.  The caller has checked the sizes."""
     sub_seed = rng.derive_seed(seed, rng.TAG_GROUPS)
     return (
-        kernel(sub_seed, min(DRAW_BLOCK, n_groups - lo), group_size, thresholds, start=lo, **kwargs)
-        for lo in starts
+        kernels.sample_groups(sub_seed, min(DRAW_BLOCK, n_groups - lo), group_size, thresholds, start=lo)
+        for lo in range(0, n_groups, DRAW_BLOCK)
     )
 
 
@@ -154,10 +148,10 @@ def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> 
     """
     _check_sizes(mix, group_size, n_groups)
     groups = np.empty((n_groups, group_size), dtype=np.uint8)
-    starts = range(0, n_groups, DRAW_BLOCK)
-    blocks = _draw_blocks(kernels.sample_groups, _thresholds(mix), group_size, n_groups, seed, starts)
-    for lo, block in zip(starts, blocks):
+    lo = 0
+    for block in _draw_blocks(_thresholds(mix), group_size, n_groups, seed):
         groups[lo : lo + len(block)] = block
+        lo += len(block)
     groups.flags.writeable = False
     return GroupedDataset(mix.d, groups)
 
@@ -169,42 +163,50 @@ def draw_tally(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> G
     While the (k+1)^d possible tallies number at most DRAW_BLOCK,
     kernels.sample_keys keys each group as it draws it and counts it in
     a dense table, whose nonzero cells are the distinct keys in
-    increasing order.  The blocks are then counted by one worker per CPU
-    in the process's affinity set (os.cpu_count() where the platform has
-    no affinity call), at most one per block; the histogram is the same
-    for any number of workers.  Otherwise DRAW_BLOCK groups are drawn and
-    tallied at a time, as tally reads them, in the calling thread.
+    increasing order.  The DRAW_BLOCK-group blocks are then split among
+    one worker per CPU in the process's affinity set (os.cpu_count()
+    where the platform has no affinity call), at most one per block, and
+    each worker counts its run of blocks in one kernel call; the
+    histogram is the same for any number of workers.  Otherwise
+    DRAW_BLOCK groups are drawn and tallied at a time, as tally reads
+    them, in the calling thread.
     """
     _check_sizes(mix, group_size, n_groups)
     d, k = mix.d, group_size
     cells = (k + 1) ** d
-    starts = range(0, n_groups, DRAW_BLOCK)
     thresholds = _thresholds(mix)
     if cells > DRAW_BLOCK:
-        return _tally_blocks(d, k, _draw_blocks(kernels.sample_groups, thresholds, k, n_groups, seed, starts))
-    table = _count_keys(thresholds, k, n_groups, seed, starts, cells)
+        return _tally_blocks(d, k, _draw_blocks(thresholds, k, n_groups, seed))
+    table = _count_keys(thresholds, k, n_groups, seed, cells)
     keys = np.flatnonzero(table)
     return GroupTallyHistogram(d, k, _from_keys(d, k, keys, table[keys]))
 
 
-def _count_keys(thresholds: tuple, k: int, n_groups: int, seed: int, starts: range, cells: int) -> np.ndarray:
-    """The table of kernels.sample_keys over all the blocks at starts.
+def _count_keys(thresholds: tuple, k: int, n_groups: int, seed: int, cells: int) -> np.ndarray:
+    """The table of kernels.sample_keys over the n_groups groups of a draw.
 
-    Each worker counts a contiguous run of whole blocks into its own
-    table, in a thread (the compiled kernel releases the GIL, and numpy
-    does in its array loops); the calling thread counts the first run.
-    The tables are summed once every thread has ended, and the first
-    worker's exception, if any, is raised as it was raised.
+    The ceil(n_groups / DRAW_BLOCK) blocks are split into one contiguous
+    run of whole blocks per worker, and each worker counts its run into
+    its own table in one sample_keys call, in a thread (the compiled
+    kernel releases the GIL, and numpy does in its array loops); the
+    calling thread counts the first run.  So one call covers at most
+    ceil(blocks / workers) blocks: all n_groups groups with one CPU.
+    Each group draws from its own stream, so a call over a run counts
+    what its blocks would count one by one.  The tables are summed once
+    every thread has ended, and the first worker's exception, if any, is
+    raised as it was raised.
     """
-    workers = min(_cpu_count(), len(starts))
-    runs = [starts[len(starts) * i // workers : len(starts) * (i + 1) // workers] for i in range(workers)]
-    tables = [np.zeros(cells, dtype=np.int64) for _ in runs]
+    blocks = -(-n_groups // DRAW_BLOCK)
+    workers = min(_cpu_count(), blocks)
+    bounds = [min(blocks * i // workers * DRAW_BLOCK, n_groups) for i in range(workers + 1)]
+    tables = [np.zeros(cells, dtype=np.int64) for _ in range(workers)]
     errors: list = [None] * workers
+    sub_seed = rng.derive_seed(seed, rng.TAG_GROUPS)
 
     def count(i: int) -> None:
+        lo, hi = bounds[i], bounds[i + 1]
         try:
-            for _ in _draw_blocks(kernels.sample_keys, thresholds, k, n_groups, seed, runs[i], table=tables[i]):
-                pass  # each block counts its groups into tables[i]
+            kernels.sample_keys(sub_seed, hi - lo, k, thresholds, tables[i], start=lo)
         except BaseException as exc:  # raised again in the calling thread
             errors[i] = exc
 

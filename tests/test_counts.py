@@ -12,7 +12,7 @@ from specmix.estimation import build_c_hat, build_e_hat
 from specmix.experiments import ExperimentConfig, random_baseline
 from specmix.multinomial import MultinomialSpec, t_nq_apply
 from specmix.recovery import RecoveryConfig, estimate_num_components, whiten
-from specmix.sampling import GroupedDataset, draw_groups, draw_tally
+from specmix.sampling import GroupedDataset, GroupTallyHistogram, draw_groups, draw_tally
 from specmix.tensors import enumerate_compositions, outer_power
 
 MIX = sp.make_mixture([0.5, 0.5], [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
@@ -67,6 +67,10 @@ CASES = {
     "draw_tally.n_groups": ("n_groups", 1, lambda v: draw_tally(MIX, 3, v, 0), (sampling, "_thresholds")),
     "build_pair.m": ("m", 1, lambda v: build_pair(v, 2 * v + 1), (counterexamples, "probability_vector")),
     "GroupedDataset.d": ("d", 1, lambda v: GroupedDataset(v, np.zeros((2, 2), dtype=np.uint8)), (sampling, "np")),
+    "GroupTallyHistogram.d": ("d", 1, lambda v: GroupTallyHistogram(v, 2, {(1, 1): 4}), (sampling, "np")),
+    "GroupTallyHistogram.group_size": (
+        "group_size", 1, lambda v: GroupTallyHistogram(2, v, {(1, 1): 4}), (sampling, "np")
+    ),
 }
 
 

@@ -223,6 +223,20 @@ class TestReportSerialization:
         assert obj["n_groups"] == 2000
         assert obj["config"]["recovery"]["m"] == 3
 
+    def test_numpy_integer_counts(self):
+        # the count rule accepts numpy integers; the report writes them as ints
+        mix = sp.make_mixture([0.5, 0.5], [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+
+        def report(count):
+            cfg = ExperimentConfig(mix, count(3), count(100), count(2), None, RecoveryConfig(2), seed=count(7))
+            obj = json.loads(run_experiment(cfg).to_json())
+            del obj["seconds"], obj["wall_clock"]
+            return obj
+
+        got = report(np.int64)
+        assert got == report(int)
+        assert (got["group_size"], got["n_groups"], got["seed"], got["config"]["reps"]) == (3, 100, 7, 2)
+
     def test_csv_format(self, blend_mix, fixed_xi):
         rep = run_experiment(small_config(blend_mix, fixed_xi, group_size=3, n_groups=50))
         buf = io.StringIO()

@@ -45,6 +45,11 @@ class TestDeriveSeed:
     def test_seeds_separate(self):
         assert rng.derive_seed(0, 1) != rng.derive_seed(1, 1)
 
+    def test_numpy_integer_seeds(self):
+        # check_seed accepts them; an np.int64 masked with 2**64 - 1 overflowed
+        for seed in (np.int64(7), np.uint64(7), np.uint64(2**64 - 1)):
+            assert rng.derive_seed(seed, 1) == rng.derive_seed(int(seed), 1)
+
     def test_rejects_seed_outside_64_bits(self):
         # such a seed would otherwise alias its residue modulo 2**64
         rng.derive_seed(2**64 - 1, 1)
@@ -471,6 +476,25 @@ class TestBackends:
         full = compiled.sample_groups(5, 10, 3, draw_thresholds(cw, cc))
         assert_array_equal(compiled.sample_groups(5, 4, 3, draw_thresholds(cw, cc), start=6), full[6:])
         assert_array_equal(fallback.sample_groups(5, 4, 3, draw_thresholds(cw, cc), start=6), full[6:])
+
+    def test_sample_keys_chunks_across_blocks(self):
+        # the fallback draws and keys DRAW_BLOCK groups at a time in
+        # reused buffers; over two whole blocks and a ragged one, on
+        # streams that wrap past 2**64, it counts what the compiled kernel
+        # counts in one call, and what one call per block counts
+        compiled, fallback = self._both()
+        cw, cc = np.cumsum([0.5, 0.3, 0.2]), np.cumsum([[0.64, 0.32, 0.04], [0.04, 0.32, 0.64], [0.24, 0.32, 0.44]], axis=1)
+        n, start, cells = 2 * DRAW_BLOCK + 17, 2**64 - 5, 6**3
+        table = fallback.sample_keys(9, n, 5, draw_thresholds(cw, cc), np.zeros(cells, dtype=np.int64), start=start)
+        want = compiled.sample_keys(9, n, 5, draw_thresholds(cw, cc), np.zeros(cells, dtype=np.int64), start=start)
+        assert_array_equal(table, want)
+        blocks = np.zeros(cells, dtype=np.int64)
+        for lo in range(0, n, DRAW_BLOCK):
+            fallback.sample_keys(9, min(DRAW_BLOCK, n - lo), 5, draw_thresholds(cw, cc), blocks, start=start + lo)
+        assert_array_equal(table, blocks)
+        rows = fallback.sample_groups(9, n, 5, draw_thresholds(cw, cc), start=start)
+        assert_array_equal(table, np.bincount(fallback.group_keys(rows, 3), minlength=cells))
+        assert table.sum() == n
 
     def test_ties_go_right(self):
         # A uniform equal to a cumulative mass picks the next entry, as

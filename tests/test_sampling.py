@@ -1,6 +1,7 @@
 """Grouped sampling, tally compression, and the text/JSON formats."""
 import io
 import os
+import re
 import threading
 
 import numpy as np
@@ -271,14 +272,28 @@ class TestDrawTallyWorkers:
     def test_worker_count_does_not_change_result(self, n, blend_mix, monkeypatch):
         want = sp.tally(sp.draw_groups(blend_mix, 5, n, seed=n))
         blocks = -(-n // B)
-        calls = self.spy_threads(monkeypatch)
+        calls, sample_keys = [], kernels.sample_keys
+
+        def spy(seed, n_groups, *args, start, **kwargs):
+            calls.append((threading.current_thread(), start, n_groups))
+            return sample_keys(seed, n_groups, *args, start=start, **kwargs)
+
+        monkeypatch.setattr(kernels, "sample_keys", spy)
         # 64 CPUs is more than there are blocks, and more than this machine has
         for cpus in (1, 2, 3, 64):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
             calls.clear()
             assert_same_histogram(sampling.draw_tally(blend_mix, 5, n, seed=n), want)
-            assert len({thread for thread, _ in calls}) == min(cpus, blocks)
-            assert sorted(start for _, start in calls) == list(range(0, n, B))
+            workers = min(cpus, blocks)
+            # exactly one call per worker, each in its own thread, the first in the calling thread
+            assert len(calls) == len({thread for thread, _, _ in calls}) == workers
+            calls.sort(key=lambda call: call[1])
+            assert calls[0][0] is threading.current_thread()
+            # each starting at its run's first block, together covering the n groups
+            starts = [blocks * i // workers * B for i in range(workers)]
+            assert [start for _, start, _ in calls] == starts
+            assert [start + size for _, start, size in calls] == starts[1:] + [n]
+            assert sum(size for _, _, size in calls) == n
 
     def test_without_affinity_uses_cpu_count(self, blend_mix, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -345,6 +360,23 @@ class TestHistogramMapping:
     def test_rejects_malformed_mapping(self, counts, match):
         with pytest.raises(ValueError, match=match):
             sp.GroupTallyHistogram(2, 3, counts)
+
+    @pytest.mark.parametrize(
+        "d, k, counts, message",
+        [
+            (2, 3.0, {(2, 1): 4}, "group_size must be an integer >= 1, got 3.0"),
+            (2.0, 3, {(2, 1): 4}, "d must be an integer >= 1, got 2.0"),
+            (True, 3, {(3,): 4}, "d must be an integer >= 1, got True"),
+            (2, 0, {(0, 0): 4}, "group_size must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_rejects_bad_sizes(self, d, k, counts, message):
+        # checked before the records, and for the array-backed counts tally() builds too
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sp.GroupTallyHistogram(d, k, counts)
+        table = sampling.draw_tally(sp.make_mixture([1.0], [[0.5, 0.5]]), 3, 10, seed=0).counts
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sp.GroupTallyHistogram(d, k, table)
 
     @pytest.mark.parametrize(
         "k, counts",
