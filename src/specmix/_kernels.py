@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from ._kernels_np import check_table
+from ._kernels_np import check_sizes, check_table
 from .rng import MASK
 
 SOURCE = Path(__file__).with_name("_kernels.c")
@@ -108,8 +108,7 @@ _lib = _load(_build(SOURCE, SOURCE.parent / "__pycache__"))
 
 def _draw_args(seed, n_groups, group_size, thresholds, start):
     """The leading arguments of the C samplers, checked, and d."""
-    if n_groups < 0 or group_size < 0:
-        raise ValueError("n_groups and group_size must be >= 0")
+    check_sizes(n_groups, group_size)
     weight_t, comp_t = thresholds
     n_comp, d = comp_t.shape[0], comp_t.shape[1] + 1
     # draw_thresholds keeps at most n_comp - 1 weights; more would let a pick reach a row past the table

@@ -91,6 +91,7 @@ def sample_groups(seed, n_groups, group_size, thresholds, start=0):
     -------
     (n_groups, group_size) uint8 array of 0-based category codes.
     """
+    check_sizes(n_groups, group_size)
     out = np.empty((n_groups, group_size), dtype=np.uint8)
     words, scratch, bases = (np.empty(n_groups, dtype=np.uint64) for _ in range(3))
     _draw(seed, start, thresholds, out, words, scratch, bases)
@@ -104,6 +105,8 @@ def _draw(seed, start, thresholds, out, words, scratch, bases):
     counter is drawn in them, where fresh temporaries per column would be
     paged in anew whenever the allocator has handed the last ones back."""
     weight_t, comp_t = thresholds
+    # as the compiled kernels do, at most n_comp - 1 weights; more would pick a component past comp_t
+    weight_t = weight_t[: len(comp_t) - 1]
     # the stream numbers, wrapping modulo 2**64 as the compiled kernels' do,
     # summed in place where np.arange would allocate them
     bases.fill(1)
@@ -169,8 +172,7 @@ def sample_keys(seed, n_groups, group_size, thresholds, table, start=0):
     buffers that every block reuses, so memory does not grow with
     n_groups and no block pages in memory the last one handed back.
     """
-    if n_groups < 0 or group_size < 0:
-        raise ValueError("n_groups and group_size must be >= 0")
+    check_sizes(n_groups, group_size)
     d = thresholds[1].shape[1] + 1
     check_table(table, group_size, d)
     size = min(n_groups, DRAW_BLOCK)
@@ -185,6 +187,13 @@ def sample_keys(seed, n_groups, group_size, thresholds, table, start=0):
         _encode(codes[:n], pows, keys[:n], col[:n])
         table += np.bincount(keys[:n], minlength=len(table))
     return table
+
+
+def check_sizes(n_groups, group_size):
+    """Raise ValueError unless both sizes are >= 0: the size check of
+    both backends' samplers."""
+    if n_groups < 0 or group_size < 0:
+        raise ValueError("n_groups and group_size must be >= 0")
 
 
 def check_table(table, group_size, d):

@@ -171,10 +171,14 @@ def verify_moment_equality(
     its multiset value and n(beta) its number of orderings, so the L1
     distance is sum_beta n(beta) |q_beta - q'_beta| (twice the total
     variation), the dense sum of |entry gaps| without the dense tensor.
+    The moments are called equal when the gap is at most tol, a finite
+    number >= 0.
     """
     if p.d != p_prime.d:
         raise ValueError(f"dimension mismatch: {p.d} vs {p_prime.d}")
     rng.check_count("n", n)
+    if not rng.is_real(tol, 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     diff = _power_sum(p.weights, p.components, n) - _power_sum(p_prime.weights, p_prime.components, n)
     gap = float(np.abs(diff).max())
     return MomentComparison(gap, gap <= tol, float(np.abs(diff) @ _orbit_sizes(p.d, n)))

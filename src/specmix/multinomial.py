@@ -11,16 +11,15 @@ samples.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from . import rng
 from .model import mixture_weights, probability_vector
-from .tensors import _counts_rank, _multisets, _power_sum, enumerate_compositions
+from .tensors import _counts_rank, _multisets, _power_sum, count_vector, enumerate_compositions
 
 Composition = Tuple[int, ...]
 SignedCompositionMeasure = Dict[Composition, float]
@@ -43,8 +42,13 @@ class MultinomialSpec:
 
 
 def multinomial_pmf(spec: MultinomialSpec, x: Sequence[int]) -> float:
-    """P(counts = x) = n!/(x_1! .. x_q!) prod p_i^{x_i}."""
-    x = _composition(x, spec.n, spec.q)
+    """P(counts = x) = n!/(x_1! .. x_q!) prod p_i^{x_i}.
+
+    x must be a count vector of n into q cells by tensors.count_vector,
+    the one rule for every count-vector key: real, non-bool, integral
+    entries >= 0.
+    """
+    x = count_vector(x, spec.n, spec.q)
     coeff = math.factorial(spec.n)
     for v in x:
         coeff //= math.factorial(v)
@@ -52,13 +56,12 @@ def multinomial_pmf(spec: MultinomialSpec, x: Sequence[int]) -> float:
 
 
 def f_nq(x: Sequence[int]) -> Composition:
-    """Canonical nondecreasing word with x_i copies of symbol i (1-based)."""
-    word: List[int] = []
-    for symbol, count in enumerate(x, start=1):
-        if count < 0:
-            raise ValueError(f"negative count in composition {tuple(x)}")
-        word.extend([symbol] * count)
-    return tuple(word)
+    """Canonical nondecreasing word with x_i copies of symbol i (1-based).
+
+    x is a count vector of any length and sum by tensors.count_vector,
+    the rule every count-vector key follows.
+    """
+    return tuple(symbol for symbol, count in enumerate(count_vector(x), start=1) for _ in range(count))
 
 
 def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
@@ -69,6 +72,9 @@ def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     symmetric order-n tensor over R^q with the same total mass.  The
     arrangements of a word are the multi-indices of its multiset, so the
     share is added once at that multiset's rank and read out through it.
+    Every key must be a count vector of n into q cells by
+    tensors.count_vector (real, non-bool, integral entries >= 0); the
+    first that is not is named in the ValueError.
     """
     rng.check_count("n", n)
     rng.check_count("q", q)
@@ -77,7 +83,7 @@ def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
 
 def _spread(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     """t_nq_apply's multiset values: each key's share summed at its rank."""
-    counts = _composition_rows(measure, n, q)
+    counts = np.array([count_vector(x, n, q) for x in measure], dtype=np.int64).reshape(len(measure), q)
     # shares c * x_1! * .. * x_q! / n!, multiplied left to right as in that formula
     fact = np.array([float(math.factorial(v)) for v in range(n + 1)])
     shares = np.array(list(measure.values()), dtype=np.float64)
@@ -87,40 +93,6 @@ def _spread(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     per_multiset = np.zeros(math.comb(q + n - 1, n))
     np.add.at(per_multiset, _counts_rank(counts, n), shares)
     return per_multiset
-
-
-def _composition(x: Sequence, n: int, q: int) -> Composition:
-    """x as a tuple of ints; a ValueError naming x as written unless it
-    is a composition of n into q cells whose entries int() converts
-    without change (2.0 and "2" do, 1.5 and True do not)."""
-    try:
-        counts = tuple(int(v) for v in x)
-        exact = all(isinstance(v, str) or (c == v and not isinstance(v, (bool, np.bool_))) for c, v in zip(counts, x))
-    except (TypeError, ValueError, OverflowError):
-        counts, exact = None, False
-    if not exact or len(counts) != q or any(v < 0 for v in counts) or sum(counts) != n:
-        raise ValueError(f"key {counts if exact else x} is not a composition of {n} into {q} cells")
-    return counts
-
-
-def _composition_rows(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
-    """The keys of measure as a (len, q) int64 array of compositions of n.
-
-    Unless the keys are already such an array, they are checked one at a
-    time in order by _composition, so the first offending key is the one
-    reported.
-    """
-    try:
-        counts = np.array(list(measure))
-    except ValueError:  # keys of different lengths
-        counts = np.empty(0)
-    # entries in [0, n] keep the row sums far from int64 overflow; a bool
-    # key beside int keys is read as ints, so the entries' types are checked last
-    if counts.dtype.kind != "i" or counts.shape != (len(measure), q) or (
-        ((counts < 0) | (counts > n)).any() or (counts.sum(axis=1) != n).any()
-    ) or not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(measure))):
-        counts = np.array([_composition(x, n, q) for x in measure], dtype=np.int64).reshape(len(measure), q)
-    return counts
 
 
 def verify_lemma_mult(spec: MultinomialSpec) -> float:
@@ -150,8 +122,8 @@ def multinomial_mixture_equal(
     Components may repeat.  tol, the largest entrywise difference still
     called equal, must be a finite number >= 0.
     """
-    if not 0.0 <= tol < math.inf:  # NaN fails every comparison
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    if not rng.is_real(tol, 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if not mix_a or not mix_b:
         raise ValueError("mixtures must be nonempty")
     n, q = mix_a[0][1].n, mix_a[0][1].q

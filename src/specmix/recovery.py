@@ -27,7 +27,6 @@ mean.  A rank-based estimator of the number of components is included.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -82,7 +81,7 @@ class RecoveryConfig:
         rng.check_count("m", self.m)
         if self.probe != "singular":
             raise ValueError(f"unknown probe {self.probe!r}; the only probe is 'singular'")
-        if not isinstance(self.eig_floor, numbers.Real) or not 0.0 < self.eig_floor < 1.0:
+        if not rng.is_real(self.eig_floor, 0.0, 1.0, low_open=True):
             raise ValueError(f"eig_floor must be a number in (0, 1), got {self.eig_floor!r}")
         resolve_dominating(self.dominating, 1, 0)
 
@@ -397,8 +396,8 @@ def estimate_num_components(
     """
     rng.check_count("power", n)
     with _stage("setup"):
-        if not 0.0 <= rel_tol < 1.0:  # NaN fails every comparison
-            raise ValueError(f"rel_tol must be a finite number in [0, 1), got {rel_tol}")
+        if not rng.is_real(rel_tol, 0.0, 1.0):
+            raise ValueError(f"rel_tol must be a finite number in [0, 1), got {rel_tol!r}")
         data = moment_source(data, 2 * n)
         _check_fits(data.d, 2 * n, 3)  # the moment and the SVD's copy and workspace: 2.2-2.5 copies
     return numerical_rank(moment(data, 2 * n).reshape(data.d**n, -1), rel_tol)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 import threading
 import warnings
@@ -32,6 +31,7 @@ import numpy as np
 
 from . import kernels, rng
 from .model import MixtureSpec
+from .tensors import count_vector
 
 Composition = Tuple[int, ...]
 
@@ -70,13 +70,16 @@ class GroupTallyHistogram:
     """Counts of per-group category tallies.
 
     d and group_size are integers >= 1, checked by the count rule
-    whatever counts holds.  Keys are length-d compositions (category
-    occurrence counts summing to group_size); values are group counts in
-    [1, 2**63).  Every entry is a real number and not a bool; integral
-    floats are accepted.  Total count equals the number of groups in the
-    source dataset.  counts is always the read-only, array-backed mapping
-    tally() builds: any other mapping is checked once here and converted,
-    keeping its key order.
+    whatever counts holds.  Keys are count vectors of group_size into d
+    cells by tensors.count_vector, the one rule for every count-vector
+    key: real, non-bool, integral entries >= 0, so (2.0, 1) is the key
+    (2, 1) and ("2", "1") and (True, 2) are no keys.  Values are group
+    counts in [1, 2**63), real, not bools, integral floats accepted.
+    Total count equals the number of groups in the source dataset.
+    counts is always the read-only, array-backed mapping tally() builds:
+    one given as such is checked against d and group_size by its own d
+    and its first tally's draws, and any other mapping is checked once
+    here and converted, keeping its key order.
     """
 
     d: int
@@ -86,19 +89,19 @@ class GroupTallyHistogram:
     def __post_init__(self):
         rng.check_count("d", self.d)
         rng.check_count("group_size", self.group_size)
-        if isinstance(self.counts, _TallyTable):
-            return
         d, k = self.d, self.group_size
+        if isinstance(self.counts, _TallyTable):
+            table = self.counts
+            draws = table.draws[: table.held[0]].sum() if len(table) else 0
+            if (table.d, draws) != (d, k):
+                raise ValueError(f"tally table of groups of {draws} draws from {table.d} categories, not {k} from {d}")
+            return
         if not self.counts:
             raise ValueError("a tally histogram needs at least one group")
+        comps = np.array([count_vector(key, k, d) for key in self.counts], dtype=np.int64)
         for key, n in self.counts.items():
-            # checked before any arithmetic; a bool is no count, though it passes the numeric tests
-            numeric = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (n, *key))
-            if numeric and (len(key) != d or sum(key) != k):
-                raise ValueError(f"tally key {key} does not sum to {k} over {d} categories")
-            if not numeric or any(v % 1 for v in (n, *key)) or not 0 < n < 2**63 or min(key) < 0:
+            if not rng.is_real(n, 1, 2**63) or n % 1:
                 raise ValueError(f"invalid tally record {key}: {n} groups")
-        comps = np.array(list(self.counts), dtype=np.int64).reshape(-1, d)
         groups = np.array(list(self.counts.values()), dtype=np.int64)
         object.__setattr__(self, "counts", _TallyTable.from_compositions(comps, groups))
 

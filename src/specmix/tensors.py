@@ -24,6 +24,7 @@ and the spread map all work in this basis.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -113,6 +114,30 @@ def _orbit_sizes(d: int, r: int) -> np.ndarray:
         copies = np.where(words[j] == words[j - 1], copies + 1.0, 1.0)
         repeats *= copies
     return float(math.factorial(r)) / repeats
+
+
+def count_vector(x, n: int | None = None, d: int | None = None) -> tuple[int, ...]:
+    """x as a tuple of Python ints, if it is a count vector: the one rule
+    for every tally key and multinomial key.
+
+    Each entry must be a real number, not a bool (numpy's bool is no real
+    number, nor is a string), integral and >= 0, so 2.0 and np.int64(2)
+    pass and 1.5, True and "2" do not.  x must have d entries summing to
+    n where the caller fixes them.  Otherwise a ValueError names x as
+    written.
+    """
+    try:
+        entries = tuple(x)
+    except TypeError:
+        entries = (None,)
+    # checked in this order, so no comparison or % meets a value it is not defined on
+    if all(isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0 and v % 1 == 0 for v in entries):
+        counts = tuple(map(int, entries))
+        if (d is None or len(counts) == d) and (n is None or sum(counts) == n):
+            return counts
+    total = "any n" if n is None else n
+    cells = "any number of" if d is None else d
+    raise ValueError(f"key {x} is not a composition of {total} into {cells} cells")
 
 
 def enumerate_compositions(n: int, q: int) -> list[tuple[int, ...]]:

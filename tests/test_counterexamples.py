@@ -1,6 +1,7 @@
 """Mixture pairs that match moments up to a cutoff and differ above it."""
 import json
 import math
+import re
 import time
 import warnings
 from dataclasses import replace
@@ -264,6 +265,13 @@ class TestVerifyMomentEquality:
     def test_bad_order(self, blend_mix):
         with pytest.raises(ValueError):
             sp.verify_moment_equality(blend_mix, blend_mix, 0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, True, "1e-9", None])
+    def test_rejects_bad_tol(self, blend_mix, tol):
+        # tol was not checked: NaN returned equal=False for a mixture against itself
+        with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {re.escape(repr(tol))}$"):
+            sp.verify_moment_equality(blend_mix, blend_mix, 2, tol=tol)
+        assert sp.verify_moment_equality(blend_mix, blend_mix, 2, tol=np.float64(0.0)).equal
 
     def test_high_order_on_two_categories(self):
         # a dense order-60 moment on d = 2 has 2^60 entries and could not be

@@ -1,19 +1,22 @@
-"""The count rule: every size, order and count argument is an integer >= a
-floor and not a bool, checked by rng.check_count before any work."""
+"""The count rules: every size, order and count argument is an integer >= a
+floor and not a bool, checked by rng.check_count before any work; every
+count-vector key is checked by tensors.count_vector."""
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specmix as sp
 from specmix import counterexamples, estimation, experiments, multinomial, recovery, rng, sampling, tensors
 from specmix.counterexamples import build_pair, verify_moment_equality
 from specmix.estimation import build_c_hat, build_e_hat
 from specmix.experiments import ExperimentConfig, random_baseline
-from specmix.multinomial import MultinomialSpec, t_nq_apply
+from specmix.multinomial import MultinomialSpec, f_nq, multinomial_pmf, t_nq_apply
 from specmix.recovery import RecoveryConfig, estimate_num_components, whiten
 from specmix.sampling import GroupedDataset, GroupTallyHistogram, draw_groups, draw_tally
-from specmix.tensors import enumerate_compositions, outer_power
+from specmix.tensors import count_vector, enumerate_compositions, outer_power
 
 MIX = sp.make_mixture([0.5, 0.5], [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
 HIST = draw_tally(MIX, 4, 50, seed=0)
@@ -95,3 +98,91 @@ def test_numpy_integers_pass(case):
     _, low, call = case
     with pytest.raises(Reached):
         call(np.int64(low + 1))
+
+
+# How an entry of a count-vector key is written: each kind maps a count
+# v >= 0 to an entry, and says whether the rule accepts it (as v).
+ENTRY_KINDS = {
+    "int": (lambda v: v, True),
+    "np.int64": (np.int64, True),
+    "integral float": (float, True),
+    "np.float64": (np.float64, True),
+    "fractional float": (lambda v: v + 0.5, False),
+    "negative int": (lambda v: -v - 1, False),
+    "bool": (bool, False),
+    "np.bool_": (np.bool_, False),
+    "str": (str, False),
+    "None": (lambda v: None, False),
+    "complex": (complex, False),
+}
+
+
+@st.composite
+def keys(draw):
+    """A key written with entries of any kind, of the right length and sum
+    (n = 4 into d = 3 cells) or not, and whether its entries pass."""
+    counts = list(draw(st.sampled_from(enumerate_compositions(4, 3))))
+    change = draw(st.sampled_from(["none", "sum", "drop", "append"]))
+    if change == "sum":
+        counts[draw(st.integers(0, 2))] += draw(st.integers(1, 2))
+    elif change == "drop":
+        counts.pop(draw(st.integers(0, 2)))
+    elif change == "append":
+        counts.append(draw(st.integers(0, 2)))
+    kinds = draw(st.lists(st.sampled_from(list(ENTRY_KINDS)), min_size=len(counts), max_size=len(counts)))
+    key = tuple(ENTRY_KINDS[kind][0](v) for kind, v in zip(kinds, counts))
+    return key, tuple(counts), all(ENTRY_KINDS[kind][1] for kind in kinds)
+
+
+def outcome(call):
+    """call()'s result, or the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return exc
+
+
+class TestCountVectorRule:
+    """GroupTallyHistogram, t_nq_apply, multinomial_pmf and f_nq accept the
+    same keys, read them as the same ints, and reject the rest alike."""
+
+    SPEC = MultinomialSpec(4, 3, [0.2, 0.3, 0.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys())
+    def test_one_rule_everywhere(self, case):
+        key, counts, entries_pass = case
+        sized = entries_pass and len(counts) == 3 and sum(counts) == 4
+        results = {
+            "GroupTallyHistogram": outcome(lambda: list(GroupTallyHistogram(3, 4, {key: 1}).counts)),
+            "t_nq_apply": outcome(lambda: t_nq_apply({key: 1.0}, 4, 3)),
+            "multinomial_pmf": outcome(lambda: multinomial_pmf(self.SPEC, key)),
+            "count_vector": outcome(lambda: count_vector(key, 4, 3)),
+        }
+        if sized:
+            assert results["GroupTallyHistogram"] == [counts]
+            np.testing.assert_array_equal(results["t_nq_apply"], t_nq_apply({counts: 1.0}, 4, 3))
+            assert results["multinomial_pmf"] == multinomial_pmf(self.SPEC, counts)
+            assert results["count_vector"] == counts and all(type(v) is int for v in results["count_vector"])
+        else:
+            for name, result in results.items():
+                assert isinstance(result, ValueError), name
+                assert str(result) == f"key {key} is not a composition of 4 into 3 cells", name
+        # f_nq fixes no length or sum, so only the entries decide
+        word = outcome(lambda: f_nq(key))
+        if entries_pass:
+            assert word == f_nq(counts) == tuple(np.repeat(np.arange(1, len(counts) + 1), counts).tolist())
+        else:
+            assert isinstance(word, ValueError)
+            assert str(word) == f"key {key} is not a composition of any n into any number of cells"
+
+    @pytest.mark.parametrize("key", [5, None, "21", [2, 1], np.array([2, 1])])
+    def test_keys_as_written(self, key):
+        # a non-iterable is no count vector, a string is a sequence of strings;
+        # any iterable of counts passes
+        if isinstance(key, (list, np.ndarray)):
+            assert count_vector(key, 3, 2) == (2, 1)
+        else:
+            with pytest.raises(ValueError, match=rf"^key {re.escape(str(key))} is not a composition of 3 into 2 cells$"):
+                count_vector(key, 3, 2)
+

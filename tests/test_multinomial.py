@@ -91,7 +91,7 @@ class TestMultinomialPmf:
         spec = MultinomialSpec(2, 2, np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match=rf"^key {re.escape(str(x))} is not a composition of 2 into 2 cells$"):
             multinomial_pmf(spec, x)
-        assert multinomial_pmf(spec, (1.0, "1")) == multinomial_pmf(spec, (1, 1))
+        assert multinomial_pmf(spec, (1.0, np.int64(1))) == multinomial_pmf(spec, (1, 1))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -208,7 +208,10 @@ class TestSpreadTransform:
 
     def test_keys_convert_with_int(self):
         expected = t_nq_apply({(1, 1): 0.25, (2, 0): 0.75}, 2, 2)
-        assert_array_equal(t_nq_apply({(1.0, 1.0): 0.25, ("2", "0"): 0.75}, 2, 2), expected)
+        assert_array_equal(t_nq_apply({(1.0, 1.0): 0.25, (np.int64(2), np.float32(0)): 0.75}, 2, 2), expected)
+        # a string is no count, though int() reads it as one
+        with pytest.raises(ValueError, match=r"^key \('2', '0'\) is not a composition of 2 into 2 cells$"):
+            t_nq_apply({(1.0, 1.0): 0.25, ("2", "0"): 0.75}, 2, 2)
 
     def test_many_cells(self):
         rng = np.random.default_rng(5)
@@ -269,6 +272,15 @@ class TestMixtureEquality:
         with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {tol}$"):
             multinomial_mixture_equal(a, a, tol=tol)
         assert multinomial_mixture_equal(a, a, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [True, False, np.True_, "1e-10", None])
+    def test_rejects_non_number_tol(self, tol):
+        # True compared within 1.0, so two different laws were called equal
+        a = [(1.0, MultinomialSpec(2, 2, np.array([0.5, 0.5])))]
+        b = [(1.0, MultinomialSpec(2, 2, np.array([0.9, 0.1])))]
+        with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {re.escape(repr(tol))}$"):
+            multinomial_mixture_equal(a, b, tol=tol)
+        assert not multinomial_mixture_equal(a, b, tol=np.float64(1e-10))
 
     def test_rejects_empty(self):
         a = [(1.0, MultinomialSpec(2, 2, np.array([0.5, 0.5])))]

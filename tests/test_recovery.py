@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields, replace
 
@@ -597,6 +598,15 @@ class TestEstimateNumComponents:
         assert isinstance(info.value.__cause__, ValueError)
         # 0 is allowed: it counts every nonzero singular value
         assert sp.estimate_num_components(h, 2, rel_tol=0.0) >= sp.estimate_num_components(h, 2, rel_tol=0.5)
+
+    @pytest.mark.parametrize("rel_tol", [False, True, np.True_, "0.1", None])
+    def test_rejects_non_number_rel_tol_at_setup(self, blend_mix, rel_tol):
+        # False was read as 0 (2 components at power 1), and "0.1" failed comparing a str with a float
+        with pytest.raises(
+            RecoveryError,
+            match=rf"^stage 'setup' failed: rel_tol must be a finite number in \[0, 1\), got {re.escape(repr(rel_tol))}$",
+        ):
+            sp.estimate_num_components(blend_mix, 1, rel_tol=rel_tol)
 
     def test_bad_input_fails_at_setup(self, blend_mix):
         ds = sp.draw_groups(blend_mix, 3, 50, seed=0)

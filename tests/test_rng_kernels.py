@@ -281,6 +281,30 @@ class TestSampleKeys:
         with pytest.raises(ValueError):
             impl.sample_keys(0, -5, 2, draw_thresholds(cw, cc), np.zeros(9, dtype=np.int64))
 
+    def test_sample_groups_rejects_negative_sizes(self, name):
+        # the numpy sampler raised numpy's "negative dimensions are not allowed"
+        impl = backend(name)
+        thresholds = draw_thresholds(np.cumsum([1.0]), np.cumsum([[0.5, 0.5]], axis=1))
+        for n_groups, group_size in [(-1, 2), (5, -1)]:
+            with pytest.raises(ValueError, match="^n_groups and group_size must be >= 0$"):
+                impl.sample_groups(0, n_groups, group_size, thresholds)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_extra_weight_thresholds_are_ignored(self, name, seed):
+        # more weight thresholds than n_comp - 1: the compiled kernels use the
+        # first n_comp - 1, and the numpy ones left the groups picking a
+        # component past the table unwritten in np.empty
+        impl = backend(name)
+        cw, cc = np.cumsum([0.25, 0.25, 0.25, 0.25]), np.cumsum([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]], axis=1)
+        weight_t, comp_t = draw_thresholds(cw, np.vstack([cc, cc]))
+        extra, kept = (weight_t, comp_t[:2]), (weight_t[:1], comp_t[:2])
+        want = reference_sample_groups(seed, 500, 4, cw[:2], cc, start=7)
+        assert_array_equal(impl.sample_groups(seed, 500, 4, extra, start=7), want)
+        assert_array_equal(impl.sample_groups(seed, 500, 4, kept, start=7), want)
+        table = np.zeros(5**3, dtype=np.int64)
+        impl.sample_keys(seed, 500, 4, extra, table, start=7)
+        assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, 3), minlength=5**3))
+
 
 # How a cumulative mass sits against the uniforms the groups draw: on one
 # (every uniform is a multiple of 2**-53), an ulp either side, on another

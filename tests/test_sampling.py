@@ -339,22 +339,23 @@ class TestHistogramMapping:
     @pytest.mark.parametrize(
         "counts, match",
         [
-            ({(2, 1): 4, (3,): 1}, "does not sum"),  # key of the wrong length
-            ({(2, 2): 5, (3, 0): 5}, "does not sum"),
-            ({(4, -1): 2}, "invalid"),  # negative entry
+            # a key is checked by tensors.count_vector, the one count-vector rule
+            ({(2, 1): 4, (3,): 1}, r"^key \(3,\) is not a composition of 3 into 2 cells$"),  # wrong length
+            ({(2, 2): 5, (3, 0): 5}, r"^key \(2, 2\) is not a composition of 3 into 2 cells$"),
+            ({(4, -1): 2}, r"^key \(4, -1\) is not a composition"),  # negative entry
             ({(2, 1): 0}, "invalid"),
             ({(2, 1): 3, (1, 2): -1}, "invalid"),
-            ({(1.5, 1.5): 4}, "invalid"),  # fractional entry
+            ({(1.5, 1.5): 4}, r"^key \(1.5, 1.5\) is not a composition"),  # fractional entry
             ({(2, 1): 2.5}, "invalid"),
             ({}, "at least one group"),
             ({(2, 1): 2**63}, r"^invalid tally record \(2, 1\): 9223372036854775808 groups$"),
             # not numbers: a string key raised a TypeError from sum, a string or None count one from %
-            ({("1", "2"): 3}, "^invalid tally record"),
+            ({("1", "2"): 3}, r"^key \('1', '2'\) is not a composition of 3 into 2 cells$"),
             ({(2, 1): "3"}, "^invalid tally record"),
             ({(2, 1): None}, "^invalid tally record"),
-            ({(2, None): 3}, "^invalid tally record"),
-            ({(2, 1.0j): 3}, "^invalid tally record"),
-            ({("2", 1, 0): 3}, "^invalid tally record"),
+            ({(2, None): 3}, r"^key \(2, None\) is not a composition"),
+            ({(2, 1.0j): 3}, r"^key \(2, 1j\) is not a composition"),
+            ({("2", 1, 0): 3}, r"^key \('2', 1, 0\) is not a composition"),
         ],
     )
     def test_rejects_malformed_mapping(self, counts, match):
@@ -378,13 +379,28 @@ class TestHistogramMapping:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sp.GroupTallyHistogram(d, k, table)
 
+    @pytest.mark.parametrize("d, k", [(5, 7), (5, 3), (2, 7), (1, 3), (3, 2), (2, 2)])
+    def test_rejects_table_of_other_sizes(self, d, k):
+        # a draw_tally table of groups of 3 draws from 2 categories was accepted under any d and
+        # group_size, and estimation.moment then normalized it by the wrong k
+        mix = sp.make_mixture([0.5, 0.5], [[0.3, 0.7], [0.8, 0.2]])
+        h = sampling.draw_tally(mix, 3, 10, seed=0)
+        with pytest.raises(ValueError, match=rf"^tally table of groups of 3 draws from 2 categories, not {k} from {d}$"):
+            sp.GroupTallyHistogram(d, k, h.counts)
+        # wrapped again under its own sizes it is the same histogram
+        again = sp.GroupTallyHistogram(2, 3, h.counts)
+        assert again.counts is h.counts and list(again.counts.items()) == list(h.counts.items())
+        assert_array_equal(sp.moment(again, 2), sp.moment(h, 2))
+
     @pytest.mark.parametrize(
         "k, counts",
         [(1, {(1, 0): True}), (1, {(True, False): 3}), (3, {(2, np.True_): 3}), (3, {(2, 1): np.True_})],
     )
     def test_rejects_bools(self, k, counts):
         # a bool passes every numeric test: {(1, 0): True} was one group
-        with pytest.raises(ValueError, match="^invalid tally record"):
+        ((key, n),) = counts.items()
+        match = "^invalid tally record" if isinstance(n, (bool, np.bool_)) else rf"^key {re.escape(str(key))} is not a composition"
+        with pytest.raises(ValueError, match=match):
             sp.GroupTallyHistogram(2, k, counts)
 
     def test_counts_are_int64(self):
