@@ -44,6 +44,8 @@ def code_lines(source: str) -> int:
 
 def main(argv: list) -> None:
     package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "specmix"
+    if not package.is_dir():
+        sys.exit(f"usage: code_lines.py [package directory]; {package} is no directory")
     total = 0
     for path in sorted(package.glob("*.py")):
         count = code_lines(path.read_text())

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import rng
 from .model import mixture_weights, probability_vector
-from .tensors import _counts_rank, _multisets, _power_sum, count_vector, enumerate_compositions
+from .tensors import _counts_rank, _multisets, _power_sum, count_vector, count_vectors, enumerate_compositions
 
 Composition = Tuple[int, ...]
 SignedCompositionMeasure = Dict[Composition, float]
@@ -49,9 +49,7 @@ def multinomial_pmf(spec: MultinomialSpec, x: Sequence[int]) -> float:
     entries >= 0.
     """
     x = count_vector(x, spec.n, spec.q)
-    coeff = math.factorial(spec.n)
-    for v in x:
-        coeff //= math.factorial(v)
+    coeff = math.factorial(spec.n) // math.prod(map(math.factorial, x))
     return float(coeff * np.prod(spec.p ** np.array(x)))
 
 
@@ -61,7 +59,10 @@ def f_nq(x: Sequence[int]) -> Composition:
     x is a count vector of any length and sum by tensors.count_vector,
     the rule every count-vector key follows.
     """
-    return tuple(symbol for symbol, count in enumerate(count_vector(x), start=1) for _ in range(count))
+    word: List[int] = []
+    for symbol, count in enumerate(count_vector(x), start=1):
+        word.extend([symbol] * count)
+    return tuple(word)
 
 
 def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
@@ -78,15 +79,16 @@ def t_nq_apply(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
     """
     rng.check_count("n", n)
     rng.check_count("q", q)
-    return _spread(measure, n, q)[_multisets(q, n)]
+    counts = count_vectors(list(measure), n, q)
+    return _spread(counts, list(measure.values()), n, q)[_multisets(q, n)]
 
 
-def _spread(measure: SignedCompositionMeasure, n: int, q: int) -> np.ndarray:
-    """t_nq_apply's multiset values: each key's share summed at its rank."""
-    counts = np.array([count_vector(x, n, q) for x in measure], dtype=np.int64).reshape(len(measure), q)
+def _spread(counts: np.ndarray, masses: list, n: int, q: int) -> np.ndarray:
+    """t_nq_apply's multiset values: the share of the mass at each count
+    vector, a row of counts, summed at its rank."""
     # shares c * x_1! * .. * x_q! / n!, multiplied left to right as in that formula
     fact = np.array([float(math.factorial(v)) for v in range(n + 1)])
-    shares = np.array(list(measure.values()), dtype=np.float64)
+    shares = np.array(masses, dtype=np.float64)
     for col in counts.T:
         shares *= fact[col]
     shares /= fact[n]
@@ -102,8 +104,9 @@ def verify_lemma_mult(spec: MultinomialSpec) -> float:
     Zero (to rounding) for every spec: tallying loses nothing that the
     symmetric tensors can see.
     """
-    measure = {x: multinomial_pmf(spec, x) for x in enumerate_compositions(spec.n, spec.q)}
-    gap = _spread(measure, spec.n, spec.q) - _power_sum([1.0], [spec.p], spec.n)
+    keys = enumerate_compositions(spec.n, spec.q)
+    masses = [multinomial_pmf(spec, x) for x in keys]
+    gap = _spread(np.array(keys, dtype=np.int64), masses, spec.n, spec.q) - _power_sum([1.0], [spec.p], spec.n)
     return float(np.abs(gap).max())
 
 

@@ -81,7 +81,7 @@ class RecoveryConfig:
         rng.check_count("m", self.m)
         if self.probe != "singular":
             raise ValueError(f"unknown probe {self.probe!r}; the only probe is 'singular'")
-        if not rng.is_real(self.eig_floor, 0.0, 1.0, low_open=True):
+        if not (rng.is_real(self.eig_floor, 0.0, 1.0) and self.eig_floor > 0):
             raise ValueError(f"eig_floor must be a number in (0, 1), got {self.eig_floor!r}")
         resolve_dominating(self.dominating, 1, 0)
 

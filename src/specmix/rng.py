@@ -70,17 +70,12 @@ def check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def is_real(value, low: float, high: float = math.inf, low_open: bool = False) -> bool:
-    """Whether value is a real number and not a bool, at least low (above
-    it if low_open) and below high, so finite: NaN fails every comparison.
-    The one rule for every tolerance and floor, and for a tally
-    histogram's group counts; a string is no number."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and (low < value if low_open else low <= value)
-        and value < high
-    )
+def is_real(value, low: float, high: float = math.inf) -> bool:
+    """Whether value is a real number and not a bool, at least low and
+    below high, so finite: NaN fails every comparison.  The one rule for
+    every tolerance and floor, and for a tally histogram's group counts;
+    a string is no number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and low <= value < high
 
 
 def check_seed(seed: int) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels, rng
 from .model import MixtureSpec
-from .tensors import count_vector
+from .tensors import count_vectors
 
 Composition = Tuple[int, ...]
 
@@ -98,7 +98,7 @@ class GroupTallyHistogram:
             return
         if not self.counts:
             raise ValueError("a tally histogram needs at least one group")
-        comps = np.array([count_vector(key, k, d) for key in self.counts], dtype=np.int64)
+        comps = count_vectors(list(self.counts), k, d)
         for key, n in self.counts.items():
             if not rng.is_real(n, 1, 2**63) or n % 1:
                 raise ValueError(f"invalid tally record {key}: {n} groups")

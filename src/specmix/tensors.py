@@ -23,6 +23,7 @@ and the spread map all work in this basis.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from typing import NamedTuple
@@ -126,10 +127,7 @@ def count_vector(x, n: int | None = None, d: int | None = None) -> tuple[int, ..
     n where the caller fixes them.  Otherwise a ValueError names x as
     written.
     """
-    try:
-        entries = tuple(x)
-    except TypeError:
-        entries = (None,)
+    entries = tuple(x) if np.iterable(x) else (None,)
     # checked in this order, so no comparison or % meets a value it is not defined on
     if all(isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0 and v % 1 == 0 for v in entries):
         counts = tuple(map(int, entries))
@@ -138,6 +136,27 @@ def count_vector(x, n: int | None = None, d: int | None = None) -> tuple[int, ..
     total = "any n" if n is None else n
     cells = "any number of" if d is None else d
     raise ValueError(f"key {x} is not a composition of {total} into {cells} cells")
+
+
+def count_vectors(keys: list, n: int, d: int) -> np.ndarray:
+    """keys as an (len, d) int64 array whose rows are count_vector's
+    tuples for n into d cells; a ValueError names the first key that rule
+    refuses.
+
+    Keys whose entries are all Python ints or np.int64, in [0, n] and
+    summing to n in each row, pass as one array: count_vector accepts
+    them, as the same ints.  Any other keys go through count_vector one
+    by one.
+    """
+    try:
+        counts = np.array(keys, dtype=np.int64)
+        ints = set(map(type, itertools.chain.from_iterable(keys))) <= {int, np.int64}
+    except (TypeError, ValueError, OverflowError):  # a key that is no sequence, keys of different lengths, 2**63
+        counts, ints = np.empty(0), False
+    # entries in [0, n] keep the row sums far from int64 overflow
+    if not ints or counts.shape != (len(keys), d) or ((counts < 0) | (counts > n)).any() or (counts.sum(axis=1) != n).any():
+        counts = np.array([count_vector(x, n, d) for x in keys], dtype=np.int64).reshape(len(keys), d)
+    return counts
 
 
 def enumerate_compositions(n: int, q: int) -> list[tuple[int, ...]]:

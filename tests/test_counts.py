@@ -16,7 +16,7 @@ from specmix.experiments import ExperimentConfig, random_baseline
 from specmix.multinomial import MultinomialSpec, f_nq, multinomial_pmf, t_nq_apply
 from specmix.recovery import RecoveryConfig, estimate_num_components, whiten
 from specmix.sampling import GroupedDataset, GroupTallyHistogram, draw_groups, draw_tally
-from specmix.tensors import count_vector, enumerate_compositions, outer_power
+from specmix.tensors import count_vector, count_vectors, enumerate_compositions, outer_power
 
 MIX = sp.make_mixture([0.5, 0.5], [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
 HIST = draw_tally(MIX, 4, 50, seed=0)
@@ -57,8 +57,8 @@ CASES = {
     ),
     "MultinomialSpec.n": ("n", 1, lambda v: MultinomialSpec(v, 2, [0.5, 0.5]), (multinomial, "probability_vector")),
     "MultinomialSpec.q": ("q", 2, lambda v: MultinomialSpec(2, v, [0.5, 0.5]), (multinomial, "probability_vector")),
-    "t_nq_apply.n": ("n", 1, lambda v: t_nq_apply({(1, 0): 1.0}, v, 2), (multinomial, "_spread")),
-    "t_nq_apply.q": ("q", 1, lambda v: t_nq_apply({(1, 0): 1.0}, 1, v), (multinomial, "_spread")),
+    "t_nq_apply.n": ("n", 1, lambda v: t_nq_apply({(1, 0): 1.0}, v, 2), (multinomial, "count_vectors")),
+    "t_nq_apply.q": ("q", 1, lambda v: t_nq_apply({(1, 0): 1.0}, 1, v), (multinomial, "count_vectors")),
     "enumerate_compositions.n": ("n", 0, lambda v: enumerate_compositions(v, 2), (tensors, "_words")),
     "enumerate_compositions.q": ("q", 1, lambda v: enumerate_compositions(2, v), (tensors, "_words")),
     "outer_power.k": ("k", 1, lambda v: outer_power([0.5, 0.5], v), (tensors, "np")),
@@ -175,6 +175,28 @@ class TestCountVectorRule:
         else:
             assert isinstance(word, ValueError)
             assert str(word) == f"key {key} is not a composition of any n into any number of cells"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(keys(), min_size=1, max_size=4))
+    def test_many_keys_read_as_each(self, cases):
+        # count_vectors reads a list of keys as count_vector reads each in turn
+        written = [key for key, _, _ in cases]
+        rows = [outcome(lambda: count_vector(key, 4, 3)) for key in written]
+        result = outcome(lambda: count_vectors(written, 4, 3))
+        refused = [row for row in rows if isinstance(row, ValueError)]
+        if refused:
+            assert isinstance(result, ValueError) and str(result) == str(refused[0])
+        else:
+            assert result.dtype == np.int64 and result.tolist() == [list(row) for row in rows]
+
+    @pytest.mark.parametrize("bad", [(True, 1, 2), (np.True_, 1, 2), (np.array(1), 1, 2), (2**63 - 1, 2**63 - 1, 6)])
+    def test_int_array_keys_still_checked(self, bad):
+        # numpy reads each of these beside int keys as an int row, the last
+        # one's sum wrapping to 4; count_vectors still names it
+        written = [(4, 0, 0), bad, (0, 0, 4)]
+        assert np.array(written).dtype == np.int64
+        with pytest.raises(ValueError, match=rf"^key {re.escape(str(bad))} is not a composition of 4 into 3 cells$"):
+            count_vectors(written, 4, 3)
 
     @pytest.mark.parametrize("key", [5, None, "21", [2, 1], np.array([2, 1])])
     def test_keys_as_written(self, key):

@@ -1,4 +1,5 @@
 """Count-vector laws and their spread onto symmetric tensors."""
+import decimal
 import itertools
 import math
 import re
@@ -273,9 +274,10 @@ class TestMixtureEquality:
             multinomial_mixture_equal(a, a, tol=tol)
         assert multinomial_mixture_equal(a, a, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [True, False, np.True_, "1e-10", None])
+    @pytest.mark.parametrize("tol", [True, False, np.True_, "1e-10", None, decimal.Decimal("1e-10"), np.array(1e-10)])
     def test_rejects_non_number_tol(self, tol):
-        # True compared within 1.0, so two different laws were called equal
+        # True compared within 1.0, so two different laws were called equal;
+        # a Decimal or a 0-d array is no numbers.Real, as for eig_floor
         a = [(1.0, MultinomialSpec(2, 2, np.array([0.5, 0.5])))]
         b = [(1.0, MultinomialSpec(2, 2, np.array([0.9, 0.1])))]
         with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {re.escape(repr(tol))}$"):
