@@ -7,11 +7,15 @@ tensors, and constructs mixture pairs showing the required group sizes
 are tight.  Hot sampling kernels run through plain C compiled with
 ``cc`` on first import and loaded with ctypes, with a pure numpy
 fallback when that fails (set SPECMIX_FORCE_NUMPY=1 to force it).
+
+The names exported here are the public API: what the README, the CLI,
+the acceptance tests and the pipeline benchmark call, and the types and
+errors those take, return or raise.  Every other name is imported from
+its module.
 """
 
 from .counterexamples import (
     build_pair,
-    dependence_coefficients,
     verify_moment_equality,
 )
 from .estimation import (
@@ -32,18 +36,12 @@ from .model import (
     DominatingMeasure,
     MixtureSpec,
     b_map,
-    check_distinct_norms,
     make_mixture,
-    probability_vector,
     resolve_dominating,
 )
 from .multinomial import (
     MultinomialSpec,
-    enumerate_compositions,
-    f_nq,
     multinomial_mixture_equal,
-    multinomial_pmf,
-    t_nq_apply,
     verify_lemma_mult,
 )
 from .recovery import (
@@ -64,13 +62,10 @@ from .sampling import (
     num_compositions,
     read_groups,
     tally,
-    write_groups,
 )
 from .tensors import (
     RankDeficiencyError,
     fold,
-    numerical_rank,
-    outer_power,
     sym_eig,
     symmetrize,
     unfold,
@@ -96,25 +91,17 @@ __all__ = [
     "build_e_hat",
     "build_pair",
     "build_t_hat",
-    "check_distinct_norms",
-    "dependence_coefficients",
     "draw_groups",
     "empirical_sym_moment",
-    "enumerate_compositions",
     "estimate_num_components",
-    "f_nq",
     "fold",
     "li_recover",
     "make_mixture",
     "matched_l1_error",
     "moment",
     "multinomial_mixture_equal",
-    "multinomial_pmf",
-    "numerical_rank",
-    "outer_power",
-    "probability_vector",
-    "random_baseline",
     "num_compositions",
+    "random_baseline",
     "read_groups",
     "recover_full",
     "recover_weights",
@@ -122,11 +109,9 @@ __all__ = [
     "run_experiment",
     "sym_eig",
     "symmetrize",
-    "t_nq_apply",
     "tally",
     "unfold",
     "verify_lemma_mult",
     "verify_moment_equality",
     "whiten",
-    "write_groups",
 ]

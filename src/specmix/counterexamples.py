@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .model import MixtureSpec, make_mixture, probability_vector
+from .model import MixtureSpec, _finite_vector, make_mixture, probability_vector
 from .tensors import _orbit_sizes, _power_sum
 
 
@@ -113,6 +113,8 @@ def build_pair(
     m levels (with the smallest when t = 2m) form the first mixture.  Side
     weights are the |alpha_i| renormalized to sum 1.  Default levels are
     evenly spaced on [0, 1]; default bases are the coordinate measures on d = 2.
+    base must be two probability vectors and epsilons t distinct finite
+    levels in [0, 1]; anything else is a ValueError naming them.
 
     The pair is checked twice: its order-eq_order moments must agree
     within 1e-8, and its gap one order above must exceed SEPARATION (5)
@@ -126,7 +128,10 @@ def build_pair(
         raise ValueError(f"t must be 2m or 2m+1 for m={m}, got {t}")
     if base is None:
         base = ([1.0, 0.0], [0.0, 1.0])
-    gamma, gamma_prime = probability_vector(base[0]), probability_vector(base[1])
+    try:
+        gamma, gamma_prime = (probability_vector(x) for x in base)
+    except (TypeError, ValueError) as exc:  # base is no pair, or a measure no probability vector
+        raise type(exc)(f"base measures: {exc}") from None
     if gamma.size != gamma_prime.size:
         raise ValueError("base measures must share a dimension")
     if np.abs(gamma - gamma_prime).max() <= 1e-12:
@@ -134,7 +139,7 @@ def build_pair(
     if epsilons is None:
         eps = np.arange(t) / (t - 1.0)
     else:
-        eps = np.sort(np.asarray(epsilons, dtype=np.float64))
+        eps = np.sort(_finite_vector(epsilons, "mixing levels"))
         if eps.size != t:
             raise ValueError(f"expected {t} mixing levels, got {eps.size}")
         if eps[0] < 0.0 or eps[-1] > 1.0:
@@ -157,7 +162,7 @@ def build_pair(
             f"order-{t - 1} moments differ by {above.max_abs_diff:.3g} and order-{t - 2} "
             f"moments by {at.max_abs_diff:.3g}; float64 cannot separate the pair"
         )
-    return CounterexamplePair(p, p_prime, t, eps, alpha, at, above)
+    return CounterexamplePair(p, p_prime, int(t), eps, alpha, at, above)
 
 
 def verify_moment_equality(

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import rng
-from .model import MixtureSpec
+from .model import MixtureSpec, _finite_vector
 from .sampling import GroupedDataset, GroupTallyHistogram, tally
 from .tensors import _multisets, _power_sum, _rank_terms, outer_power
 
@@ -90,15 +90,19 @@ def moment(
     histogram the estimate; a dataset is tallied first, and the tally
     loses nothing the estimate sees, so both give the same bits.  r must
     be an integer >= 1, and for data at most the group size, and b a
-    vector of d entries; anything else is a ValueError, and any other
-    source a TypeError.
+    vector of d finite entries > 0, as every b_map output is; anything
+    else is a ValueError, and any other source a TypeError.
     """
     source = moment_source(source, 1)  # checks the type, tallies a dataset
     k = math.inf if isinstance(source, MixtureSpec) else source.group_size
     if not rng.is_integer(r) or not 1 <= r <= k:
         raise ValueError(f"moment order {r!r} is not an integer in [1, {k}]")
-    if b is not None and np.shape(b) != (source.d,):
-        raise ValueError(f"scale vector b has shape {np.shape(b)}; the source has d = {source.d}")
+    if b is not None:
+        if np.shape(b) != (source.d,):
+            raise ValueError(f"scale vector b has shape {np.shape(b)}; the source has d = {source.d}")
+        b = _finite_vector(b, "scale vector b")
+        if np.any(b <= 0.0):
+            raise ValueError(f"scale vector b entries must be > 0, got min {b.min():.3g}")
     if isinstance(source, MixtureSpec):
         values = _power_sum(source.weights, source.components, r)
     else:

@@ -21,6 +21,7 @@ from . import rng
 from .model import (
     DominatingMeasure,
     MixtureSpec,
+    _finite_vector,
     _scheme_name,
     json_fields,
     make_mixture,
@@ -35,11 +36,13 @@ MAX_MATCH_SIZE = 8
 def matched_l1_error(truth: Sequence[np.ndarray] | np.ndarray, est: Sequence[np.ndarray] | np.ndarray) -> float:
     """Min over pairings of the average L1 distance between components.
 
-    Exhaustive over all m! pairings; m is capped at 8, far past the desk
-    scale, because the factorial search is the point of simplicity here.
+    truth and est are nonempty (m, d) arrays of finite real numbers, one
+    component per row.  Exhaustive over all m! pairings; m is capped at
+    8, far past the desk scale, because the factorial search is the
+    point of simplicity here.
     """
-    truth = np.atleast_2d(np.asarray(truth, dtype=np.float64))
-    est = np.atleast_2d(np.asarray(est, dtype=np.float64))
+    truth = _finite_vector(truth, "truth", 2)
+    est = _finite_vector(est, "estimate", 2)
     if truth.shape != est.shape:
         raise ValueError(f"shape mismatch: truth {truth.shape} vs estimate {est.shape}")
     m = truth.shape[0]
@@ -63,15 +66,13 @@ def random_baseline(truth: Sequence[np.ndarray] | np.ndarray, trials: int, seed:
     """Matched L1 error of guessing as many simplex-uniform components
     as the truth has.
 
-    truth is a nonempty (m, d) array of components.  Each trial draws m
+    truth is a nonempty (m, d) array of finite components.  Each trial draws m
     vectors uniformly from the probability simplex on d categories
     (normalized iid exponentials) and scores them against the truth;
     reports mean and plain variance across trials.
     """
     rng.check_count("trials", trials)
-    truth = np.asarray(truth, dtype=np.float64)
-    if truth.ndim != 2 or truth.size == 0:
-        raise ValueError(f"truth must be a nonempty (m, d) array, got shape {truth.shape}")
+    truth = _finite_vector(truth, "truth", 2)
     m, d = truth.shape
     base_seed = rng.derive_seed(seed, rng.TAG_BASELINE)
     errors = np.empty(trials)

@@ -32,23 +32,29 @@ SQGAUSS_FLOOR = 1e-12
 DESCRIPTORS = '"none", "uniform", "sqgauss:<sigma>" or "fixed:<comma-separated masses>"'
 
 
-def _finite_vector(x: Sequence[float], what: str) -> np.ndarray:
+def _finite_vector(x: Sequence[float], what: str, ndim: int = 1) -> np.ndarray:
     """A float64 copy of x; a ValueError naming what unless it is a
-    nonempty 1-D array of finite real numbers.  A bool or a string is no
-    number, though numpy reads True as 1 and "0.5" as 0.5."""
-    arr = np.asarray(x)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{what} must be a nonempty 1-D array")
-    # an array of one numeric dtype is checked whole, anything else entry by entry
-    entries = list(x) if not isinstance(x, np.ndarray) or arr.dtype == object else []
+    nonempty ndim-D array of finite real numbers, entries numbered in
+    row-major order.  A bool or a string is no number, though numpy
+    reads True as 1 and "0.5" as 0.5."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # rows of different lengths
+        arr = np.empty(0)
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"{what} must be a nonempty {ndim}-D array")
+    # an array of one numeric dtype is checked whole, anything else entry by
+    # entry, as written: an object array keeps each entry's own type
+    typed_whole = isinstance(x, np.ndarray) and arr.dtype != object
+    entries = [] if typed_whole else np.asarray(x, dtype=object).ravel().tolist()
     typed = [i for i, v in enumerate(entries) if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)]
     if typed or arr.dtype.kind not in "iufO":
         i = typed[0] if typed else 0
-        raise ValueError(f"{what} entry {i} is {entries[i] if typed else arr[i].item()!r}, not a real number")
+        raise ValueError(f"{what} entry {i} is {entries[i] if typed else arr.flat[i].item()!r}, not a real number")
     arr = arr.astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise ValueError(f"{what} entry {bad[0]} is {arr[bad[0]]}, not finite")
+        raise ValueError(f"{what} entry {bad[0]} is {arr.flat[bad[0]]}, not finite")
     return arr
 
 
@@ -162,7 +168,10 @@ def make_mixture(weights: Sequence[float], components: Sequence[Sequence[float]]
     w = mixture_weights(weights)
     w /= w.sum()
 
-    rows = [probability_vector(c) for c in components]
+    try:
+        rows = [probability_vector(c) for c in components]
+    except (TypeError, ValueError) as exc:  # components is no sequence, or a row no probability vector
+        raise type(exc)(f"components: {exc}") from None
     if len(rows) != w.size:
         raise ValueError(f"{w.size} weights but {len(rows)} components")
     dims = {r.size for r in rows}
@@ -188,8 +197,11 @@ def resolve_dominating(
     deviation sigma, floored at SQGAUSS_FLOOR; or "fixed:<comma-separated
     masses>".  The random schemes are deterministic given seed.  The
     size of a fixed measure is not compared with d; the caller checks it
-    against the data.  Anything else is a ValueError.
+    against the data.  d must be an integer >= 1 and seed one in
+    [0, 2**64), whatever spec is.  Anything else is a ValueError.
     """
+    rng.check_count("d", d)
+    stream_seed = rng.derive_seed(seed, rng.TAG_DOMINATING)  # checks seed
     if spec is None or isinstance(spec, DominatingMeasure):
         return spec
     if not isinstance(spec, str):
@@ -199,7 +211,6 @@ def resolve_dominating(
     if spec == "none":
         return None
     scheme, _, arg = spec.partition(":")
-    stream_seed = rng.derive_seed(seed, rng.TAG_DOMINATING)
     try:
         if spec == "uniform":
             return DominatingMeasure(1.0 + rng.uniforms(stream_seed, 0, d))
@@ -208,7 +219,8 @@ def resolve_dominating(
             if not 0.0 < sigma < np.inf:
                 raise ValueError(f"sigma must be finite and > 0, got {arg}")
             z = rng.normals(stream_seed, 0, d)
-            return DominatingMeasure(np.maximum((sigma * z) ** 2, SQGAUSS_FLOOR))
+            with np.errstate(over="ignore"):  # an overflowed mass is refused as not finite
+                return DominatingMeasure(np.maximum((sigma * z) ** 2, SQGAUSS_FLOOR))
         if scheme == "fixed":
             return DominatingMeasure([float(v) for v in arg.split(",")])
     except ValueError as exc:

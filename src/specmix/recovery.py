@@ -39,6 +39,7 @@ from .estimation import build_c_hat, moment, moment_source
 from .model import (
     DominatingMeasure,
     MixtureSpec,
+    _finite_vector,
     b_map,
     check_distinct_norms,
     resolve_dominating,
@@ -183,25 +184,29 @@ def recover_weights(
     Solves the Gram system of the component r-fold powers (pseudo-
     inverse if nearly singular, with the condition number reported),
     then clips negative weights and renormalizes.  The residual is the
-    Frobenius misfit of the returned weights.  A solve with no positive
-    weight is a RecoveryError; for one component, that is one orthogonal
-    to e_hat.
+    Frobenius misfit of the returned weights.  components must be a
+    nonempty (m, d) array of finite real numbers and e_hat a finite
+    (d,)*r array, r >= 1; anything else is a ValueError naming it.  A
+    solve with no positive weight, or none that is finite, is a
+    RecoveryError; for one component, that is one orthogonal to e_hat.
     """
     # solver is kept only for perfbench, which passes config.weight_solver;
     # ROADMAP item 1(b) can drop it.
     if solver != RecoveryConfig.weight_solver:
         raise ValueError(f"unknown weight solver {solver!r}")
+    comp = _finite_vector(components, "components", 2)
     e = np.asarray(e_hat, dtype=np.float64)
-    comp = np.atleast_2d(np.asarray(components, dtype=np.float64))
     r = e.ndim
+    if r == 0 or e.shape != (comp.shape[1],) * r or not np.isfinite(e).all():
+        raise ValueError(f"e_hat must be a finite (d,)*r array for the components' d = {comp.shape[1]}, got shape {e.shape}")
     gram = (comp @ comp.T) ** r
     rhs = np.array([float(np.tensordot(e, outer_power(p, r), axes=r)) for p in comp])
     cond = float(np.linalg.cond(gram))
     alpha, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     weights = np.maximum(alpha, 0.0)
     total = weights.sum()
-    if total <= 0.0:
-        raise RecoveryError("weight solve produced no positive mass")
+    if not total > 0.0:  # NaN fails too
+        raise RecoveryError("weight solve produced no positive mass from e_hat and components")
     weights /= total
     return WeightSolution(weights, _weight_residual(e, comp, weights, r), cond)
 

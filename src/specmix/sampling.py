@@ -347,7 +347,10 @@ def _distinct(ids: np.ndarray, counts: np.ndarray | None = None) -> tuple:
 
 
 def num_compositions(k: int, d: int) -> int:
-    """Number of length-d nonnegative integer vectors summing to k."""
+    """Number of length-d nonnegative integer vectors summing to k, for
+    integers k >= 0 and d >= 1."""
+    rng.check_count("k", k, 0)
+    rng.check_count("d", d)
     return math.comb(k + d - 1, d - 1)
 
 

@@ -229,17 +229,19 @@ def unfold(t: np.ndarray, split: int) -> np.ndarray:
     coordinates to the trailing-axes coordinates."""
     t = np.asarray(t, dtype=np.float64)
     k = t.ndim
-    if not 1 <= split <= k - 1:
-        raise ValueError(f"split must be in [1, {k - 1}], got {split}")
+    if not rng.is_integer(split) or not 1 <= split <= k - 1:
+        raise ValueError(f"split must be in [1, {k - 1}], got {split!r}")
     d = t.shape[0]
     return np.ascontiguousarray(t.reshape(d**split, -1).T)
 
 
 def fold(m: np.ndarray, dim: int, order: int, split: int) -> np.ndarray:
     """Inverse of unfold; exact reindexing, no arithmetic."""
+    rng.check_count("dim", dim)
+    rng.check_count("order", order, 2)
     m = np.asarray(m, dtype=np.float64)
-    if not 1 <= split <= order - 1:
-        raise ValueError(f"split must be in [1, {order - 1}], got {split}")
+    if not rng.is_integer(split) or not 1 <= split <= order - 1:
+        raise ValueError(f"split must be in [1, {order - 1}], got {split!r}")
     rows, cols = dim ** (order - split), dim**split
     if m.shape != (rows, cols):
         raise ValueError(f"expected shape {(rows, cols)}, got {m.shape}")
@@ -282,22 +284,26 @@ def sym_eig(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(lam[::-1].copy(), vec[:, ::-1])
 
 
-def eig_sqrt_pinv(dec: EigenDecomposition, keep: int, floor_tol: float = 1e-8) -> np.ndarray:
+def eig_sqrt_pinv(dec: EigenDecomposition, keep: int, eig_floor: float = 1e-8) -> np.ndarray:
     """Inverse square root of a PSD matrix restricted to its top eigenspace,
     from the matrix's eigendecomposition.
 
     Returns sum of lam_i**-0.5 v_i v_i^T over the top ``keep`` eigenpairs.
-    Eigenvalues below floor_tol times the largest are unusable; if fewer
+    Eigenvalues below eig_floor times the largest are unusable; if fewer
     than ``keep`` usable eigenvalues remain a RankDeficiencyError is
     raised, signalling that the requested rank exceeds the operator's;
     its message gives eigenvalue ``keep`` as a fraction of the largest,
     so a near miss (nearly coincident components) shows as a ratio just
-    under floor_tol and a wrong rank as one near zero.
+    under eig_floor and a wrong rank as one near zero.  eig_floor must be
+    a number in (0, 1), as RecoveryConfig's is; anything else is a
+    ValueError.
     """
+    if not (rng.is_real(eig_floor, 0.0, 1.0) and eig_floor > 0):
+        raise ValueError(f"eig_floor must be a number in (0, 1), got {eig_floor!r}")
     lam_max = dec.eigenvalues[0]
     if lam_max <= 0.0:
         raise RankDeficiencyError("matrix has no positive eigenvalue")
-    usable = int(np.sum(dec.eigenvalues > floor_tol * lam_max))
+    usable = int(np.sum(dec.eigenvalues > eig_floor * lam_max))
     if usable < keep:
         if keep > dec.eigenvalues.size:
             margin = f"the matrix has only {dec.eigenvalues.size} eigenvalues"
@@ -306,7 +312,7 @@ def eig_sqrt_pinv(dec: EigenDecomposition, keep: int, floor_tol: float = 1e-8) -
             margin = f"eigenvalue {keep} is {ratio:.2g} of the largest"
         raise RankDeficiencyError(
             f"requested {keep} eigenpairs but only {usable} exceed "
-            f"{floor_tol:g} of the spectral radius; {margin}"
+            f"{eig_floor:g} of the spectral radius; {margin}"
         )
     vec = dec.eigenvectors[:, :keep]
     lam = dec.eigenvalues[:keep]
@@ -314,7 +320,10 @@ def eig_sqrt_pinv(dec: EigenDecomposition, keep: int, floor_tol: float = 1e-8) -
 
 
 def numerical_rank(m: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Number of singular values above rel_tol times the largest."""
+    """Number of singular values above rel_tol times the largest; rel_tol
+    must be a finite number in [0, 1), else a ValueError names it."""
+    if not rng.is_real(rel_tol, 0.0, 1.0):
+        raise ValueError(f"rel_tol must be a finite number in [0, 1), got {rel_tol!r}")
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:

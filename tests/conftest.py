@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import specmix as sp
+from specmix.tensors import outer_power
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +62,7 @@ def raw_moment(ds: sp.GroupedDataset, r: int, b: np.ndarray | None = None) -> np
     """The order-r estimate from raw_counts, normalized and rescaled as
     the estimator does it, so the two agree bit for bit."""
     tensor = raw_counts(ds, r) / (ds.n_groups * math.perm(ds.group_size, r))
-    return tensor if b is None else tensor * sp.outer_power(b, r)
+    return tensor if b is None else tensor * outer_power(b, r)
 
 
 def dense_power_sum(weights, vectors, r: int) -> np.ndarray:
@@ -69,5 +70,5 @@ def dense_power_sum(weights, vectors, r: int) -> np.ndarray:
     (d,)*r array, each outer power multiplied out in index order."""
     t = np.zeros((len(vectors[0]),) * r)
     for w, v in zip(weights, vectors):
-        t += w * sp.outer_power(v, r)
+        t += w * outer_power(v, r)
     return t

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import specmix as sp
 from specmix import cli
+from specmix.sampling import write_groups
 
 
 @pytest.fixture()
@@ -18,7 +19,7 @@ def data_file(tmp_path, blend_mix):
     ds = sp.draw_groups(blend_mix, 5, 3000, seed=100)
     path = tmp_path / "groups.txt"
     with open(path, "w") as fh:
-        sp.write_groups(ds, fh)
+        write_groups(ds, fh)
     return str(path)
 
 
@@ -68,7 +69,7 @@ class TestRecoverCommand:
     def test_stdin(self, blend_mix, capsys, monkeypatch):
         ds = sp.draw_groups(blend_mix, 5, 500, seed=1)
         buf = io.StringIO()
-        sp.write_groups(ds, buf)
+        write_groups(ds, buf)
         monkeypatch.setattr("sys.stdin", io.StringIO(buf.getvalue()))
         assert run_cli(["recover", "--data", "-", "--m", "2"]) == 0
         assert "components" in json.loads(capsys.readouterr().out)

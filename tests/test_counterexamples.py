@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import specmix as sp
 from conftest import dense_power_sum
 from specmix.counterexamples import SEPARATION, MomentComparison, dependence_coefficients
+from specmix.model import probability_vector
 from specmix.tensors import _multisets, _orbit_sizes
 
 
@@ -235,7 +236,7 @@ class TestBuildPairProperties:
             base = tuple(np.array(v) / sum(v) for v in base)
             assume(np.abs(base[0] - base[1]).max() > 0.2)
         gamma, gamma_prime = ([1.0, 0.0], [0.0, 1.0]) if base is None else base
-        gamma, gamma_prime = sp.probability_vector(gamma), sp.probability_vector(gamma_prime)
+        gamma, gamma_prime = probability_vector(gamma), probability_vector(gamma_prime)
         eps = np.sort(levels) / 20.0
         comps = eps[:, None] * gamma[None, :] + (1.0 - eps[:, None]) * gamma_prime[None, :]
         first, second = slice(t % 2, None, 2), slice(1 - t % 2, None, 2)
@@ -246,8 +247,8 @@ class TestBuildPairProperties:
         # each side's rows are the blends at its levels, renormalized as make_mixture does
         assert_array_equal(pair.p.components, sides[0].components)
         assert_array_equal(pair.p_prime.components, sides[1].components)
-        assert_array_equal(pair.p.components, [sp.probability_vector(c) for c in comps[first]])
-        assert_array_equal(pair.p_prime.components, [sp.probability_vector(c) for c in comps[second]])
+        assert_array_equal(pair.p.components, [probability_vector(c) for c in comps[first]])
+        assert_array_equal(pair.p_prime.components, [probability_vector(c) for c in comps[second]])
         assert np.all(pair.alphas[first] < 0) and np.all(pair.alphas[second] > 0)
         assert sp.verify_moment_equality(pair.p, pair.p_prime, t - 2).equal
 

@@ -7,32 +7,32 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
 from conftest import dense_power_sum, random_mixture
-from specmix.model import mixture_weights
+from specmix.model import check_distinct_norms, mixture_weights, probability_vector
 
 
 class TestProbabilityVector:
     def test_valid(self):
-        p = sp.probability_vector([0.3, 0.7])
+        p = probability_vector([0.3, 0.7])
         assert_array_equal(p, [0.3, 0.7])
         assert not p.flags.writeable
 
     def test_renormalizes_rounded_input(self):
-        p = sp.probability_vector([0.3 + 4e-10, 0.7])
+        p = probability_vector([0.3 + 4e-10, 0.7])
         assert abs(p.sum() - 1.0) < 1e-15
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
-            sp.probability_vector([1.1, -0.1])
+            probability_vector([1.1, -0.1])
 
     def test_rejects_bad_sum(self):
         # the plain float, not numpy 2's np.float64(1.1)
         with pytest.raises(ValueError, match=r"^probabilities sum to 1\.1, not 1$"):
-            sp.probability_vector([0.5, 0.6])
+            probability_vector([0.5, 0.6])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match=f"probability vector entry 0 is {bad}, not finite"):
-            sp.probability_vector([bad, 1.0])
+            probability_vector([bad, 1.0])
 
 
 class TestMakeMixture:
@@ -78,13 +78,13 @@ class TestMakeMixture:
     @pytest.mark.parametrize("p", [[True, False], ["0.5", "0.5"], np.array([0.5, 0.5], dtype=complex)])
     def test_rejects_probabilities_that_are_no_real_numbers(self, p):
         with pytest.raises(ValueError, match=r"^probability vector entry 0 is .+, not a real number$"):
-            sp.probability_vector(p)
+            probability_vector(p)
         with pytest.raises(ValueError, match=r"^dominating measure entry 0 is .+, not a real number$"):
             sp.DominatingMeasure(p)
 
     def test_accepts_real_number_types(self):
         for p in ([1, 0], [np.float32(0.5), np.int64(0), 0.5], np.array([0.5, 0.5], dtype=object)):
-            assert sp.probability_vector(p).dtype == np.float64
+            assert probability_vector(p).dtype == np.float64
 
     def test_renormalizes_near_simplex_weights(self):
         mix = sp.make_mixture([0.5 + 2e-10, 0.5], [[1.0, 0.0], [0.0, 1.0]])
@@ -209,20 +209,20 @@ class TestBMap:
 
 class TestDistinctNorms:
     def test_unit_measure_ties(self, blend_mix):
-        res = sp.check_distinct_norms(blend_mix, sp.DominatingMeasure(np.ones(3)))
+        res = check_distinct_norms(blend_mix, sp.DominatingMeasure(np.ones(3)))
         assert not res.distinct
         assert_allclose(res.norms[0], 0.5136)
         assert_allclose(res.norms[1], 0.5136)
 
     def test_separating_measure(self, blend_mix, fixed_xi):
-        res = sp.check_distinct_norms(blend_mix, fixed_xi)
+        res = check_distinct_norms(blend_mix, fixed_xi)
         assert res.distinct
         assert_allclose(res.norms, [0.07271111, 0.43537778, 0.2256], atol=1e-8)
         assert_allclose(res.min_gap, 0.2256 - 0.07271111, atol=1e-8)
 
     def test_single_component_vacuous(self):
         mix = sp.make_mixture([1.0], [[0.5, 0.5]])
-        res = sp.check_distinct_norms(mix, sp.DominatingMeasure([1.0, 1.0]))
+        res = check_distinct_norms(mix, sp.DominatingMeasure([1.0, 1.0]))
         assert res.distinct and res.min_gap == np.inf
 
     def test_random_measure_separates(self):
@@ -231,8 +231,8 @@ class TestDistinctNorms:
         for trial in range(1000):
             mix = random_mixture(rng, 3, 3)
             xi = sp.resolve_dominating("uniform", 3, trial)
-            assert sp.check_distinct_norms(mix, xi).min_gap > 1e-12
+            assert check_distinct_norms(mix, xi).min_gap > 1e-12
 
     def test_dimension_mismatch(self, blend_mix):
         with pytest.raises(ValueError, match="dimension"):
-            sp.check_distinct_norms(blend_mix, sp.DominatingMeasure([1.0, 1.0]))
+            check_distinct_norms(blend_mix, sp.DominatingMeasure([1.0, 1.0]))

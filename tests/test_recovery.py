@@ -17,6 +17,7 @@ import specmix as sp
 import specmix.recovery as recovery
 from conftest import random_mixture
 from specmix.estimation import moment
+from specmix.model import check_distinct_norms
 from specmix.recovery import (
     RecoveryConfig,
     RecoveryError,
@@ -29,7 +30,7 @@ from specmix.recovery import (
     whiten,
 )
 from specmix.sampling import draw_tally
-from specmix.tensors import RankDeficiencyError
+from specmix.tensors import RankDeficiencyError, outer_power
 
 
 def _physical_memory() -> int:
@@ -184,7 +185,7 @@ class TestBuildTHat:
         c = sp.build_c_hat(blend_mix, 3, b)
         t = build_t_hat(moment(blend_mix, 5, b), whiten(c, 3))
         lam = np.sort(np.linalg.eigvalsh(t @ t.T))[::-1]
-        norms = np.sort(sp.check_distinct_norms(blend_mix, fixed_xi).norms)[::-1]
+        norms = np.sort(check_distinct_norms(blend_mix, fixed_xi).norms)[::-1]
         assert_allclose(lam[:3], norms, atol=1e-10)
 
     def test_zero_whitener(self, two_mix):
@@ -272,7 +273,7 @@ class TestRecoverWeights:
         assert sol.gram_condition >= 1.0
 
     def test_pure_component(self, blend_mix):
-        e = sp.outer_power(blend_mix.components[0], 2)
+        e = outer_power(blend_mix.components[0], 2)
         sol = recover_weights(e, blend_mix.components)
         assert_allclose(sol.weights, [1.0, 0.0, 0.0], atol=1e-9)
 

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
 from specmix import kernels, rng, sampling
+from specmix.sampling import write_groups
 
 
 class TestDrawGroups:
@@ -414,7 +415,7 @@ class TestTextFormat:
     def test_round_trip(self, blend_mix):
         ds = sp.draw_groups(blend_mix, 3, 50, seed=2)
         buf = io.StringIO()
-        sp.write_groups(ds, buf)
+        write_groups(ds, buf)
         buf.seek(0)
         again = sp.read_groups(buf)
         assert again.d == 3
@@ -428,7 +429,7 @@ class TestTextFormat:
         groups = data.draw(arrays(np.int64, shape, elements=st.integers(0, d - 1)))
         ds = sp.GroupedDataset(d, groups.astype(np.uint8 if d <= 255 else np.int64))
         buf = io.StringIO()
-        sp.write_groups(ds, buf)
+        write_groups(ds, buf)
         for given_d, want_d in [(d, d), (None, int(groups.max()) + 1)]:
             buf.seek(0)
             again = sp.read_groups(buf, given_d)
@@ -439,7 +440,7 @@ class TestTextFormat:
     def test_one_based_on_disk(self):
         ds = sp.GroupedDataset(2, np.array([[0, 1], [1, 1]], dtype=np.uint8))
         buf = io.StringIO()
-        sp.write_groups(ds, buf)
+        write_groups(ds, buf)
         assert buf.getvalue().split() == ["1", "2", "2", "2"]
 
     def test_infers_d(self):
