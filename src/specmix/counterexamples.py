@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .model import MixtureSpec, _finite_vector, make_mixture, probability_vector
+from .model import MixtureSpec, _finite_vector, probability_vector
 from .tensors import _orbit_sizes, _power_sum
 
 
@@ -150,7 +150,7 @@ def build_pair(
 
     def side(parity: int) -> MixtureSpec:
         w = np.abs(alpha[parity::2])
-        return make_mixture(w / w.sum(), components[parity::2])
+        return MixtureSpec(w / w.sum(), components[parity::2])
 
     p, p_prime = side(t % 2), side(1 - t % 2)
     at = verify_moment_equality(p, p_prime, t - 2, tol=1e-8)

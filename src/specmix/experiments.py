@@ -24,7 +24,6 @@ from .model import (
     _finite_vector,
     _scheme_name,
     json_fields,
-    make_mixture,
     resolve_dominating,
 )
 from .recovery import RecoveryConfig, RecoveryError, recover_full
@@ -130,7 +129,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown recovery key {unknown[0]!r}")
         return cls(
-            mixture=make_mixture(*json_fields(mix, "mixture", "weights", "components")),
+            mixture=MixtureSpec(*json_fields(mix, "mixture", "weights", "components")),
             group_size=group_size,
             n_groups=n_groups,
             reps=reps,

@@ -78,13 +78,37 @@ def probability_vector(x: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Validated mixture: weights (m,) and component rows (m, d).
+    """A mixture: weights (m,) and component rows (m, d), checked here.
 
-    Construct through make_mixture; fields are read-only arrays.
+    Weights are checked by mixture_weights and then renormalized exactly.
+    Components must be probability vectors of a common dimension, one
+    per weight, pairwise distinct in L-infinity beyond DISTINCT_TOL.
+    Both are stored as read-only float64 copies.  make_mixture is this
+    constructor under its older name.
     """
 
     weights: np.ndarray
     components: np.ndarray
+
+    def __post_init__(self):
+        w = mixture_weights(self.weights)
+        w /= w.sum()
+        try:
+            rows = [probability_vector(c) for c in self.components]
+        except (TypeError, ValueError) as exc:  # components is no sequence, or a row no probability vector
+            raise type(exc)(f"components: {exc}") from None
+        if len(rows) != w.size:
+            raise ValueError(f"{w.size} weights but {len(rows)} components")
+        dims = {r.size for r in rows}
+        if len(dims) != 1:
+            raise ValueError(f"components have mixed dimensions {sorted(dims)}")
+        comp = np.vstack(rows)
+        for i in range(comp.shape[0]):
+            for j in range(i + 1, comp.shape[0]):
+                if np.abs(comp[i] - comp[j]).max() <= DISTINCT_TOL:
+                    raise ValueError(f"components {i} and {j} coincide; mixture is not minimal")
+        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "components", _readonly(comp))
 
     @property
     def m(self) -> int:
@@ -101,7 +125,7 @@ class MixtureSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "MixtureSpec":
-        return make_mixture(*json_fields(json.loads(text), "mixture", "weights", "components"))
+        return cls(*json_fields(json.loads(text), "mixture", "weights", "components"))
 
 
 def json_fields(obj: dict, what: str, *keys: str) -> list:
@@ -158,31 +182,8 @@ def mixture_weights(weights: Sequence[float]) -> np.ndarray:
     return w
 
 
-def make_mixture(weights: Sequence[float], components: Sequence[Sequence[float]]) -> MixtureSpec:
-    """Build a validated mixture.
-
-    Weights are checked by mixture_weights and then renormalized exactly.
-    Components must be probability vectors of a common dimension,
-    pairwise distinct in L-infinity beyond 1e-12.
-    """
-    w = mixture_weights(weights)
-    w /= w.sum()
-
-    try:
-        rows = [probability_vector(c) for c in components]
-    except (TypeError, ValueError) as exc:  # components is no sequence, or a row no probability vector
-        raise type(exc)(f"components: {exc}") from None
-    if len(rows) != w.size:
-        raise ValueError(f"{w.size} weights but {len(rows)} components")
-    dims = {r.size for r in rows}
-    if len(dims) != 1:
-        raise ValueError(f"components have mixed dimensions {sorted(dims)}")
-    comp = np.vstack(rows)
-    for i in range(comp.shape[0]):
-        for j in range(i + 1, comp.shape[0]):
-            if np.abs(comp[i] - comp[j]).max() <= DISTINCT_TOL:
-                raise ValueError(f"components {i} and {j} coincide; mixture is not minimal")
-    return MixtureSpec(_readonly(w), _readonly(comp))
+# MixtureSpec under the name the README and the benchmark call it by
+make_mixture = MixtureSpec
 
 
 def resolve_dominating(

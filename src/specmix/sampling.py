@@ -42,7 +42,9 @@ class GroupedDataset:
 
     The indices are checked once, here: the tally keys index a table of
     d entries with them, so an index outside [0, d) would be read as
-    another category or fall past the table.
+    another category or fall past the table.  groups is stored as a
+    read-only view, of uint8 codes while d <= 255 (a copy only when the
+    given dtype differs), so the caller's array stays as it was.
     """
 
     d: int
@@ -52,9 +54,12 @@ class GroupedDataset:
         rng.check_count("d", self.d)
         g = self.groups
         if not isinstance(g, np.ndarray) or g.dtype.kind not in "iu" or g.ndim != 2 or g.size == 0:
-            raise ValueError("expected a nonempty n x k integer index array")
+            raise ValueError("groups must be a nonempty n x k integer index array")
         if g.min() < 0 or g.max() >= self.d:
-            raise ValueError(f"category index out of range [0, {self.d})")
+            raise ValueError(f"groups index {g.min() if g.min() < 0 else g.max()} out of range [0, d) for d = {self.d}")
+        g = (g.astype(np.uint8, copy=False) if self.d <= 255 else g).view()
+        g.flags.writeable = False
+        object.__setattr__(self, "groups", g)
 
     @property
     def n_groups(self) -> int:
@@ -155,7 +160,6 @@ def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> 
     for block in _draw_blocks(_thresholds(mix), group_size, n_groups, seed):
         groups[lo : lo + len(block)] = block
         lo += len(block)
-    groups.flags.writeable = False
     return GroupedDataset(mix.d, groups)
 
 
@@ -374,10 +378,6 @@ def read_groups(fh: IO[str], d: int | None = None) -> GroupedDataset:
     if low.min() < 1:
         group = np.argmax(low < 1)
         raise ValueError(f"group {group + 1}: index {low[group]} is below 1; the text format uses 1-based category indices")
-    groups = rows - 1
     if d is None:
-        d = int(groups.max()) + 1
-    GroupedDataset(d, groups)  # checks the indices before uint8 could wrap them
-    groups = groups.astype(np.uint8 if d <= 255 else np.int64, copy=False)
-    groups.flags.writeable = False
-    return GroupedDataset(d, groups)
+        d = int(rows.max())
+    return GroupedDataset(d, rows - 1)
