@@ -43,9 +43,19 @@ def _cmd_recover(args) -> int:
     return 0
 
 
+def _read_json(path: str, parse):
+    """parse(text) of the file at path; malformed JSON is a ValueError
+    that names the file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_experiment(args) -> int:
-    with open(args.config) as fh:
-        cfg = ExperimentConfig.from_json(fh.read())
+    cfg = _read_json(args.config, ExperimentConfig.from_json)
     report = run_experiment(cfg)
     if args.out is None:
         print(report.to_json())
@@ -71,8 +81,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _read_multinomial_mixture(path: str):
-    with open(path) as fh:
-        n, q, components = json_fields(json.load(fh), path, "n", "q", "components")
+    n, q, components = json_fields(_read_json(path, json.loads), path, "n", "q", "components")
     fields = [json_fields(rec, f"a component in {path}", "weight", "p") for rec in components]
     try:
         mixture_weights([weight for weight, _ in fields])
@@ -95,8 +104,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    with open(args.truth) as fh:
-        truth = MixtureSpec.from_json(fh.read())
+    truth = _read_json(args.truth, MixtureSpec.from_json)
     report = random_baseline(truth.components, args.trials, args.seed)
     print(json.dumps({"mean": report.mean, "variance": report.variance}))
     return 0

@@ -44,6 +44,11 @@ def matched_l1_error(truth: Sequence[np.ndarray] | np.ndarray, est: Sequence[np.
     est = _finite_vector(est, "estimate", 2)
     if truth.shape != est.shape:
         raise ValueError(f"shape mismatch: truth {truth.shape} vs estimate {est.shape}")
+    return _matched_l1(truth, est)
+
+
+def _matched_l1(truth: np.ndarray, est: np.ndarray) -> float:
+    """matched_l1_error of two float64 (m, d) arrays of finite numbers."""
     m = truth.shape[0]
     if m > MAX_MATCH_SIZE:
         raise ValueError(f"exhaustive matching supports at most {MAX_MATCH_SIZE} components")
@@ -78,7 +83,7 @@ def random_baseline(truth: Sequence[np.ndarray] | np.ndarray, trials: int, seed:
     for trial in range(trials):
         draws = rng.exponentials(base_seed, trial, m * d).reshape(m, d)
         guess = draws / draws.sum(axis=1, keepdims=True)
-        errors[trial] = matched_l1_error(truth, guess)
+        errors[trial] = _matched_l1(truth, guess)
     return BaselineReport(float(errors.mean()), float(errors.var()), errors)
 
 
@@ -87,8 +92,9 @@ class ExperimentConfig:
     """One row of the accuracy table: data scale plus recovery choices.
 
     group_size, n_groups and reps are integers >= 1 (not bools), and the
-    replicate seeds seed .. seed + reps - 1 lie in [0, 2**64).  dominating
-    is the experiment's one reference measure, checked here like
+    replicate seeds seed .. seed + reps - 1 lie in [0, 2**64).  mixture
+    must be a MixtureSpec and recovery a RecoveryConfig.  dominating is
+    the experiment's one reference measure, checked here like
     RecoveryConfig's; the recovery config must leave its own dominating
     unset.  run_experiment returns the report; the caller writes it.
     """
@@ -102,6 +108,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in (("mixture", MixtureSpec), ("recovery", RecoveryConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {type(getattr(self, name)).__name__}")
         for name in ("group_size", "n_groups", "reps"):
             rng.check_count(name, getattr(self, name))
         if not rng.is_integer(self.seed) or not 0 <= self.seed <= 2**64 - int(self.reps):

@@ -338,6 +338,18 @@ class TestBaselineCommand:
             "^specmix baseline: mixture has no 'components' key")
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [("experiment", ["--config"]), ("baseline", ["--trials", "5", "--truth"]), ("multinomial-check", ["--b", None, "--a"])],
+)
+def test_malformed_json_names_the_file(tmp_path, command, flags, capsys):
+    # a truth file of "{}{}" printed "specmix baseline: Extra data: line 1 column 3 (char 2)"
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}{}")
+    args = [command] + [str(bad) if flag is None else flag for flag in flags] + [str(bad)]
+    run_failing(capsys, args, rf"^specmix {command}: \S*bad\.json: Extra data: line 1 column 3 \(char 2\)$")
+
+
 def readme_command_lines() -> list:
     """Every `specmix ...` command in the README's sh blocks, with
     backslash continuations joined."""

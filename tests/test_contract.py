@@ -336,12 +336,17 @@ UNIFORM = sp.RecoveryConfig(2, dominating="uniform")
 CONFIG = sp.RecoveryConfig(2)
 FOLDED = np.zeros((9, 3))
 SEEDS = dict(good=[0, 5, 2**64 - 1], low=0, bad=[2**64])
+# make_mixture is MixtureSpec; both names are probed with these
+MIX_WEIGHTS = ("weights", Vector([0.5, 0.5], "weights"))
+MIX_COMPONENTS = ("components", Matrix(COMPS, "probability"))
 
 # name -> (the word or pattern its errors must contain, its values, the call)
 PROBES = {
     "DominatingMeasure.y": ("dominating measure", Vector(B, "positive", sized=False), lambda v: sp.DominatingMeasure(v)),
-    "make_mixture.weights": ("weights", Vector([0.5, 0.5], "weights"), lambda v: sp.make_mixture(v, COMPS)),
-    "make_mixture.components": ("components", Matrix(COMPS, "probability"), lambda v: sp.make_mixture([0.5, 0.5], v)),
+    "MixtureSpec.weights": (*MIX_WEIGHTS, lambda v: sp.MixtureSpec(v, COMPS)),
+    "MixtureSpec.components": (*MIX_COMPONENTS, lambda v: sp.MixtureSpec([0.5, 0.5], v)),
+    "make_mixture.weights": (*MIX_WEIGHTS, lambda v: sp.make_mixture(v, COMPS)),
+    "make_mixture.components": (*MIX_COMPONENTS, lambda v: sp.make_mixture([0.5, 0.5], v)),
     "resolve_dominating.spec": ("dominating", DOMINATING, lambda v: sp.resolve_dominating(v, 3, 0)),
     "resolve_dominating.d": (r"\bd\b", Count([1, 3]), lambda v: sp.resolve_dominating("uniform", v, 0)),
     "resolve_dominating.seed": ("seed", Count(**SEEDS), lambda v: sp.resolve_dominating("uniform", 3, v)),
@@ -426,7 +431,6 @@ PROBES = {
 
 # Public callables with no scalar setting or model vector, and why.
 EXEMPT = {
-    "MixtureSpec": "a record; make_mixture is its checked constructor",
     "RecoveryResult": "a record recover_full returns",
     "ExperimentReport": "a record run_experiment returns",
     "RecoveryError": "an error",
@@ -463,6 +467,66 @@ def test_every_public_callable_is_probed_or_exempt():
     callables = {name for name in sp.__all__ if callable(getattr(sp, name))}
     assert callables == (probed - {"eig_sqrt_pinv", "numerical_rank"}) | set(EXEMPT)
     assert sp.empirical_sym_moment is sp.moment
+    assert sp.make_mixture is sp.MixtureSpec
+
+
+# -- inputs each type checks itself ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "weights, components, message",
+    [
+        # each of these used to construct, and NaN gave all-NaN moments and fits
+        ([math.nan], [[1.0, 0.0]], r"^weights entry 0 is nan, not finite$"),
+        ([0.5, 0.6], COMPS, r"^weights sum to 1\.1, not 1$"),
+        ([0.5, 0.5], [[0.5, 0.5, 0.5], COMPS[1]], r"^components: probabilities sum to 1\.5, not 1$"),
+        ([0.5, 0.5], [COMPS[0], COMPS[0]], r"^components 0 and 1 coincide"),
+    ],
+)
+def test_mixture_spec_checks_its_fields(weights, components, message):
+    with pytest.raises(ValueError, match=message):
+        sp.MixtureSpec(np.array(weights), np.array(components))
+
+
+def test_mixture_spec_stores_read_only_copies():
+    weights, components = np.array([0.5, 0.5]), np.array(COMPS)
+    mix = sp.MixtureSpec(weights, components)
+    assert weights.flags.writeable and components.flags.writeable
+    assert not mix.weights.flags.writeable and not mix.components.flags.writeable
+    assert mix.weights.tobytes() == MIX.weights.tobytes() and mix.components.tobytes() == MIX.components.tobytes()
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [[[0, 1]], np.zeros((2, 2)), np.zeros(2, dtype=np.int64), np.zeros((0, 2), dtype=np.int64), np.array([[0, -1]]), np.array([[0, 3]])],
+)
+def test_grouped_dataset_errors_name_groups(groups):
+    with pytest.raises(ValueError, match=r"^groups "):
+        sp.GroupedDataset(3, groups)
+
+
+def test_read_groups_index_error_names_d():
+    # the index 3 is past the d = 2 the caller gave
+    with pytest.raises(ValueError, match=r"out of range \[0, d\) for d = 2$"):
+        sp.read_groups(io.StringIO("1 2\n3 1\n"), 2)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_grouped_dataset_leaves_the_callers_array(dtype):
+    arr = np.array([[0, 2], [1, 0]], dtype=dtype)
+    ds = sp.GroupedDataset(3, arr)
+    assert arr.dtype == dtype and arr.flags.writeable
+    assert arr.tolist() == [[0, 2], [1, 0]]
+    assert ds.groups.dtype == np.uint8 and not ds.groups.flags.writeable
+    assert ds.groups.tolist() == [[0, 2], [1, 0]]
+
+
+@pytest.mark.parametrize("name, value", [("mixture", {"weights": [1.0], "components": [[1.0]]}), ("recovery", {"m": 1})])
+def test_experiment_config_refuses_untyped_fields(name, value):
+    # each used to construct, and run_experiment raised an AttributeError
+    fields = dict(mixture=MIX, group_size=3, n_groups=10, reps=1, dominating=None, recovery=CONFIG)
+    with pytest.raises(TypeError, match=rf"^{name} must be a \w+, got dict$"):
+        sp.ExperimentConfig(**fields | {name: value})
 
 
 # -- the public API ---------------------------------------------------------------

@@ -13,6 +13,7 @@ from scipy.optimize import linear_sum_assignment
 import specmix as sp
 from specmix.experiments import ExperimentConfig, ExperimentReport, run_experiment
 from specmix.recovery import RecoveryConfig
+from specmix.rng import TAG_BASELINE, derive_seed, exponentials
 from specmix.sampling import DRAW_BLOCK
 
 
@@ -70,6 +71,14 @@ class TestRandomBaseline:
         b = sp.random_baseline(blend_mix.components, 50, 7)
         assert_array_equal(a.errors, b.errors)
         assert a.mean == b.mean and a.variance == b.variance
+
+    def test_each_error_is_the_matched_error_of_its_guess(self, blend_mix):
+        # the truth is checked once, and each simplex-uniform guess scored as matched_l1_error scores it
+        rep = sp.random_baseline(blend_mix.components, 20, 5)
+        stream = derive_seed(5, TAG_BASELINE)
+        for trial, err in enumerate(rep.errors):
+            draws = exponentials(stream, trial, 9).reshape(3, 3)
+            assert err == sp.matched_l1_error(blend_mix.components, draws / draws.sum(axis=1, keepdims=True))
 
     def test_seed_matters(self, blend_mix):
         a = sp.random_baseline(blend_mix.components, 50, 7)
