@@ -223,6 +223,80 @@ class TestRunExperiment:
         assert peak < 16 * 2**20
 
 
+# The report of every replicate failing in setup (groups of 3 for m = 3),
+# with numpy-integer counts and a DominatingMeasure: no fit enters these
+# bytes, and test_pinned_bytes zeroes the clock fields.
+PINNED_JSON = """\
+{
+  "scheme": "fixed:np.float64(9.0),np.float64(4.0),np.float64(1.0)",
+  "n_groups": 100,
+  "group_size": 3,
+  "seed": 5,
+  "errors": [
+    null,
+    null
+  ],
+  "seconds": [
+    0.0,
+    0.0
+  ],
+  "failures": [
+    {
+      "rep": 0,
+      "tag": "stage 'setup' failed: group size 3 < required 5"
+    },
+    {
+      "rep": 1,
+      "tag": "stage 'setup' failed: group size 3 < required 5"
+    }
+  ],
+  "mean": NaN,
+  "variance": NaN,
+  "excluded": 2,
+  "wall_clock": 0.0,
+  "config": {
+    "mixture": {
+      "weights": [
+        0.5,
+        0.3,
+        0.2
+      ],
+      "components": [
+        [
+          0.64,
+          0.32,
+          0.04
+        ],
+        [
+          0.04,
+          0.32,
+          0.64
+        ],
+        [
+          0.24,
+          0.32,
+          0.44
+        ]
+      ]
+    },
+    "reps": 2,
+    "recovery": {
+      "m": 3,
+      "dominating": "fixed:np.float64(9.0),np.float64(4.0),np.float64(1.0)",
+      "probe": "singular",
+      "clip_negatives": true,
+      "eig_floor": 1e-08,
+      "weight_solver": "clip-renormalize"
+    }
+  }
+}"""
+PINNED_CSV = (
+    'scheme,n_groups,rep,error,seconds\r\n'
+    '"fixed:np.float64(9.0),np.float64(4.0),np.float64(1.0)",100,0,nan,0.0\r\n'
+    '"fixed:np.float64(9.0),np.float64(4.0),np.float64(1.0)",100,1,nan,0.0\r\n'
+)
+
+
 class TestReportSerialization:
     def test_json_fields(self, blend_mix, fixed_xi):
         rep = run_experiment(small_config(blend_mix, fixed_xi))
@@ -254,6 +328,16 @@ class TestReportSerialization:
         assert rows[0] == ["scheme", "n_groups", "rep", "error", "seconds"]
         assert len(rows) == 4
         assert rows[1][3] == "nan"  # failed rep
+
+    def test_pinned_bytes(self, blend_mix, fixed_xi):
+        cfg = small_config(
+            blend_mix, fixed_xi, group_size=np.int64(3), n_groups=np.int32(100), reps=np.uint8(2), seed=np.int64(5)
+        )
+        rep = replace(run_experiment(cfg), seconds=[0.0, 0.0], wall_clock=0.0)
+        assert rep.to_json() == PINNED_JSON
+        buf = io.StringIO()
+        rep.write_csv(buf)
+        assert buf.getvalue() == PINNED_CSV
 
     def test_write_by_extension(self, blend_mix, fixed_xi, tmp_path):
         rep = run_experiment(small_config(blend_mix, fixed_xi))
