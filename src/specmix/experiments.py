@@ -12,7 +12,7 @@ import csv
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
@@ -150,17 +150,23 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-rep matched errors and aggregates; failed reps carry None."""
+    """The config run, and per-rep matched errors and seconds; failed
+    reps carry None and are listed in failures."""
 
-    scheme: str
-    n_groups: int
-    group_size: int
-    seed: int
+    config: ExperimentConfig
     errors: list
     seconds: list
-    failures: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-    wall_clock: float = 0.0
+    failures: list
+    wall_clock: float
+
+    @property
+    def scheme(self) -> str:
+        return _scheme_name(self.config.dominating)
+
+    @property
+    def n_groups(self) -> int:
+        # int(): the count rule accepts numpy integers, which json cannot write
+        return int(self.config.n_groups)
 
     @property
     def mean(self) -> float:
@@ -181,8 +187,8 @@ class ExperimentReport:
             {
                 "scheme": self.scheme,
                 "n_groups": self.n_groups,
-                "group_size": self.group_size,
-                "seed": self.seed,
+                "group_size": int(self.config.group_size),
+                "seed": int(self.config.seed),
                 "errors": self.errors,
                 "seconds": self.seconds,
                 "failures": self.failures,
@@ -190,7 +196,11 @@ class ExperimentReport:
                 "variance": self.variance,
                 "excluded": self.excluded,
                 "wall_clock": self.wall_clock,
-                "config": self.config,
+                "config": {
+                    "mixture": json.loads(self.config.mixture.to_json()),
+                    "reps": int(self.config.reps),
+                    "recovery": self.config.recovery.echo() | {"dominating": self.scheme},
+                },
             },
             indent=2,
         )
@@ -236,20 +246,4 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             errors.append(None)
             failures.append({"rep": rep, "tag": str(exc)})
         seconds.append(time.perf_counter() - t_rep)
-    scheme = _scheme_name(cfg.dominating)
-    return ExperimentReport(
-        scheme=scheme,
-        # int(): the count rule accepts numpy integers, which json cannot write
-        n_groups=int(cfg.n_groups),
-        group_size=int(cfg.group_size),
-        seed=int(cfg.seed),
-        errors=errors,
-        seconds=seconds,
-        failures=failures,
-        config={
-            "mixture": json.loads(cfg.mixture.to_json()),
-            "reps": int(cfg.reps),
-            "recovery": cfg.recovery.echo() | {"dominating": scheme},
-        },
-        wall_clock=time.perf_counter() - t_start,
-    )
+    return ExperimentReport(cfg, errors, seconds, failures, time.perf_counter() - t_start)
