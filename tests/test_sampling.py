@@ -1,4 +1,5 @@
 """Grouped sampling, tally compression, and the text/JSON formats."""
+import hashlib
 import io
 import os
 import re
@@ -67,6 +68,28 @@ class TestGroupedDataset:
     def test_rejects_malformed_arrays(self, groups):
         with pytest.raises(ValueError, match="nonempty n x k integer"):
             sp.GroupedDataset(3, groups)
+
+    @pytest.mark.parametrize("d, dtype, bad", [(300, np.int64, 999), (3, np.uint8, 7)])
+    def test_a_later_write_to_the_callers_array_changes_nothing(self, d, dtype, bad):
+        # the dataset used to hold a view of the caller's array when the
+        # dtype matched, and this write made moment raise an IndexError
+        arr = np.zeros((4, 2), dtype)
+        ds = sp.GroupedDataset(d, arr)
+        before = sp.moment(ds, 1)
+        arr[0, 0] = bad
+        assert_array_equal(sp.moment(ds, 1), before)
+
+    def test_builders_hand_over_their_codes(self, blend_mix):
+        # draw_groups' array is stored as drawn, not copied; 70000 groups
+        # cross a DRAW_BLOCK edge
+        groups = sp.draw_groups(blend_mix, 5, 70000, seed=3).groups
+        assert groups.dtype == np.uint8 and groups.flags.owndata and not groups.flags.writeable
+        digest = "9f516d4d45b28f329a3b50a7a82c0b8eec6896ac07a084648aaeb5caeaabcac0"
+        assert hashlib.sha256(groups.tobytes()).hexdigest() == digest
+        for d, dtype in [(3, np.uint8), (300, np.int64)]:
+            groups = sp.read_groups(io.StringIO("1 2\n3 1\n"), d).groups
+            assert groups.dtype == dtype and not groups.flags.writeable
+            assert groups.tobytes() == np.array([[0, 1], [2, 0]], dtype).tobytes()
 
 
 class TestTally:
