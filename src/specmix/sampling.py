@@ -369,20 +369,23 @@ def write_groups(ds: GroupedDataset, fh: IO[str]) -> None:
 def read_groups(fh: IO[str], d: int | None = None) -> GroupedDataset:
     """Parse the line-based text format; infer d from the data if omitted.
 
-    An index below 1 is a ValueError that names its group, counted from 1
-    over the non-blank lines.
+    An index below 1 or above d is a ValueError that names its group,
+    counted from 1 over the non-blank lines.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         rows = np.loadtxt(fh, dtype=np.int64, ndmin=2)
     if rows.size == 0:
         raise ValueError("empty dataset")
-    low = rows.min(axis=1)
-    if low.min() < 1:
-        group = np.argmax(low < 1)
-        raise ValueError(f"group {group + 1}: index {low[group]} is below 1; the text format uses 1-based category indices")
     if d is None:
-        d = int(rows.max())
+        d = max(int(rows.max()), 1)  # if every index is below 1, the check below says so
+    rng.check_count("d", d)
+    low, high = rows.min(axis=1), rows.max(axis=1)
+    if low.min() < 1 or high.max() > d:
+        group = np.argmax((low < 1) | (high > d))
+        index = low[group] if low[group] < 1 else high[group]
+        where = "below 1" if index < 1 else f"out of range [1, d] for d = {d}"
+        raise ValueError(f"group {group + 1}: index {index} is {where}; the text format uses 1-based category indices")
     rows -= 1
     rows.flags.writeable = False
     return GroupedDataset(d, rows)

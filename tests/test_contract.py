@@ -506,8 +506,8 @@ def test_grouped_dataset_errors_name_groups(groups):
 
 
 def test_read_groups_index_error_names_d():
-    # the index 3 is past the d = 2 the caller gave
-    with pytest.raises(ValueError, match=r"out of range \[0, d\) for d = 2$"):
+    # the index 3 is past the d = 2 the caller gave, reported as the file holds it
+    with pytest.raises(ValueError, match=r"^group 2: index 3 is out of range \[1, d\] for d = 2; the text format uses 1-based"):
         sp.read_groups(io.StringIO("1 2\n3 1\n"), 2)
 
 

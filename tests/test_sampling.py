@@ -492,11 +492,11 @@ class TestTextFormat:
             sp.read_groups(io.StringIO(text))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(ValueError, match=r"^group 1: index 4 is out of range \[1, d\] for d = 2; "):
             sp.read_groups(io.StringIO("1 4\n"), d=2)
         # 258 would wrap to 2 if narrowed to uint8 before the check
-        with pytest.raises(ValueError, match="range"):
-            sp.read_groups(io.StringIO("1 258\n"), d=3)
+        with pytest.raises(ValueError, match=r"^group 2: index 258 is out of range \[1, d\] for d = 3; "):
+            sp.read_groups(io.StringIO("1 2\n\n1 258\n"), d=3)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
