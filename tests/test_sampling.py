@@ -71,8 +71,8 @@ class TestGroupedDataset:
 
     @pytest.mark.parametrize("d, dtype, bad", [(300, np.int64, 999), (3, np.uint8, 7)])
     def test_a_later_write_to_the_callers_array_changes_nothing(self, d, dtype, bad):
-        # the dataset used to hold a view of the caller's array when the
-        # dtype matched, and this write made moment raise an IndexError
+        # a write after the check must not reach the checked codes: an index
+        # past d would make moment raise numpy's unnamed IndexError
         arr = np.zeros((4, 2), dtype)
         ds = sp.GroupedDataset(d, arr)
         before = sp.moment(ds, 1)
