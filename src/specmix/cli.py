@@ -14,7 +14,7 @@ import sys
 
 from .counterexamples import build_pair
 from .experiments import ExperimentConfig, random_baseline, run_experiment
-from .model import MixtureSpec, json_fields, mixture_weights
+from .model import DESCRIPTORS, MixtureSpec, json_fields, mixture_weights
 from .multinomial import MultinomialSpec, multinomial_mixture_equal
 from .recovery import RecoveryConfig, RecoveryError, estimate_num_components, recover_full
 from .sampling import read_groups
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="fit m components and weights to a grouped dataset")
     p.add_argument("--data", required=True, help="dataset path, or - for stdin (1-based indices, one group per line)")
     p.add_argument("--m", type=int, required=True, help="number of components to recover")
-    p.add_argument("--dominating", default="none", help="none | uniform | sqgauss:<sigma> | fixed:<csv>")
+    p.add_argument("--dominating", default="none", help=f"reference measure: {DESCRIPTORS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write result JSON here instead of stdout")
     p.set_defaults(func=_cmd_recover)

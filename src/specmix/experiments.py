@@ -22,9 +22,8 @@ from .model import (
     DominatingMeasure,
     MixtureSpec,
     _finite_vector,
-    _scheme_name,
+    describe_dominating,
     json_fields,
-    resolve_dominating,
 )
 from .recovery import RecoveryConfig, RecoveryError, recover_full
 from .sampling import draw_tally
@@ -94,9 +93,10 @@ class ExperimentConfig:
     group_size, n_groups and reps are integers >= 1 (not bools), and the
     replicate seeds seed .. seed + reps - 1 lie in [0, 2**64).  mixture
     must be a MixtureSpec and recovery a RecoveryConfig.  dominating is
-    the experiment's one reference measure, checked here like
-    RecoveryConfig's; the recovery config must leave its own dominating
-    unset.  run_experiment returns the report; the caller writes it.
+    the experiment's one reference measure, checked and stored like
+    RecoveryConfig's, None as "none"; the recovery config must leave its
+    own dominating unset.  run_experiment returns the report; the caller
+    writes it.
     """
 
     mixture: MixtureSpec
@@ -115,7 +115,7 @@ class ExperimentConfig:
             rng.check_count(name, getattr(self, name))
         if not rng.is_integer(self.seed) or not 0 <= self.seed <= 2**64 - int(self.reps):
             raise ValueError(f"seed must be an integer in [0, 2**64 - reps], got {self.seed!r}")
-        resolve_dominating(self.dominating, 1, 0)
+        object.__setattr__(self, "dominating", describe_dominating(self.dominating) or "none")
         if self.recovery.dominating is not None:
             # each replicate's recover_full resolves the top-level dominating
             raise ValueError(
@@ -161,7 +161,7 @@ class ExperimentReport:
 
     @property
     def scheme(self) -> str:
-        return _scheme_name(self.config.dominating)
+        return self.config.dominating
 
     @property
     def n_groups(self) -> int:

@@ -229,13 +229,16 @@ def resolve_dominating(
     raise ValueError(f"unknown dominating-measure descriptor {spec!r}; the schemes are {DESCRIPTORS}")
 
 
-def _scheme_name(dominating: DominatingMeasure | str | None) -> str:
-    """The descriptor string of a reference measure, for reports."""
-    if dominating is None:
-        return "none"
-    if isinstance(dominating, DominatingMeasure):
-        return "fixed:" + ",".join(repr(v) for v in dominating.y)
-    return dominating
+def describe_dominating(spec: DominatingMeasure | str | None) -> str | None:
+    """The descriptor of a reference measure, checked as
+    resolve_dominating(spec, 1, 0) checks it: None or a descriptor
+    string as given, a DominatingMeasure as "fixed:" and the shortest
+    repr of each mass, which resolve_dominating reads back to the same
+    float64."""
+    resolve_dominating(spec, 1, 0)
+    if isinstance(spec, DominatingMeasure):
+        return "fixed:" + ",".join(map(repr, spec.y.tolist()))
+    return spec
 
 
 def b_map(xi: DominatingMeasure) -> np.ndarray:

@@ -42,6 +42,7 @@ from .model import (
     _finite_vector,
     b_map,
     check_distinct_norms,
+    describe_dominating,
     resolve_dominating,
 )
 from .sampling import GroupedDataset, GroupTallyHistogram
@@ -57,7 +58,8 @@ class RecoveryConfig:
     """The settings of recover_full.
 
     dominating is a DominatingMeasure, None (identity rescaling), or a
-    descriptor string in the grammar of model.resolve_dominating; random
+    descriptor string in the grammar of model.resolve_dominating, stored
+    as model.describe_dominating writes it: None or a descriptor.  Random
     schemes are resolved from the run seed.  A malformed descriptor is a
     ValueError here, before any data is drawn; its size is checked
     against the data's when recover_full runs.  probe accepts only
@@ -84,15 +86,12 @@ class RecoveryConfig:
             raise ValueError(f"unknown probe {self.probe!r}; the only probe is 'singular'")
         if not (rng.is_real(self.eig_floor, 0.0, 1.0) and self.eig_floor > 0):
             raise ValueError(f"eig_floor must be a number in (0, 1), got {self.eig_floor!r}")
-        resolve_dominating(self.dominating, 1, 0)
+        object.__setattr__(self, "dominating", describe_dominating(self.dominating))
 
     def echo(self) -> dict:
-        dom = self.dominating
-        if isinstance(dom, DominatingMeasure):
-            dom = {"y": dom.y.tolist()}
         return {
             "m": int(self.m),
-            "dominating": dom,
+            "dominating": self.dominating,
             "probe": self.probe,
             "clip_negatives": self.clip_negatives,
             "eig_floor": float(self.eig_floor),
@@ -237,16 +236,16 @@ def _check_fits(d: int, order: int, copies: int) -> None:
         raise MemoryError(f"{copies} dense {d}^{order} arrays need {need} bytes; physical memory is {physical}")
 
 
-def _check_scale(b: np.ndarray, order: int, dominating) -> None:
-    """ValueError naming the reference measure unless the largest entry
-    of outer_power(b, order), the scale of the highest moment, is finite."""
+def _check_scale(b: np.ndarray, order: int, dominating: str) -> None:
+    """ValueError naming the reference measure by its descriptor unless
+    the largest entry of outer_power(b, order), the scale of the highest
+    moment, is finite."""
     peak = top = float(b.max())
     for _ in range(order - 1):  # the products outer_power forms, in its order
         top *= peak
     if not np.isfinite(top):
-        name = repr(dominating) if isinstance(dominating, str) else "given as a DominatingMeasure"
         raise ValueError(
-            f"reference measure {name} scales the order-{order} moment by {peak:.3g}**{order}, "
+            f"reference measure {dominating!r} scales the order-{order} moment by {peak:.3g}**{order}, "
             "which overflows; raise its smallest mass"
         )
 

@@ -41,19 +41,19 @@ class _Work:
 
 # (argument, floor, call with the argument set to v, the first work after the checks)
 CASES = {
-    "RecoveryConfig.m": ("m", 1, lambda v: RecoveryConfig(v), (recovery, "resolve_dominating")),
+    "RecoveryConfig.m": ("m", 1, lambda v: RecoveryConfig(v), (recovery, "describe_dominating")),
     "whiten.m": ("m", 1, lambda v: whiten(np.eye(3), v), (recovery, "sym_eig")),
     "build_c_hat.m": ("m", 1, lambda v: build_c_hat(HIST, v, None), (estimation, "moment")),
     "build_e_hat.m": ("m", 2, lambda v: build_e_hat(HIST, v), (estimation, "moment")),
     "estimate_num_components.power": ("power", 1, lambda v: estimate_num_components(HIST, v), (recovery, "moment_source")),
     "ExperimentConfig.group_size": (
-        "group_size", 1, lambda v: ExperimentConfig(MIX, v, 10, 1, None, CONFIG), (experiments, "resolve_dominating")
+        "group_size", 1, lambda v: ExperimentConfig(MIX, v, 10, 1, None, CONFIG), (experiments, "describe_dominating")
     ),
     "ExperimentConfig.n_groups": (
-        "n_groups", 1, lambda v: ExperimentConfig(MIX, 3, v, 1, None, CONFIG), (experiments, "resolve_dominating")
+        "n_groups", 1, lambda v: ExperimentConfig(MIX, 3, v, 1, None, CONFIG), (experiments, "describe_dominating")
     ),
     "ExperimentConfig.reps": (
-        "reps", 1, lambda v: ExperimentConfig(MIX, 3, 10, v, None, CONFIG), (experiments, "resolve_dominating")
+        "reps", 1, lambda v: ExperimentConfig(MIX, 3, 10, v, None, CONFIG), (experiments, "describe_dominating")
     ),
     "MultinomialSpec.n": ("n", 1, lambda v: MultinomialSpec(v, 2, [0.5, 0.5]), (multinomial, "probability_vector")),
     "MultinomialSpec.q": ("q", 2, lambda v: MultinomialSpec(2, v, [0.5, 0.5]), (multinomial, "probability_vector")),

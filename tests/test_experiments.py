@@ -182,8 +182,8 @@ class TestRunExperiment:
             small_config(blend_mix, None, recovery=RecoveryConfig(3, dominating="uniform"))
 
     def test_recover_full_resolves_the_descriptor(self, blend_mix):
-        # the replicate's recover_full resolves the descriptor, so an
-        # overflowing scale names it instead of "given as a DominatingMeasure"
+        # the replicate's recover_full resolves the descriptor, and an
+        # overflowing scale names the measure by it
         report = run_experiment(small_config(blend_mix, None, dominating="fixed:1e-300,1,1", reps=1))
         assert report.failures == [{"rep": 0, "tag": (
             "stage 'setup' failed: reference measure 'fixed:1e-300,1,1' scales the order-5 moment "
@@ -224,11 +224,12 @@ class TestRunExperiment:
 
 
 # The report of every replicate failing in setup (groups of 3 for m = 3),
-# with numpy-integer counts and a DominatingMeasure: no fit enters these
-# bytes, and test_pinned_bytes zeroes the clock fields.
+# with numpy-integer counts and a DominatingMeasure, written as its fixed:
+# descriptor: no fit enters these bytes, and test_pinned_bytes zeroes the
+# clock fields.
 PINNED_JSON = """\
 {
-  "scheme": "fixed:np.float64(9.0),np.float64(4.0),np.float64(1.0)",
+  "scheme": "fixed:9.0,4.0,1.0",
   "n_groups": 100,
   "group_size": 3,
   "seed": 5,
@@ -282,7 +283,7 @@ PINNED_JSON = """\
     "reps": 2,
     "recovery": {
       "m": 3,
-      "dominating": "fixed:np.float64(9.0),np.float64(4.0),np.float64(1.0)",
+      "dominating": "fixed:9.0,4.0,1.0",
       "probe": "singular",
       "clip_negatives": true,
       "eig_floor": 1e-08,
@@ -292,8 +293,8 @@ PINNED_JSON = """\
 }"""
 PINNED_CSV = (
     'scheme,n_groups,rep,error,seconds\r\n'
-    '"fixed:np.float64(9.0),np.float64(4.0),np.float64(1.0)",100,0,nan,0.0\r\n'
-    '"fixed:np.float64(9.0),np.float64(4.0),np.float64(1.0)",100,1,nan,0.0\r\n'
+    '"fixed:9.0,4.0,1.0",100,0,nan,0.0\r\n'
+    '"fixed:9.0,4.0,1.0",100,1,nan,0.0\r\n'
 )
 
 
@@ -338,6 +339,9 @@ class TestReportSerialization:
         buf = io.StringIO()
         rep.write_csv(buf)
         assert buf.getvalue() == PINNED_CSV
+        # the pinned descriptor reads back to the measure, bit for bit
+        scheme = json.loads(PINNED_JSON)["scheme"]
+        assert sp.resolve_dominating(scheme, 3, 0).y.tobytes() == fixed_xi.y.tobytes()
 
     def test_write_by_extension(self, blend_mix, fixed_xi, tmp_path):
         rep = run_experiment(small_config(blend_mix, fixed_xi))

@@ -133,7 +133,7 @@ class TestRecoveryConfig:
 
     def test_echo_serializes_measure(self, fixed_xi):
         echo = RecoveryConfig(m=2, dominating=fixed_xi).echo()
-        assert echo["dominating"] == {"y": [9.0, 4.0, 1.0]}
+        assert echo["dominating"] == "fixed:9.0,4.0,1.0"
         assert json.dumps(echo)  # json-safe
 
 
@@ -473,7 +473,7 @@ class TestRecoverFull:
         with pytest.raises(RecoveryError, match=message):
             recover_full(data, RecoveryConfig(m=m, dominating="fixed:1e-300,1,1"))
         measure = sp.DominatingMeasure([1e-300, 1.0, 1.0])
-        with pytest.raises(RecoveryError, match="^stage 'setup' failed: reference measure given as a DominatingMeasure"):
+        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: reference measure 'fixed:1e-300,1\.0,1\.0' scales"):
             recover_full(data, RecoveryConfig(m=m, dominating=measure))
 
     def test_largest_finite_reference_scale_passes_setup(self, indep_mix, monkeypatch):
