@@ -42,11 +42,9 @@ class GroupedDataset:
 
     The indices are checked once, here: the tally keys index a table of
     d entries with them, so an index outside [0, d) would be read as
-    another category or fall past the table.  groups is stored
-    read-only, as uint8 codes while d <= 255, and as a private copy
-    unless the array given is read-only and owns its data (as
-    draw_groups and read_groups build it), so no caller can write the
-    checked codes and the caller's array stays as it was.
+    another category or fall past the table.  groups is stored as a
+    private read-only copy, as uint8 codes while d <= 255, so no caller
+    can write the checked codes and the caller's array stays as it was.
     """
 
     d: int
@@ -59,7 +57,7 @@ class GroupedDataset:
             raise ValueError("groups must be a nonempty n x k integer index array")
         if g.min() < 0 or g.max() >= self.d:
             raise ValueError(f"groups index {g.min() if g.min() < 0 else g.max()} out of range [0, d) for d = {self.d}")
-        g = g.astype(np.uint8 if self.d <= 255 else g.dtype, copy=g.flags.writeable or not g.flags.owndata)
+        g = np.array(g, dtype=np.uint8 if self.d <= 255 else g.dtype)
         g.flags.writeable = False
         object.__setattr__(self, "groups", g)
 
@@ -162,7 +160,6 @@ def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> 
     for block in _draw_blocks(_thresholds(mix), group_size, n_groups, seed):
         groups[lo : lo + len(block)] = block
         lo += len(block)
-    groups.flags.writeable = False
     return GroupedDataset(mix.d, groups)
 
 
@@ -387,5 +384,4 @@ def read_groups(fh: IO[str], d: int | None = None) -> GroupedDataset:
         where = "below 1" if index < 1 else f"out of range [1, d] for d = {d}"
         raise ValueError(f"group {group + 1}: index {index} is {where}; the text format uses 1-based category indices")
     rows -= 1
-    rows.flags.writeable = False
     return GroupedDataset(d, rows)

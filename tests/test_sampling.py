@@ -78,10 +78,24 @@ class TestGroupedDataset:
         before = sp.moment(ds, 1)
         arr[0, 0] = bad
         assert_array_equal(sp.moment(ds, 1), before)
+        # a read-only array is copied too: its owner can make it writable
+        # again, and a view taken before it was frozen stays writable
+        arr = np.zeros((4, 2), dtype)
+        arr.flags.writeable = False
+        ds = sp.GroupedDataset(d, arr)
+        arr.flags.writeable = True
+        arr[0, 0] = bad
+        assert_array_equal(sp.moment(ds, 1), before)
+        arr = np.zeros((4, 2), dtype)
+        view = arr[:]
+        arr.flags.writeable = False
+        ds = sp.GroupedDataset(d, arr)
+        view[0, 0] = bad
+        assert_array_equal(sp.moment(ds, 1), before)
 
     def test_builders_hand_over_their_codes(self, blend_mix):
-        # draw_groups' array is stored as drawn, not copied; 70000 groups
-        # cross a DRAW_BLOCK edge
+        # draw_groups' codes are stored as a private read-only copy of the
+        # array it drew; 70000 groups cross a DRAW_BLOCK edge
         groups = sp.draw_groups(blend_mix, 5, 70000, seed=3).groups
         assert groups.dtype == np.uint8 and groups.flags.owndata and not groups.flags.writeable
         digest = "9f516d4d45b28f329a3b50a7a82c0b8eec6896ac07a084648aaeb5caeaabcac0"
