@@ -125,13 +125,15 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = json.loads(text)
+        json_fields(obj, "experiment config")  # an object, whatever keys it has
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown experiment config key {unknown[0]!r}")
         mix, group_size, n_groups, reps = json_fields(
             obj, "experiment config", "mixture", "group_size", "n_groups", "reps"
         )
-        rec = dict(obj.get("recovery", {}))
+        rec = obj.get("recovery", {})
+        json_fields(rec, "recovery")
         if "m" not in rec:
             raise ValueError('config needs recovery.m (e.g. "recovery": {"m": 3})')
         unknown = sorted(set(rec) - {f.name for f in fields(RecoveryConfig)})

@@ -129,7 +129,10 @@ class MixtureSpec:
 
 
 def json_fields(obj: dict, what: str, *keys: str) -> list:
-    """obj[key] for each key; a missing key is a ValueError naming it."""
+    """obj[key] for each key; a ValueError naming what unless obj is a
+    JSON object (a dict), and one naming the key that it lacks."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     for key in keys:
         if key not in obj:
             raise ValueError(f"{what} has no {key!r} key")

@@ -348,6 +348,22 @@ def test_malformed_json_names_the_file(tmp_path, command, flags, capsys):
     bad.write_text("{}{}")
     args = [command] + [str(bad) if flag is None else flag for flag in flags] + [str(bad)]
     run_failing(capsys, args, rf"^specmix {command}: \S*bad\.json: Extra data: line 1 column 3 \(char 2\)$")
+    # a JSON value that is no object where one is read printed a TypeError's
+    # traceback with status 1, multinomial-check's "different"
+    config = {"mixture": {"weights": [1.0], "components": [[0.5, 0.5]]}, "group_size": 2, "n_groups": 10, "reps": 1}
+    not_objects = {
+        "experiment": [
+            (5, "experiment config must be a JSON object, got int"),
+            (config | {"recovery": [1]}, "recovery must be a JSON object, got list"),
+        ],
+        "baseline": [(5, "mixture must be a JSON object, got int")],
+        "multinomial-check": [
+            ({"n": 2, "q": 3, "components": [5]}, r"a component in \S*bad\.json must be a JSON object, got int"),
+        ],
+    }
+    for value, message in not_objects[command]:
+        bad.write_text(json.dumps(value))
+        run_failing(capsys, args, rf"^specmix {command}: {message}$")
 
 
 def readme_command_lines() -> list:
