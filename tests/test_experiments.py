@@ -157,6 +157,11 @@ class TestRunExperiment:
         cfg = small_config(blend_mix, None, dominating="uniform")
         assert run_experiment(cfg).scheme == "uniform"
 
+    def test_stores_the_descriptor(self, blend_mix, fixed_xi):
+        # None is stored as "none", a measure as its fixed: descriptor
+        assert small_config(blend_mix, None).dominating == "none"
+        assert small_config(blend_mix, fixed_xi).dominating == "fixed:9.0,4.0,1.0"
+
     def test_validation(self, blend_mix, fixed_xi):
         with pytest.raises(ValueError, match="reps"):
             small_config(blend_mix, fixed_xi, reps=0)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
 from conftest import dense_power_sum, random_mixture
-from specmix.model import check_distinct_norms, mixture_weights, probability_vector
+from specmix.model import check_distinct_norms, describe_dominating, mixture_weights, probability_vector
 
 
 class TestProbabilityVector:
@@ -192,6 +192,25 @@ class TestDominatingMeasure:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
             sp.resolve_dominating("bogus", 3, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        masses=st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True), min_size=1, max_size=8
+        ),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_descriptor_reads_back_bit_for_bit(self, masses, seed):
+        y = sp.DominatingMeasure(masses).y
+        spec = describe_dominating(sp.DominatingMeasure(masses))
+        assert spec.startswith("fixed:")
+        assert sp.resolve_dominating(spec, len(masses), seed).y.tobytes() == y.tobytes()
+
+    def test_descriptor_leaves_none_and_strings_as_given(self):
+        for spec in (None, "none", "uniform", "sqgauss:0.5", "fixed:9,4,1"):
+            assert describe_dominating(spec) is spec
+        with pytest.raises(ValueError, match="unknown dominating-measure descriptor 'bogus'"):
+            describe_dominating("bogus")
 
 
 class TestBMap:
