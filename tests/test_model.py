@@ -201,10 +201,10 @@ class TestDominatingMeasure:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_descriptor_reads_back_bit_for_bit(self, masses, seed):
-        y = sp.DominatingMeasure(masses).y
-        spec = describe_dominating(sp.DominatingMeasure(masses))
+        measure = sp.DominatingMeasure(masses)
+        spec = describe_dominating(measure)
         assert spec.startswith("fixed:")
-        assert sp.resolve_dominating(spec, len(masses), seed).y.tobytes() == y.tobytes()
+        assert sp.resolve_dominating(spec, len(masses), seed).y.tobytes() == measure.y.tobytes()
 
     def test_descriptor_leaves_none_and_strings_as_given(self):
         for spec in (None, "none", "uniform", "sqgauss:0.5", "fixed:9,4,1"):

@@ -145,16 +145,12 @@ class TestRecoveryConfig:
         assert RecoveryConfig(3).dominating is None
 
     @pytest.mark.parametrize("population", [True, False])
-    def test_a_measure_and_its_descriptor_fit_alike(self, blend_mix, population):
+    def test_a_measure_and_its_descriptor_fit_alike(self, blend_mix, fixed_xi, population):
         data = blend_mix if population else sp.draw_groups(blend_mix, 5, 3000, seed=2)
-        for measure, spec in [
-            (sp.DominatingMeasure([9.0, 4.0, 1.0]), "fixed:9,4,1"),
-            (sp.DominatingMeasure([0.1, 1 / 3, 0.7]), "fixed:0.1,0.3333333333333333,0.7"),
-        ]:
-            a = recover_full(data, RecoveryConfig(3, measure), seed=4)
-            b = recover_full(data, RecoveryConfig(3, spec), seed=4)
-            assert a.components.tobytes() == b.components.tobytes()
-            assert a.weights.tobytes() == b.weights.tobytes()
+        a = recover_full(data, RecoveryConfig(3, fixed_xi), seed=4)
+        b = recover_full(data, RecoveryConfig(3, "fixed:9,4,1"), seed=4)
+        assert a.components.tobytes() == b.components.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
 
 
 class TestWhiten:
