@@ -61,15 +61,15 @@ def _threshold(c):
 
 
 # Groups drawn or tallied at a time: the blocks of sampling's draws, the
-# chunks in which sample_keys below reuses its buffers, and the most cells
-# draw_tally's dense tally table may have, so the table is never larger
-# than the int64 keys of one block of rows.  With the compiled kernels,
-# then including a compiled group_keys, draw_tally on 2e5 groups at d=6,
-# k=7 took 17.8 / 17.4 / 16.5 / 18.5 ms with blocks of 16k / 32k / 65k /
-# 131k groups, and on 4e4 groups at d=12, k=5 5.17 / 5.10 / 4.82 / 4.84
-# ms (medians of 10 alternating rounds, 2 cores); no size beat 65k in more
-# than 5 of 10 rounds.  Peak memory grows with the block (0.45 to 3.1 MiB
-# traced at d=6), not with n_groups.
+# chunks in which sample_groups and sample_keys below reuse their buffers,
+# and the most cells draw_tally's dense tally table may have, so the table
+# is never larger than the int64 keys of one block of rows.  With the
+# compiled kernels, then including a compiled group_keys, draw_tally on
+# 2e5 groups at d=6, k=7 took 17.8 / 17.4 / 16.5 / 18.5 ms with blocks of
+# 16k / 32k / 65k / 131k groups, and on 4e4 groups at d=12, k=5 5.17 /
+# 5.10 / 4.82 / 4.84 ms (medians of 10 alternating rounds, 2 cores); no
+# size beat 65k in more than 5 of 10 rounds.  Peak memory grows with the
+# block (0.45 to 3.1 MiB traced at d=6), not with n_groups.
 DRAW_BLOCK = 65_536
 
 
@@ -90,11 +90,19 @@ def sample_groups(seed, n_groups, group_size, thresholds, start=0):
     Returns
     -------
     (n_groups, group_size) uint8 array of 0-based category codes.
+
+    The groups are drawn DRAW_BLOCK at a time into their rows of the
+    output, in one set of buffers that every block reuses, as sample_keys
+    draws them, so the scratch beside the output does not grow with
+    n_groups.
     """
     check_sizes(n_groups, group_size)
     out = np.empty((n_groups, group_size), dtype=np.uint8)
-    words, scratch, bases = (np.empty(n_groups, dtype=np.uint64) for _ in range(3))
-    _draw(seed, start, thresholds, out, words, scratch, bases)
+    size = min(n_groups, DRAW_BLOCK)
+    words, scratch, bases = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    for lo in range(0, n_groups, DRAW_BLOCK):
+        n = min(DRAW_BLOCK, n_groups - lo)
+        _draw(seed, int(start) + lo, thresholds, out[lo : lo + n], words[:n], scratch[:n], bases[:n])
     return out
 
 

@@ -25,7 +25,7 @@ import threading
 import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import IO, Dict, Iterator, Tuple
+from typing import IO, Dict, Tuple
 
 import numpy as np
 
@@ -45,21 +45,32 @@ class GroupedDataset:
     another category or fall past the table.  groups is stored as a
     private read-only copy, as uint8 codes while d <= 255, so no caller
     can write the checked codes and the caller's array stays as it was.
+    draw_groups, whose array no caller has seen, hands it over through
+    _own, which checks it alike and freezes it in place of the copy.
     """
 
     d: int
     groups: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         rng.check_count("d", self.d)
         g = self.groups
         if not isinstance(g, np.ndarray) or g.dtype.kind not in "iu" or g.ndim != 2 or g.size == 0:
             raise ValueError("groups must be a nonempty n x k integer index array")
         if g.min() < 0 or g.max() >= self.d:
             raise ValueError(f"groups index {g.min() if g.min() < 0 else g.max()} out of range [0, d) for d = {self.d}")
-        g = np.array(g, dtype=np.uint8 if self.d <= 255 else g.dtype)
+        g = (np.array if copy else np.asarray)(g, dtype=np.uint8 if self.d <= 255 else g.dtype)
         g.flags.writeable = False
         object.__setattr__(self, "groups", g)
+
+    @classmethod
+    def _own(cls, d: int, groups: np.ndarray) -> "GroupedDataset":
+        """The dataset of groups, a uint8 array no caller holds, checked
+        as the constructor checks it and kept itself, read-only."""
+        ds = object.__new__(cls)
+        ds.__dict__.update(d=d, groups=groups)  # as the frozen class's __init__ would set them
+        ds.__post_init__(copy=False)
+        return ds
 
     @property
     def n_groups(self) -> int:
@@ -122,29 +133,19 @@ class GroupTallyHistogram:
 DRAW_BLOCK = kernels.DRAW_BLOCK
 
 
-def _check_sizes(mix: MixtureSpec, group_size: int, n_groups: int) -> None:
+def _setup(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> tuple:
+    """Check the sizes of a draw, then return its _thresholds and the
+    seed its kernel calls take."""
     rng.check_count("group_size", group_size)
     rng.check_count("n_groups", n_groups)
     if mix.d > 255:
         raise ValueError("more than 255 categories not supported by the sampler")
+    return _thresholds(mix), rng.derive_seed(seed, rng.TAG_GROUPS)
 
 
 def _thresholds(mix: MixtureSpec) -> tuple:
-    """kernels.draw_thresholds of mix, which every block of a draw shares."""
+    """kernels.draw_thresholds of mix, which every kernel call of a draw shares."""
     return kernels.draw_thresholds(np.cumsum(mix.weights), np.cumsum(mix.components, axis=1))
-
-
-def _draw_blocks(thresholds: tuple, group_size: int, n_groups: int, seed: int) -> Iterator[np.ndarray]:
-    """The kernels.sample_groups rows of the groups of a draw, one
-    DRAW_BLOCK-group block at a time, with thresholds from _thresholds.
-    Group g draws from its own counter-derived stream in any block, so
-    the blocks stacked are the output of one kernel call; small blocks
-    stay in cache.  The caller has checked the sizes."""
-    sub_seed = rng.derive_seed(seed, rng.TAG_GROUPS)
-    return (
-        kernels.sample_groups(sub_seed, min(DRAW_BLOCK, n_groups - lo), group_size, thresholds, start=lo)
-        for lo in range(0, n_groups, DRAW_BLOCK)
-    )
 
 
 def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> GroupedDataset:
@@ -152,15 +153,11 @@ def draw_groups(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> 
 
     Deterministic in seed, independent of how work is partitioned: group
     g consumes its own counter-derived random stream, so any contiguous
-    slice of groups can be regenerated in isolation.
+    slice of groups can be regenerated in isolation.  One kernel call
+    draws every group, and the dataset keeps the array it returns.
     """
-    _check_sizes(mix, group_size, n_groups)
-    groups = np.empty((n_groups, group_size), dtype=np.uint8)
-    lo = 0
-    for block in _draw_blocks(_thresholds(mix), group_size, n_groups, seed):
-        groups[lo : lo + len(block)] = block
-        lo += len(block)
-    return GroupedDataset(mix.d, groups)
+    thresholds, sub_seed = _setup(mix, group_size, n_groups, seed)
+    return GroupedDataset._own(mix.d, kernels.sample_groups(sub_seed, n_groups, group_size, thresholds))
 
 
 def draw_tally(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> GroupTallyHistogram:
@@ -178,19 +175,22 @@ def draw_tally(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> G
     DRAW_BLOCK groups are drawn and tallied at a time, as tally reads
     them, in the calling thread.
     """
-    _check_sizes(mix, group_size, n_groups)
+    thresholds, sub_seed = _setup(mix, group_size, n_groups, seed)
     d, k = mix.d, group_size
     cells = (k + 1) ** d
-    thresholds = _thresholds(mix)
     if cells > DRAW_BLOCK:
-        return _tally_blocks(d, k, _draw_blocks(thresholds, k, n_groups, seed))
-    table = _count_keys(thresholds, k, n_groups, seed, cells)
+        # group g draws from its own stream in any block, so the blocks stacked are one call's rows
+        starts = range(0, n_groups, DRAW_BLOCK)
+        rows = (kernels.sample_groups(sub_seed, min(DRAW_BLOCK, n_groups - lo), k, thresholds, start=lo) for lo in starts)
+        return _tally_blocks(d, k, rows)
+    table = _count_keys(thresholds, k, n_groups, sub_seed, cells)
     keys = np.flatnonzero(table)
     return GroupTallyHistogram(d, k, _from_keys(d, k, keys, table[keys]))
 
 
-def _count_keys(thresholds: tuple, k: int, n_groups: int, seed: int, cells: int) -> np.ndarray:
-    """The table of kernels.sample_keys over the n_groups groups of a draw.
+def _count_keys(thresholds: tuple, k: int, n_groups: int, sub_seed: int, cells: int) -> np.ndarray:
+    """The table of kernels.sample_keys over the n_groups groups of a
+    draw, with the draw's tag-derived sub_seed.
 
     The ceil(n_groups / DRAW_BLOCK) blocks are split into one contiguous
     run of whole blocks per worker, and each worker counts its run into
@@ -208,7 +208,6 @@ def _count_keys(thresholds: tuple, k: int, n_groups: int, seed: int, cells: int)
     bounds = [min(blocks * i // workers * DRAW_BLOCK, n_groups) for i in range(workers + 1)]
     tables = [np.zeros(cells, dtype=np.int64) for _ in range(workers)]
     errors: list = [None] * workers
-    sub_seed = rng.derive_seed(seed, rng.TAG_GROUPS)
 
     def count(i: int) -> None:
         lo, hi = bounds[i], bounds[i + 1]
@@ -226,9 +225,7 @@ def _count_keys(thresholds: tuple, k: int, n_groups: int, seed: int, cells: int)
     for exc in errors:
         if exc is not None:
             raise exc
-    for table in tables[1:]:
-        tables[0] += table
-    return tables[0]
+    return np.sum(tables, axis=0)
 
 
 def _cpu_count() -> int:

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,42 @@ class TestSampleKeys:
         table = np.zeros(5**3, dtype=np.int64)
         impl.sample_keys(seed, 500, 4, extra, table, start=7)
         assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, 3), minlength=5**3))
+
+
+BLEND = np.cumsum([0.5, 0.3, 0.2]), np.cumsum([[0.64, 0.32, 0.04], [0.04, 0.32, 0.64], [0.24, 0.32, 0.44]], axis=1)
+
+
+class TestOneSampleGroupsCall:
+    """One sample_groups call over any number of groups; the numpy sampler
+    draws it DRAW_BLOCK groups at a time into its rows of the output."""
+
+    @pytest.mark.parametrize("name", ["numpy", "compiled"])
+    @pytest.mark.parametrize("n", [DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 17])
+    def test_equals_its_start_blocks(self, name, n):
+        # byte for byte, cut at DRAW_BLOCK edges, as draw_tally's row path
+        # draws, and in thirds, on streams that wrap past 2**64
+        impl = backend(name)
+        start, thresholds = 2**64 - 5, draw_thresholds(*BLEND)
+        rows = impl.sample_groups(9, n, 5, thresholds, start=start)
+        assert rows.shape == (n, 5) and rows.dtype == np.uint8
+        for size in (DRAW_BLOCK, n // 3 + 1):
+            blocks = [
+                impl.sample_groups(9, min(size, n - lo), 5, thresholds, start=start + lo) for lo in range(0, n, size)
+            ]
+            assert np.concatenate(blocks).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("n", [3 * DRAW_BLOCK + 17, 40 * DRAW_BLOCK])
+    def test_numpy_scratch_does_not_grow_with_groups(self, n):
+        # beside its output, a call holds the buffers of one block, about 41
+        # bytes a group; drawn whole, they took 7.7 MiB at 3 blocks and 102.5
+        # MiB at 40
+        tracemalloc.start()
+        try:
+            out = _kernels_np.sample_groups(9, n, 2, draw_thresholds(*BLEND))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 48 * DRAW_BLOCK
 
 
 # How a cumulative mass sits against the uniforms the groups draw: on one

@@ -94,8 +94,8 @@ class TestGroupedDataset:
         assert_array_equal(sp.moment(ds, 1), before)
 
     def test_builders_hand_over_their_codes(self, blend_mix):
-        # draw_groups' codes are stored as a private read-only copy of the
-        # array it drew; 70000 groups cross a DRAW_BLOCK edge
+        # draw_groups' dataset keeps, read-only, the array its one kernel
+        # call drew; 70000 groups cross a DRAW_BLOCK edge
         groups = sp.draw_groups(blend_mix, 5, 70000, seed=3).groups
         assert groups.dtype == np.uint8 and groups.flags.owndata and not groups.flags.writeable
         digest = "9f516d4d45b28f329a3b50a7a82c0b8eec6896ac07a084648aaeb5caeaabcac0"
@@ -104,6 +104,20 @@ class TestGroupedDataset:
             groups = sp.read_groups(io.StringIO("1 2\n3 1\n"), d).groups
             assert groups.dtype == dtype and not groups.flags.writeable
             assert groups.tobytes() == np.array([[0, 1], [2, 0]], dtype).tobytes()
+
+    def test_draw_groups_keeps_its_one_kernel_call(self, blend_mix, monkeypatch):
+        # one sample_groups call draws every group, and the dataset keeps its
+        # array, with no second n x k copy
+        calls, sample_groups = [], kernels.sample_groups
+
+        def spy(*args, **kwargs):
+            calls.append(sample_groups(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(kernels, "sample_groups", spy)
+        groups = sp.draw_groups(blend_mix, 5, 3 * sampling.DRAW_BLOCK + 17, seed=3).groups
+        assert len(calls) == 1
+        assert np.shares_memory(groups, calls[0]) and not groups.flags.writeable
 
 
 class TestTally:
@@ -174,7 +188,7 @@ class TestDrawTally:
         mix = sp.make_mixture(weights, comps)
         got = sampling.draw_tally(mix, k, n, seed=n)
         groups = sp.draw_groups(mix, k, n, seed=n).groups
-        # draw_groups fills its rows block by block, as one kernel call would
+        # draw_groups' rows are one kernel call's, on the draw's derived seed
         cum = np.cumsum(mix.weights), np.cumsum(mix.components, axis=1)
         unblocked = kernels.sample_groups(rng.derive_seed(n, rng.TAG_GROUPS), n, k, kernels.draw_thresholds(*cum))
         assert groups.dtype == unblocked.dtype
