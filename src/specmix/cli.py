@@ -82,6 +82,8 @@ def _cmd_counterexample(args) -> int:
 
 def _read_multinomial_mixture(path: str):
     n, q, components = json_fields(_read_json(path, json.loads), path, "n", "q", "components")
+    if not isinstance(components, list):
+        raise ValueError(f"components in {path} must be a JSON array, got {type(components).__name__}")
     fields = [json_fields(rec, f"a component in {path}", "weight", "p") for rec in components]
     try:
         mixture_weights([weight for weight, _ in fields])

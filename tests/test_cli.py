@@ -359,6 +359,9 @@ def test_malformed_json_names_the_file(tmp_path, command, flags, capsys):
         "baseline": [(5, "mixture must be a JSON object, got int")],
         "multinomial-check": [
             ({"n": 2, "q": 3, "components": [5]}, r"a component in \S*bad\.json must be a JSON object, got int"),
+            ({"n": 2, "q": 3, "components": 5}, r"components in \S*bad\.json must be a JSON array, got int"),
+            ({"n": 2, "q": 3, "components": {"weight": 1}}, r"components in \S*bad\.json must be a JSON array, got dict"),
+            ({"n": 2, "q": 3, "components": "ab"}, r"components in \S*bad\.json must be a JSON array, got str"),
         ],
     }
     for value, message in not_objects[command]:
