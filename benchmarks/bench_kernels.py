@@ -4,11 +4,17 @@ Times sample_groups (counter-based categorical draws) and sample_keys
 (drawing and keying in one pass, counting the keys in a (k+1)^d table)
 on identical inputs, checks the outputs are bit-identical, and reports
 per-backend times per group, the best and the median of the repeats,
-and the throughput at the best.  group_keys (per-group tally encoding) has one
+and the throughput at the best.  Beside each sample_groups time it prints
+the scratch of one call: the peak that tracemalloc traces, which sees
+numpy's allocations but not the compiled kernel's C buffers, less the
+output.  group_keys (per-group tally encoding) has one
 implementation, the numpy one, and is timed once.  sample_keys must
 equal the bincount of group_keys(sample_groups(...)).  It also checks
 the block contract each backend must keep for sampling.draw_tally: two
-start= blocks give the same rows and table as one call.
+start= blocks give the same rows and table as one call.  Both numpy
+samplers draw DRAW_BLOCK groups at a time within a call, so a run of
+more than two DRAW_BLOCKs (150000 groups, say) crosses a block edge in
+each one-call path as well as in its two-block calls.
 
 Usage:
     python3 benchmarks/bench_kernels.py --n-groups 500000 --group-size 5 --d 3
@@ -16,6 +22,7 @@ Usage:
 import argparse
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -38,6 +45,17 @@ def timed(repeats, fn, *args):
         out = fn(*args)
         times.append(time.perf_counter() - start)
     return min(times), statistics.median(times), out
+
+
+def traced_scratch(fn, *args):
+    """The MiB that tracemalloc traces at the peak of one call, less the output's."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - out.nbytes) / 2**20
 
 
 def main(argv=None) -> int:
@@ -73,11 +91,11 @@ def main(argv=None) -> int:
     sample_out = {}
     call = (args.seed, args.n_groups, args.group_size, thresholds)
 
-    def report(name, kernel, times, count, unit):
+    def report(name, kernel, times, count, unit, extra=""):
         """A kernel's best and median of timed(...), and its rate of count units per call at best."""
         best, median = (t / args.n_groups * 1e9 for t in times)
         print(f"  {name:9s} {kernel:13s} best {best:7.1f} median {median:7.1f} ns/group "
-              f"({count / times[0] / 1e6:6.1f} M {unit}/s at best)")
+              f"({count / times[0] / 1e6:6.1f} M {unit}/s at best){extra}")
 
     print(f"{args.n_groups} groups x {args.group_size} draws, d={args.d}, {args.repeats} repeats")
     *t_keys, _ = timed(args.repeats, _kernels_np.group_keys, _kernels_np.sample_groups(*call), args.d)
@@ -86,7 +104,8 @@ def main(argv=None) -> int:
         *t_sample, groups = timed(args.repeats, impl.sample_groups, *call)
         sample_out[name] = groups
         keys = _kernels_np.group_keys(groups, args.d)
-        report(name, "sample_groups", t_sample, draws, "draws")
+        scratch = traced_scratch(impl.sample_groups, *call)
+        report(name, "sample_groups", t_sample, draws, "draws", f", scratch {scratch:.2f} MiB traced")
         if use_table:
             *t_table, table = timed(args.repeats, count_keys, impl, *call)
             report(name, "sample_keys", t_table, args.n_groups, "groups")
