@@ -1,7 +1,8 @@
 """Benchmark the compiled sampling kernels against the numpy fallback.
 
 Times sample_groups (counter-based categorical draws) and sample_keys
-(drawing and keying in one pass, counting the keys in a (k+1)^d table)
+(drawing and keying in one pass, counting the keys in a table of
+key_cells(k, d) = (k+1)^(d-1) cells, the one tally-key definition's)
 on identical inputs, checks the outputs are bit-identical, and reports
 per-backend times per group, the best and the median of the repeats,
 and the throughput at the best.  Beside each sample_groups time it prints
@@ -79,11 +80,11 @@ def main(argv=None) -> int:
     else:
         print("compiled extension not importable; timing the fallback only")
 
-    cells = (args.group_size + 1) ** args.d
+    cells = _kernels_np.key_cells(args.group_size, args.d)
     # draw_tally counts in a table only up to DRAW_BLOCK cells
     use_table = cells <= DRAW_BLOCK
     if not use_table:
-        print(f"(k+1)^d = {cells} cells is over {DRAW_BLOCK}: sample_keys not timed")
+        print(f"(k+1)^(d-1) = {cells} cells is over {DRAW_BLOCK}: sample_keys not timed")
 
     def count_keys(impl, *call, start=0):
         return impl.sample_keys(*call, np.zeros(cells, dtype=np.int64), start=start)

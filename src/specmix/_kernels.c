@@ -21,14 +21,16 @@
  * 64-bit arithmetic wraps modulo 2**64 as numpy's uint64 does.
  *
  * A keyed draw reads no table either: its key is summed from the
- * comparisons.  With pows[c] = (k+1)**c and steps s_i = pows[i+1] -
- * pows[i], a draw that reaches c thresholds has pows[c] = pows[0] +
- * s_0 + ... + s_{c-1}.  The sum of s_i over the reached thresholds
- * equals that only because they are the first c of the row: threshold
- * rows are nondecreasing (see draw_thresholds), so x >= t_i implies
- * x >= t_h for every h < i.  So a group's key starts at k * pows[0] and
- * each draw adds s_i & -(x >= t_i) over its row, with s_i = 0 on the
- * padding.
+ * comparisons.  A tally (c_0, .., c_{d-1}) of k draws keys to
+ * sum_{c>=1} c_c * (k+1)**(c-1), below (k+1)**(d-1), so a draw of
+ * category c adds key_w[c], the _kernels_np.key_weights: 0 for c = 0.
+ * With steps s_i = key_w[i+1] - key_w[i], a draw that reaches c
+ * thresholds adds key_w[c] = s_0 + ... + s_{c-1}.  The sum of s_i over
+ * the reached thresholds equals that only because they are the first c
+ * of the row: threshold rows are nondecreasing (see draw_thresholds), so
+ * x >= t_i implies x >= t_h for every h < i.  So a group's key starts at
+ * 0 and each draw adds s_i & -(x >= t_i) over its row, with s_i = 0 on
+ * the padding.
  *
  * GCC 12 and later, on x86-64 with glibc, also compile an AVX-512
  * (x86-64-v4) and an AVX2 (x86-64-v3) clone of each entry point, and the
@@ -69,17 +71,17 @@ static inline uint64_t mix64(uint64_t z) {
 
 /* An (n_comp, width) table whose row c holds the d - 1 thresholds of
  * row c of comp_t, padded with NEVER to the even width >= 2 that
- * draw_chunk reads two at a time.  Then width key steps, pows[i+1] -
- * pows[i] below d - 1 and 0 on the padding (all 0 without pows), and
+ * draw_chunk reads two at a time.  Then width key steps, key_w[i+1] -
+ * key_w[i] below d - 1 and 0 on the padding (all 0 without key_w), and
  * last the (width, CHUNK) buffer into which draw_chunk gathers each
  * group's row.  NULL if out of memory. */
-static int64_t *thresholds(const int64_t *comp_t, int64_t n_comp, int64_t d, int64_t width, const int64_t *pows) {
+static int64_t *thresholds(const int64_t *comp_t, int64_t n_comp, int64_t d, int64_t width, const int64_t *key_w) {
     int64_t *const tc = malloc((size_t)((n_comp + 1 + CHUNK) * width) * sizeof *tc);
     if (!tc) return 0;
     int64_t *const steps = tc + n_comp * width;
     for (int64_t c = 0; c < n_comp; c++)
         for (int64_t i = 0; i < width; i++) tc[c * width + i] = i < d - 1 ? comp_t[c * (d - 1) + i] : NEVER;
-    for (int64_t i = 0; i < width; i++) steps[i] = pows && i < d - 1 ? pows[i + 1] - pows[i] : 0;
+    for (int64_t i = 0; i < width; i++) steps[i] = key_w && i < d - 1 ? key_w[i + 1] - key_w[i] : 0;
     return tc;
 }
 
@@ -100,22 +102,21 @@ reached(int64_t x, int64_t t0, int64_t t1, int64_t s0, int64_t s1, const int key
  * read the lane rows contiguously, two at a time (width is even, padded
  * with 2**53).  Unkeyed, a draw counts the thresholds x reaches, its
  * category code, and writes it to the group's row of out.  Keyed, the
- * group's key starts at key0 = group_size * pows[0], each draw adds the
- * steps of the thresholds it reaches (see the header), and the group
- * then adds one to table[key].  Each caller passes keyed as a constant,
- * so the inlined passes have no branch on it. */
+ * group's key starts at 0, each draw adds the steps of the thresholds
+ * it reaches (see the header), and the group then adds one to
+ * table[key].  Each caller passes keyed as a constant, so the inlined
+ * passes have no branch on it. */
 static inline __attribute__((always_inline)) void
 draw_chunk(uint64_t seed_mixed, uint64_t first, int64_t n, int64_t group_size, const int64_t *restrict tw,
            int64_t n_weights, const int64_t *restrict tc, int64_t width, const int64_t *restrict steps,
-           uint64_t key0, int64_t *restrict lane, int64_t *restrict table, uint8_t *restrict out,
-           const int keyed) {
+           int64_t *restrict lane, int64_t *restrict table, uint8_t *restrict out, const int keyed) {
     uint64_t base[CHUNK], acc[CHUNK];
     int64_t x[CHUNK], row[CHUNK];
     for (int64_t g = 0; g < CHUNK; g++) {
         base[g] = mix64(seed_mixed ^ ((first + (uint64_t)g) * STREAM_MULT));
         x[g] = (int64_t)(mix64(base[g]) >> 11);
         row[g] = 0;
-        acc[g] = key0;
+        acc[g] = 0;
     }
     for (int64_t i = 0; i < n_weights; i++)
         for (int64_t g = 0; g < CHUNK; g++) row[g] += (int64_t)(x[g] >= tw[i]);
@@ -146,16 +147,16 @@ draw_chunk(uint64_t seed_mixed, uint64_t first, int64_t n, int64_t group_size, c
  * -1 if out of memory and 0 otherwise. */
 static inline __attribute__((always_inline)) int
 draw(uint64_t seed, int64_t n_groups, int64_t group_size, const int64_t *weight_t, int64_t n_weights,
-     const int64_t *comp_t, int64_t n_comp, int64_t d, uint64_t start, const int64_t *pows, int64_t *table,
+     const int64_t *comp_t, int64_t n_comp, int64_t d, uint64_t start, const int64_t *key_w, int64_t *table,
      uint8_t *out, const int keyed) {
     const int64_t width = d / 2 > 1 ? 2 * (d / 2) : 2;
-    int64_t *const tc = thresholds(comp_t, n_comp, d, width, pows);
+    int64_t *const tc = thresholds(comp_t, n_comp, d, width, key_w);
     if (!tc) return -1;
     const int64_t *const steps = tc + n_comp * width;
-    const uint64_t seed_mixed = mix64(seed + GOLD), key0 = keyed ? (uint64_t)group_size * (uint64_t)pows[0] : 0;
+    const uint64_t seed_mixed = mix64(seed + GOLD);
     for (int64_t lo = 0; lo < n_groups; lo += CHUNK)
         draw_chunk(seed_mixed, start + (uint64_t)lo, n_groups - lo < CHUNK ? n_groups - lo : CHUNK, group_size,
-                   weight_t, n_weights, tc, width, steps, key0, tc + (n_comp + 1) * width, table,
+                   weight_t, n_weights, tc, width, steps, tc + (n_comp + 1) * width, table,
                    keyed ? 0 : out + lo * group_size, keyed);
     free(tc);
     return 0;
@@ -169,12 +170,11 @@ int sample_groups(uint64_t seed, int64_t n_groups, int64_t group_size, const int
 }
 
 /* The groups of sample_groups, each keyed as _kernels_np.group_keys keys
- * it and counted: table[key] is incremented.  With pows[c] = (k+1)**c for
- * k = group_size, a key is below (k+1)**d: each of its k draws adds at
- * most (k+1)**(d-1). */
+ * it and counted: table[key] is incremented.  key_w holds the d
+ * _kernels_np.key_weights of k = group_size: a key is below (k+1)**(d-1). */
 VECTOR_CLONES
 int sample_keys(uint64_t seed, int64_t n_groups, int64_t group_size, const int64_t *weight_t, int64_t n_weights,
-                const int64_t *comp_t, int64_t n_comp, int64_t d, uint64_t start, const int64_t *pows,
+                const int64_t *comp_t, int64_t n_comp, int64_t d, uint64_t start, const int64_t *key_w,
                 int64_t *table) {
-    return draw(seed, n_groups, group_size, weight_t, n_weights, comp_t, n_comp, d, start, pows, table, 0, 1);
+    return draw(seed, n_groups, group_size, weight_t, n_weights, comp_t, n_comp, d, start, key_w, table, 0, 1);
 }

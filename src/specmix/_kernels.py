@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from ._kernels_np import check_sizes, check_table
+from ._kernels_np import check_sizes, check_table, key_weights
 from .rng import MASK
 
 SOURCE = Path(__file__).with_name("_kernels.c")
@@ -137,8 +137,7 @@ def sample_keys(seed, n_groups, group_size, thresholds, table, start=0):
     """See _kernels_np.sample_keys: one pass that keys each group as it
     draws it, with no (n_groups, group_size) array."""
     args, d = _draw_args(seed, n_groups, group_size, thresholds, start)
-    # every key is below (k+1)**d, so a table of that many cells holds it
     check_table(table, group_size, d)
-    _check(_lib.sample_keys(*args, (group_size + 1) ** np.arange(d, dtype=np.int64), table))
+    _check(_lib.sample_keys(*args, key_weights(group_size, d), table))
     return table
 

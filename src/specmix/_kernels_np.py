@@ -5,8 +5,9 @@ kernels of _kernels.py cannot be built or loaded.  Both backends
 implement the same contract: the counter scheme documented in rng.py and
 an inverse-CDF pick by the integer thresholds of draw_thresholds,
 producing bit-identical output.  draw_thresholds, the one definition of
-that pick, group_keys, the one tally-key encoder, and DRAW_BLOCK, the one
-block size, are used on either backend.
+that pick, the tally key (key_weights, key_cells, group_keys and
+decode_keys) and DRAW_BLOCK, the one block size, are used on either
+backend.
 """
 from __future__ import annotations
 
@@ -142,39 +143,69 @@ def _draw(seed, start, thresholds, out, words, scratch, bases):
             out[idx, j] = np.searchsorted(row, x[idx], side="right")
 
 
-def group_keys(groups, d):
-    """Encode each group's category tally as one base-(k+1) integer.
+def key_weights(k, d):
+    """What a draw of each of d categories adds to the tally key of its
+    group of k draws, an int64 array: 0 for category 0 and (k+1)**(c-1)
+    for category c >= 1.
 
-    Each draw of category c contributes (k+1)**c, so a group with tally
-    (c_0, .., c_{d-1}) maps to sum c_j (k+1)**j; no carries occur because
-    every c_j <= k.  The caller guarantees (k+1)**d fits in int64.
-    Raises ValueError for a category index outside [0, d).
+    A group with tally (c_0, .., c_{d-1}) then keys to sum_{c>=1} c_c
+    (k+1)**(c-1), a base-(k+1) integer with no carries, since every
+    c_c <= k, and below key_cells(k, d).  Category 0 needs no digit: its
+    count is k less the others' (see decode_keys).  Keys order tallies
+    as their counts (c_{d-1}, .., c_1) order lexicographically.
+    """
+    weights = np.zeros(d, dtype=np.int64)
+    weights[1:] = (k + 1) ** np.arange(d - 1, dtype=np.int64)
+    return weights
+
+
+def key_cells(k, d):
+    """The number of tally keys of groups of k draws from d categories,
+    (k+1)**(d-1), a Python int: every key is below it."""
+    return (k + 1) ** (d - 1)
+
+
+def group_keys(groups, d):
+    """The tally key of each row of groups, an (n, k) array of category
+    codes, as an int64 array: the sum of the key_weights of its draws.
+    The caller guarantees key_cells(k, d) fits in int64.  Raises
+    ValueError for a category index outside [0, d).
     """
     groups = np.asarray(groups)
     n, k = groups.shape
     if groups.size and (groups.min() < 0 or groups.max() >= d):
         raise ValueError(f"category index out of range [0, {d})")
     keys = np.empty(n, dtype=np.int64)
-    _encode(groups, (k + 1) ** np.arange(d, dtype=np.int64), keys, np.empty(n, dtype=np.int64))
+    _encode(groups, key_weights(k, d), keys, np.empty(n, dtype=np.int64))
     return keys
 
 
-def _encode(groups, pows, keys, col):
-    """Write the group_keys of groups to keys, where pows[c] = (k+1)**c
-    is what a draw of category c adds, with col, an int64 array of as
-    many entries, as the one column buffer: a fresh temporary per column
-    is paged in anew whenever the allocator has handed the last one back,
+def decode_keys(keys, k, d):
+    """The (len(keys), d) int64 tallies of tally keys of groups of k draws
+    from d categories: the base-(k+1) digits of each key are the counts
+    of categories 1 .. d-1, and category 0 has the k draws left."""
+    comps = np.empty((len(keys), d), dtype=np.int64)
+    comps[:, 1:] = keys[:, None] // key_weights(k, d)[1:] % (k + 1)
+    comps[:, 0] = k - comps[:, 1:].sum(axis=1)
+    return comps
+
+
+def _encode(groups, weights, keys, col):
+    """Write the group_keys of groups to keys, where weights are the
+    key_weights of its shape, with col, an int64 array of as many
+    entries, as the one column buffer: a fresh temporary per column is
+    paged in anew whenever the allocator has handed the last one back,
     which doubled the encoder's time when tallying 10^7 groups."""
     keys.fill(0)
     for j in range(groups.shape[1]):
-        keys += pows.take(groups[:, j], mode="clip", out=col)  # the caller checked the codes
+        keys += weights.take(groups[:, j], mode="clip", out=col)  # the caller checked the codes
 
 
 def sample_keys(seed, n_groups, group_size, thresholds, table, start=0):
     """Count the groups sample_groups draws by their group_keys key: each
     adds one to table[key], and table is returned.  table must be a
     writeable, aligned C-contiguous int64 array of exactly
-    (group_size+1)**d cells, which holds every key.
+    key_cells(group_size, d) cells, which holds every key.
 
     The groups are drawn and keyed DRAW_BLOCK at a time, in one set of
     buffers that every block reuses, so memory does not grow with
@@ -188,11 +219,11 @@ def sample_keys(seed, n_groups, group_size, thresholds, table, start=0):
     codes = np.empty((size, group_size), dtype=np.uint8)
     # a block's keys and their column buffer reuse bases and scratch, which its draw no longer reads
     keys, col = bases.view(np.int64), scratch.view(np.int64)
-    pows = (group_size + 1) ** np.arange(d, dtype=np.int64)
+    weights = key_weights(group_size, d)
     for lo in range(0, n_groups, DRAW_BLOCK):
         n = min(DRAW_BLOCK, n_groups - lo)
         _draw(seed, int(start) + lo, thresholds, codes[:n], words[:n], scratch[:n], bases[:n])
-        _encode(codes[:n], pows, keys[:n], col[:n])
+        _encode(codes[:n], weights, keys[:n], col[:n])
         table += np.bincount(keys[:n], minlength=len(table))
     return table
 
@@ -207,7 +238,7 @@ def check_sizes(n_groups, group_size):
 def check_table(table, group_size, d):
     """Raise ValueError unless table can count every key of groups of
     group_size draws from d categories (see sample_keys)."""
-    cells = (group_size + 1) ** d
+    cells = key_cells(group_size, d)
     if not (
         isinstance(table, np.ndarray)
         and table.dtype == np.int64
@@ -216,4 +247,4 @@ def check_table(table, group_size, d):
         and table.flags.aligned
         and table.flags.writeable
     ):
-        raise ValueError(f"table must be a writeable C-contiguous int64 array of (k+1)**d = {cells} cells")
+        raise ValueError(f"table must be a writeable C-contiguous int64 array of (k+1)**(d-1) = {cells} cells")

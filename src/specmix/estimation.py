@@ -103,14 +103,19 @@ def moment(
         b = _finite_vector(b, "scale vector b")
         if np.any(b <= 0.0):
             raise ValueError(f"scale vector b entries must be > 0, got min {b.min():.3g}")
-    if isinstance(source, MixtureSpec):
-        values = _power_sum(source.weights, source.components, r)
-    else:
-        values = _tally_counts(source, r) / (source.n_groups * math.perm(k, r))
-    tensor = values[_multisets(source.d, r)]
+    tensor = _multiset_values(source, r)[_multisets(source.d, r)]
     if b is not None:
         tensor *= outer_power(b, r)
     return tensor
+
+
+def _multiset_values(source: MixtureSpec | GroupTallyHistogram, r: int) -> np.ndarray:
+    """The C(d+r-1, r) multiset values, in rank order, of the order-r
+    moment of a source that moment_source returned and whose order it
+    checked: the entries that moment() reads out to its dense tensor."""
+    if isinstance(source, MixtureSpec):
+        return _power_sum(source.weights, source.components, r)
+    return _tally_counts(source, r) / (source.n_groups * math.perm(source.group_size, r))
 
 
 # Nothing in the library reads this name.  perfbench/harness.py calls it;

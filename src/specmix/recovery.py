@@ -27,6 +27,7 @@ mean.  A rank-based estimator of the number of components is included.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from typing import ClassVar, NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .estimation import build_c_hat, moment, moment_source
+from .estimation import _multiset_values, build_c_hat, moment, moment_source
 from .model import (
     DominatingMeasure,
     MixtureSpec,
@@ -46,7 +47,7 @@ from .model import (
     resolve_dominating,
 )
 from .sampling import GroupedDataset, GroupTallyHistogram
-from .tensors import eig_sqrt_pinv, numerical_rank, outer_power, sym_eig
+from .tensors import _sym_unfolding, eig_sqrt_pinv, numerical_rank, outer_power, sym_eig
 
 
 class RecoveryError(RuntimeError):
@@ -218,22 +219,23 @@ def _weight_residual(e: np.ndarray, comp: np.ndarray, weights: np.ndarray, r: in
     return float(np.linalg.norm((e - fit).ravel()))
 
 
-def _check_fits(d: int, order: int, copies: int) -> None:
-    """MemoryError if copies dense arrays of d^order float64s exceed
-    physical memory (unchecked without os.sysconf).
+def _check_fits(shape: str, entries: int, copies: int) -> None:
+    """MemoryError if copies dense float64 arrays of the given number of
+    entries, shape as the message names it, exceed physical memory
+    (unchecked without os.sysconf).
 
     copies is what the stage that needs such an array holds at once:
-    its peak RSS above the level before the call, in units of 8 d^order
-    bytes, measured at d^order from 1.7e6 to 3.7e6 (Linux x86-64, numpy
-    with OpenBLAS) and rounded up.
+    its peak RSS above the level before the call, in units of 8 * entries
+    bytes, measured at 1.7e6 to 3.7e6 entries (Linux x86-64, numpy with
+    OpenBLAS) and rounded up.
     """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need = copies * 8 * d**order
+    need = copies * 8 * entries
     if 0 < physical < need:
-        raise MemoryError(f"{copies} dense {d}^{order} arrays need {need} bytes; physical memory is {physical}")
+        raise MemoryError(f"{copies} dense {shape} arrays need {need} bytes; physical memory is {physical}")
 
 
 def _check_scale(b: np.ndarray, order: int, dominating: str) -> None:
@@ -291,7 +293,7 @@ def _setup(data, config: RecoveryConfig, seed: int, c: int) -> tuple:
             _check_scale(b, 2 * c - 1, config.dominating)
         if m > 1:
             # the d^c x d^c operator, T, the moment and eigh's copy, workspace and eigenvectors: 5.1-5.4 copies
-            _check_fits(data.d, 2 * c, 6)
+            _check_fits(f"{data.d}^{2 * c}", data.d ** (2 * c), 6)
     if m > 1 and isinstance(data, MixtureSpec):
         with _stage("dominating-measure check"):
             _check_norms(data, xi)
@@ -388,9 +390,12 @@ def estimate_num_components(
     n: int,
     rel_tol: float = 1e-8,
 ) -> int:
-    """Numerical rank of the order-2n moment as a d^n x d^n matrix, read
-    as its plain row-major reshape.  The moment is symmetric, so the
-    reshape equals its unfolding at split n, with no copy.
+    """Numerical rank of the order-2n moment unfolded as a d^n x d^n
+    matrix.  The moment is symmetric, so that unfolding has the singular
+    values of its C(d+n-1, n)-square form in the orthonormal basis of
+    Sym^n (tensors._sym_unfolding), built from the moment's multiset
+    values without the dense tensor; at n = 1 that form is the dense
+    matrix itself.
 
     For population input this equals the number of components once the
     n-fold powers of the components are linearly independent (n at least
@@ -403,5 +408,9 @@ def estimate_num_components(
         if not rng.is_real(rel_tol, 0.0, 1.0):
             raise ValueError(f"rel_tol must be a finite number in [0, 1), got {rel_tol!r}")
         data = moment_source(data, 2 * n)
-        _check_fits(data.d, 2 * n, 3)  # the moment and the SVD's copy and workspace: 2.2-2.5 copies
-    return numerical_rank(moment(data, 2 * n).reshape(data.d**n, -1), rel_tol)
+        size = math.comb(data.d + n - 1, n)
+        # the unfolding's rank index, its temporary and the sorted word pairs (2n bytes an entry, n/4
+        # copies), then the unfolding and the SVD's copy and workspace: 1.9-2.9 copies at n = 3 to 6
+        _check_fits(f"{size}x{size}", size**2, 2 - (-n // 4))
+    unfolding = _sym_unfolding(_multiset_values(data, 2 * n), data.d, n)
+    return numerical_rank(unfolding, rel_tol)

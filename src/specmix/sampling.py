@@ -5,13 +5,16 @@ latent component by weight, then k iid draws from that component.  Since
 every downstream statistic is symmetric in within-group order, a dataset
 compresses without loss to a histogram over per-group category tallies.
 draw_tally goes straight from the mixture to that histogram, one block of
-groups at a time, without holding the whole dataset.  When the possible
-tallies are few, one kernel pass keys and counts each group as it draws
-it, so no block of rows is written either, and the blocks are split into
-contiguous runs, one per CPU the process may run on (at most one per
-block), each counted in one kernel call, in its own thread and table.
-Every group draws from its own counter stream and integer counts add
-exactly, so the histogram does not depend on the number of CPUs.
+groups at a time, without holding the whole dataset.  A group of k draws
+from d categories has one of (k+1)^(d-1) tally keys, the base-(k+1)
+digits of its counts of categories 1 .. d-1 (category 0 holds the draws
+left); when those keys are few, one kernel pass keys and counts each
+group as it draws it, so no block of rows is written either, and the
+blocks are split into contiguous runs, one per CPU the process may run
+on (at most one per block), each counted in one kernel call, in its own
+thread and table.  Every group draws from its own counter stream and
+integer counts add exactly, so the histogram does not depend on the
+number of CPUs.
 
 Category indices are 0-based in memory; the text format on disk is
 1-based, one group per line.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import re
 import threading
 import warnings
 from collections.abc import Iterable, Mapping
@@ -164,20 +168,21 @@ def draw_tally(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> G
     """tally(draw_groups(mix, group_size, n_groups, seed)), array for
     array, without the n_groups x group_size array.
 
-    While the (k+1)^d possible tallies number at most DRAW_BLOCK,
-    kernels.sample_keys keys each group as it draws it and counts it in
-    a dense table, whose nonzero cells are the distinct keys in
-    increasing order.  The DRAW_BLOCK-group blocks are then split among
-    one worker per CPU in the process's affinity set (os.cpu_count()
-    where the platform has no affinity call), at most one per block, and
-    each worker counts its run of blocks in one kernel call; the
+    While the (k+1)^(d-1) tally keys (kernels.key_cells) number at most
+    DRAW_BLOCK, kernels.sample_keys keys each group as it draws it and
+    counts it in a dense table, whose nonzero cells are the distinct
+    keys in increasing order.  The DRAW_BLOCK-group blocks are then
+    split among one worker per CPU in the process's affinity set
+    (os.cpu_count() where the platform has no affinity call), at most
+    one per block, and each worker counts its run of blocks in one
+    kernel call; the
     histogram is the same for any number of workers.  Otherwise
     DRAW_BLOCK groups are drawn and tallied at a time, as tally reads
     them, in the calling thread.
     """
     thresholds, sub_seed = _setup(mix, group_size, n_groups, seed)
     d, k = mix.d, group_size
-    cells = (k + 1) ** d
+    cells = kernels.key_cells(k, d)
     if cells > DRAW_BLOCK:
         # group g draws from its own stream in any block, so the blocks stacked are one call's rows
         starts = range(0, n_groups, DRAW_BLOCK)
@@ -185,7 +190,7 @@ def draw_tally(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> G
         return _tally_blocks(d, k, rows)
     table = _count_keys(thresholds, k, n_groups, sub_seed, cells)
     keys = np.flatnonzero(table)
-    return GroupTallyHistogram(d, k, _from_keys(d, k, keys, table[keys]))
+    return GroupTallyHistogram(d, k, _TallyTable.from_compositions(kernels.decode_keys(keys, k, d), table[keys]))
 
 
 def _count_keys(thresholds: tuple, k: int, n_groups: int, sub_seed: int, cells: int) -> np.ndarray:
@@ -281,9 +286,10 @@ def tally(ds: GroupedDataset) -> GroupTallyHistogram:
 
     Invariant under within-group reordering; together with the moment
     estimators' symmetry this loses no statistical information.  Groups
-    are keyed by one base-(k+1) integer while (k+1)^d fits in 63 bits,
-    and by their sorted rows otherwise.  The rows are read DRAW_BLOCK at
-    a time, as draw_tally draws them.
+    are keyed by their tally key (kernels.group_keys) while its
+    (k+1)^(d-1) values fit in 63 bits, and by their sorted rows
+    otherwise.  The rows are read DRAW_BLOCK at a time, as draw_tally
+    draws them.
     """
     g = ds.groups
     return _tally_blocks(ds.d, ds.group_size, (g[lo : lo + DRAW_BLOCK] for lo in range(0, len(g), DRAW_BLOCK)))
@@ -291,20 +297,14 @@ def tally(ds: GroupedDataset) -> GroupTallyHistogram:
 
 def _tally_blocks(d: int, k: int, blocks: Iterable[np.ndarray]) -> GroupTallyHistogram:
     """The tally histogram of the groups in a sequence of row blocks."""
-    distinct = _tally_by_keys if (k + 1) ** d < 2**63 else _tally_by_sorting
+    distinct = _tally_by_keys if kernels.key_cells(k, d) < 2**63 else _tally_by_sorting
     return GroupTallyHistogram(d, k, distinct(d, k, blocks))
 
 
 def _tally_by_keys(d: int, k: int, blocks: Iterable[np.ndarray]) -> _TallyTable:
-    """Distinct tallies in increasing order of the base-(k+1) group key."""
+    """Distinct tallies in increasing order of their tally key."""
     keys, groups = _merge(_distinct(kernels.group_keys(block, d)) for block in blocks)
-    return _from_keys(d, k, keys, groups)
-
-
-def _from_keys(d: int, k: int, keys: np.ndarray, groups: np.ndarray) -> _TallyTable:
-    """The tallies of distinct base-(k+1) keys, groups[i] groups each."""
-    comps = keys[:, None] // (k + 1) ** np.arange(d, dtype=np.int64) % (k + 1)
-    return _TallyTable.from_compositions(comps, groups)
+    return _TallyTable.from_compositions(kernels.decode_keys(keys, k, d), groups)
 
 
 def _tally_by_sorting(d: int, k: int, blocks: Iterable[np.ndarray]) -> _TallyTable:
@@ -363,12 +363,16 @@ def write_groups(ds: GroupedDataset, fh: IO[str]) -> None:
 def read_groups(fh: IO[str], d: int | None = None) -> GroupedDataset:
     """Parse the line-based text format; infer d from the data if omitted.
 
-    An index below 1 or above d is a ValueError that names its group,
-    counted from 1 over the non-blank lines.
+    An index below 1 or above d, an entry that is no integer, and a line
+    with another number of indices than the first are each a ValueError
+    that names its group, counted from 1 over the non-blank lines.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        rows = np.loadtxt(fh, dtype=np.int64, ndmin=2)
+        try:
+            rows = np.loadtxt(fh, dtype=np.int64, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(_malformed_line(str(exc))) from None
     if rows.size == 0:
         raise ValueError("empty dataset")
     if d is None:
@@ -382,3 +386,16 @@ def read_groups(fh: IO[str], d: int | None = None) -> GroupedDataset:
         raise ValueError(f"group {group + 1}: index {index} is {where}; the text format uses 1-based category indices")
     rows -= 1
     return GroupedDataset(d, rows)
+
+
+def _malformed_line(message: str) -> str:
+    """numpy loadtxt's message for a malformed line, with the line named
+    as its group.  numpy counts the data lines, blank and comment lines
+    skipped, from 0 in a conversion error and from 1 in a length error."""
+    entry = re.fullmatch(r"could not convert string (.*) to int64 at row (\d+), column (\d+)\.", message, re.S)
+    if entry:
+        return f"group {int(entry[2]) + 1}: entry {entry[3]}, {entry[1]}, is not an integer index"
+    length = re.fullmatch(r"the number of columns changed from (\d+) to (\d+) at row (\d+);.*", message, re.S)
+    if length:
+        return f"group {length[3]}: {length[2]} indices, where the groups before it have {length[1]}"
+    return message

@@ -18,8 +18,9 @@ as its sorted word, the r letters in ascending order.  ``_rank`` is the
 one rank formula, with its terms in ``_rank_terms``, and ``_words`` the
 one enumerator; ``_multisets`` gives the rank of every multi-index, the
 dense read-out, and ``_orbit_sizes`` the number of multi-indices of each
-multiset.  Population moments, symmetrization, the moment tally kernel
-and the spread map all work in this basis.
+multiset.  Population moments, symmetrization, the moment tally kernel,
+the spread map and the rank estimator's unfolding (``_sym_unfolding``)
+all work in this basis.
 """
 from __future__ import annotations
 
@@ -115,6 +116,33 @@ def _orbit_sizes(d: int, r: int) -> np.ndarray:
         copies = np.where(words[j] == words[j - 1], copies + 1.0, 1.0)
         repeats *= copies
     return float(math.factorial(r)) / repeats
+
+
+def _sym_unfolding(values: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The order-2n symmetric tensor with multiset values values, unfolded
+    at split n in the orthonormal basis of Sym^n: M_s[a, b] =
+    sqrt(n(a) n(b)) values[a + b] over the size-n multisets a, b of [d],
+    n(.) their _orbit_sizes.
+
+    e_a, the indicator of a's multi-indices over sqrt(n(a)), is that
+    basis, so the dense d^n x d^n unfolding is E M_s E^T and has the
+    same nonzero singular values, from a C(d+n-1, n)-square matrix.  The
+    multisets run in reverse rank order, so at n = 1 M_s is the dense
+    matrix itself.
+    """
+    words = _words(d, n)[:, ::-1].astype(np.min_scalar_type(d))  # narrow: the pairs are the largest array
+    size = words.shape[1]
+    pairs = np.empty((2 * n, size, size), dtype=words.dtype)
+    pairs[:n], pairs[n:] = words[:, :, None], words[:, None, :]
+    pairs.sort(axis=0)  # the sorted word of a + b
+    index = _rank(pairs, d)
+    del pairs
+    unfolding = values[index]
+    del index
+    scale = np.sqrt(_orbit_sizes(d, n)[::-1])
+    unfolding *= scale[:, None]
+    unfolding *= scale
+    return unfolding
 
 
 def count_vector(x, n: int | None = None, d: int | None = None) -> tuple[int, ...]:

@@ -66,6 +66,13 @@ class TestRecoverCommand:
         run_failing(capsys, ["recover", "--data", data_file, "--m", "4"], "group size 5 < required 7")
         run_failing(capsys, ["recover", "--data", data_file, "--m", "2", "--dominating", "bogus"], "descriptor")
 
+    def test_malformed_data_line_names_its_group(self, tmp_path, capsys):
+        path = tmp_path / "groups.txt"
+        path.write_text("1 2\n3 1\n1 2.5\n")
+        run_failing(capsys, ["recover", "--data", str(path), "--m", "1"], r": group 3: entry 2, '2\.5', is not an integer index$")
+        path.write_text("1 2\n3\n")
+        run_failing(capsys, ["rank", "--data", str(path), "--power", "1"], r": group 2: 1 indices, where the groups before")
+
     def test_stdin(self, blend_mix, capsys, monkeypatch):
         ds = sp.draw_groups(blend_mix, 5, 500, seed=1)
         buf = io.StringIO()

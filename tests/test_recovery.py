@@ -456,23 +456,27 @@ class TestRecoverFull:
             recover_full(mix, RecoveryConfig(4))
 
     @pytest.mark.parametrize(
-        "call, times",
+        "call, times, shape, entries",
         [
-            (lambda mix: recover_full(mix, RecoveryConfig(2)), 1.5),
-            (lambda mix: recover_full(mix, RecoveryConfig(2)), 4.9),
-            (lambda mix: sp.li_recover(mix, 2), 1.5),
-            (lambda mix: sp.li_recover(mix, 2), 4.9),
-            (lambda mix: sp.estimate_num_components(mix, 2), 1.5),
-            (lambda mix: sp.estimate_num_components(mix, 2), 2.9),
+            (lambda mix: recover_full(mix, RecoveryConfig(2)), 1.5, "3^4", 3**4),
+            (lambda mix: recover_full(mix, RecoveryConfig(2)), 4.9, "3^4", 3**4),
+            (lambda mix: sp.li_recover(mix, 2), 1.5, "3^4", 3**4),
+            (lambda mix: sp.li_recover(mix, 2), 4.9, "3^4", 3**4),
+            # the rank stage's array is the moment's 6 x 6 form on Sym^2
+            (lambda mix: sp.estimate_num_components(mix, 2), 1.5, "6x6", 6**2),
+            (lambda mix: sp.estimate_num_components(mix, 2), 2.9, "6x6", 6**2),
         ],
         ids=["recover_full-1.5", "recover_full-4.9", "li_recover-1.5", "li_recover-4.9", "rank-1.5", "rank-2.9"],
     )
-    def test_stage_footprint_checked_at_setup(self, indep_mix, monkeypatch, call, times):
-        # the d^2 x d^2 array of each call fits this memory more than once,
+    def test_stage_footprint_checked_at_setup(self, indep_mix, monkeypatch, call, times, shape, entries):
+        # the largest array of each call fits this memory more than once,
         # but its stage holds more copies than that at once
-        physical = int(times * 8 * 3**4)
+        physical = int(times * 8 * entries)
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical}.get)
-        with pytest.raises(RecoveryError, match=rf"^stage 'setup' failed: \d dense 3\^4 arrays need \d+ bytes; physical memory is {physical}$"):
+        with pytest.raises(
+            RecoveryError,
+            match=rf"^stage 'setup' failed: \d dense {re.escape(shape)} arrays need \d+ bytes; physical memory is {physical}$",
+        ):
             call(indep_mix)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -597,6 +601,26 @@ class TestEstimateNumComponents:
         mix = sp.make_mixture([1.0], [[0.2, 0.3, 0.5]])
         assert sp.estimate_num_components(mix, 2) == 1
 
+    @pytest.mark.parametrize("d, m, n", [(3, 3, 1), (5, 4, 1), (4, 3, 2), (6, 4, 2), (5, 5, 3)])
+    @pytest.mark.parametrize("population", [True, False])
+    def test_rank_of_the_dense_unfolding(self, d, m, n, population):
+        # the moment's C(d+n-1, n)-square form on Sym^n has the singular
+        # values of the dense d^n x d^n unfolding, and at n = 1 it is that
+        # matrix, bit for bit
+        mix = random_mixture(np.random.default_rng(d * m + n), m, d)
+        source = mix if population else draw_tally(mix, 2 * n, 20_000, seed=n)
+        dense = moment(source, 2 * n).reshape(d**n, -1)
+        values = recovery._multiset_values(source, 2 * n)
+        sym = recovery._sym_unfolding(values, d, n)
+        assert sym.shape == (math.comb(d + n - 1, n),) * 2
+        if n == 1:
+            assert sym.tobytes() == dense.tobytes()
+        s, s_dense = np.linalg.svd(sym, compute_uv=False), np.linalg.svd(dense, compute_uv=False)
+        assert_allclose(s, s_dense[: len(s)], rtol=0, atol=1e-13 * s_dense[0])
+        assert_allclose(s_dense[len(s) :], 0, atol=1e-13 * s_dense[0])
+        for rel_tol in (1e-8, 1e-3):
+            assert sp.estimate_num_components(source, n, rel_tol) == recovery.numerical_rank(dense, rel_tol)
+
     @pytest.mark.parametrize("power", [0, 2.5, True])
     def test_rejects_bad_power(self, blend_mix, power):
         with pytest.raises(ValueError, match=f"^power must be an integer >= 1, got {power!r}$"):
@@ -635,13 +659,14 @@ class TestEstimateNumComponents:
     @needs_memory_size
     def test_moment_too_large_for_memory_fails_at_setup(self):
         mix = random_mixture(np.random.default_rng(0), 4, 40)
-        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: 3 dense 40\^8 arrays need"):
+        # the moment's form on Sym^4 is C(43, 4) = 123410 square
+        with pytest.raises(RecoveryError, match=r"^stage 'setup' failed: 3 dense 123410x123410 arrays need"):
             sp.estimate_num_components(mix, 4)
 
     def test_rank_fits_in_three_and_a_half_moments(self, indep_mix, monkeypatch):
-        # the rank stage holds the order-2n moment, the SVD's copy and its
-        # workspace (2.2-2.5 moments at its peak), and no transposed copy
-        physical = int(3.5 * 8 * 3**4)
+        # the rank stage holds the moment's 6 x 6 form on Sym^2, its rank
+        # index and their temporary, then the SVD's copy and workspace
+        physical = int(3.5 * 8 * 6**2)
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical}.get)
         assert sp.estimate_num_components(indep_mix, 2) == 3
 

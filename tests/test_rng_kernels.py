@@ -217,13 +217,13 @@ class TestSampleKeys:
     @example(m=2, d=16, k=1, n=3000, start=5, seed=4, zero_weight=False, mix_seed=3)
     def test_matches_reference(self, name, m, d, k, n, start, seed, zero_weight, mix_seed):
         impl = backend(name)
-        # fold d into 1..d_max, the sizes whose (k+1)^d-cell table is at most 2^16
+        # fold d into 1..d_max, the sizes whose (k+1)^(d-1)-cell table is at most 2^16
         d_max = 1
-        while (k + 1) ** (d_max + 1) <= 2**16:
+        while (k + 1) ** d_max <= 2**16:
             d_max += 1
         d = 1 + (d - 1) % d_max
         cw, cc = cumulative_mixture(m, d, zero_weight, mix_seed)
-        cells = (k + 1) ** d
+        cells = (k + 1) ** (d - 1)
         want = np.bincount(
             _kernels_np.group_keys(reference_sample_groups(seed, n, k, cw, cc, start=start), d), minlength=cells
         )
@@ -240,24 +240,24 @@ class TestSampleKeys:
 
     @staticmethod
     def _read_only():
-        table = np.zeros(27, dtype=np.int64)
+        table = np.zeros(9, dtype=np.int64)
         table.flags.writeable = False
         return table
 
     @pytest.mark.parametrize(
         "make_table",
         [
-            lambda: np.zeros(26, dtype=np.int64),
-            lambda: np.zeros(28, dtype=np.int64),
-            lambda: np.zeros(27, dtype=np.int32),
-            lambda: np.zeros(27, dtype=np.float64),
-            lambda: np.zeros(27, dtype=np.uint64),
-            lambda: np.zeros((3, 9), dtype=np.int64),
-            lambda: np.zeros(54, dtype=np.int64)[::2],
-            lambda: np.zeros(27, dtype=">i8"),
-            lambda: np.frombuffer(bytearray(27 * 8 + 1), dtype=np.int64, offset=1, count=27),
+            lambda: np.zeros(8, dtype=np.int64),
+            lambda: np.zeros(10, dtype=np.int64),
+            lambda: np.zeros(9, dtype=np.int32),
+            lambda: np.zeros(9, dtype=np.float64),
+            lambda: np.zeros(9, dtype=np.uint64),
+            lambda: np.zeros((3, 3), dtype=np.int64),
+            lambda: np.zeros(18, dtype=np.int64)[::2],
+            lambda: np.zeros(9, dtype=">i8"),
+            lambda: np.frombuffer(bytearray(9 * 8 + 1), dtype=np.int64, offset=1, count=9),
             _read_only,
-            lambda: [0] * 27,
+            lambda: [0] * 9,
         ],
         ids=[
             "short", "long", "int32", "float64", "uint64", "2-D", "strided", "big-endian", "unaligned",
@@ -265,7 +265,7 @@ class TestSampleKeys:
         ],
     )
     def test_rejects_bad_table(self, name, make_table):
-        # k=2, d=3: keys are below 3**3 = 27
+        # k=2, d=3: keys are below 3**2 = 9
         impl = backend(name)
         cw, cc = np.cumsum([0.5, 0.5]), np.cumsum([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]], axis=1)
         table = make_table()
@@ -274,13 +274,13 @@ class TestSampleKeys:
         assert not np.any(table)
 
     def test_rejects_negative_sizes(self, name):
-        # a group of -1 draws would key to 0, past a table of 0**d cells
+        # a group of -1 draws would key to 0, past a table of 0**(d-1) cells
         impl = backend(name)
         cw, cc = np.cumsum([1.0]), np.cumsum([[0.5, 0.5]], axis=1)
         with pytest.raises(ValueError):
             impl.sample_keys(0, 5, -1, draw_thresholds(cw, cc), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            impl.sample_keys(0, -5, 2, draw_thresholds(cw, cc), np.zeros(9, dtype=np.int64))
+            impl.sample_keys(0, -5, 2, draw_thresholds(cw, cc), np.zeros(3, dtype=np.int64))
 
     def test_sample_groups_rejects_negative_sizes(self, name):
         # the numpy sampler raised numpy's "negative dimensions are not allowed"
@@ -302,9 +302,9 @@ class TestSampleKeys:
         want = reference_sample_groups(seed, 500, 4, cw[:2], cc, start=7)
         assert_array_equal(impl.sample_groups(seed, 500, 4, extra, start=7), want)
         assert_array_equal(impl.sample_groups(seed, 500, 4, kept, start=7), want)
-        table = np.zeros(5**3, dtype=np.int64)
+        table = np.zeros(5**2, dtype=np.int64)
         impl.sample_keys(seed, 500, 4, extra, table, start=7)
-        assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, 3), minlength=5**3))
+        assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, 3), minlength=5**2))
 
 
 BLEND = np.cumsum([0.5, 0.3, 0.2]), np.cumsum([[0.64, 0.32, 0.04], [0.04, 0.32, 0.64], [0.24, 0.32, 0.44]], axis=1)
@@ -469,7 +469,7 @@ class TestExactThresholds:
         want = reference_sample_groups(seed, n, k, cw, cc, start=start)
         assert_array_equal(impl.sample_groups(seed, n, k, draw_thresholds(cw, cc), start=start), want)
         d = cc.shape[1]
-        cells = (k + 1) ** d
+        cells = (k + 1) ** (d - 1)
         table = impl.sample_keys(seed, n, k, draw_thresholds(cw, cc), np.zeros(cells, dtype=np.int64), start=start)
         assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, d), minlength=cells))
 
@@ -500,13 +500,13 @@ class TestExactThresholds:
         sizes = [1, size - 1, size, size + 1, DRAW_BLOCK]
         total = sum(sizes)
         want = reference_sample_groups(3, total, 5, cw, cc, start=start)
-        lo, rows, table = 0, [], np.zeros(6**3, dtype=np.int64)
+        lo, rows, table = 0, [], np.zeros(6**2, dtype=np.int64)
         for n in sizes:
             rows.append(impl.sample_groups(3, n, 5, draw_thresholds(cw, cc), start=start + lo))
             impl.sample_keys(3, n, 5, draw_thresholds(cw, cc), table, start=start + lo)
             lo += n
         assert_array_equal(np.concatenate(rows), want)
-        assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, 3), minlength=6**3))
+        assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, 3), minlength=6**2))
 
 
 class TestBackends:
@@ -545,7 +545,7 @@ class TestBackends:
         # counts in one call, and what one call per block counts
         compiled, fallback = self._both()
         cw, cc = np.cumsum([0.5, 0.3, 0.2]), np.cumsum([[0.64, 0.32, 0.04], [0.04, 0.32, 0.64], [0.24, 0.32, 0.44]], axis=1)
-        n, start, cells = 2 * DRAW_BLOCK + 17, 2**64 - 5, 6**3
+        n, start, cells = 2 * DRAW_BLOCK + 17, 2**64 - 5, 6**2
         table = fallback.sample_keys(9, n, 5, draw_thresholds(cw, cc), np.zeros(cells, dtype=np.int64), start=start)
         want = compiled.sample_keys(9, n, 5, draw_thresholds(cw, cc), np.zeros(cells, dtype=np.int64), start=start)
         assert_array_equal(table, want)
@@ -556,6 +556,25 @@ class TestBackends:
         rows = fallback.sample_groups(9, n, 5, draw_thresholds(cw, cc), start=start)
         assert_array_equal(table, np.bincount(fallback.group_keys(rows, 3), minlength=cells))
         assert table.sum() == n
+
+    # moment-d6m4's shape, the largest table, and d = 1, whose one key is 0
+    @pytest.mark.parametrize("d, k", [(6, 7), (17, 1), (1, 4)])
+    def test_sample_keys_table_has_no_category_zero_digit(self, d, k):
+        # a table of (k+1)^(d-1) cells, indexed by the base-(k+1) digits of
+        # the counts of categories 1 .. d-1, counted alike by both backends
+        compiled, fallback = self._both()
+        cw, cc = cumulative_mixture(3, d, False, d)
+        cells = (k + 1) ** (d - 1)
+        tables = [
+            impl.sample_keys(4, 5000, k, draw_thresholds(cw, cc), np.zeros(cells, dtype=np.int64), start=99)
+            for impl in (compiled, fallback)
+        ]
+        assert_array_equal(tables[0], tables[1])
+        counts = np.zeros((5000, d), dtype=np.int64)
+        np.add.at(counts, (np.arange(5000)[:, None], reference_sample_groups(4, 5000, k, cw, cc, start=99)), 1)
+        keys = counts[:, 1:] @ (k + 1) ** np.arange(d - 1, dtype=np.int64)
+        assert_array_equal(tables[0], np.bincount(keys, minlength=cells))
+        assert_array_equal(kernels.decode_keys(keys, k, d), counts)
 
     def test_ties_go_right(self):
         # A uniform equal to a cumulative mass picks the next entry, as
@@ -572,11 +591,11 @@ class TestBackends:
         groups = np.array([[0, 0, 1], [1, 0, 0], [2, 2, 2]], dtype=np.uint8)
         keys = kernels.group_keys(groups, 3)
         k = 3
-        # key = sum over categories c of (k+1)**c * count(c)
+        # key = sum over categories c >= 1 of (k+1)**(c-1) * count(c)
         expect = []
         for row in groups:
             counts = np.bincount(row, minlength=3)
-            expect.append(sum(int(counts[c]) * (k + 1) ** c for c in range(3)))
+            expect.append(sum(int(counts[c]) * (k + 1) ** (c - 1) for c in range(1, 3)))
         assert_array_equal(keys, expect)
         assert keys[0] == keys[1]  # same tally, different order
 
@@ -684,7 +703,7 @@ class TestCompiledLoader:
             monkeypatch.setattr(compiled, "_lib", lib)
             for seed, start, k, cw, cc in cases:
                 for n in (1, chunk() + 1, 5000):
-                    table = np.zeros((k + 1) ** cc.shape[1], dtype=np.int64)
+                    table = np.zeros((k + 1) ** (cc.shape[1] - 1), dtype=np.int64)
                     got.append(compiled.sample_groups(seed, n, k, draw_thresholds(cw, cc), start=start))
                     got.append(compiled.sample_keys(seed, n, k, draw_thresholds(cw, cc), table, start=start))
         cloned, stripped = got[: len(got) // 2], got[len(got) // 2 :]
@@ -719,7 +738,7 @@ class TestCompiledLoader:
 
 # (d, group size) of the four kernel benchmark runs in CI: a full threshold
 # row, keys with a pad, the largest keyed table, and too many cells to key
-CI_SHAPES = [(3, 5), (6, 5), (16, 1), (12, 5)]
+CI_SHAPES = [(3, 5), (6, 5), (17, 1), (12, 5)]
 
 
 @pytest.fixture(scope="module", params=["plain", "clones"])
@@ -750,7 +769,7 @@ def test_warning_free_build_matches_numpy(warning_free_build, monkeypatch, d, k)
     weights, components = rs.dirichlet(np.ones(3)), rs.dirichlet(np.ones(d), size=3)
     call = (7, 20_000, k, draw_thresholds(np.cumsum(weights), np.cumsum(components, axis=1)))
     assert_array_equal(compiled.sample_groups(*call, start=12_345), _kernels_np.sample_groups(*call, start=12_345))
-    cells = (k + 1) ** d
+    cells = (k + 1) ** (d - 1)
     if cells <= DRAW_BLOCK:  # the tables draw_tally keys into
         table = compiled.sample_keys(*call, np.zeros(cells, dtype=np.int64), start=12_345)
         assert_array_equal(table, _kernels_np.sample_keys(*call, np.zeros(cells, dtype=np.int64), start=12_345))

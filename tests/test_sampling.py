@@ -149,13 +149,30 @@ class TestTally:
         assert all(sum(key) == 4 and len(key) == 3 for key in h.counts)
 
     def test_key_overflow_guard(self):
-        # 101^40 overflows a 63-bit tally key, so the rows are sorted instead
+        # 101^39 overflows a 63-bit tally key, so the rows are sorted instead
         rows = np.zeros((3, 100), dtype=np.uint8)
         rows[1, :30] = 39
         rows[2, 70:] = 39
         h = sp.tally(sp.GroupedDataset(40, rows))
         assert h.counts == {(100,) + (0,) * 39: 1, (70,) + (0,) * 38 + (30,): 2}
         assert h.n_groups == 3 and len(h.counts) == 2
+
+    def test_keys_where_only_category_zero_overflowed(self, monkeypatch):
+        # (k+1)^d = 5^28 is past 2^63, but the 5^27 keys fit, so the groups
+        # are keyed, to the same histogram as the sorted rows, in
+        # increasing key order, with the same moments
+        mix = sp.make_mixture([0.5, 0.5], np.random.default_rng(28).dirichlet(np.full(28, 0.3), size=2))
+        data = sp.draw_groups(mix, 4, 3000, seed=1)
+        calls, group_keys = [], kernels.group_keys
+        monkeypatch.setattr(kernels, "group_keys", lambda *args: calls.append(args) or group_keys(*args))
+        keyed = sp.tally(data)
+        assert len(calls) == 1
+        sorted_rows = sp.GroupTallyHistogram(28, 4, sampling._tally_by_sorting(28, 4, [data.groups]))
+        assert dict(keyed.counts) == dict(sorted_rows.counts)
+        keys = group_keys(np.array([np.repeat(np.arange(28), c) for c in keyed.counts], dtype=np.uint8), 28)
+        assert np.all(np.diff(keys) > 0)
+        for r in range(1, 5):
+            assert sp.moment(keyed, r).tobytes() == sp.moment(sorted_rows, r).tobytes()
 
 
 B = sampling.DRAW_BLOCK
@@ -177,10 +194,10 @@ class TestDrawTally:
     @pytest.mark.parametrize(
         "weights, d, k",
         [
-            ([0.5, 0.3, 0.2], 3, 5),  # 6^3 tallies: counted in a table
-            ([0.6, 0.4], 30, 5),  # 6^30 overflows a key: sorted rows
+            ([0.5, 0.3, 0.2], 3, 5),  # 6^2 keys: counted in a table
+            ([0.6, 0.4], 30, 5),  # 6^29 overflows a key: sorted rows
             ([1.0], 4, 3),  # one component
-            ([0.5, 0.5], 8, 4),  # 5^8 tallies, past a table: keyed rows
+            ([0.5, 0.5], 8, 4),  # 5^7 keys, past a table: keyed rows
         ],
     )
     def test_equals_tally_of_draw_groups(self, n, weights, d, k):
@@ -211,7 +228,7 @@ class TestDrawTally:
 
 
 class TestDrawTallyPaths:
-    """draw_tally counts keys in a table while (k+1)^d <= DRAW_BLOCK and
+    """draw_tally counts keys in a table while (k+1)^(d-1) <= DRAW_BLOCK and
     tallies drawn rows past it; both paths give tally(draw_groups(...))."""
 
     @staticmethod
@@ -240,18 +257,24 @@ class TestDrawTallyPaths:
         want = sp.tally(sp.draw_groups(mix, k, n, seed))
         assert_same_histogram(sampling.draw_tally(mix, k, n, seed), want)
 
-    # (k, d) at the path edges: (k+1)^d = B, just past B (65,537 is prime,
-    # so only d = 1 reaches B + 1), 2^62 and 2^63
+    # (k, d) at the path edges: (k+1)^(d-1) = B, just past B (65,537 is
+    # prime, so only d = 2 reaches B + 1), 2^62 and 2^63, and below them:
+    # the moment-d6m4 workload's 8^5 keys, and d = 1, whose one key is 0
     @pytest.mark.parametrize(
         "k, d, kernel",
         [
             (3, 8, "sample_keys"),
             (1, 16, "sample_keys"),
             (2, 10, "sample_keys"),
-            (B, 1, "sample_groups"),
-            (1, 17, "sample_groups"),
+            (7, 6, "sample_keys"),
+            (3, 9, "sample_keys"),
+            (1, 17, "sample_keys"),
+            (B, 1, "sample_keys"),
+            (B, 2, "sample_groups"),
+            (1, 18, "sample_groups"),
             (1, 62, "sample_groups"),
             (1, 63, "sample_groups"),
+            (1, 64, "sample_groups"),
         ],
     )
     def test_path_edges(self, k, d, kernel, monkeypatch):
@@ -275,8 +298,11 @@ class TestDrawTallyPaths:
         assert set(calls) == {kernel}
         assert_same_histogram(got, sp.tally(sp.draw_groups(mix, k, n, seed=k)))
 
-    # keyed blocks on two worker threads, rows tallied past a table, rows kept
-    @pytest.mark.parametrize("d, k, draw", [(3, 5, "draw_tally"), (17, 1, "draw_tally"), (3, 5, "draw_groups")])
+    # keyed blocks on two worker threads, the largest keyed table, rows
+    # tallied past a table, rows kept
+    @pytest.mark.parametrize(
+        "d, k, draw", [(3, 5, "draw_tally"), (17, 1, "draw_tally"), (18, 1, "draw_tally"), (3, 5, "draw_groups")]
+    )
     def test_thresholds_computed_once_per_draw(self, d, k, draw, monkeypatch):
         calls, draw_thresholds = [], kernels.draw_thresholds
 
@@ -517,6 +543,23 @@ class TestTextFormat:
     def test_low_index_names_its_group(self, text, group, index):
         # groups count from 1 over the non-blank lines
         with pytest.raises(ValueError, match=rf"^group {group}: index {index} is below 1; the text format"):
+            sp.read_groups(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2\n3 1\n1 2.5\n", r"^group 3: entry 2, '2\.5', is not an integer index$"),
+            ("1 2\n\n3 1\n# a comment\n2 x\n", r"^group 3: entry 2, 'x', is not an integer index$"),
+            ("1 2\n3\n1 2\n", r"^group 2: 1 indices, where the groups before it have 2$"),
+            ("1 2\n\n2 1\n3 1 2\n", r"^group 3: 3 indices, where the groups before it have 2$"),
+        ],
+        ids=["entry", "entry-after-blank", "short", "long-after-blank"],
+    )
+    def test_malformed_line_names_its_group(self, text, message):
+        # groups count from 1 over the non-blank lines, as for a bad index;
+        # numpy's message gave a 0-based row, and a short line its advice
+        # to "use `usecols`"
+        with pytest.raises(ValueError, match=message):
             sp.read_groups(io.StringIO(text))
 
     def test_rejects_out_of_range(self):
