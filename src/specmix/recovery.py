@@ -411,6 +411,6 @@ def estimate_num_components(
         size = math.comb(data.d + n - 1, n)
         # the unfolding's rank index, its temporary and the sorted word pairs (2n bytes an entry, n/4
         # copies), then the unfolding and the SVD's copy and workspace: 1.9-2.9 copies at n = 3 to 6
-        _check_fits(f"{size}x{size}", size**2, 2 - (-n // 4))
+        _check_fits(f"{size}x{size}", size**2, 2 + math.ceil(n / 4))
     unfolding = _sym_unfolding(_multiset_values(data, 2 * n), data.d, n)
     return numerical_rank(unfolding, rel_tol)
