@@ -273,9 +273,20 @@ def _stage(name: str):
 
 
 def _odd_operator(data, c: int, b: np.ndarray | None, w: np.ndarray) -> np.ndarray:
-    """T T^T for T from the order-(2c-1) moment under b."""
+    """T T^T for T from the order-(2c-1) moment under b.
+
+    The d^c x d^c output is allocated before the moment and T are formed,
+    so that those temporaries, freed on return, end at the top of the heap,
+    where sym_eig's eigh reuses them.  Allocated after them, as
+    t_hat @ t_hat.T would, the operator sits above their freed blocks;
+    once an earlier fit has raised glibc's mmap threshold, those come from
+    the heap and stay resident, too small for eigh's buffers, and every
+    later fit of the process peaks higher than its first.  The product is
+    the same matmul either way, so its bytes are too.
+    """
+    op = np.empty((data.d**c, data.d**c))
     t_hat = build_t_hat(moment(data, 2 * c - 1, b), w)
-    return t_hat @ t_hat.T
+    return np.matmul(t_hat, t_hat.T, out=op)
 
 
 def _setup(data, config: RecoveryConfig, seed: int, c: int) -> tuple:
@@ -292,7 +303,8 @@ def _setup(data, config: RecoveryConfig, seed: int, c: int) -> tuple:
         if b is not None:
             _check_scale(b, 2 * c - 1, config.dominating)
         if m > 1:
-            # the d^c x d^c operator, T, the moment and eigh's copy, workspace and eigenvectors: 5.1-5.4 copies
+            # the d^c x d^c operator, T, the moment and eigh's copy, workspace and eigenvectors: 5.1-5.5
+            # copies in a process's first fit, at most 5.0 in its later ones
             _check_fits(f"{data.d}^{2 * c}", data.d ** (2 * c), 6)
     if m > 1 and isinstance(data, MixtureSpec):
         with _stage("dominating-measure check"):

@@ -1,9 +1,13 @@
 """Shared fixtures: reference mixtures used across the suite, the
-position-tuple moment oracle the estimator is checked against, and the
+position-tuple moment oracle the estimator is checked against, the
 dense power-sum oracle the multiset population moments are checked
-against."""
+against, and a fresh interpreter to run code in."""
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,20 @@ def random_mixture(rng: np.random.Generator, m: int, d: int) -> sp.MixtureSpec:
     w = rng.dirichlet(np.full(m, 5.0))
     comps = rng.dirichlet(np.ones(d), size=m)
     return sp.make_mixture(w, comps)
+
+
+def run_child(code: str, force: str | None = None) -> str:
+    """stdout of code run in a fresh interpreter, with SPECMIX_FORCE_NUMPY
+    set to force, or unset for None."""
+    # The child must import the package under test, not another copy, so
+    # the directory holding this process's specmix goes first on its path.
+    root = str(Path(sp.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "SPECMIX_FORCE_NUMPY"}
+    if force:
+        env["SPECMIX_FORCE_NUMPY"] = force
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return out.stdout.strip()
 
 
 def raw_counts(ds: sp.GroupedDataset, r: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import sys
 from dataclasses import fields, replace
@@ -15,7 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import specmix as sp
 import specmix.recovery as recovery
-from conftest import random_mixture
+from conftest import random_mixture, run_child
 from specmix.estimation import moment
 from specmix.model import check_distinct_norms
 from specmix.recovery import (
@@ -203,6 +204,20 @@ class TestBuildTHat:
         lam = np.sort(np.linalg.eigvalsh(t @ t.T))[::-1]
         norms = np.sort(check_distinct_norms(blend_mix, fixed_xi).norms)[::-1]
         assert_allclose(lam[:3], norms, atol=1e-10)
+
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("population", [True, False])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_odd_operator_is_the_replay_product(self, blend_mix, fixed_xi, c, population, scaled):
+        # perfbench's replay forms the operator as build_t_hat(...) @ ....T;
+        # the pipeline's preallocated product must keep its bytes
+        data = blend_mix if population else draw_tally(blend_mix, 2 * c - 1, 2000, seed=c)
+        b = sp.b_map(fixed_xi) if scaled else None
+        w = np.random.default_rng(c).standard_normal((3 ** (c - 1),) * 2)
+        t = build_t_hat(moment(data, 2 * c - 1, b), w)
+        op = recovery._odd_operator(data, c, b, w)
+        assert op.shape == (3**c, 3**c)
+        assert op.tobytes() == (t @ t.T).tobytes()
 
     def test_zero_whitener(self, two_mix):
         t = build_t_hat(moment(two_mix, 3, None), np.zeros((2, 2)))
@@ -478,6 +493,29 @@ class TestRecoverFull:
             match=rf"^stage 'setup' failed: \d dense {re.escape(shape)} arrays need \d+ bytes; physical memory is {physical}$",
         ):
             call(indep_mix)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the later-fit growth it guards against is glibc's heap layout")
+    @pytest.mark.parametrize("d, m", [(6, 4), (12, 3)], ids=["d6m4", "d12m3"])
+    def test_later_fits_peak_no_higher_than_the_first(self, d, m):
+        # Once a fit has freed eigh's workspace, glibc raises its mmap
+        # threshold and serves later fits' arrays from the heap, where
+        # temporaries freed below the live operator stay resident, too small
+        # for eigh's buffers.  With the operator allocated after them, fit 3
+        # peaked 8.9 MB (d6m4) and 8.0 MB (d12m3) above fit 1.
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "import specmix as sp\n"
+            f"d, m = {d}, {m}\n"
+            "gen = np.random.default_rng(1)\n"
+            "mix = sp.make_mixture(np.full(m, 1.0 / m), gen.dirichlet(np.full(d, 0.5), size=m))\n"
+            "for _ in range(3):\n"
+            "    sp.recover_full(mix, sp.RecoveryConfig(m))\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        first, _, third = map(int, run_child(code).split())
+        # ru_maxrss is in KiB on Linux; the bound is a quarter of one d^m x d^m float64 copy
+        assert (third - first) * 1024 < 8 * d ** (2 * m) / 4
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("population", [True, False])

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import run_child
 from specmix import _kernels_np, kernels, rng
 from specmix._kernels_np import draw_thresholds
 from specmix.sampling import DRAW_BLOCK
@@ -599,22 +600,6 @@ class TestBackends:
         assert_array_equal(keys, expect)
         assert keys[0] == keys[1]  # same tally, different order
 
-    @staticmethod
-    def _child(code, force):
-        """stdout of code run in a child, with SPECMIX_FORCE_NUMPY set to
-        force, or unset for None."""
-        import specmix
-
-        # The child must import the package under test, not another copy, so
-        # the directory holding this process's specmix goes first on its path.
-        root = str(Path(specmix.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "SPECMIX_FORCE_NUMPY"}
-        if force:
-            env["SPECMIX_FORCE_NUMPY"] = force
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        return out.stdout.strip()
-
     def test_forced_numpy_backend(self):
         # A stub compiled module makes the compiled backend importable in the
         # child, so "numpy" can only come from SPECMIX_FORCE_NUMPY, not from
@@ -628,12 +613,12 @@ class TestBackends:
             "print(specmix.BACKEND)\n"
         )
         for force, expected in (("1", "numpy"), (None, "compiled")):
-            assert self._child(code, force) == expected
+            assert run_child(code, force) == expected
 
     def test_group_keys_is_numpy_on_both_backends(self):
         assert kernels.group_keys is _kernels_np.group_keys
         code = "from specmix import _kernels_np, kernels\nprint(kernels.group_keys is _kernels_np.group_keys)\n"
-        assert self._child(code, "1") == "True"
+        assert run_child(code, "1") == "True"
 
     def test_active_backend_exposed(self):
         import specmix
