@@ -300,7 +300,7 @@ def sym_eig(m: np.ndarray) -> EigenDecomposition:
         raise ValueError("matrix has non-finite entries")
     # m - m.T is exactly antisymmetric, so its max is the largest asymmetry
     skew = np.subtract(m, m.T)
-    if skew.max() > 1e-8 * max(1.0, peak):
+    if skew.max() > 1e-8 * peak:
         raise ValueError("matrix is not symmetric within tolerance")
     # A sign bit in m - m.T marks an entry that differs from its mirror,
     # if only as -0.0 against +0.0; only then does the symmetric part

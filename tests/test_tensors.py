@@ -282,12 +282,15 @@ class TestSymEig:
         assert_array_equal(got.eigenvectors.view(np.int64), want.eigenvectors.view(np.int64))
 
     def test_asymmetry_tolerance_edge(self):
-        m = np.diag([4.0, 1.0])
-        m[0, 1] = 1e-8 * 4.0
-        sp.sym_eig(m)
-        m[0, 1] = np.nextafter(1e-8 * 4.0, np.inf)
-        with pytest.raises(ValueError, match="^matrix is not symmetric within tolerance$"):
+        # relative to the largest entry below 1 as well: moment matrices are there
+        for peak in (4.0, 2e-6):
+            m = np.diag([peak, peak / 4])
+            m[0, 1] = 1e-8 * peak
             sp.sym_eig(m)
+            for skew in (np.nextafter(1e-8 * peak, np.inf), 2.5e-3 * peak):
+                m[0, 1] = skew
+                with pytest.raises(ValueError, match="^matrix is not symmetric within tolerance$"):
+                    sp.sym_eig(m)
 
     def test_entries_above_half_the_largest_double(self):
         # 0.5 * (m + m.T) would overflow here; an exactly symmetric m is used as given
