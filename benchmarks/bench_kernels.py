@@ -12,10 +12,11 @@ output.  group_keys (per-group tally encoding) has one
 implementation, the numpy one, and is timed once.  sample_keys must
 equal the bincount of group_keys(sample_groups(...)).  It also checks
 the block contract each backend must keep for sampling.draw_tally: two
-start= blocks give the same rows and table as one call.  Both numpy
-samplers draw DRAW_BLOCK groups at a time within a call, so a run of
-more than two DRAW_BLOCKs (150000 groups, say) crosses a block edge in
-each one-call path as well as in its two-block calls.
+start= blocks give the same rows as one call, and their tables sum to
+its table.  Both numpy samplers draw DRAW_BLOCK groups at a time within
+a call, so a run of more than two DRAW_BLOCKs (150000 groups, say)
+crosses a block edge in each one-call path as well as in its two-block
+calls.
 
 Usage:
     python3 benchmarks/bench_kernels.py --n-groups 500000 --group-size 5 --d 3
@@ -86,9 +87,6 @@ def main(argv=None) -> int:
     if not use_table:
         print(f"(k+1)^(d-1) = {cells} cells is over {DRAW_BLOCK}: sample_keys not timed")
 
-    def count_keys(impl, *call, start=0):
-        return impl.sample_keys(*call, np.zeros(cells, dtype=np.int64), start=start)
-
     sample_out = {}
     call = (args.seed, args.n_groups, args.group_size, thresholds)
 
@@ -108,7 +106,7 @@ def main(argv=None) -> int:
         scratch = traced_scratch(impl.sample_groups, *call)
         report(name, "sample_groups", t_sample, draws, "draws", f", scratch {scratch:.2f} MiB traced")
         if use_table:
-            *t_table, table = timed(args.repeats, count_keys, impl, *call)
+            *t_table, table = timed(args.repeats, impl.sample_keys, *call)
             report(name, "sample_keys", t_table, args.n_groups, "groups")
             if not np.array_equal(table, np.bincount(keys, minlength=cells)):
                 print(f"MISMATCH: {name} sample_keys differs from the bincount of group_keys(sample_groups(...))")
@@ -120,7 +118,7 @@ def main(argv=None) -> int:
         blocks = np.concatenate([impl.sample_groups(*head), impl.sample_groups(*tail, start=cut)])
         same = np.array_equal(blocks, groups)
         if use_table:
-            table = impl.sample_keys(*tail, count_keys(impl, *head), start=cut)
+            table = impl.sample_keys(*head) + impl.sample_keys(*tail, start=cut)
             same = same and np.array_equal(table, np.bincount(keys, minlength=cells))
         if not same:
             print(f"MISMATCH: {name} output drawn in two blocks differs from one call")

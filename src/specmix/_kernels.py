@@ -9,9 +9,10 @@ failure (no ``cc``, a read-only directory, a compile error or a timeout)
 raises ImportError, and kernels.py falls back to the numpy kernels.
 
 sample_groups and sample_keys below keep the signatures and contract of
-their _kernels_np.py namesakes, bit for bit.  A CDLL call releases the
-GIL, and the C code keeps no state between calls, so threads may run
-the kernels at once on separate outputs (sampling.draw_tally does).
+their _kernels_np.py namesakes, bit for bit.  Each allocates the array
+the C code writes, so no caller's buffer reaches it.  A CDLL call
+releases the GIL, and the C code keeps no state between calls, so
+threads may run the kernels at once (sampling.draw_tally does).
 
 The C code counts the integer thresholds of
 _kernels_np.draw_thresholds that each word reaches, as the numpy
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from ._kernels_np import check_sizes, check_table, key_weights
+from ._kernels_np import check_sizes, key_cells, key_weights
 from .rng import MASK
 
 SOURCE = Path(__file__).with_name("_kernels.c")
@@ -133,11 +134,11 @@ def sample_groups(seed, n_groups, group_size, thresholds, start=0):
     return out
 
 
-def sample_keys(seed, n_groups, group_size, thresholds, table, start=0):
+def sample_keys(seed, n_groups, group_size, thresholds, start=0):
     """See _kernels_np.sample_keys: one pass that keys each group as it
-    draws it, with no (n_groups, group_size) array."""
+    draws it, with no (n_groups, group_size) array, into a table
+    allocated here."""
     args, d = _draw_args(seed, n_groups, group_size, thresholds, start)
-    check_table(table, group_size, d)
+    table = np.zeros(key_cells(group_size, d), dtype=np.int64)
     _check(_lib.sample_keys(*args, key_weights(group_size, d), table))
     return table
-

@@ -201,11 +201,11 @@ def _encode(groups, weights, keys, col):
         keys += weights.take(groups[:, j], mode="clip", out=col)  # the caller checked the codes
 
 
-def sample_keys(seed, n_groups, group_size, thresholds, table, start=0):
-    """Count the groups sample_groups draws by their group_keys key: each
-    adds one to table[key], and table is returned.  table must be a
-    writeable, aligned C-contiguous int64 array of exactly
-    key_cells(group_size, d) cells, which holds every key.
+def sample_keys(seed, n_groups, group_size, thresholds, start=0):
+    """Count the groups sample_groups draws by their group_keys key: a new
+    int64 table of key_cells(group_size, d) cells, zeroed here, in which
+    each group adds one to table[key].  A key space no array can hold
+    raises ValueError or MemoryError before any group is drawn.
 
     The groups are drawn and keyed DRAW_BLOCK at a time, in one set of
     buffers that every block reuses, so memory does not grow with
@@ -213,13 +213,13 @@ def sample_keys(seed, n_groups, group_size, thresholds, table, start=0):
     """
     check_sizes(n_groups, group_size)
     d = thresholds[1].shape[1] + 1
-    check_table(table, group_size, d)
+    table = np.zeros(key_cells(group_size, d), dtype=np.int64)
+    weights = key_weights(group_size, d)
     size = min(n_groups, DRAW_BLOCK)
     words, scratch, bases = (np.empty(size, dtype=np.uint64) for _ in range(3))
     codes = np.empty((size, group_size), dtype=np.uint8)
     # a block's keys and their column buffer reuse bases and scratch, which its draw no longer reads
     keys, col = bases.view(np.int64), scratch.view(np.int64)
-    weights = key_weights(group_size, d)
     for lo in range(0, n_groups, DRAW_BLOCK):
         n = min(DRAW_BLOCK, n_groups - lo)
         _draw(seed, int(start) + lo, thresholds, codes[:n], words[:n], scratch[:n], bases[:n])
@@ -233,18 +233,3 @@ def check_sizes(n_groups, group_size):
     both backends' samplers."""
     if n_groups < 0 or group_size < 0:
         raise ValueError("n_groups and group_size must be >= 0")
-
-
-def check_table(table, group_size, d):
-    """Raise ValueError unless table can count every key of groups of
-    group_size draws from d categories (see sample_keys)."""
-    cells = key_cells(group_size, d)
-    if not (
-        isinstance(table, np.ndarray)
-        and table.dtype == np.int64
-        and table.shape == (cells,)
-        and table.flags.c_contiguous
-        and table.flags.aligned
-        and table.flags.writeable
-    ):
-        raise ValueError(f"table must be a writeable C-contiguous int64 array of (k+1)**(d-1) = {cells} cells")

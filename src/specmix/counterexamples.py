@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .model import MixtureSpec, _finite_vector, probability_vector
+from .model import DISTINCT_TOL, MixtureSpec, _finite_vector, probability_vector
 from .tensors import _orbit_sizes, _power_sum
 
 
@@ -134,7 +134,7 @@ def build_pair(
         raise type(exc)(f"base measures: {exc}") from None
     if gamma.size != gamma_prime.size:
         raise ValueError("base measures must share a dimension")
-    if np.abs(gamma - gamma_prime).max() <= 1e-12:
+    if np.abs(gamma - gamma_prime).max() <= DISTINCT_TOL:
         raise ValueError("base measures must be distinct")
     if epsilons is None:
         eps = np.arange(t) / (t - 1.0)

@@ -125,22 +125,21 @@ def to_unit(w: np.ndarray) -> np.ndarray:
     return (np.asarray(w, dtype=np.uint64) >> _U64(11)).astype(np.float64) * _INV_2_53
 
 
-def uniforms(seed: int, stream: int, n: int, start: int = 0) -> np.ndarray:
-    """n uniform doubles in [0, 1) from counters start..start+n-1."""
-    c = np.arange(start, start + n, dtype=np.uint64)
-    return to_unit(words(seed, stream, c))
+def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
+    """n uniform doubles in [0, 1) from counters 0..n-1."""
+    return to_unit(words(seed, stream, np.arange(n, dtype=np.uint64)))
 
 
-def normals(seed: int, stream: int, n: int, start: int = 0) -> np.ndarray:
+def normals(seed: int, stream: int, n: int) -> np.ndarray:
     """n standard normal doubles; consumes two counters per pair."""
     pairs = (n + 1) // 2
-    u = uniforms(seed, stream, 2 * pairs, start=start).reshape(pairs, 2)
+    u = uniforms(seed, stream, 2 * pairs).reshape(pairs, 2)
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
     angle = 2.0 * np.pi * u[:, 1]
     z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
     return z[:n]
 
 
-def exponentials(seed: int, stream: int, n: int, start: int = 0) -> np.ndarray:
+def exponentials(seed: int, stream: int, n: int) -> np.ndarray:
     """n standard exponential doubles by inverse transform."""
-    return -np.log1p(-uniforms(seed, stream, n, start=start))
+    return -np.log1p(-uniforms(seed, stream, n))

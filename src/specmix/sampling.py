@@ -188,38 +188,38 @@ def draw_tally(mix: MixtureSpec, group_size: int, n_groups: int, seed: int) -> G
         starts = range(0, n_groups, DRAW_BLOCK)
         rows = (kernels.sample_groups(sub_seed, min(DRAW_BLOCK, n_groups - lo), k, thresholds, start=lo) for lo in starts)
         return _tally_blocks(d, k, rows)
-    table = _count_keys(thresholds, k, n_groups, sub_seed, cells)
+    table = _count_keys(thresholds, k, n_groups, sub_seed)
     keys = np.flatnonzero(table)
     return GroupTallyHistogram(d, k, _TallyTable.from_compositions(kernels.decode_keys(keys, k, d), table[keys]))
 
 
-def _count_keys(thresholds: tuple, k: int, n_groups: int, sub_seed: int, cells: int) -> np.ndarray:
-    """The table of kernels.sample_keys over the n_groups groups of a
-    draw, with the draw's tag-derived sub_seed.
+def _count_keys(thresholds: tuple, k: int, n_groups: int, sub_seed: int) -> np.ndarray:
+    """The sum of the tables kernels.sample_keys returns over the
+    n_groups groups of a draw, with the draw's tag-derived sub_seed.
 
     The ceil(n_groups / DRAW_BLOCK) blocks are split into one contiguous
-    run of whole blocks per worker, and each worker counts its run into
-    its own table in one sample_keys call, in a thread (the compiled
-    kernel releases the GIL, and numpy does in its array loops); the
-    calling thread counts the first run.  So one call covers at most
-    ceil(blocks / workers) blocks: all n_groups groups with one CPU.
-    Each group draws from its own stream, so a call over a run counts
-    what its blocks would count one by one.  The tables are summed once
-    every thread has ended, and the first worker's exception, if any, is
-    raised as it was raised.
+    run of whole blocks per worker, and each worker counts its run in one
+    sample_keys call, in a thread (the compiled kernel releases the GIL,
+    and numpy does in its array loops); the calling thread counts the
+    first run.  So one call covers at most ceil(blocks / workers) blocks:
+    all n_groups groups with one CPU.  Each group draws from its own
+    stream, so a call over a run counts what its blocks would count one
+    by one.  Each worker keeps the table its call returns, or the
+    exception it raises; the tables are summed once every thread has
+    ended, and the first worker's exception, if any, is raised as it was
+    raised.
     """
     blocks = -(-n_groups // DRAW_BLOCK)
     workers = min(_cpu_count(), blocks)
     bounds = [min(blocks * i // workers * DRAW_BLOCK, n_groups) for i in range(workers + 1)]
-    tables = [np.zeros(cells, dtype=np.int64) for _ in range(workers)]
-    errors: list = [None] * workers
+    results: list = [None] * workers
 
     def count(i: int) -> None:
         lo, hi = bounds[i], bounds[i + 1]
         try:
-            kernels.sample_keys(sub_seed, hi - lo, k, thresholds, tables[i], start=lo)
+            results[i] = kernels.sample_keys(sub_seed, hi - lo, k, thresholds, start=lo)
         except BaseException as exc:  # raised again in the calling thread
-            errors[i] = exc
+            results[i] = exc
 
     threads = [threading.Thread(target=count, args=(i,)) for i in range(1, workers)]
     for thread in threads:
@@ -227,10 +227,10 @@ def _count_keys(thresholds: tuple, k: int, n_groups: int, sub_seed: int, cells: 
     count(0)
     for thread in threads:
         thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return np.sum(tables, axis=0)
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return np.sum(results, axis=0)
 
 
 def _cpu_count() -> int:

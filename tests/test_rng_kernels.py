@@ -91,9 +91,6 @@ class TestUniforms:
         assert np.all(u >= 0.0) and np.all(u < 1.0)
         assert_array_equal(u, rng.uniforms(7, 0, 1000))
 
-    def test_start_offset_slices(self):
-        assert_array_equal(rng.uniforms(7, 0, 10)[3:], rng.uniforms(7, 0, 7, start=3))
-
     def test_moments(self):
         u = rng.uniforms(2024, 5, 100_000)
         assert abs(u.mean() - 0.5) < 0.005
@@ -228,60 +225,39 @@ class TestSampleKeys:
         want = np.bincount(
             _kernels_np.group_keys(reference_sample_groups(seed, n, k, cw, cc, start=start), d), minlength=cells
         )
-        # counts add to what the table holds, in one call or in two blocks
-        before = np.arange(cells, dtype=np.int64)
-        table = before.copy()
-        assert impl.sample_keys(seed, n, k, draw_thresholds(cw, cc), table, start=start) is table
-        assert table.dtype == np.int64
-        assert_array_equal(table, before + want)
+        # every call returns a new int64 table of its own, and the tables
+        # of two start= blocks sum to the one call's
+        table = impl.sample_keys(seed, n, k, draw_thresholds(cw, cc), start=start)
+        assert table.dtype == np.int64 and table.shape == (cells,)
+        assert_array_equal(table, want)
         cut = n // 3
-        impl.sample_keys(seed, cut, k, draw_thresholds(cw, cc), table, start=start)
-        impl.sample_keys(seed, n - cut, k, draw_thresholds(cw, cc), table, start=start + cut)
-        assert_array_equal(table, before + 2 * want)
+        head = impl.sample_keys(seed, cut, k, draw_thresholds(cw, cc), start=start)
+        tail = impl.sample_keys(seed, n - cut, k, draw_thresholds(cw, cc), start=start + cut)
+        assert not any(np.shares_memory(a, b) for a, b in [(table, head), (table, tail), (head, tail)])
+        assert_array_equal(head + tail, want)
 
-    @staticmethod
-    def _read_only():
-        table = np.zeros(9, dtype=np.int64)
-        table.flags.writeable = False
-        return table
-
-    @pytest.mark.parametrize(
-        "make_table",
-        [
-            lambda: np.zeros(8, dtype=np.int64),
-            lambda: np.zeros(10, dtype=np.int64),
-            lambda: np.zeros(9, dtype=np.int32),
-            lambda: np.zeros(9, dtype=np.float64),
-            lambda: np.zeros(9, dtype=np.uint64),
-            lambda: np.zeros((3, 3), dtype=np.int64),
-            lambda: np.zeros(18, dtype=np.int64)[::2],
-            lambda: np.zeros(9, dtype=">i8"),
-            lambda: np.frombuffer(bytearray(9 * 8 + 1), dtype=np.int64, offset=1, count=9),
-            _read_only,
-            lambda: [0] * 9,
-        ],
-        ids=[
-            "short", "long", "int32", "float64", "uint64", "2-D", "strided", "big-endian", "unaligned",
-            "read-only", "list",
-        ],
-    )
-    def test_rejects_bad_table(self, name, make_table):
-        # k=2, d=3: keys are below 3**2 = 9
+    def test_rejects_key_space_no_table_holds(self, name, monkeypatch):
+        # d = 40, k = 5: 6**39 cells, past any array and past int64, where
+        # key_weights would wrap; the table is refused before the weights,
+        # which both kernels take before they draw a group, are computed
         impl = backend(name)
-        cw, cc = np.cumsum([0.5, 0.5]), np.cumsum([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]], axis=1)
-        table = make_table()
-        with pytest.raises(ValueError, match="table"):
-            impl.sample_keys(0, 100, 2, draw_thresholds(cw, cc), table)
-        assert not np.any(table)
+
+        def weights_computed(*args):
+            raise AssertionError("key_weights ran")
+
+        monkeypatch.setattr(impl, "key_weights", weights_computed)
+        cw, cc = np.cumsum([1.0]), np.cumsum([np.full(40, 1 / 40)], axis=1)
+        with pytest.raises((ValueError, MemoryError)):
+            impl.sample_keys(0, 5, 5, draw_thresholds(cw, cc))
 
     def test_rejects_negative_sizes(self, name):
         # a group of -1 draws would key to 0, past a table of 0**(d-1) cells
         impl = backend(name)
         cw, cc = np.cumsum([1.0]), np.cumsum([[0.5, 0.5]], axis=1)
         with pytest.raises(ValueError):
-            impl.sample_keys(0, 5, -1, draw_thresholds(cw, cc), np.zeros(0, dtype=np.int64))
+            impl.sample_keys(0, 5, -1, draw_thresholds(cw, cc))
         with pytest.raises(ValueError):
-            impl.sample_keys(0, -5, 2, draw_thresholds(cw, cc), np.zeros(3, dtype=np.int64))
+            impl.sample_keys(0, -5, 2, draw_thresholds(cw, cc))
 
     def test_sample_groups_rejects_negative_sizes(self, name):
         # the numpy sampler raised numpy's "negative dimensions are not allowed"
@@ -303,8 +279,7 @@ class TestSampleKeys:
         want = reference_sample_groups(seed, 500, 4, cw[:2], cc, start=7)
         assert_array_equal(impl.sample_groups(seed, 500, 4, extra, start=7), want)
         assert_array_equal(impl.sample_groups(seed, 500, 4, kept, start=7), want)
-        table = np.zeros(5**2, dtype=np.int64)
-        impl.sample_keys(seed, 500, 4, extra, table, start=7)
+        table = impl.sample_keys(seed, 500, 4, extra, start=7)
         assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, 3), minlength=5**2))
 
 
@@ -471,7 +446,7 @@ class TestExactThresholds:
         assert_array_equal(impl.sample_groups(seed, n, k, draw_thresholds(cw, cc), start=start), want)
         d = cc.shape[1]
         cells = (k + 1) ** (d - 1)
-        table = impl.sample_keys(seed, n, k, draw_thresholds(cw, cc), np.zeros(cells, dtype=np.int64), start=start)
+        table = impl.sample_keys(seed, n, k, draw_thresholds(cw, cc), start=start)
         assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, d), minlength=cells))
 
     def test_ties_and_neighbours_on_every_draw(self, name):
@@ -492,8 +467,8 @@ class TestExactThresholds:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_block_sizes_around_the_chunk(self, name, offset):
         # n in {1, chunk-1, chunk, chunk+1, DRAW_BLOCK} and a start whose
-        # streams wrap past 2**64; the table gains the same counts in one
-        # call as in calls of every size
+        # streams wrap past 2**64; the tables of calls of every size sum
+        # to the counts of one call
         impl = backend(name)
         size = chunk()
         cw, cc = np.cumsum([0.5, 0.3, 0.2]), np.cumsum([[0.64, 0.32, 0.04], [0.04, 0.32, 0.64], [0.24, 0.32, 0.44]], axis=1)
@@ -504,7 +479,7 @@ class TestExactThresholds:
         lo, rows, table = 0, [], np.zeros(6**2, dtype=np.int64)
         for n in sizes:
             rows.append(impl.sample_groups(3, n, 5, draw_thresholds(cw, cc), start=start + lo))
-            impl.sample_keys(3, n, 5, draw_thresholds(cw, cc), table, start=start + lo)
+            table += impl.sample_keys(3, n, 5, draw_thresholds(cw, cc), start=start + lo)
             lo += n
         assert_array_equal(np.concatenate(rows), want)
         assert_array_equal(table, np.bincount(_kernels_np.group_keys(want, 3), minlength=6**2))
@@ -543,17 +518,20 @@ class TestBackends:
         # the fallback draws and keys DRAW_BLOCK groups at a time in
         # reused buffers; over two whole blocks and a ragged one, on
         # streams that wrap past 2**64, it counts what the compiled kernel
-        # counts in one call, and what one call per block counts
+        # counts in one call, and on both backends the tables of one call
+        # per block sum to that
         compiled, fallback = self._both()
         cw, cc = np.cumsum([0.5, 0.3, 0.2]), np.cumsum([[0.64, 0.32, 0.04], [0.04, 0.32, 0.64], [0.24, 0.32, 0.44]], axis=1)
         n, start, cells = 2 * DRAW_BLOCK + 17, 2**64 - 5, 6**2
-        table = fallback.sample_keys(9, n, 5, draw_thresholds(cw, cc), np.zeros(cells, dtype=np.int64), start=start)
-        want = compiled.sample_keys(9, n, 5, draw_thresholds(cw, cc), np.zeros(cells, dtype=np.int64), start=start)
+        table = fallback.sample_keys(9, n, 5, draw_thresholds(cw, cc), start=start)
+        want = compiled.sample_keys(9, n, 5, draw_thresholds(cw, cc), start=start)
         assert_array_equal(table, want)
-        blocks = np.zeros(cells, dtype=np.int64)
-        for lo in range(0, n, DRAW_BLOCK):
-            fallback.sample_keys(9, min(DRAW_BLOCK, n - lo), 5, draw_thresholds(cw, cc), blocks, start=start + lo)
-        assert_array_equal(table, blocks)
+        for impl in (compiled, fallback):
+            blocks = [
+                impl.sample_keys(9, min(DRAW_BLOCK, n - lo), 5, draw_thresholds(cw, cc), start=start + lo)
+                for lo in range(0, n, DRAW_BLOCK)
+            ]
+            assert_array_equal(np.sum(blocks, axis=0), table)
         rows = fallback.sample_groups(9, n, 5, draw_thresholds(cw, cc), start=start)
         assert_array_equal(table, np.bincount(fallback.group_keys(rows, 3), minlength=cells))
         assert table.sum() == n
@@ -567,7 +545,7 @@ class TestBackends:
         cw, cc = cumulative_mixture(3, d, False, d)
         cells = (k + 1) ** (d - 1)
         tables = [
-            impl.sample_keys(4, 5000, k, draw_thresholds(cw, cc), np.zeros(cells, dtype=np.int64), start=99)
+            impl.sample_keys(4, 5000, k, draw_thresholds(cw, cc), start=99)
             for impl in (compiled, fallback)
         ]
         assert_array_equal(tables[0], tables[1])
@@ -688,9 +666,8 @@ class TestCompiledLoader:
             monkeypatch.setattr(compiled, "_lib", lib)
             for seed, start, k, cw, cc in cases:
                 for n in (1, chunk() + 1, 5000):
-                    table = np.zeros((k + 1) ** (cc.shape[1] - 1), dtype=np.int64)
                     got.append(compiled.sample_groups(seed, n, k, draw_thresholds(cw, cc), start=start))
-                    got.append(compiled.sample_keys(seed, n, k, draw_thresholds(cw, cc), table, start=start))
+                    got.append(compiled.sample_keys(seed, n, k, draw_thresholds(cw, cc), start=start))
         cloned, stripped = got[: len(got) // 2], got[len(got) // 2 :]
         for a, b in zip(cloned, stripped):
             assert_array_equal(a, b)
@@ -756,5 +733,4 @@ def test_warning_free_build_matches_numpy(warning_free_build, monkeypatch, d, k)
     assert_array_equal(compiled.sample_groups(*call, start=12_345), _kernels_np.sample_groups(*call, start=12_345))
     cells = (k + 1) ** (d - 1)
     if cells <= DRAW_BLOCK:  # the tables draw_tally keys into
-        table = compiled.sample_keys(*call, np.zeros(cells, dtype=np.int64), start=12_345)
-        assert_array_equal(table, _kernels_np.sample_keys(*call, np.zeros(cells, dtype=np.int64), start=12_345))
+        assert_array_equal(compiled.sample_keys(*call, start=12_345), _kernels_np.sample_keys(*call, start=12_345))
