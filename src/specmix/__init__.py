@@ -8,11 +8,14 @@ are tight.  Hot sampling kernels run through plain C compiled with
 ``cc`` on first import and loaded with ctypes, with a pure numpy
 fallback when that fails (set SPECMIX_FORCE_NUMPY=1 to force it).
 
-The names exported here are the public API: what the README, the CLI,
+The names imported here are the public API: what the README, the CLI,
 the acceptance tests and the pipeline benchmark call, and the types and
-errors those take, return or raise.  Every other name is imported from
-its module.
+errors those take, return or raise.  ``__all__`` is every one of them,
+sorted, so an import below is all it takes to export a name.  Every
+other name is imported from its module.
 """
+
+from types import ModuleType as _ModuleType
 
 from .counterexamples import (
     build_pair,
@@ -73,45 +76,7 @@ from .tensors import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BACKEND",
-    "DominatingMeasure",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "GroupTallyHistogram",
-    "GroupedDataset",
-    "MixtureSpec",
-    "MultinomialSpec",
-    "RankDeficiencyError",
-    "RecoveryConfig",
-    "RecoveryError",
-    "RecoveryResult",
-    "b_map",
-    "build_c_hat",
-    "build_e_hat",
-    "build_pair",
-    "build_t_hat",
-    "draw_groups",
-    "empirical_sym_moment",
-    "estimate_num_components",
-    "fold",
-    "li_recover",
-    "make_mixture",
-    "matched_l1_error",
-    "moment",
-    "multinomial_mixture_equal",
-    "num_compositions",
-    "random_baseline",
-    "read_groups",
-    "recover_full",
-    "recover_weights",
-    "resolve_dominating",
-    "run_experiment",
-    "sym_eig",
-    "symmetrize",
-    "tally",
-    "unfold",
-    "verify_lemma_mult",
-    "verify_moment_equality",
-    "whiten",
-]
+# the submodules those imports bind are not public names
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

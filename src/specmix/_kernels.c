@@ -20,17 +20,19 @@
  * group draw streams that are never counted or written.  Unsigned
  * 64-bit arithmetic wraps modulo 2**64 as numpy's uint64 does.
  *
- * A keyed draw reads no table either: its key is summed from the
- * comparisons.  A tally (c_0, .., c_{d-1}) of k draws keys to
- * sum_{c>=1} c_c * (k+1)**(c-1), below (k+1)**(d-1), so a draw of
+ * A draw reads no table: it adds the step of each threshold its x
+ * reaches.  A tally (c_0, .., c_{d-1}) of k draws keys to
+ * sum_{c>=1} c_c * (k+1)**(c-1), below (k+1)**(d-1), so a keyed draw of
  * category c adds key_w[c], the _kernels_np.key_weights: 0 for c = 0.
  * With steps s_i = key_w[i+1] - key_w[i], a draw that reaches c
  * thresholds adds key_w[c] = s_0 + ... + s_{c-1}.  The sum of s_i over
  * the reached thresholds equals that only because they are the first c
  * of the row: threshold rows are nondecreasing (see draw_thresholds), so
- * x >= t_i implies x >= t_h for every h < i.  So a group's key starts at
- * 0 and each draw adds s_i & -(x >= t_i) over its row, with s_i = 0 on
- * the padding.
+ * x >= t_i implies x >= t_h for every h < i.  Without key weights every
+ * step is 1, and the same sum is c, the category code.  The padding
+ * steps are 0.  So a draw adds s_i & -(x >= t_i) over its row; sample_keys
+ * sums that over the group's draws and counts the key in its table, and
+ * sample_groups writes each draw's sum as its code.
  *
  * GCC 12 and later, on x86-64 with glibc, also compile an AVX-512
  * (x86-64-v4) and an AVX2 (x86-64-v3) clone of each entry point, and the
@@ -71,8 +73,8 @@ static inline uint64_t mix64(uint64_t z) {
 
 /* An (n_comp, width) table whose row c holds the d - 1 thresholds of
  * row c of comp_t, padded with NEVER to the even width >= 2 that
- * draw_chunk reads two at a time.  Then width key steps, key_w[i+1] -
- * key_w[i] below d - 1 and 0 on the padding (all 0 without key_w), and
+ * draw_chunk reads two at a time.  Then the width steps: key_w[i+1] -
+ * key_w[i] below d - 1, or 1 without key_w, and 0 on the padding; and
  * last the (width, CHUNK) buffer into which draw_chunk gathers each
  * group's row.  NULL if out of memory. */
 static int64_t *thresholds(const int64_t *comp_t, int64_t n_comp, int64_t d, int64_t width, const int64_t *key_w) {
@@ -81,17 +83,16 @@ static int64_t *thresholds(const int64_t *comp_t, int64_t n_comp, int64_t d, int
     int64_t *const steps = tc + n_comp * width;
     for (int64_t c = 0; c < n_comp; c++)
         for (int64_t i = 0; i < width; i++) tc[c * width + i] = i < d - 1 ? comp_t[c * (d - 1) + i] : NEVER;
-    for (int64_t i = 0; i < width; i++) steps[i] = key_w && i < d - 1 ? key_w[i + 1] - key_w[i] : 0;
+    for (int64_t i = 0; i < width; i++) steps[i] = i >= d - 1 ? 0 : key_w ? key_w[i + 1] - key_w[i] : 1;
     return tc;
 }
 
 /* What the thresholds t0 and t1, of steps s0 and s1, add for the word
- * x: in keyed mode the steps of those it reaches, else their number.
- * Masks, not branches: the plain x86-64 build runs this scalar. */
+ * x: the steps of those it reaches.  Masks, not branches: the plain
+ * x86-64 build runs this scalar. */
 static inline __attribute__((always_inline)) int64_t
-reached(int64_t x, int64_t t0, int64_t t1, int64_t s0, int64_t s1, const int keyed) {
-    const int64_t a = -(int64_t)(x >= t0), b = -(int64_t)(x >= t1);
-    return keyed ? (s0 & a) + (s1 & b) : -(a + b);
+reached(int64_t x, int64_t t0, int64_t t1, int64_t s0, int64_t s1) {
+    return (s0 & -(int64_t)(x >= t0)) + (s1 & -(int64_t)(x >= t1));
 }
 
 /* The n <= CHUNK groups on streams first, first+1, ...: counter 0 picks
@@ -100,12 +101,12 @@ reached(int64_t x, int64_t t0, int64_t t1, int64_t s0, int64_t s1, const int key
  * that row is gathered once into lane, whose row i holds threshold i of
  * every group.  Counters 1..group_size each draw a word x per group and
  * read the lane rows contiguously, two at a time (width is even, padded
- * with 2**53).  Unkeyed, a draw counts the thresholds x reaches, its
- * category code, and writes it to the group's row of out.  Keyed, the
- * group's key starts at 0, each draw adds the steps of the thresholds
- * it reaches (see the header), and the group then adds one to
- * table[key].  Each caller passes keyed as a constant, so the inlined
- * passes have no branch on it. */
+ * with 2**53), and sums the steps of the thresholds x reaches (see the
+ * header).  Unkeyed, each draw's sum is its category code, written to
+ * the group's row of out.  Keyed, the sums of the group's draws add up
+ * to its key, and the group then adds one to table[key].  Each caller
+ * passes keyed as a constant, so the inlined passes have no branch on
+ * it. */
 static inline __attribute__((always_inline)) void
 draw_chunk(uint64_t seed_mixed, uint64_t first, int64_t n, int64_t group_size, const int64_t *restrict tw,
            int64_t n_weights, const int64_t *restrict tc, int64_t width, const int64_t *restrict steps,
@@ -128,12 +129,12 @@ draw_chunk(uint64_t seed_mixed, uint64_t first, int64_t n, int64_t group_size, c
         for (int64_t g = 0; g < CHUNK; g++) {
             x[g] = (int64_t)(mix64(base[g] ^ counter) >> 11);
             acc[g] = (keyed ? acc[g] : 0)
-                     + (uint64_t)reached(x[g], lane[g], lane[CHUNK + g], steps[0], steps[1], keyed);
+                     + (uint64_t)reached(x[g], lane[g], lane[CHUNK + g], steps[0], steps[1]);
         }
         for (int64_t i = 2; i < width; i += 2) {
             const int64_t *restrict t0 = lane + i * CHUNK, *restrict t1 = t0 + CHUNK;
             for (int64_t g = 0; g < CHUNK; g++)
-                acc[g] += (uint64_t)reached(x[g], t0[g], t1[g], steps[i], steps[i + 1], keyed);
+                acc[g] += (uint64_t)reached(x[g], t0[g], t1[g], steps[i], steps[i + 1]);
         }
         if (!keyed)
             for (int64_t g = 0; g < n; g++) out[g * group_size + j] = (uint8_t)acc[g];

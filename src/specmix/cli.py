@@ -161,13 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit status.  A library error
-    prints a one-line message to stderr and returns 2, argparse's status
-    for bad usage, which no subcommand returns otherwise."""
+    """Run one subcommand and return its exit status.  A library error,
+    or a MemoryError from inputs too large to allocate for, prints a
+    one-line message to stderr and returns 2, argparse's status for bad
+    usage, which no subcommand returns otherwise."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, RecoveryError, ValueError) as exc:
+    except (MemoryError, OSError, RecoveryError, ValueError) as exc:
         print(f"specmix {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -363,9 +363,11 @@ def write_groups(ds: GroupedDataset, fh: IO[str]) -> None:
 def read_groups(fh: IO[str], d: int | None = None) -> GroupedDataset:
     """Parse the line-based text format; infer d from the data if omitted.
 
-    An index below 1 or above d, an entry that is no integer, and a line
-    with another number of indices than the first are each a ValueError
-    that names its group, counted from 1 over the non-blank lines.
+    Blank lines and ``#`` comments, a whole line or the rest of one, are
+    skipped.  An index below 1 or above d, an entry that is no integer,
+    and a line with another number of indices than the first are each a
+    ValueError that names its group, counted from 1 over the lines that
+    hold indices.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)

@@ -1,8 +1,12 @@
-"""Command-line interface, exercised in-process through cli.main."""
+"""Command-line interface, exercised in-process through cli.main, and
+in a fresh interpreter where a test limits its memory."""
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +378,36 @@ def test_malformed_json_names_the_file(tmp_path, command, flags, capsys):
     for value, message in not_objects[command]:
         bad.write_text(json.dumps(value))
         run_failing(capsys, args, rf"^specmix {command}: {message}$")
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        # a 298 GiB level-gap matrix
+        ("counterexample", ["--m", "100000", "--kind", "identifiability"]),
+        # 14.9 GiB of trial errors
+        ("baseline", ["--trials", "2000000000", "--truth", None]),
+    ],
+    ids=["counterexample", "baseline"],
+)
+def test_failed_allocation_exits_with_one_line(tmp_path, blend_mix, command, args):
+    # each printed numpy's _ArrayMemoryError traceback with status 1,
+    # multinomial-check's "different"
+    pytest.importorskip("resource")
+    truth = tmp_path / "truth.json"
+    truth.write_text(blend_mix.to_json())
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from specmix import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    root = str(Path(sp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+    argv = [command] + [str(truth) if arg is None else arg for arg in args]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"specmix {command}: "), proc.stderr
 
 
 def readme_command_lines() -> list:

@@ -698,9 +698,11 @@ class TestCompiledLoader:
         assert [p.name for p in tmp_path.iterdir()] == [Path(outs[0]).name]
 
 
-# (d, group size) of the four kernel benchmark runs in CI: a full threshold
-# row, keys with a pad, the largest keyed table, and too many cells to key
-CI_SHAPES = [(3, 5), (6, 5), (17, 1), (12, 5)]
+# (d, group size): those of the four kernel benchmark runs in CI, a full
+# threshold row, keys with a pad, the largest keyed table and too many
+# cells to key, then a first threshold pair that is all padding (d = 1)
+# and half padding (d = 2)
+BUILD_SHAPES = [(3, 5), (6, 5), (17, 1), (12, 5), (1, 4), (2, 3)]
 
 
 @pytest.fixture(scope="module", params=["plain", "clones"])
@@ -723,7 +725,7 @@ def warning_free_build(request, tmp_path_factory):
     return compiled, compiled._load(lib)
 
 
-@pytest.mark.parametrize("d, k", CI_SHAPES)
+@pytest.mark.parametrize("d, k", BUILD_SHAPES)
 def test_warning_free_build_matches_numpy(warning_free_build, monkeypatch, d, k):
     compiled, lib = warning_free_build
     monkeypatch.setattr(compiled, "_lib", lib)

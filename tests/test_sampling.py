@@ -541,7 +541,7 @@ class TestTextFormat:
         [("0 1\n2 2\n", 1, 0), ("1 2\n2 2\n\n2 -3\n1 0\n", 3, -3)],
     )
     def test_low_index_names_its_group(self, text, group, index):
-        # groups count from 1 over the non-blank lines
+        # groups count from 1 over the lines that hold indices
         with pytest.raises(ValueError, match=rf"^group {group}: index {index} is below 1; the text format"):
             sp.read_groups(io.StringIO(text))
 
@@ -556,7 +556,7 @@ class TestTextFormat:
         ids=["entry", "entry-after-blank", "short", "long-after-blank"],
     )
     def test_malformed_line_names_its_group(self, text, message):
-        # groups count from 1 over the non-blank lines, as for a bad index;
+        # groups count from 1 over the lines that hold indices, as for a bad index;
         # numpy's message gave a 0-based row, and a short line its advice
         # to "use `usecols`"
         with pytest.raises(ValueError, match=message):
